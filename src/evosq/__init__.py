@@ -23,7 +23,6 @@ from .errors import (
 from .geometry import (
     Profile,
     SliceData,
-    SobolevScale,
     WarpedGeometry,
     build_warped_geometry,
     conformal_potential,
@@ -105,7 +104,6 @@ __all__ = [
     "RiccatiEscapeError",
     "SampledPotential",
     "SliceData",
-    "SobolevScale",
     "SplitMix64",
     "StepFailureError",
     "SurfaceMesh",

@@ -15,10 +15,19 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
 from . import io as evsq_io
+from . import meshes
+from .dnmap import (
+    compute_dn_family,
+    conformal_identity_check,
+    riccati_integrate,
+    riccati_residual,
+    solve_interior,
+)
 from .errors import (
     ConfigError,
     DNComputationError,
@@ -28,40 +37,14 @@ from .errors import (
     RiccatiEscapeError,
     StepFailureError,
 )
+from .evolution import PairOperator, evolve_trace, evolved_rank_one
+from .exhaustion import collar_map_samples, exhaustion_order, load_mesh, verify_order
 from .geometry import build_warped_geometry, make_profile
 from .potentials import make_potential
+from .probes import gradient_blowup_probe, null_test, offdiagonal_flag, zeta_pairing
 from .rng import SplitMix64
-
-SCENARIOS = (
-    "dn-compute",
-    "riccati-check",
-    "evolve-check",
-    "kernel-check",
-    "bvp-headline",
-    "layer-strip",
-    "null-test",
-    "oducp-probe",
-    "conformal-check",
-    "exhaustion",
-    "global-march",
-    "convergence-study",
-)
-
-_COMMON_KEYS = {"geometry", "rho", "T", "N", "M", "eps", "dim"}
-_ALLOWED = {
-    "dn-compute": _COMMON_KEYS | {"q1", "save_family", "sym_tol"},
-    "riccati-check": _COMMON_KEYS | {"q1", "tol"},
-    "evolve-check": _COMMON_KEYS | {"q1", "boundary_data", "tol"},
-    "kernel-check": _COMMON_KEYS | {"q1", "q2", "boundary_data", "boundary_data2", "tol", "single_floor"},
-    "bvp-headline": _COMMON_KEYS | {"q1", "q2", "tol"},
-    "layer-strip": _COMMON_KEYS | {"q1", "q2", "boundary_data", "boundary_data2", "tol"},
-    "null-test": _COMMON_KEYS | {"q1", "tol_factor"},
-    "oducp-probe": _COMMON_KEYS | {"q1", "q2", "threshold", "ambient_dim", "expect_flag"},
-    "conformal-check": _COMMON_KEYS | {"gamma", "n_ambient", "modes_max", "tol"},
-    "exhaustion": {"mesh", "mesh_kind", "mesh_params", "samples_per_cell", "time_budget"},
-    "global-march": _COMMON_KEYS | {"q1", "q2", "tol", "max_windows"},
-    "convergence-study": _COMMON_KEYS | {"q1", "q2", "quantity", "levels", "rate_min"},
-}
+from .source_bvp import dn_recovery_check, layer_strip_check
+from .squared import kernel_residual
 
 _DEFAULT_Q1 = {"kind": "bump", "amplitude": 3.0, "theta0": 1.0, "t0": 0.1, "width": 0.4}
 _DEFAULT_Q2 = {"kind": "bump", "amplitude": -2.0, "theta0": 4.0, "t0": 0.15, "width": 0.35}
@@ -105,7 +88,7 @@ def _apply_override(cfg, spec):
 
 
 def _check_keys(scenario, cfg):
-    allowed = _ALLOWED[scenario]
+    allowed = _SCENARIOS[scenario][1]
     unknown = sorted(set(cfg) - allowed)
     if unknown:
         raise ConfigError(
@@ -114,23 +97,33 @@ def _check_keys(scenario, cfg):
         )
 
 
-def _build_geometry(cfg):
+def _profile(cfg):
     name = cfg.get("geometry", "annulus")
     if name == "annulus":
-        profile = make_profile("annulus", rho=cfg.get("rho", 0.25))
-    elif name == "disk":
-        profile = make_profile("disk")
-    elif name == "flat-cylinder":
-        profile = make_profile("flat-cylinder", T=cfg.get("T", 1.0))
-    else:
-        raise ConfigError(f"unknown geometry {name!r}")
+        return make_profile("annulus", rho=cfg.get("rho", 0.25))
+    if name == "disk":
+        return make_profile("disk")
+    if name == "flat-cylinder":
+        return make_profile("flat-cylinder", T=cfg.get("T", 1.0))
+    raise ConfigError(f"unknown geometry {name!r}")
+
+
+def _build_geometry(cfg):
     return build_warped_geometry(
-        profile,
+        _profile(cfg),
         N=int(cfg.get("N", 32)),
         M=int(cfg.get("M", 64)),
         eps=float(cfg.get("eps", 0.3)),
         dim=int(cfg.get("dim", 1)),
     )
+
+
+def _pair(cfg):
+    """Geometry and the slice-map families of ``q1`` and ``q2`` on it."""
+    g = _build_geometry(cfg)
+    fam1 = compute_dn_family(g, cfg.get("q1", _DEFAULT_Q1))
+    fam2 = compute_dn_family(g, cfg.get("q2", _DEFAULT_Q2))
+    return g, fam1, fam2
 
 
 def _boundary_data(geometry, spec):
@@ -145,6 +138,13 @@ def _boundary_data(geometry, spec):
         rng = SplitMix64(int(spec.get("seed", 0)))
         return np.asarray(rng.normals(geometry.N))
     raise ConfigError(f"unknown boundary data kind {kind!r}")
+
+
+def _pair_data(cfg, g):
+    """Boundary data ``(f1, f2)`` for the two-family pairing checks."""
+    f1 = _boundary_data(g, cfg.get("boundary_data"))
+    f2 = _boundary_data(g, cfg.get("boundary_data2", {"kind": "mode", "k": 2, "offset": 0.1}))
+    return f1, f2
 
 
 def _gamma_callable(spec):
@@ -188,14 +188,43 @@ def _fmt(v):
     return str(v)
 
 
+def _write_evsq(out, name, array, kind, t, g, scenario):
+    evsq_io.write_matrix(
+        os.path.join(out, name),
+        array,
+        {
+            "kind": kind,
+            "t": t,
+            "N": g.N,
+            "M": g.M,
+            "geometry_hash": g.hash(),
+            "provenance": f"evosq-cli/{scenario}",
+        },
+    )
+
+
 # ---------------------------------------------------------------------------
-# scenario runners (each returns (results, passed))
+# scenario runners (each returns (results, passed)) and their shared metrics
 # ---------------------------------------------------------------------------
+
+
+def _riccati_error(fam):
+    """Relative gap at depth 0 between the Riccati flow from the collar map and the family."""
+    g = fam.geometry
+    road = riccati_integrate(g, fam.potential, fam.lams[g.M])
+    return float(np.linalg.norm(road[0] - fam.lams[0]) / max(np.linalg.norm(fam.lams[0]), 1e-30))
+
+
+def _evolve_error(cfg, g):
+    """Relative sup gap between the trace flow and the interior solve of the boundary data."""
+    fam = compute_dn_family(g, cfg.get("q1", _DEFAULT_Q1), keep_chain=True)
+    f = _boundary_data(g, cfg.get("boundary_data"))
+    u_flow = evolve_trace(fam, f)
+    u_int = solve_interior(g, fam.potential, f, chain=fam._chain).values[: g.M + 1]
+    return float(np.max(np.abs(u_flow - u_int)) / max(np.max(np.abs(u_int)), 1e-30))
 
 
 def _run_dn_compute(cfg, out):
-    from .dnmap import compute_dn_family
-
     g = _build_geometry(cfg)
     fam = compute_dn_family(g, cfg.get("q1", _DEFAULT_Q1))
     sym_tol = float(cfg.get("sym_tol", 1e-8))
@@ -205,17 +234,9 @@ def _run_dn_compute(cfg, out):
     eig0 = np.linalg.eigvalsh(fam.lams[0])
     if cfg.get("save_family", True):
         for tag, j in (("boundary", 0), ("collar", g.M)):
-            evsq_io.write_matrix(
-                os.path.join(out, f"lam_{tag}.evsq"),
-                fam.lams[j],
-                {
-                    "kind": "slice-map",
-                    "t": float(g.collar_ts[j]),
-                    "N": g.N,
-                    "M": g.M,
-                    "geometry_hash": g.hash(),
-                    "provenance": "evosq-cli/dn-compute",
-                },
+            _write_evsq(
+                out, f"lam_{tag}.evsq", fam.lams[j], "slice-map", float(g.collar_ts[j]), g,
+                "dn-compute",
             )
     results = {
         "geometry_hash": g.hash(),
@@ -228,14 +249,8 @@ def _run_dn_compute(cfg, out):
 
 
 def _run_riccati(cfg, out):
-    from .dnmap import compute_dn_family, riccati_integrate, riccati_residual
-
-    g = _build_geometry(cfg)
-    fam = compute_dn_family(g, cfg.get("q1", _DEFAULT_Q1))
-    road = riccati_integrate(g, fam.potential, fam.lams[g.M])
-    err = float(
-        np.linalg.norm(road[0] - fam.lams[0]) / max(np.linalg.norm(fam.lams[0]), 1e-30)
-    )
+    fam = compute_dn_family(_build_geometry(cfg), cfg.get("q1", _DEFAULT_Q1))
+    err = _riccati_error(fam)
     tol = float(cfg.get("tol", 1e-2))
     results = {
         "cross_error": err,
@@ -246,30 +261,14 @@ def _run_riccati(cfg, out):
 
 
 def _run_evolve(cfg, out):
-    from .dnmap import compute_dn_family, solve_interior
-    from .evolution import evolve_trace
-
-    g = _build_geometry(cfg)
-    fam = compute_dn_family(g, cfg.get("q1", _DEFAULT_Q1), keep_chain=True)
-    f = _boundary_data(g, cfg.get("boundary_data"))
-    u_flow = evolve_trace(fam, f)
-    u_int = solve_interior(g, fam.potential, f, chain=fam._chain).values[: g.M + 1]
-    err = float(np.max(np.abs(u_flow - u_int)) / max(np.max(np.abs(u_int)), 1e-30))
+    err = _evolve_error(cfg, _build_geometry(cfg))
     tol = float(cfg.get("tol", 1e-2))
     return {"sup_error": err, "tol": tol}, err <= tol
 
 
 def _run_kernel(cfg, out):
-    from .dnmap import compute_dn_family
-    from .evolution import PairOperator, evolved_rank_one
-    from .squared import kernel_residual
-
-    g = _build_geometry(cfg)
-    fam1 = compute_dn_family(g, cfg.get("q1", _DEFAULT_Q1))
-    fam2 = compute_dn_family(g, cfg.get("q2", _DEFAULT_Q2))
-    f1 = _boundary_data(g, cfg.get("boundary_data"))
-    f2 = _boundary_data(g, cfg.get("boundary_data2", {"kind": "mode", "k": 2, "offset": 0.1}))
-    W = evolved_rank_one(fam1, fam2, f1, f2)
+    g, fam1, fam2 = _pair(cfg)
+    W = evolved_rank_one(fam1, fam2, *_pair_data(cfg, g))
     pair = PairOperator(fam1, fam2)
     tol = float(cfg.get("tol", 1e-3))
     floor = float(cfg.get("single_floor", 0.05))
@@ -285,25 +284,12 @@ def _run_kernel(cfg, out):
 
 
 def _run_headline(cfg, out):
-    from .dnmap import compute_dn_family
-    from .source_bvp import dn_recovery_check
-
-    g = _build_geometry(cfg)
-    fam1 = compute_dn_family(g, cfg.get("q1", _DEFAULT_Q1))
-    fam2 = compute_dn_family(g, cfg.get("q2", _DEFAULT_Q2))
+    g, fam1, fam2 = _pair(cfg)
     check = dn_recovery_check(fam1, fam2)
     tol = float(cfg.get("tol", 5e-2))
-    evsq_io.write_matrix(
-        os.path.join(out, "recovered_difference.evsq"),
-        check["recovered"],
-        {
-            "kind": "recovered-difference",
-            "t": 0.0,
-            "N": g.N,
-            "M": g.M,
-            "geometry_hash": g.hash(),
-            "provenance": "evosq-cli/bvp-headline",
-        },
+    _write_evsq(
+        out, "recovered_difference.evsq", check["recovered"], "recovered-difference", 0.0, g,
+        "bvp-headline",
     )
     results = {
         "rel_error": check["rel_error"],
@@ -314,15 +300,8 @@ def _run_headline(cfg, out):
 
 
 def _run_layer_strip(cfg, out):
-    from .dnmap import compute_dn_family
-    from .source_bvp import layer_strip_check
-
-    g = _build_geometry(cfg)
-    fam1 = compute_dn_family(g, cfg.get("q1", _DEFAULT_Q1))
-    fam2 = compute_dn_family(g, cfg.get("q2", _DEFAULT_Q2))
-    f1 = _boundary_data(g, cfg.get("boundary_data"))
-    f2 = _boundary_data(g, cfg.get("boundary_data2", {"kind": "mode", "k": 2, "offset": 0.1}))
-    check = layer_strip_check(fam1, fam2, f1, f2)
+    g, fam1, fam2 = _pair(cfg)
+    check = layer_strip_check(fam1, fam2, *_pair_data(cfg, g))
     tol = float(cfg.get("tol", 1e-3))
     results = {k: check[k] for k in ("lhs", "rhs", "volume_term", "deep_term", "rel_gap")}
     results["tol"] = tol
@@ -330,9 +309,6 @@ def _run_layer_strip(cfg, out):
 
 
 def _run_null(cfg, out):
-    from .dnmap import compute_dn_family
-    from .probes import null_test
-
     g = _build_geometry(cfg)
     q1 = cfg.get("q1", _DEFAULT_Q1)
     fam1 = compute_dn_family(g, q1)
@@ -342,13 +318,7 @@ def _run_null(cfg, out):
 
 
 def _run_probe(cfg, out):
-    from .dnmap import compute_dn_family
-    from .probes import gradient_blowup_probe, offdiagonal_flag, shell_decomposition, zeta_pairing
-    from .source_bvp import dn_recovery_check
-
-    g = _build_geometry(cfg)
-    fam1 = compute_dn_family(g, cfg.get("q1", _DEFAULT_Q1))
-    fam2 = compute_dn_family(g, cfg.get("q2", _DEFAULT_Q2))
+    g, fam1, fam2 = _pair(cfg)
     check = dn_recovery_check(fam1, fam2)
     kernel = check["recovered"] / g.node_weight(0.0)
     flag = offdiagonal_flag(g, kernel, threshold=float(cfg.get("threshold", 1e-6)))
@@ -379,8 +349,6 @@ def _run_probe(cfg, out):
 
 
 def _run_conformal(cfg, out):
-    from .dnmap import conformal_identity_check
-
     g = _build_geometry(cfg)
     gamma = _gamma_callable(cfg.get("gamma"))
     n_amb = int(cfg.get("n_ambient", 3))
@@ -405,11 +373,6 @@ def _run_conformal(cfg, out):
 
 
 def _run_exhaustion(cfg, out):
-    import time
-
-    from .exhaustion import collar_map_samples, exhaustion_order, load_mesh, verify_order
-    from . import meshes
-
     if "mesh" in cfg:
         mesh = load_mesh(cfg["mesh"])
     else:
@@ -442,20 +405,7 @@ def _run_exhaustion(cfg, out):
 
 
 def _run_march(cfg, out):
-    from .dnmap import compute_dn_family
-    from .probes import null_test
-    from .source_bvp import dn_recovery_check
-
-    base_cfg = dict(cfg)
-    name = base_cfg.get("geometry", "annulus")
-    if name == "annulus":
-        profile = make_profile("annulus", rho=base_cfg.get("rho", 0.25))
-    elif name == "disk":
-        profile = make_profile("disk")
-    elif name == "flat-cylinder":
-        profile = make_profile("flat-cylinder", T=base_cfg.get("T", 1.0))
-    else:
-        raise ConfigError(f"unknown geometry {name!r}")
+    profile = _profile(cfg)
     N = int(cfg.get("N", 32))
     M = int(cfg.get("M", 64))
     eps = float(cfg.get("eps", 0.3))
@@ -505,36 +455,20 @@ def _run_march(cfg, out):
 
 
 def _run_convergence(cfg, out):
-    from .dnmap import compute_dn_family, riccati_integrate, solve_interior
-    from .evolution import evolve_trace
-    from .source_bvp import dn_recovery_check
-
     quantity = cfg.get("quantity", "headline")
     levels = cfg.get("levels", [[32, 32], [32, 64], [32, 128]])
     rate_min = float(cfg.get("rate_min", 1.5))
-    q1 = cfg.get("q1", _DEFAULT_Q1)
-    q2 = cfg.get("q2", _DEFAULT_Q2)
     errors = []
     for N, M in levels:
-        lvl_cfg = dict(cfg)
-        lvl_cfg["N"], lvl_cfg["M"] = int(N), int(M)
-        g = _build_geometry(lvl_cfg)
+        lvl_cfg = {**cfg, "N": int(N), "M": int(M)}
         if quantity == "headline":
-            fam1 = compute_dn_family(g, q1)
-            fam2 = compute_dn_family(g, q2)
-            err = dn_recovery_check(fam1, fam2)["rel_error"]
+            err = dn_recovery_check(*_pair(lvl_cfg)[1:])["rel_error"]
         elif quantity == "riccati":
-            fam = compute_dn_family(g, q1)
-            road = riccati_integrate(g, fam.potential, fam.lams[g.M])
-            err = float(
-                np.linalg.norm(road[0] - fam.lams[0]) / max(np.linalg.norm(fam.lams[0]), 1e-30)
+            err = _riccati_error(
+                compute_dn_family(_build_geometry(lvl_cfg), lvl_cfg.get("q1", _DEFAULT_Q1))
             )
         elif quantity == "evolve":
-            fam = compute_dn_family(g, q1, keep_chain=True)
-            f = _boundary_data(g, cfg.get("boundary_data") if "boundary_data" in cfg else None)
-            u_flow = evolve_trace(fam, f)
-            u_int = solve_interior(g, fam.potential, f, chain=fam._chain).values[: g.M + 1]
-            err = float(np.max(np.abs(u_flow - u_int)) / max(np.max(np.abs(u_int)), 1e-30))
+            err = _evolve_error(lvl_cfg, _build_geometry(lvl_cfg))
         else:
             raise ConfigError(f"unknown convergence quantity {quantity!r}")
         errors.append(err)
@@ -558,20 +492,32 @@ def _run_convergence(cfg, out):
     return results, rate >= rate_min
 
 
-_RUNNERS = {
-    "dn-compute": _run_dn_compute,
-    "riccati-check": _run_riccati,
-    "evolve-check": _run_evolve,
-    "kernel-check": _run_kernel,
-    "bvp-headline": _run_headline,
-    "layer-strip": _run_layer_strip,
-    "null-test": _run_null,
-    "oducp-probe": _run_probe,
-    "conformal-check": _run_conformal,
-    "exhaustion": _run_exhaustion,
-    "global-march": _run_march,
-    "convergence-study": _run_convergence,
+# scenario name -> (runner, allowed config keys), in CLI order
+_COMMON_KEYS = frozenset({"geometry", "rho", "T", "N", "M", "eps", "dim"})
+_PAIR_KEYS = _COMMON_KEYS | {"q1", "q2"}
+
+_SCENARIOS = {
+    "dn-compute": (_run_dn_compute, _COMMON_KEYS | {"q1", "save_family", "sym_tol"}),
+    "riccati-check": (_run_riccati, _COMMON_KEYS | {"q1", "tol"}),
+    "evolve-check": (_run_evolve, _COMMON_KEYS | {"q1", "boundary_data", "tol"}),
+    "kernel-check": (
+        _run_kernel,
+        _PAIR_KEYS | {"boundary_data", "boundary_data2", "tol", "single_floor"},
+    ),
+    "bvp-headline": (_run_headline, _PAIR_KEYS | {"tol"}),
+    "layer-strip": (_run_layer_strip, _PAIR_KEYS | {"boundary_data", "boundary_data2", "tol"}),
+    "null-test": (_run_null, _COMMON_KEYS | {"q1"}),
+    "oducp-probe": (_run_probe, _PAIR_KEYS | {"threshold", "ambient_dim", "expect_flag"}),
+    "conformal-check": (_run_conformal, _COMMON_KEYS | {"gamma", "n_ambient", "modes_max", "tol"}),
+    "exhaustion": (
+        _run_exhaustion,
+        frozenset({"mesh", "mesh_kind", "mesh_params", "samples_per_cell", "time_budget"}),
+    ),
+    "global-march": (_run_march, _PAIR_KEYS | {"tol", "max_windows"}),
+    "convergence-study": (_run_convergence, _PAIR_KEYS | {"quantity", "levels", "rate_min"}),
 }
+
+SCENARIOS = tuple(_SCENARIOS)
 
 
 def main(argv=None):
@@ -591,22 +537,15 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
+    runner = _SCENARIOS[args.scenario][0]
     try:
         cfg = _load_config(args.config)
         for spec in args.override:
             _apply_override(cfg, spec)
         _check_keys(args.scenario, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    os.makedirs(args.out, exist_ok=True)
-    try:
-        results, passed = _RUNNERS[args.scenario](cfg, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except GeometryError as exc:
+        os.makedirs(args.out, exist_ok=True)
+        results, passed = runner(cfg, args.out)
+    except (ConfigError, GeometryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DNComputationError, RiccatiEscapeError, StepFailureError, MeshError, FormatError) as exc:

@@ -187,10 +187,16 @@ def _mode_q_values(geometry, potential):
 
 
 def _mode_chain(geometry, ksq, q_values, mu_values=None):
+    """Per-mode propagation factors; ``ksq`` is a scalar or an array of modes.
+
+    Returns ``s`` of shape ``(K,) + ksq.shape``; the recursion is elementwise
+    in the modes.
+    """
     ts = geometry.ts
     K = ts.size
+    ksq = np.asarray(ksq, dtype=float)
     mu = geometry.mu_dot(ts) if mu_values is None else mu_values
-    s = np.empty(K)
+    s = np.empty((K,) + ksq.shape)
     s[K - 1] = (geometry.rs[-1] / geometry.rs[-2]) ** np.sqrt(ksq) if geometry.cap == "center" else 0.0
     for j in range(K - 2, 0, -1):
         a, b, c, al, be, ga = _second_order_coeffs(ts[j] - ts[j - 1], ts[j + 1] - ts[j])
@@ -198,9 +204,12 @@ def _mode_chain(geometry, ksq, q_values, mu_values=None):
         bp = b + mu[j] * be
         cp = c + mu[j] * ga
         den = bp - ksq / geometry.rs[j] ** 2 - q_values[j] + cp * s[j + 1]
-        if abs(den) < 1e-14 * max(abs(bp), 1.0) or abs(ap / den) > _SINGULAR_FACTOR:
+        bad = np.abs(den) < 1e-14 * max(abs(bp), 1.0)
+        bad |= np.abs(ap / np.where(bad, 1.0, den)) > _SINGULAR_FACTOR
+        if np.any(bad):
             raise DNComputationError(
-                f"Dirichlet eigenvalue collision (mode ksq={ksq}) near depth {ts[j]:.6g}"
+                f"Dirichlet eigenvalue collision (mode ksq={float(ksq[bad][0])}) "
+                f"near depth {ts[j]:.6g}"
             )
         s[j] = -ap / den
     return s
@@ -215,13 +224,14 @@ def _mode_dn_from_chain(geometry, s, j):
 def dn_mode_symbol(geometry, potential, ksq, depths=None):
     """Map eigenvalue of one Fourier mode at collar nodes.
 
-    ``ksq`` is the squared wavenumber (sum over torus axes). The potential
-    must be independent of the boundary variables. Returns the eigenvalue at
-    every collar node, or at the requested node indices.
+    ``ksq`` is the squared wavenumber (sum over torus axes), or an array of
+    them. The potential must be independent of the boundary variables.
+    Returns the eigenvalue at every collar node, or at the requested node
+    indices; an array ``ksq`` adds a trailing mode axis.
     """
     potential = make_potential(potential)
     q = _mode_q_values(geometry, potential)
-    s = _mode_chain(geometry, float(ksq), q)
+    s = _mode_chain(geometry, ksq, q)
     idx = range(geometry.M + 1) if depths is None else depths
     out = np.array([_mode_dn_from_chain(geometry, s, j) for j in idx])
     return out if depths is None or np.ndim(depths) else float(out[0])
@@ -328,18 +338,6 @@ def coercivity_probe(family, s_values=(-1.0, -0.5, 0.0), n_probes=24, seed=7):
     return results
 
 
-def pairing_trace(family, f, s=-1.0):
-    """Depth trace of the smoothed pairing ``<lam(t) f, f>_s`` (diagnostic)."""
-    g = family.geometry
-    f = np.asarray(f, dtype=float)
-    vals = np.empty(g.M + 1)
-    for j in range(g.M + 1):
-        vals[j] = g.node_weight(g.collar_ts[j]) * np.dot(
-            sobolev_apply(g, s, family.lams[j] @ f), f
-        )
-    return vals
-
-
 # ---------------------------------------------------------------------------
 # conformal consistency
 # ---------------------------------------------------------------------------
@@ -349,7 +347,8 @@ def conductivity_mode_dn(geometry, gamma, n_ambient, ksq):
     """Mode eigenvalue of the conductivity-form slice map ``-sigma(0) u'(0)``.
 
     Solves ``u'' + (mu' + sigma'/sigma) u' - ksq/r^2 u = 0`` with the cap
-    condition, where ``sigma = gamma^(n/2 - 1)``.
+    condition, where ``sigma = gamma^(n/2 - 1)``. An array ``ksq`` gives an
+    array of eigenvalues.
     """
     from .geometry import derivative_matrix
 
@@ -360,7 +359,7 @@ def conductivity_mode_dn(geometry, gamma, n_ambient, ksq):
     sigma = g ** (0.5 * n_ambient - 1.0)
     dsigma = derivative_matrix(ts, 1) @ sigma
     mu_eff = np.asarray(geometry.mu_dot(ts), dtype=float) + dsigma / sigma
-    s = _mode_chain(geometry, float(ksq), np.zeros(ts.size), mu_values=mu_eff)
+    s = _mode_chain(geometry, ksq, np.zeros(ts.size), mu_values=mu_eff)
     return float(sigma[0]) * _mode_dn_from_chain(geometry, s, 0)
 
 
@@ -378,11 +377,10 @@ def conformal_identity_check(geometry, gamma, n_ambient, modes):
         0.5 * n_ambient - 1.0
     )
     corr0 = float(np.mean(correction))
-    errors = {}
-    for k in modes:
-        ksq = float(np.dot(k, k)) if np.ndim(k) else float(k) ** 2
-        lam_q = float(dn_mode_symbol(geometry, pot, ksq, depths=[0])[0])
-        lam_gamma = conductivity_mode_dn(geometry, gamma, n_ambient, ksq)
-        predicted = sigma0 * lam_q - np.sqrt(sigma0) * corr0
-        errors[tuple(np.atleast_1d(k))] = abs(lam_gamma - predicted) / max(abs(lam_gamma), 1e-12)
+    ksq = np.array([float(np.dot(k, k)) if np.ndim(k) else float(k) ** 2 for k in modes])
+    lam_q = dn_mode_symbol(geometry, pot, ksq, depths=[0])[0]
+    lam_gamma = conductivity_mode_dn(geometry, gamma, n_ambient, ksq)
+    predicted = sigma0 * lam_q - np.sqrt(sigma0) * corr0
+    rel = np.abs(lam_gamma - predicted) / np.maximum(np.abs(lam_gamma), 1e-12)
+    errors = {tuple(np.atleast_1d(k)): float(e) for k, e in zip(modes, rel)}
     return {"per_mode": errors, "max_rel_error": max(errors.values())}

@@ -318,22 +318,20 @@ def _triangle_lattice(m):
     return [(a / (m + 1.0), b / (m + 1.0), c / (m + 1.0)) for a, b, c in pts]
 
 
-def _oriented_bary(mesh, tri_idx, edge, bary_edge):
-    """World point of barycentric coords given on (edge[0], edge[1], opposite)."""
-    tri = [int(v) for v in mesh.triangles[tri_idx]]
-    opp = next(v for v in tri if v not in edge)
-    P = mesh.vertices
-    return bary_edge[0] * P[edge[0]] + bary_edge[1] * P[edge[1]] + bary_edge[2] * P[opp]
+def _opposite(mesh, tri_idx, edge):
+    """Vertex of triangle ``tri_idx`` that is not on ``edge``."""
+    return next(int(v) for v in mesh.triangles[tri_idx] if v not in edge)
 
 
 def collar_map_samples(mesh, order=None, certificates=None, samples_per_cell=4):
     """Drive a deterministic sample cloud through every push-through step.
 
     For each growth step, the donor triangle is sampled on an interior
-    barycentric lattice and pushed across the shared edge. Checks per step:
-    at least one sample lands strictly inside the new triangle (coverage),
-    every image stays inside the closed donor-plus-new region, and no two
-    distinct samples collide (world distance below 1e-9 flags a pair).
+    barycentric lattice and pushed across the shared edge. The push depends
+    only on the lattice point, so it is computed once: every pushed point
+    must stay inside the closed simplex, and at least one must land strictly
+    inside the new triangle (coverage). Checked per step: no two distinct
+    samples collide (world distance below 1e-9 flags a pair).
     Returns summary statistics; raises :class:`MeshError` on coverage
     failure or containment violation, and reports collisions as a count.
     """
@@ -342,45 +340,39 @@ def collar_map_samples(mesh, order=None, certificates=None, samples_per_cell=4):
     if order is None or certificates is None:
         order, certificates = exhaustion_order(mesh)
     lattice = _triangle_lattice(samples_per_cell)
+    # lattice points are given on (shared edge, opposite vertex) of the donor
+    pushed = [push_through(b) for b in lattice]
+    for b, (_, out) in zip(lattice, pushed):
+        if min(out) < -1e-12 or abs(sum(out) - 1.0) > 1e-9:
+            raise MeshError(f"push-through left the simplex at lattice point {b}: {out}")
+    into_new = np.array([region == "new" for region, _ in pushed])
+    B = np.array([out for _, out in pushed])
+    new_count = int(into_new.sum())
+    P = mesh.vertices
+    iu = np.triu_indices(len(lattice), k=1)
     min_pair = np.inf
     collisions = 0
-    min_new = np.inf
     n_growth = 0
     for cert in certificates:
         if cert["kind"] != "growth":
             continue
         n_growth += 1
         tri = cert["triangle"]
-        donor = cert["donor"]
-        edge = tuple(cert["edge"])
-        images = []
-        new_count = 0
-        for b in lattice:
-            # express lattice point w.r.t. (edge0, edge1, opposite) of the donor
-            region, out = push_through(b)
-            if min(out) < -1e-12 or abs(sum(out) - 1.0) > 1e-9:
-                raise MeshError(
-                    f"push-through left the simplex at step for triangle {tri}: {out}"
-                )
-            if region == "new":
-                new_count += 1
-                images.append(_oriented_bary(mesh, tri, edge, out))
-            else:
-                images.append(_oriented_bary(mesh, donor, edge, out))
         if new_count == 0:
             raise MeshError(f"no sample pushed into triangle {tri}; coverage failed")
-        min_new = min(min_new, new_count)
-        pts = np.asarray(images)
+        e0, e1 = cert["edge"]
+        opp = np.where(
+            into_new, _opposite(mesh, tri, (e0, e1)), _opposite(mesh, cert["donor"], (e0, e1))
+        )
+        pts = B[:, 0, None] * P[e0] + B[:, 1, None] * P[e1] + B[:, 2, None] * P[opp]
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        iu = np.triu_indices(len(pts), k=1)
-        if iu[0].size:
-            dmin = float(np.sqrt(d2[iu].min()))
-            min_pair = min(min_pair, dmin)
-            collisions += int(np.sum(np.sqrt(d2[iu]) < 1e-9))
+        dist = np.sqrt(d2[iu])
+        min_pair = min(min_pair, float(dist.min()))
+        collisions += int(np.sum(dist < 1e-9))
     return {
         "growth_steps": n_growth,
         "samples_per_step": len(lattice),
-        "min_new_samples": None if n_growth == 0 else int(min_new),
+        "min_new_samples": None if n_growth == 0 else new_count,
         "min_pair_distance": None if n_growth == 0 else float(min_pair),
         "collisions": collisions,
     }

@@ -267,9 +267,6 @@ class WarpedGeometry:
     def laplacian_matrix(self, t):
         return self.d2_unit() / float(self.profile.r(t)) ** 2
 
-    def laplacian_symbol(self, t, ksq):
-        return float(ksq) / float(self.profile.r(t)) ** 2
-
     def hash(self):
         parts = (
             self.dim,
@@ -359,13 +356,6 @@ def slice_data(geometry, j):
 # ---------------------------------------------------------------------------
 # Sobolev scale on the boundary
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SobolevScale:
-    """Fractional power of ``1 + L_0`` as a Fourier multiplier."""
-
-    s: float
 
 
 def sobolev_apply(geometry, s, u):

@@ -14,8 +14,6 @@ from .errors import GeometryError
 
 
 class Potential:
-    time_only = False
-
     def on_slice(self, theta, t):
         """Values at the boundary nodes ``theta`` on the slice at depth ``t``."""
         raise NotImplementedError
@@ -28,8 +26,6 @@ class Potential:
 
 
 class ZeroPotential(Potential):
-    time_only = True
-
     def on_slice(self, theta, t):
         return np.zeros_like(np.asarray(theta, dtype=float))
 
@@ -41,8 +37,6 @@ class ZeroPotential(Potential):
 
 
 class ConstantPotential(Potential):
-    time_only = True
-
     def __init__(self, value):
         self.value = float(value)
 

@@ -35,6 +35,32 @@ def test_scenario_list_is_stable():
     )
 
 
+# Tiny passing config per scenario; the checks' default tolerances are set
+# for the default sizes, so the two pairing checks get looser ones here.
+TINY = {
+    **{s: SMALL for s in SCENARIOS},
+    "kernel-check": SMALL + ["--override", "tol=0.01"],
+    "layer-strip": SMALL + ["--override", "tol=0.01"],
+    "exhaustion": ["--override", "mesh_params=[6, 24]"],
+    "convergence-study": SMALL + ["--override", "levels=[[16, 16], [16, 32]]"],
+}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_every_scenario_passes_reruns_and_rejects_unknown_keys(tmp_path, scenario):
+    code, out, summary = _run(tmp_path, scenario, *TINY[scenario], sub="a")
+    assert code == 0
+    assert set(summary) == {"scenario", "config", "results", "passed"}
+    assert summary["scenario"] == scenario and summary["passed"] is True
+    if scenario != "exhaustion":  # its summary carries the ordering wall time
+        code, rerun, _ = _run(tmp_path, scenario, *TINY[scenario], sub="b")
+        assert code == 0
+        assert (out / "summary.json").read_bytes() == (rerun / "summary.json").read_bytes()
+    code, _, summary = _run(tmp_path, scenario, *TINY[scenario], "--override", "wibble=3", sub="c")
+    assert code == 2
+    assert summary is None
+
+
 def test_dn_compute_pass_and_artifacts(tmp_path):
     code, out, summary = _run(tmp_path, "dn-compute", *SMALL)
     assert code == 0
@@ -145,6 +171,13 @@ def test_null_scenario(tmp_path):
     code, out, summary = _run(tmp_path, "null-test", *SMALL)
     assert code == 0
     assert summary["results"]["max_abs"] == 0.0
+
+
+def test_null_test_rejects_a_tolerance_key(tmp_path):
+    # the null threshold is fixed at 1e-10 of the map norm; a key nothing reads is refused
+    code, out, summary = _run(tmp_path, "null-test", *SMALL, "--override", "tol_factor=2")
+    assert code == 2
+    assert summary is None
 
 
 def test_probe_scenario_writes_shells(tmp_path):

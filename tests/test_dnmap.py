@@ -189,6 +189,8 @@ def test_resonance_raises_dense_and_mode():
         compute_dn_family(g, q_res)
     with pytest.raises(DNComputationError, match="Dirichlet eigenvalue collision"):
         dn_mode_symbol(g, q_res, 0.0)
+    with pytest.raises(DNComputationError, match=r"mode ksq=0\.0\)"):
+        dn_mode_symbol(g, q_res, np.array([4.0, 0.0, 1.0]))
 
 
 def test_off_resonance_passes():
@@ -258,6 +260,19 @@ def test_conductivity_mode_closed_form():
     lam0 = conductivity_mode_dn(g, lambda t: np.exp(2.0 * t), 3, 0.0)
     exact = 1.0 / (1.0 - np.exp(-T))
     assert abs(lam0 - exact) / exact < 1e-4
+
+
+def test_mode_paths_take_an_array_of_modes():
+    # the recursion is elementwise in the modes: the array form equals scalar calls
+    g = build_warped_geometry(make_profile("disk"), N=16, M=32, eps=0.3)
+    ksq = np.array([0.0, 1.0, 4.0, 5.0, 9.0])
+    gamma = lambda t: np.exp(2.0 * t)
+    sym = dn_mode_symbol(g, 1.5, ksq)
+    cond = conductivity_mode_dn(g, gamma, 3, ksq)
+    assert sym.shape == (g.M + 1, ksq.size) and cond.shape == ksq.shape
+    for i, k in enumerate(ksq):
+        assert np.array_equal(sym[:, i], dn_mode_symbol(g, 1.5, k))
+        assert cond[i] == conductivity_mode_dn(g, gamma, 3, k)
 
 
 def test_conformal_identity_flat_cylinder():

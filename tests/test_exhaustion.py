@@ -4,6 +4,7 @@ import pytest
 from evosq.errors import FormatError, MeshError
 from evosq.exhaustion import (
     SurfaceMesh,
+    _triangle_lattice,
     collar_map_samples,
     exhaustion_order,
     load_mesh,
@@ -294,6 +295,38 @@ def test_collar_map_sampling_clean():
     assert res["collisions"] == 0
     assert res["min_new_samples"] >= 1
     assert res["min_pair_distance"] > 1e-9
+
+
+def test_collar_map_sampling_matches_a_per_step_push():
+    # reference: push every lattice point again at every growth step, as a loop
+    base = disk_mesh(3, 12)
+    jitter = np.random.default_rng(0).uniform(-0.02, 0.02, base.vertices.shape)
+    jitter[:, 2] = 0.0
+    m = SurfaceMesh(base.vertices + jitter, base.triangles)
+    order, certs = exhaustion_order(m)
+    P = m.vertices
+    min_pair, collisions, min_new = np.inf, 0, np.inf
+    for cert in certs:
+        if cert["kind"] != "growth":
+            continue
+        edge = tuple(cert["edge"])
+        images, new = [], 0
+        for b in _triangle_lattice(4):
+            region, out = push_through(b)
+            new += region == "new"
+            tri = cert["triangle"] if region == "new" else cert["donor"]
+            opp = next(int(v) for v in m.triangles[tri] if v not in edge)
+            images.append(out[0] * P[edge[0]] + out[1] * P[edge[1]] + out[2] * P[opp])
+        pts = np.asarray(images)
+        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        dist = np.sqrt(d2[np.triu_indices(len(pts), k=1)])
+        min_pair = min(min_pair, float(dist.min()))
+        collisions += int(np.sum(dist < 1e-9))
+        min_new = min(min_new, new)
+    res = collar_map_samples(m, order, certs, samples_per_cell=4)
+    assert res["min_pair_distance"] == min_pair
+    assert res["collisions"] == collisions
+    assert res["min_new_samples"] == min_new
 
 
 def test_collar_map_sampling_validates_density():
