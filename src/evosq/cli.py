@@ -97,6 +97,39 @@ def _check_keys(scenario, cfg):
         )
 
 
+# numeric config keys and their types, converted once before the runner
+_NUMBERS = {
+    "N": int, "M": int, "dim": int, "eps": float, "rho": float, "T": float,
+    "tol": float, "sym_tol": float, "single_floor": float, "threshold": float,
+    "ambient_dim": int, "n_ambient": int, "modes_max": int, "time_budget": float,
+    "samples_per_cell": int, "max_windows": int, "rate_min": float,
+}
+
+
+def _number(key, value, kind):
+    """``kind(value)`` for a config entry; a bool, non-finite or fractional int is a ConfigError."""
+    try:
+        out = kind(value)
+        ok = not isinstance(value, bool) and np.isfinite(out) and float(out) == float(value)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"config entry {key!r} needs a finite {kind.__name__}, got {value!r}")
+    return out
+
+
+def _typed(cfg):
+    """Copy of ``cfg`` with the numeric keys converted and ``levels`` as ``[N, M]`` int pairs."""
+    typed = {k: _number(k, v, _NUMBERS[k]) if k in _NUMBERS else v for k, v in cfg.items()}
+    if "levels" in cfg:
+        levels = cfg["levels"]
+        try:
+            typed["levels"] = [[_number("levels", n, int) for n in (N, M)] for N, M in levels]
+        except (TypeError, ValueError):
+            raise ConfigError(f"config entry 'levels' needs [N, M] pairs, got {levels!r}") from None
+    return typed
+
+
 def _profile(cfg):
     name = cfg.get("geometry", "annulus")
     if name == "annulus":
@@ -111,10 +144,10 @@ def _profile(cfg):
 def _build_geometry(cfg):
     return build_warped_geometry(
         _profile(cfg),
-        N=int(cfg.get("N", 32)),
-        M=int(cfg.get("M", 64)),
-        eps=float(cfg.get("eps", 0.3)),
-        dim=int(cfg.get("dim", 1)),
+        N=cfg.get("N", 32),
+        M=cfg.get("M", 64),
+        eps=cfg.get("eps", 0.3),
+        dim=cfg.get("dim", 1),
     )
 
 
@@ -126,16 +159,23 @@ def _pair(cfg):
     return g, fam1, fam2
 
 
+def _spec(spec, default, what):
+    spec = spec or default
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} must be an object with a 'kind', got {spec!r}")
+    return spec
+
+
 def _boundary_data(geometry, spec):
-    spec = spec or {"kind": "mode", "k": 1, "offset": 0.3}
+    spec = _spec(spec, {"kind": "mode", "k": 1, "offset": 0.3}, "boundary data")
     kind = spec.get("kind", "mode")
     if kind == "mode":
-        k = int(spec.get("k", 1))
-        return np.cos(k * geometry.theta + float(spec.get("phase", 0.0))) + float(
-            spec.get("offset", 0.0)
-        )
+        k = _number("k", spec.get("k", 1), int)
+        phase = _number("phase", spec.get("phase", 0.0), float)
+        offset = _number("offset", spec.get("offset", 0.0), float)
+        return np.cos(k * geometry.theta + phase) + offset
     if kind == "random":
-        rng = SplitMix64(int(spec.get("seed", 0)))
+        rng = SplitMix64(_number("seed", spec.get("seed", 0), int))
         return np.asarray(rng.normals(geometry.N))
     raise ConfigError(f"unknown boundary data kind {kind!r}")
 
@@ -148,13 +188,16 @@ def _pair_data(cfg, g):
 
 
 def _gamma_callable(spec):
-    spec = spec or {"kind": "exp", "rate": 1.0}
+    spec = _spec(spec, {"kind": "exp", "rate": 1.0}, "gamma")
     kind = spec.get("kind", "exp")
     if kind == "exp":
-        rate = float(spec.get("rate", 1.0))
+        rate = _number("rate", spec.get("rate", 1.0), float)
         return lambda t: np.exp(rate * np.asarray(t, dtype=float))
     if kind == "poly":
-        coeffs = list(spec.get("coeffs", [1.0, 0.5]))
+        coeffs = spec.get("coeffs", [1.0, 0.5])
+        if not isinstance(coeffs, list):
+            raise ConfigError(f"gamma coeffs must be a list, got {coeffs!r}")
+        coeffs = [_number("coeffs", c, float) for c in coeffs]
         return lambda t: np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), coeffs)
     raise ConfigError(f"unknown conformal factor kind {kind!r}")
 
@@ -227,7 +270,7 @@ def _evolve_error(cfg, g):
 def _run_dn_compute(cfg, out):
     g = _build_geometry(cfg)
     fam = compute_dn_family(g, cfg.get("q1", _DEFAULT_Q1))
-    sym_tol = float(cfg.get("sym_tol", 1e-8))
+    sym_tol = cfg.get("sym_tol", 1e-8)
     defect = max(
         float(np.linalg.norm(L - L.T) / max(np.linalg.norm(L), 1e-30)) for L in fam.lams
     )
@@ -251,7 +294,7 @@ def _run_dn_compute(cfg, out):
 def _run_riccati(cfg, out):
     fam = compute_dn_family(_build_geometry(cfg), cfg.get("q1", _DEFAULT_Q1))
     err = _riccati_error(fam)
-    tol = float(cfg.get("tol", 1e-2))
+    tol = cfg.get("tol", 1e-2)
     results = {
         "cross_error": err,
         "residual": float(riccati_residual(fam)),
@@ -262,7 +305,7 @@ def _run_riccati(cfg, out):
 
 def _run_evolve(cfg, out):
     err = _evolve_error(cfg, _build_geometry(cfg))
-    tol = float(cfg.get("tol", 1e-2))
+    tol = cfg.get("tol", 1e-2)
     return {"sup_error": err, "tol": tol}, err <= tol
 
 
@@ -270,8 +313,8 @@ def _run_kernel(cfg, out):
     g, fam1, fam2 = _pair(cfg)
     W = evolved_rank_one(fam1, fam2, *_pair_data(cfg, g))
     pair = PairOperator(fam1, fam2)
-    tol = float(cfg.get("tol", 1e-3))
-    floor = float(cfg.get("single_floor", 0.05))
+    tol = cfg.get("tol", 1e-3)
+    floor = cfg.get("single_floor", 0.05)
     res = {v: kernel_residual(pair, W, v)["max_rel"] for v in
            ("factorized", "expanded-double", "expanded-single")}
     passed = (
@@ -286,7 +329,7 @@ def _run_kernel(cfg, out):
 def _run_headline(cfg, out):
     g, fam1, fam2 = _pair(cfg)
     check = dn_recovery_check(fam1, fam2)
-    tol = float(cfg.get("tol", 5e-2))
+    tol = cfg.get("tol", 5e-2)
     _write_evsq(
         out, "recovered_difference.evsq", check["recovered"], "recovered-difference", 0.0, g,
         "bvp-headline",
@@ -302,7 +345,7 @@ def _run_headline(cfg, out):
 def _run_layer_strip(cfg, out):
     g, fam1, fam2 = _pair(cfg)
     check = layer_strip_check(fam1, fam2, *_pair_data(cfg, g))
-    tol = float(cfg.get("tol", 1e-3))
+    tol = cfg.get("tol", 1e-3)
     results = {k: check[k] for k in ("lhs", "rhs", "volume_term", "deep_term", "rel_gap")}
     results["tol"] = tol
     return results, check["rel_gap"] <= tol
@@ -319,9 +362,10 @@ def _run_null(cfg, out):
 
 def _run_probe(cfg, out):
     g, fam1, fam2 = _pair(cfg)
+    ambient_dim = cfg.get("ambient_dim", 3)
     check = dn_recovery_check(fam1, fam2)
     kernel = check["recovered"] / g.node_weight(0.0)
-    flag = offdiagonal_flag(g, kernel, threshold=float(cfg.get("threshold", 1e-6)))
+    flag = offdiagonal_flag(g, kernel, threshold=cfg.get("threshold", 1e-6))
     prof = flag["profile"]
     _write_csv(
         os.path.join(out, "shells.csv"),
@@ -335,12 +379,10 @@ def _run_probe(cfg, out):
         "partition_defect": prof["partition_defect"],
         "headline_error": check["rel_error"],
         "zeta": zeta_pairing(g, kernel),
-        "p_critical": float(cfg.get("ambient_dim", 3)) / (float(cfg.get("ambient_dim", 3)) - 1.0),
+        "p_critical": ambient_dim / (ambient_dim - 1.0),
     }
     if g.N >= 64:
-        grad = gradient_blowup_probe(
-            g, check["stages"]["phi"], ambient_dim=int(cfg.get("ambient_dim", 3))
-        )
+        grad = gradient_blowup_probe(g, check["stages"]["phi"], ambient_dim=ambient_dim)
         results["gradient_slope"] = grad["slope"]
     else:
         results["gradient_slope"] = None
@@ -351,8 +393,8 @@ def _run_probe(cfg, out):
 def _run_conformal(cfg, out):
     g = _build_geometry(cfg)
     gamma = _gamma_callable(cfg.get("gamma"))
-    n_amb = int(cfg.get("n_ambient", 3))
-    kmax = int(cfg.get("modes_max", 8))
+    n_amb = cfg.get("n_ambient", 3)
+    kmax = cfg.get("modes_max", 8)
     if g.dim == 1:
         modes = list(range(kmax + 1))
     else:
@@ -363,7 +405,7 @@ def _run_conformal(cfg, out):
             if k1 * k1 + k2 * k2 <= kmax * kmax
         ]
     res = conformal_identity_check(g, gamma, n_amb, modes)
-    tol = float(cfg.get("tol", 1e-3))
+    tol = cfg.get("tol", 1e-3)
     results = {
         "max_rel_error": res["max_rel_error"],
         "modes_checked": len(modes),
@@ -387,12 +429,12 @@ def _run_exhaustion(cfg, out):
         if maker is None:
             raise ConfigError(f"unknown mesh kind {kind!r}")
         mesh = maker(*params)
-    budget = float(cfg.get("time_budget", 5.0))
+    budget = cfg.get("time_budget", 5.0)
     t0 = time.perf_counter()
     order, certs = exhaustion_order(mesh)
     verify_order(mesh, order, certs)
     elapsed = time.perf_counter() - t0
-    stats = collar_map_samples(mesh, order, certs, samples_per_cell=int(cfg.get("samples_per_cell", 4)))
+    stats = collar_map_samples(mesh, order, certs, samples_per_cell=cfg.get("samples_per_cell", 4))
     results = {
         "triangles": mesh.n_triangles,
         "order_seconds": elapsed,
@@ -406,13 +448,13 @@ def _run_exhaustion(cfg, out):
 
 def _run_march(cfg, out):
     profile = _profile(cfg)
-    N = int(cfg.get("N", 32))
-    M = int(cfg.get("M", 64))
-    eps = float(cfg.get("eps", 0.3))
+    N = cfg.get("N", 32)
+    M = cfg.get("M", 64)
+    eps = cfg.get("eps", 0.3)
     q1 = make_potential(cfg.get("q1", {"kind": "constant", "value": 1.5}))
     q2 = make_potential(cfg.get("q2", {"kind": "zero"}))
-    tol = float(cfg.get("tol", 5e-2))
-    max_windows = int(cfg.get("max_windows", 16))
+    tol = cfg.get("tol", 5e-2)
+    max_windows = cfg.get("max_windows", 16)
 
     windows = []
     depth = 0.0
@@ -420,7 +462,7 @@ def _run_march(cfg, out):
     h = eps / M
     while len(windows) < max_windows and profile.T - depth - eps > 2.0 * h:
         prof_w = profile.shifted(depth) if depth else profile
-        g = build_warped_geometry(prof_w, N=N, M=M, eps=eps, dim=int(cfg.get("dim", 1)))
+        g = build_warped_geometry(prof_w, N=N, M=M, eps=eps, dim=cfg.get("dim", 1))
         fam1 = compute_dn_family(g, q1.shifted(depth) if depth else q1)
         fam2 = compute_dn_family(g, q2.shifted(depth) if depth else q2)
         check = dn_recovery_check(fam1, fam2)
@@ -457,10 +499,10 @@ def _run_march(cfg, out):
 def _run_convergence(cfg, out):
     quantity = cfg.get("quantity", "headline")
     levels = cfg.get("levels", [[32, 32], [32, 64], [32, 128]])
-    rate_min = float(cfg.get("rate_min", 1.5))
+    rate_min = cfg.get("rate_min", 1.5)
     errors = []
     for N, M in levels:
-        lvl_cfg = {**cfg, "N": int(N), "M": int(M)}
+        lvl_cfg = {**cfg, "N": N, "M": M}
         if quantity == "headline":
             err = dn_recovery_check(*_pair(lvl_cfg)[1:])["rel_error"]
         elif quantity == "riccati":
@@ -480,14 +522,14 @@ def _run_convergence(cfg, out):
     _write_csv(
         os.path.join(out, "rates.csv"),
         ("level", "N", "M", "error"),
-        [(i, int(l[0]), int(l[1]), e) for i, (l, e) in enumerate(zip(levels, errors))],
+        [(i, N, M, e) for i, ((N, M), e) in enumerate(zip(levels, errors))],
     )
     results = {
         "quantity": quantity,
         "errors": errors,
         "rate": rate,
         "rate_min": rate_min,
-        "levels": [[int(a), int(b)] for a, b in levels],
+        "levels": levels,
     }
     return results, rate >= rate_min
 
@@ -514,7 +556,10 @@ _SCENARIOS = {
         frozenset({"mesh", "mesh_kind", "mesh_params", "samples_per_cell", "time_budget"}),
     ),
     "global-march": (_run_march, _PAIR_KEYS | {"tol", "max_windows"}),
-    "convergence-study": (_run_convergence, _PAIR_KEYS | {"quantity", "levels", "rate_min"}),
+    "convergence-study": (
+        _run_convergence,
+        _PAIR_KEYS | {"quantity", "levels", "rate_min", "boundary_data"},
+    ),
 }
 
 SCENARIOS = tuple(_SCENARIOS)
@@ -544,7 +589,7 @@ def main(argv=None):
             _apply_override(cfg, spec)
         _check_keys(args.scenario, cfg)
         os.makedirs(args.out, exist_ok=True)
-        results, passed = runner(cfg, args.out)
+        results, passed = runner(_typed(cfg), args.out)
     except (ConfigError, GeometryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -232,9 +232,11 @@ def dn_mode_symbol(geometry, potential, ksq, depths=None):
     potential = make_potential(potential)
     q = _mode_q_values(geometry, potential)
     s = _mode_chain(geometry, ksq, q)
-    idx = range(geometry.M + 1) if depths is None else depths
+    idx = range(geometry.M + 1) if depths is None else np.atleast_1d(depths)
     out = np.array([_mode_dn_from_chain(geometry, s, j) for j in idx])
-    return out if depths is None or np.ndim(depths) else float(out[0])
+    if depths is None or np.ndim(depths):
+        return out
+    return out[0] if np.ndim(ksq) else float(out[0])
 
 
 # ---------------------------------------------------------------------------

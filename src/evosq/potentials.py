@@ -154,10 +154,15 @@ def make_potential(spec):
         except (KeyError, TypeError, ValueError):
             raise GeometryError("constant potential needs a numeric 'value'") from None
     if kind == "bump":
-        return BumpPotential(
-            spec.get("amplitude", 1.0),
-            spec.get("theta0", 0.0),
-            spec.get("t0", 0.0),
-            spec.get("width", 0.3),
-        )
+        try:
+            return BumpPotential(
+                spec.get("amplitude", 1.0),
+                spec.get("theta0", 0.0),
+                spec.get("t0", 0.0),
+                spec.get("width", 0.3),
+            )
+        except (TypeError, ValueError):
+            raise GeometryError(
+                "bump potential needs numeric 'amplitude', 'theta0', 't0' and 'width'"
+            ) from None
     raise GeometryError(f"unknown potential kind {kind!r}")

@@ -159,7 +159,7 @@ def zeta_pairing(geometry, kernel, modes=(1, 2, 4, 8), d_floor=FAR_DISTANCE):
     scores = {}
     x = geometry.theta
     for kmode in modes:
-        damp = np.vectorize(lambda v, _k=float(kmode): smooth_min(_k, v, 0.25))(ll)
+        damp = smooth_min(float(kmode), ll, 0.25)
         osc = np.cos(kmode * (x[:, None] - x[None, :]))
         scores[int(kmode)] = float(np.sum(kernel * osc * damp * window) * w * w)
     return scores

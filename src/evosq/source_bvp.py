@@ -9,24 +9,26 @@ families with potentials ``Q1, Q2``. Differentiating the map equation shows
 with ``d* = -d/dt - m``. The solver never uses ``U`` below the top slice:
 it integrates the second-order problem ``(d* + A)(d/dt + A) phi = R`` with
 ``phi(0) = 0`` and the flux condition ``(d/dt + A) phi = U`` at the collar
-depth, in four first-order stages. The depth derivative of ``phi`` at the
+depth, in three first-order sweeps. The depth derivative of ``phi`` at the
 boundary then *re-derives* the kernel of the map difference at ``t = 0``,
 which is the quantity the whole pipeline is meant to certify.
 
-Stages (all trapezoidal, matrix-free):
+Sweeps (all trapezoidal, matrix-free):
   1. ``(d* + A) psi_h = 0`` backward from the flux condition at the collar depth;
-  2. ``(d/dt + A) phi_h = psi_h`` forward from zero;
-  3. ``(d* + A) psi_p = R`` backward from zero;
-  4. ``(d/dt + A) phi_p = psi_p`` forward from zero;  ``phi = phi_h + phi_p``.
+  2. ``(d* + A) psi_p = R`` backward from zero;
+  3. ``(d/dt + A) phi = psi_h + psi_p`` forward from zero.
 
-With matching potentials every stage is identically zero (the null test in
+The forward transport is linear in its source, so one forward sweep on the
+summed source carries both backward fields into ``phi``.
+
+With matching potentials every sweep is identically zero (the null test in
 :mod:`evosq.probes` relies on this being exact, not merely small).
 """
 
 import numpy as np
 
 from .errors import GeometryError
-from .evolution import PairOperator, TensorField, evolve_tensor_backward, evolve_tensor_forward
+from .evolution import PairOperator, evolve_tensor_backward, evolve_tensor_forward
 
 
 def difference_kernel(family1, family2, j):
@@ -55,25 +57,19 @@ def diagonal_source(family1, family2):
 
 
 def solve_source_bvp(family1, family2, terminal_sign=1.0):
-    """Four-stage solve; returns ``phi`` and the stage fields.
+    """Three-sweep solve; returns ``phi`` and the backward fields ``psi_h``, ``psi_p``.
 
     ``terminal_sign`` scales the flux condition at the collar depth; the
     physically correct value is +1 and the recovery check resolves it
     empirically rather than trusting this default.
     """
     pair = PairOperator(family1, family2)
-    g = pair.geometry
-    K_eps = terminal_sign * difference_kernel(family1, family2, g.M)
-
+    K_eps = terminal_sign * difference_kernel(family1, family2, pair.geometry.M)
     psi_h = evolve_tensor_backward(pair, K_eps)
-    phi_h = evolve_tensor_forward(pair, np.zeros((g.N, g.N)), source=psi_h.slice)
-
-    R = diagonal_source(family1, family2)
-    psi_p = evolve_tensor_backward(pair, np.zeros((g.N, g.N)), source=R)
-    phi_p = evolve_tensor_forward(pair, np.zeros((g.N, g.N)), source=psi_p.slice)
-
-    phi = TensorField(g.collar_ts, phi_h.values + phi_p.values, meta={"kind": "source-bvp"})
-    return {"phi": phi, "psi_h": psi_h, "phi_h": phi_h, "psi_p": psi_p, "phi_p": phi_p}
+    psi_p = evolve_tensor_backward(pair, 0.0, source=diagonal_source(family1, family2))
+    phi = evolve_tensor_forward(pair, 0.0, source=lambda j: psi_h.values[j] + psi_p.values[j])
+    phi.meta = {"kind": "source-bvp"}
+    return {"phi": phi, "psi_h": psi_h, "psi_p": psi_p}
 
 
 def boundary_time_derivative(phi):

@@ -121,6 +121,35 @@ def test_unknown_key_exits_two(tmp_path):
     assert summary is None
 
 
+@pytest.mark.parametrize(
+    "scenario", ["riccati-check", "bvp-headline", "conformal-check", "global-march"]
+)
+@pytest.mark.parametrize("override", ["tol=abc", "N=abc", "N=16.5", "tol=NaN", "N=[16]"])
+def test_bad_numeric_value_exits_two(tmp_path, capsys, scenario, override):
+    code, _, summary = _run(tmp_path, scenario, *SMALL, "--override", override)
+    err = capsys.readouterr().err
+    assert code == 2 and summary is None
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "scenario, override",
+    [
+        ("convergence-study", "levels=[[16, 16], [16]]"),
+        ("convergence-study", "levels=16"),
+        ("evolve-check", 'boundary_data={"kind": "mode", "k": "x"}'),
+        ("evolve-check", "boundary_data=5"),
+        ("conformal-check", 'gamma={"kind": "poly", "coeffs": [1, "x"]}'),
+        ("dn-compute", 'q1={"kind": "bump", "width": "x"}'),
+        ("dn-compute", 'q1={"kind": "bump", "amplitude": "x"}'),
+    ],
+)
+def test_bad_nested_numeric_value_exits_two(tmp_path, capsys, scenario, override):
+    code, _, summary = _run(tmp_path, scenario, *SMALL, "--override", override)
+    assert code == 2 and summary is None
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_bad_config_file_exits_two(tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
@@ -271,6 +300,20 @@ def test_global_march_reaches_cap(tmp_path):
     # windows tile the depth without gaps
     for w, nxt in zip(res["windows"], res["windows"][1:]):
         assert nxt["start"] == pytest.approx(w["end"])
+
+
+def test_evolve_convergence_study_takes_boundary_data(tmp_path):
+    levels = ["--override", "levels=[[16, 16], [16, 32]]", "--override", "quantity=evolve"]
+    code, _, default = _run(tmp_path, "convergence-study", *levels, sub="a")
+    assert code == 0
+    random = '{"kind": "random", "seed": 3}'
+    code, _, summary = _run(
+        tmp_path, "convergence-study", *levels, "--override", f"boundary_data={random}", sub="b"
+    )
+    assert code == 0
+    assert summary["config"]["boundary_data"] == {"kind": "random", "seed": 3}
+    errors, default_errors = summary["results"]["errors"], default["results"]["errors"]
+    assert all(e > 0 for e in errors) and errors != default_errors
 
 
 def test_convergence_study_writes_rates(tmp_path):

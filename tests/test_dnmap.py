@@ -275,6 +275,17 @@ def test_mode_paths_take_an_array_of_modes():
         assert cond[i] == conductivity_mode_dn(g, gamma, 3, k)
 
 
+def test_mode_symbol_takes_a_scalar_depth():
+    g = build_warped_geometry(make_profile("flat-cylinder", T=0.8), N=8, M=32, eps=0.3)
+    for depth in (0, g.M, np.int64(3)):
+        val = dn_mode_symbol(g, 1.5, 4.0, depths=depth)
+        assert type(val) is float
+        assert val == dn_mode_symbol(g, 1.5, 4.0, depths=[depth])[0]
+    ksq = np.array([1.0, 4.0])
+    at_zero = dn_mode_symbol(g, 1.5, ksq, depths=0)
+    assert np.array_equal(at_zero, dn_mode_symbol(g, 1.5, ksq, depths=[0])[0])
+
+
 def test_conformal_identity_flat_cylinder():
     g = build_warped_geometry(make_profile("flat-cylinder", T=0.9), N=16, M=64, eps=0.3)
     res = conformal_identity_check(g, lambda t: np.exp(2.0 * t), 3, modes=range(0, 9))

@@ -4,8 +4,11 @@ import pytest
 from evosq.dnmap import compute_dn_family
 from evosq.errors import GeometryError
 from evosq.evolution import evolved_rank_one
+from evosq.exhaustion import smooth_min
 from evosq.geometry import build_warped_geometry, make_profile
 from evosq.probes import (
+    FAR_DISTANCE,
+    _circular_distance,
     gradient_blowup_probe,
     null_test,
     offdiagonal_flag,
@@ -125,3 +128,21 @@ def test_zeta_pairing_finite_and_keyed(annulus_families):
     d = np.minimum(d, 2 * np.pi - d)
     near = np.where(d < np.pi / 16, 1.0, 0.0)
     assert all(v == 0.0 for v in zeta_pairing(g, near).values())
+
+
+def test_zeta_pairing_matches_a_per_entry_damping(annulus_families):
+    # the damping is one elementwise smooth_min call; the reference applies it per entry
+    fam1, fam2 = annulus_families
+    g = fam1.geometry
+    kernel = dn_recovery_check(fam1, fam2)["recovered"] / g.node_weight(0.0)
+    d = _circular_distance(g.theta)
+    with np.errstate(divide="ignore"):
+        ll = np.log1p(np.maximum(np.log(np.maximum(1.0 / np.maximum(d, 1e-300), 1.0)), 0.0))
+    window = (d > FAR_DISTANCE).astype(float)
+    w = g.node_weight(0.0)
+    x = g.theta
+    scores = zeta_pairing(g, kernel)
+    for k in (1, 2, 4, 8):
+        damp = np.vectorize(lambda v, _k=float(k): smooth_min(_k, v, 0.25))(ll)
+        osc = np.cos(k * (x[:, None] - x[None, :]))
+        assert scores[k] == float(np.sum(kernel * osc * damp * window) * w * w)

@@ -4,7 +4,7 @@ from scipy.integrate import solve_ivp
 
 from evosq.dnmap import compute_dn_family
 from evosq.errors import GeometryError
-from evosq.evolution import TensorField
+from evosq.evolution import PairOperator, TensorField, evolve_tensor_forward
 from evosq.geometry import build_warped_geometry, make_profile
 from evosq.source_bvp import (
     boundary_time_derivative,
@@ -150,8 +150,28 @@ def test_all_stages_against_ode_oracle(cylinder_pair):
 def test_matching_potentials_give_exact_zero(annulus_families):
     fam1, _ = annulus_families
     stages = solve_source_bvp(fam1, fam1)
-    for name in ("phi", "psi_h", "phi_h", "psi_p", "phi_p"):
+    for name in ("phi", "psi_h", "psi_p"):
         assert np.all(stages[name].values == 0.0), name
+
+
+# -- three-sweep structure -------------------------------------------------------
+
+
+def test_one_forward_sweep_equals_the_sum_of_two(annulus_families):
+    # the forward transport is linear in its source: one sweep on psi_h + psi_p
+    # equals separate sweeps on each, to the CG tolerance
+    fam1, fam2 = annulus_families
+    stages = solve_source_bvp(fam1, fam2)
+    assert set(stages) == {"phi", "psi_h", "psi_p"}
+    pair = PairOperator(fam1, fam2)
+    zero = np.zeros((pair.geometry.N, pair.geometry.N))
+    split = sum(
+        evolve_tensor_forward(pair, zero, source=stages[name].slice).values
+        for name in ("psi_h", "psi_p")
+    )
+    phi = stages["phi"].values
+    assert np.linalg.norm(phi - split) <= 1e-9 * np.linalg.norm(split)
+    assert stages["phi"].meta == {"kind": "source-bvp"}
 
 
 # -- strip decomposition ---------------------------------------------------------
