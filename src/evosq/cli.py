@@ -263,7 +263,7 @@ def _evolve_error(cfg, g):
     fam = compute_dn_family(g, cfg.get("q1", _DEFAULT_Q1), keep_chain=True)
     f = _boundary_data(g, cfg.get("boundary_data"))
     u_flow = evolve_trace(fam, f)
-    u_int = solve_interior(g, fam.potential, f, chain=fam._chain).values[: g.M + 1]
+    u_int = solve_interior(g, fam.potential, f, chain=fam.chain).values[: g.M + 1]
     return float(np.max(np.abs(u_flow - u_int)) / max(np.max(np.abs(u_int)), 1e-30))
 
 
@@ -420,14 +420,22 @@ def _run_exhaustion(cfg, out):
     else:
         kind = cfg.get("mesh_kind", "annulus")
         params = cfg.get("mesh_params", [50, 100])
-        maker = {
-            "annulus": meshes.annulus_mesh,
-            "disk": meshes.disk_mesh,
-            "strip": meshes.strip_mesh,
-            "sphere": meshes.sphere_mesh,
-        }.get(kind)
+        # mesh kind -> (maker, number of resolution parameters)
+        maker, arity = {
+            "annulus": (meshes.annulus_mesh, 2),
+            "disk": (meshes.disk_mesh, 2),
+            "strip": (meshes.strip_mesh, 2),
+            "sphere": (meshes.sphere_mesh, 1),
+        }.get(kind, (None, 0))
         if maker is None:
             raise ConfigError(f"unknown mesh kind {kind!r}")
+        if not isinstance(params, list) or len(params) != arity:
+            raise ConfigError(
+                f"mesh_params for mesh_kind {kind!r} needs {arity} ints, got {params!r}"
+            )
+        params = [_number("mesh_params", p, int) for p in params]
+        if min(params) < 1:
+            raise ConfigError(f"mesh_params needs positive ints, got {params!r}")
         mesh = maker(*params)
     budget = cfg.get("time_budget", 5.0)
     t0 = time.perf_counter()

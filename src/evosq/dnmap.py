@@ -8,7 +8,10 @@ and the slice map is ``f -> -u_t`` at the slice, a positive semi-definite
 dense matrix on the boundary nodes. One backward elimination sweep over the
 full depth grid produces the propagation chain ``u_j = S_j u_{j-1}``; every
 collar-depth map is then read off the chain with one-sided derivative
-stencils, so the whole family costs a single sweep.
+stencils, so the whole family costs a single sweep. The sweep runs over
+pivot blocks: one dense N x N block per node, or, for theta-independent
+potentials, a batch of 1 x 1 blocks, one per Fourier mode (the per-mode
+path); both share the elimination and the extraction.
 
 Everything here is second order in the depth step. Maps are symmetrized
 after extraction: the true map is symmetric in the slice inner product (a
@@ -27,8 +30,8 @@ _ESCAPE_FACTOR = 50.0
 _SINGULAR_FACTOR = 1e6
 
 
-def _second_order_coeffs(h_minus, h_plus):
-    """3-point stencil weights for u'' and u' on spacings (h-, h+)."""
+def _second_order_coeffs(h_minus, h_plus, mu):
+    """3-point stencil weights of ``u'' + mu u'`` on spacings (h-, h+)."""
     s = h_minus + h_plus
     a = 2.0 / (h_minus * s)
     b = -2.0 / (h_minus * h_plus)
@@ -36,7 +39,7 @@ def _second_order_coeffs(h_minus, h_plus):
     al = -h_plus / (h_minus * s)
     be = (h_plus - h_minus) / (h_minus * h_plus)
     ga = h_minus / (h_plus * s)
-    return a, b, c, al, be, ga
+    return a + mu * al, b + mu * be, c + mu * ga
 
 
 def _center_cap_matrix(geometry):
@@ -53,6 +56,37 @@ def _slice_q(geometry, potential, t):
     return np.asarray(potential.on_slice(geometry.theta, t), dtype=float)
 
 
+def _eliminate(geometry, lap, q, mu, cap):
+    """Backward elimination ``S_j = -(B_j + c_j S_{j+1})^-1 a_j`` over pivot blocks.
+
+    ``lap`` is the unit-radius slice Laplacian as ``(..., n, n)`` blocks,
+    ``q(j)`` the potential block at node ``j``, ``mu`` the first-order depth
+    coefficient per node and ``cap`` the last block. A singular pivot or a
+    block norm above ``_SINGULAR_FACTOR * sqrt(n)`` is a resonance.
+    """
+    ts = geometry.ts
+    K = ts.size
+    eye = np.eye(lap.shape[-1])
+    guard = _SINGULAR_FACTOR * np.sqrt(lap.shape[-1])
+    S = [None] * (K - 1) + [cap]
+    for j in range(K - 2, 0, -1):
+        ap, bp, cp = _second_order_coeffs(ts[j] - ts[j - 1], ts[j + 1] - ts[j], mu[j])
+        P = bp * eye - lap / geometry.rs[j] ** 2 - q(j) + cp * S[j + 1]
+        try:
+            S[j] = np.linalg.solve(P, -ap * eye)
+            norm = np.sqrt(np.einsum("...ij,...ij->...", S[j], S[j]))
+        except np.linalg.LinAlgError:
+            norm = np.where(np.linalg.det(P) == 0.0, np.inf, 0.0)
+        bad = norm > guard
+        if np.any(bad):
+            mode = f" (mode ksq={float(lap[bad][0, 0, 0])})" if lap.ndim > 2 else ""
+            why = "" if mode else f": propagation norm {norm:.3g}"
+            raise DNComputationError(
+                f"Dirichlet eigenvalue collision{mode} near depth {ts[j]:.6g}{why}"
+            )
+    return S
+
+
 def propagation_chain(geometry, potential):
     """Backward elimination over the full grid.
 
@@ -63,55 +97,34 @@ def propagation_chain(geometry, potential):
     """
     if geometry.dim != 1:
         raise GeometryError("dense propagation is circle-only; use dn_mode_symbol")
-    ts = geometry.ts
-    K = ts.size
-    N = geometry.N
-    eye = np.eye(N)
-    d2u = geometry.d2_unit()
+    ts, N = geometry.ts, geometry.N
+    cap = _center_cap_matrix(geometry) if geometry.cap == "center" else np.zeros((N, N))
 
-    S = [None] * K
-    if geometry.cap == "center":
-        S[K - 1] = _center_cap_matrix(geometry)
-    else:
-        S[K - 1] = np.zeros((N, N))
+    def q(j):
+        return np.diag(_slice_q(geometry, potential, ts[j]))
 
-    guard = _SINGULAR_FACTOR * np.sqrt(N)
-    mu = geometry.mu_dot(ts)
-    for j in range(K - 2, 0, -1):
-        a, b, c, al, be, ga = _second_order_coeffs(ts[j] - ts[j - 1], ts[j + 1] - ts[j])
-        ap = a + mu[j] * al
-        bp = b + mu[j] * be
-        cp = c + mu[j] * ga
-        B = bp * eye - d2u / geometry.rs[j] ** 2 - np.diag(_slice_q(geometry, potential, ts[j]))
-        try:
-            S[j] = np.linalg.solve(B + cp * S[j + 1], -ap * eye)
-        except np.linalg.LinAlgError:
-            raise DNComputationError(
-                f"Dirichlet eigenvalue collision: singular pivot at depth {ts[j]:.6g}"
-            ) from None
-        if np.linalg.norm(S[j]) > guard:
-            raise DNComputationError(
-                f"Dirichlet eigenvalue collision near depth {ts[j]:.6g}: "
-                f"propagation norm {np.linalg.norm(S[j]):.3g}"
-            )
-    return S
+    return _eliminate(geometry, geometry.d2_unit(), q, geometry.mu_dot(ts), cap)
 
 
 def _extract_dn(geometry, S, j):
     ts = geometry.ts
     w = fd_weights(ts[j : j + 3], ts[j], 1)
-    lam = -(w[0] * np.eye(geometry.N) + w[1] * S[j + 1] + w[2] * (S[j + 2] @ S[j + 1]))
-    return 0.5 * (lam + lam.T)
+    lam = -(w[0] * np.eye(S[j + 1].shape[-1]) + w[1] * S[j + 1] + w[2] * (S[j + 2] @ S[j + 1]))
+    return 0.5 * (lam + np.swapaxes(lam, -1, -2))
 
 
 class DNFamily:
-    """Collar family of slice maps, one per collar node."""
+    """Collar family of slice maps, one per collar node.
+
+    ``chain`` is the :func:`propagation_chain` the maps were read from when
+    computed with ``keep_chain=True``, else None.
+    """
 
     def __init__(self, geometry, potential, lams, chain=None):
         self.geometry = geometry
         self.potential = potential
         self.lams = lams
-        self._chain = chain
+        self.chain = chain
 
     def lam(self, j):
         if not 0 <= j <= self.geometry.M:
@@ -119,7 +132,7 @@ class DNFamily:
         return self.lams[j]
 
     def at_depth(self, t):
-        j = int(round(t / (self.geometry.eps / self.geometry.M)))
+        j = int(round(t / (self.geometry.eps / self.geometry.M))) if np.isfinite(t) else -1
         if not (0 <= j <= self.geometry.M and abs(self.geometry.ts[j] - t) < 1e-10):
             raise DepthIndexError(f"depth {t} is not a collar node")
         return self.lams[j]
@@ -186,39 +199,13 @@ def _mode_q_values(geometry, potential):
     return qs
 
 
-def _mode_chain(geometry, ksq, q_values, mu_values=None):
-    """Per-mode propagation factors; ``ksq`` is a scalar or an array of modes.
-
-    Returns ``s`` of shape ``(K,) + ksq.shape``; the recursion is elementwise
-    in the modes.
-    """
-    ts = geometry.ts
-    K = ts.size
-    ksq = np.asarray(ksq, dtype=float)
-    mu = geometry.mu_dot(ts) if mu_values is None else mu_values
-    s = np.empty((K,) + ksq.shape)
-    s[K - 1] = (geometry.rs[-1] / geometry.rs[-2]) ** np.sqrt(ksq) if geometry.cap == "center" else 0.0
-    for j in range(K - 2, 0, -1):
-        a, b, c, al, be, ga = _second_order_coeffs(ts[j] - ts[j - 1], ts[j + 1] - ts[j])
-        ap = a + mu[j] * al
-        bp = b + mu[j] * be
-        cp = c + mu[j] * ga
-        den = bp - ksq / geometry.rs[j] ** 2 - q_values[j] + cp * s[j + 1]
-        bad = np.abs(den) < 1e-14 * max(abs(bp), 1.0)
-        bad |= np.abs(ap / np.where(bad, 1.0, den)) > _SINGULAR_FACTOR
-        if np.any(bad):
-            raise DNComputationError(
-                f"Dirichlet eigenvalue collision (mode ksq={float(ksq[bad][0])}) "
-                f"near depth {ts[j]:.6g}"
-            )
-        s[j] = -ap / den
-    return s
-
-
-def _mode_dn_from_chain(geometry, s, j):
-    ts = geometry.ts
-    w = fd_weights(ts[j : j + 3], ts[j], 1)
-    return -(w[0] + w[1] * s[j + 1] + w[2] * s[j + 2] * s[j + 1])
+def _mode_maps(geometry, ksq, q_values, mu, depths):
+    """Mode eigenvalues at node indices ``depths``, eliminated as 1 x 1 pivot blocks."""
+    lap = np.asarray(ksq, dtype=float).reshape(-1, 1, 1)
+    ratio = geometry.rs[-1] / geometry.rs[-2]
+    cap = ratio ** np.sqrt(lap) if geometry.cap == "center" else np.zeros_like(lap)
+    S = _eliminate(geometry, lap, q_values.__getitem__, mu, cap)
+    return np.array([_extract_dn(geometry, S, j)[:, 0, 0].reshape(np.shape(ksq)) for j in depths])
 
 
 def dn_mode_symbol(geometry, potential, ksq, depths=None):
@@ -231,9 +218,8 @@ def dn_mode_symbol(geometry, potential, ksq, depths=None):
     """
     potential = make_potential(potential)
     q = _mode_q_values(geometry, potential)
-    s = _mode_chain(geometry, ksq, q)
     idx = range(geometry.M + 1) if depths is None else np.atleast_1d(depths)
-    out = np.array([_mode_dn_from_chain(geometry, s, j) for j in idx])
+    out = _mode_maps(geometry, ksq, q, geometry.mu_dot(geometry.ts), idx)
     if depths is None or np.ndim(depths):
         return out
     return out[0] if np.ndim(ksq) else float(out[0])
@@ -361,8 +347,7 @@ def conductivity_mode_dn(geometry, gamma, n_ambient, ksq):
     sigma = g ** (0.5 * n_ambient - 1.0)
     dsigma = derivative_matrix(ts, 1) @ sigma
     mu_eff = np.asarray(geometry.mu_dot(ts), dtype=float) + dsigma / sigma
-    s = _mode_chain(geometry, ksq, np.zeros(ts.size), mu_values=mu_eff)
-    return float(sigma[0]) * _mode_dn_from_chain(geometry, s, 0)
+    return float(sigma[0]) * _mode_maps(geometry, ksq, np.zeros(ts.size), mu_eff, [0])[0]
 
 
 def conformal_identity_check(geometry, gamma, n_ambient, modes):

@@ -61,7 +61,7 @@ def read_matrix(path, expected_geometry_hash=None):
 
     A sidecar whose ``geometry_hash`` disagrees with ``expected_geometry_hash``
     produces a ``UserWarning`` (the data is still returned); structural
-    problems raise ``FormatError``.
+    problems, a sidecar that is not a JSON object included, raise ``FormatError``.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -89,8 +89,13 @@ def read_matrix(path, expected_geometry_hash=None):
     sidecar_path = Path(str(path) + ".json")
     sidecar = None
     if sidecar_path.exists():
-        with open(sidecar_path) as fh:
-            sidecar = json.load(fh)
+        try:
+            with open(sidecar_path) as fh:
+                sidecar = json.load(fh)
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise FormatError(f"{sidecar_path}: sidecar is not valid JSON: {exc}") from None
+        if not isinstance(sidecar, dict):
+            raise FormatError(f"{sidecar_path}: sidecar is not a JSON object")
         if (
             expected_geometry_hash is not None
             and sidecar.get("geometry_hash") != expected_geometry_hash

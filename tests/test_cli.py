@@ -272,6 +272,14 @@ def test_exhaustion_rejects_closed_mesh(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("params", ["abc", '[2, "x"]', "[2]", "[-1, 4]", "[3, 5, 7]"])
+def test_exhaustion_rejects_bad_mesh_params(tmp_path, capsys, params):
+    code, _, summary = _run(tmp_path, "exhaustion", "--override", f"mesh_params={params}")
+    err = capsys.readouterr().err
+    assert code == 2 and summary is None
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_exhaustion_reads_off_file(tmp_path):
     from evosq.meshes import save_off, strip_mesh
 

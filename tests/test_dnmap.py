@@ -19,6 +19,7 @@ from evosq.errors import (
     RiccatiEscapeError,
 )
 from evosq.geometry import build_warped_geometry, make_profile
+from evosq.rng import SplitMix64
 
 
 def _mode_eigenvalue(geometry, lam, k):
@@ -80,6 +81,20 @@ def test_dense_and_mode_paths_agree(annulus_geometry):
         assert abs(dense - mode) < 1e-8 * max(abs(dense), 1.0)
 
 
+@pytest.mark.parametrize("profile", ["annulus", "disk", "flat-cylinder"])
+def test_dense_and_mode_paths_agree_on_every_cap(profile):
+    # Dirichlet cap, center cap and a flat collar; theta-independent constants
+    g = build_warped_geometry(make_profile(profile), N=16, M=32, eps=0.3)
+    F = np.fft.fft(np.eye(g.N), axis=0)
+    ksq = g.wavenumbers() ** 2
+    for q in 4.0 * np.asarray(SplitMix64(11).floats(2)) - 1.0:
+        lams = compute_dn_family(g, q).lams
+        for j in (0, g.M):
+            dense = np.real(np.diag(F @ lams[j] @ np.conj(F.T))) / g.N
+            mode = dn_mode_symbol(g, q, ksq, depths=[j])[0]
+            assert np.max(np.abs(dense - mode) / np.abs(mode)) < 1e-10
+
+
 # -- structural properties ----------------------------------------------------
 
 
@@ -113,8 +128,9 @@ def test_family_indexing(annulus_families):
     assert fam1.depths.shape == (g.M + 1,)
     with pytest.raises(DepthIndexError):
         fam1.lam(g.M + 1)
-    with pytest.raises(DepthIndexError):
-        fam1.at_depth(0.12345)
+    for depth in (0.12345, np.nan, np.inf, -np.inf):
+        with pytest.raises(DepthIndexError):
+            fam1.at_depth(depth)
 
 
 def test_mode_path_rejects_angular_potentials(annulus_geometry):
@@ -151,7 +167,7 @@ def test_interior_solution_reuses_chain(annulus_families):
     fam1, _ = annulus_families
     g = fam1.geometry
     f = np.sin(2 * g.theta)
-    a = solve_interior(g, fam1.potential, f, chain=fam1._chain)
+    a = solve_interior(g, fam1.potential, f, chain=fam1.chain)
     b = solve_interior(g, fam1.potential, f)
     assert np.array_equal(a.values, b.values)
 
@@ -160,7 +176,7 @@ def test_neumann_value_consistent_with_map(annulus_families):
     fam1, _ = annulus_families
     g = fam1.geometry
     f = np.cos(g.theta)
-    sol = solve_interior(g, fam1.potential, f, chain=fam1._chain)
+    sol = solve_interior(g, fam1.potential, f, chain=fam1.chain)
     from evosq.geometry import fd_weights
 
     w = fd_weights(g.ts[:3], g.ts[0], 1)
@@ -191,6 +207,15 @@ def test_resonance_raises_dense_and_mode():
         dn_mode_symbol(g, q_res, 0.0)
     with pytest.raises(DNComputationError, match=r"mode ksq=0\.0\)"):
         dn_mode_symbol(g, q_res, np.array([4.0, 0.0, 1.0]))
+
+
+def test_singular_mode_pivot_names_its_mode():
+    # a constant potential that makes the first pivot of the ksq = 4 block exactly zero
+    g = build_warped_geometry(make_profile("flat-cylinder", T=0.8), N=8, M=16, eps=0.3)
+    ts = g.ts
+    b = -2.0 / ((ts[-2] - ts[-3]) * (ts[-1] - ts[-2]))
+    with pytest.raises(DNComputationError, match=r"mode ksq=4\.0\)"):
+        dn_mode_symbol(g, b - 4.0, np.array([1.0, 4.0, 9.0]))
 
 
 def test_off_resonance_passes():

@@ -111,6 +111,16 @@ def test_hash_match_is_silent(tmp_path, recwarn):
     assert not [w for w in recwarn.list if issubclass(w.category, UserWarning)]
 
 
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+def test_bad_sidecar_raises_format_error(tmp_path, text):
+    p = tmp_path / "field.evsq"
+    write_matrix(p, np.eye(2), _sidecar())
+    (tmp_path / "field.evsq.json").write_text(text)
+    for expected in (None, "abc123"):
+        with pytest.raises(FormatError, match="sidecar"):
+            read_matrix(p, expected_geometry_hash=expected)
+
+
 def test_manifest_round_trip(tmp_path):
     p = tmp_path / "manifest.json"
     manifest = {"slices": ["a.evsq", "b.evsq"], "N": 8, "M": 4}
