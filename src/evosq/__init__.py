@@ -22,12 +22,10 @@ from .errors import (
 )
 from .geometry import (
     Profile,
-    SliceData,
     WarpedGeometry,
     build_warped_geometry,
     conformal_potential,
     make_profile,
-    slice_data,
     sobolev_apply,
     sobolev_norm,
 )
@@ -103,7 +101,6 @@ __all__ = [
     "Profile",
     "RiccatiEscapeError",
     "SampledPotential",
-    "SliceData",
     "SplitMix64",
     "StepFailureError",
     "SurfaceMesh",
@@ -141,7 +138,6 @@ __all__ = [
     "sbp_first_derivative",
     "scalar_factorized_apply",
     "shell_decomposition",
-    "slice_data",
     "smooth_min",
     "smooth_min_nary",
     "sobolev_apply",

@@ -119,8 +119,14 @@ def _number(key, value, kind):
 
 
 def _typed(cfg):
-    """Copy of ``cfg`` with the numeric keys converted and ``levels`` as ``[N, M]`` int pairs."""
+    """Copy of ``cfg`` with the numeric keys converted and ``levels`` as ``[N, M]`` int pairs.
+
+    The boolean keys must be JSON ``true`` or ``false``.
+    """
     typed = {k: _number(k, v, _NUMBERS[k]) if k in _NUMBERS else v for k, v in cfg.items()}
+    for key in ("expect_flag", "save_family"):
+        if key in cfg and not isinstance(cfg[key], bool):
+            raise ConfigError(f"config entry {key!r} needs true or false, got {cfg[key]!r}")
     if "levels" in cfg:
         levels = cfg["levels"]
         try:
@@ -386,8 +392,7 @@ def _run_probe(cfg, out):
         results["gradient_slope"] = grad["slope"]
     else:
         results["gradient_slope"] = None
-    expect = bool(cfg.get("expect_flag", True))
-    return results, bool(flag["flag"]) == expect
+    return results, bool(flag["flag"]) == cfg.get("expect_flag", True)
 
 
 def _run_conformal(cfg, out):

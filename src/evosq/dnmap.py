@@ -19,10 +19,12 @@ scalar multiple of the Euclidean one on equispaced nodes), and the one-sided
 stencil introduces a pure-noise antisymmetric O(h^2) defect.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DepthIndexError, DNComputationError, GeometryError, RiccatiEscapeError
-from .geometry import fd_weights, sobolev_apply
+from .geometry import fd_weights, fourier_matrix, sobolev_apply
 from .potentials import make_potential
 from .rng import SplitMix64
 
@@ -40,20 +42,6 @@ def _second_order_coeffs(h_minus, h_plus, mu):
     be = (h_plus - h_minus) / (h_minus * h_plus)
     ga = h_minus / (h_plus * s)
     return a + mu * al, b + mu * be, c + mu * ga
-
-
-def _center_cap_matrix(geometry):
-    """Per-mode decay factor across the last (capped) cell of a disk."""
-    r_prev, r_last = geometry.rs[-2], geometry.rs[-1]
-    ratio = r_last / r_prev
-    k = np.abs(geometry.wavenumbers())
-    F = np.fft.fft(np.eye(geometry.N), axis=0)
-    D = np.real(np.fft.ifft((ratio**k)[:, None] * F, axis=0))
-    return 0.5 * (D + D.T)
-
-
-def _slice_q(geometry, potential, t):
-    return np.asarray(potential.on_slice(geometry.theta, t), dtype=float)
 
 
 def _eliminate(geometry, lap, q, mu, cap):
@@ -98,12 +86,13 @@ def propagation_chain(geometry, potential):
     if geometry.dim != 1:
         raise GeometryError("dense propagation is circle-only; use dn_mode_symbol")
     ts, N = geometry.ts, geometry.N
-    cap = _center_cap_matrix(geometry) if geometry.cap == "center" else np.zeros((N, N))
-
-    def q(j):
-        return np.diag(_slice_q(geometry, potential, ts[j]))
-
-    return _eliminate(geometry, geometry.d2_unit(), q, geometry.mu_dot(ts), cap)
+    if geometry.cap == "center":  # per-mode decay (r_last / r_prev)^|k| across the capped cell
+        cap = fourier_matrix((geometry.rs[-1] / geometry.rs[-2]) ** np.abs(geometry.wavenumbers()))
+    else:
+        cap = np.zeros((N, N))
+    Q = potential.on_grid(geometry.theta, ts)
+    lap = geometry.d2_unit()
+    return _eliminate(geometry, lap, lambda j: np.diag(Q[j]), geometry.mu_dot(ts), cap)
 
 
 def _extract_dn(geometry, S, j):
@@ -117,7 +106,8 @@ class DNFamily:
     """Collar family of slice maps, one per collar node.
 
     ``chain`` is the :func:`propagation_chain` the maps were read from when
-    computed with ``keep_chain=True``, else None.
+    computed with ``keep_chain=True``, else None. ``q`` is the potential
+    sampled on the collar nodes, row ``j`` at depth ``t_j``.
     """
 
     def __init__(self, geometry, potential, lams, chain=None):
@@ -125,6 +115,10 @@ class DNFamily:
         self.potential = potential
         self.lams = lams
         self.chain = chain
+
+    @cached_property
+    def q(self):
+        return self.potential.on_grid(self.geometry.theta, self.geometry.collar_ts)
 
     def lam(self, j):
         if not 0 <= j <= self.geometry.M:
@@ -187,16 +181,13 @@ def solve_interior(geometry, potential, f, chain=None):
 
 
 def _mode_q_values(geometry, potential):
-    qs = np.empty(geometry.ts.size)
-    for j, t in enumerate(geometry.ts):
-        row = _slice_q(geometry, potential, t)
-        if np.ptp(row) > 1e-11 * (1.0 + np.abs(row).max()):
-            raise GeometryError(
-                "per-mode path needs theta-independent potentials "
-                "(non-separable potential on this boundary)"
-            )
-        qs[j] = row.mean() if row.ndim else float(row)
-    return qs
+    Q = potential.on_grid(geometry.theta, geometry.ts)
+    if np.any(np.ptp(Q, axis=1) > 1e-11 * (1.0 + np.abs(Q).max(axis=1))):
+        raise GeometryError(
+            "per-mode path needs theta-independent potentials "
+            "(non-separable potential on this boundary)"
+        )
+    return Q.mean(axis=1)
 
 
 def _mode_maps(geometry, ksq, q_values, mu, depths):
@@ -230,11 +221,10 @@ def dn_mode_symbol(geometry, potential, ksq, depths=None):
 # ---------------------------------------------------------------------------
 
 
-def riccati_rhs(geometry, potential, lam, t):
-    """Depth derivative of the slice map: ``L' = L^2 - L_t - Q - mu' L``."""
+def riccati_rhs(geometry, q, lam, t):
+    """Depth derivative of the slice map: ``L' = L^2 - L_t - Q - mu' L``, ``Q = diag(q)`` at ``t``."""
     Lt = geometry.laplacian_matrix(t)
-    Q = np.diag(_slice_q(geometry, potential, t))
-    return lam @ lam - Lt - Q - float(geometry.mu_dot(t)) * lam
+    return lam @ lam - Lt - np.diag(q) - float(geometry.mu_dot(t)) * lam
 
 
 def riccati_integrate(geometry, potential, lam_eps):
@@ -244,17 +234,17 @@ def riccati_integrate(geometry, potential, lam_eps):
     threshold abort with :class:`RiccatiEscapeError` (the equation blows up
     through interior Dirichlet eigenvalues; step size cannot fix that).
     """
-    potential = make_potential(potential)
     ts = geometry.collar_ts
+    q = make_potential(potential).on_grid(geometry.theta, ts)
     escape = _ESCAPE_FACTOR * geometry.N
     lam = np.array(lam_eps, dtype=float)
     out = np.empty((geometry.M + 1, geometry.N, geometry.N))
     out[geometry.M] = lam
     for j in range(geometry.M, 0, -1):
         h = ts[j] - ts[j - 1]
-        k1 = riccati_rhs(geometry, potential, lam, ts[j])
+        k1 = riccati_rhs(geometry, q[j], lam, ts[j])
         pred = lam - h * k1
-        k2 = riccati_rhs(geometry, potential, pred, ts[j - 1])
+        k2 = riccati_rhs(geometry, q[j - 1], pred, ts[j - 1])
         lam = lam - 0.5 * h * (k1 + k2)
         if np.linalg.norm(lam) > escape:
             raise RiccatiEscapeError(
@@ -276,7 +266,7 @@ def riccati_residual(family):
     worst = 0.0
     for j in range(1, g.M):
         dldt = (family.lams[j + 1] - family.lams[j - 1]) / (ts[j + 1] - ts[j - 1])
-        rhs = riccati_rhs(g, family.potential, family.lams[j], ts[j])
+        rhs = riccati_rhs(g, family.q[j], family.lams[j], ts[j])
         denom = max(np.linalg.norm(rhs), 1e-30)
         worst = max(worst, np.linalg.norm(dldt - rhs) / denom)
     return worst
@@ -292,25 +282,25 @@ def dn_pairing(geometry, lam, f, g, t=0.0):
     return float(geometry.node_weight(t) * np.dot(lam @ np.asarray(f), np.asarray(g)))
 
 
-def coercivity_probe(family, s_values=(-1.0, -0.5, 0.0), n_probes=24, seed=7):
-    """Fit lower bounds ``<Af, f>_s >= C1 |f|_{s+1/2}^2 - C2 |f|_s^2``.
+def coercivity_probe(family):
+    """Fit lower bounds ``<Af, f>_s >= C1 |f|_{s+1/2}^2 - C2 |f|_s^2`` for s = -1, -1/2, 0.
 
-    Probes are random boundary vectors plus pure modes. The fit is least
-    squares followed by clipping ``C2 >= 0`` and tightening ``C1`` to the
-    worst probe, so the reported pair is an actual lower bound over the
-    probe set. Failure flag: ``C1 <= 0`` for any requested ``s``.
+    Probes are 24 seeded random boundary vectors plus pure modes. The fit is
+    least squares followed by clipping ``C2 >= 0`` and tightening ``C1`` to
+    the worst probe, so the reported pair is an actual lower bound over the
+    probe set. Failure flag: ``C1 <= 0`` for any ``s``.
     """
     g = family.geometry
     lam0 = family.lams[0]
     w0 = g.node_weight(0.0)
-    rng = SplitMix64(seed)
-    probes = [np.asarray(rng.normals(g.N)) for _ in range(n_probes)]
+    rng = SplitMix64(7)
+    probes = [np.asarray(rng.normals(g.N)) for _ in range(24)]
     for k in (0, 1, 2, g.N // 4, g.N // 2 - 1):
         v = np.cos(k * g.theta) + (np.sin(k * g.theta) if k else 0.0)
         probes.append(v / np.linalg.norm(v))
 
     results = {}
-    for s in s_values:
+    for s in (-1.0, -0.5, 0.0):
         a = np.empty(len(probes))
         b = np.empty(len(probes))
         cc = np.empty(len(probes))
@@ -356,6 +346,11 @@ def conformal_identity_check(geometry, gamma, n_ambient, modes):
     For each mode: conductivity eigenvalue vs
     ``sigma(0) * lam_Q + sigma(0)^(1/2) * d_t sigma^(1/2)(0)`` where ``Q`` is
     the reduced potential. Returns per-mode relative errors and their max.
+    The denominator is floored at ``sigma(0) / (2 r(0))``, below every
+    nonvanishing eigenvalue; on the disk the k = 0 eigenvalue vanishes and
+    its entry is the absolute error over that floor, first order in the
+    depth step because the cap's ``r^|k|`` decay is exact only for zero
+    potential.
     """
     from .geometry import conformal_potential
 
@@ -368,6 +363,7 @@ def conformal_identity_check(geometry, gamma, n_ambient, modes):
     lam_q = dn_mode_symbol(geometry, pot, ksq, depths=[0])[0]
     lam_gamma = conductivity_mode_dn(geometry, gamma, n_ambient, ksq)
     predicted = sigma0 * lam_q - np.sqrt(sigma0) * corr0
-    rel = np.abs(lam_gamma - predicted) / np.maximum(np.abs(lam_gamma), 1e-12)
+    floor = sigma0 / (2.0 * float(geometry.rs[0]))
+    rel = np.abs(lam_gamma - predicted) / np.maximum(np.abs(lam_gamma), floor)
     errors = {tuple(np.atleast_1d(k)): float(e) for k, e in zip(modes, rel)}
     return {"per_mode": errors, "max_rel_error": max(errors.values())}

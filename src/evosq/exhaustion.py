@@ -280,7 +280,7 @@ def _psi(s):
     return _hermite(s, 0.5, 0.6, 0.0, 0.6, 0.0, 1.0)
 
 
-def push_through(bary, tube_scale=1.0):
+def push_through(bary):
     """Map one donor point across the shared edge.
 
     ``bary = (b_a, b_b, b_opp)`` are barycentric coordinates in the donor
@@ -295,7 +295,7 @@ def push_through(bary, tube_scale=1.0):
     if denom <= 1e-14:
         return "donor", (b1, b2, bo)
     x1, x2 = b1 / denom, b2 / denom
-    eta = x1 * x2 * tube_scale
+    eta = x1 * x2
     if eta <= 1e-14:
         return "donor", (b1, b2, bo)
     s = bo / eta

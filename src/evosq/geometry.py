@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DepthIndexError, GeometryError
+from .errors import GeometryError
 
 TWO_PI = 2.0 * np.pi
 
@@ -168,7 +168,7 @@ def fd_weights(x, x0, m):
     return c[:, m]
 
 
-def derivative_matrix(ts, order, boundary_points=None):
+def derivative_matrix(ts, order):
     """Dense differentiation matrix on the node set ``ts``.
 
     Interior rows use the 3-point stencil; end rows widen to keep second
@@ -176,7 +176,7 @@ def derivative_matrix(ts, order, boundary_points=None):
     """
     ts = np.asarray(ts, dtype=float)
     K = ts.size
-    npts = (3 if order == 1 else 4) if boundary_points is None else boundary_points
+    npts = 3 if order == 1 else 4
     D = np.zeros((K, K))
     for j in range(K):
         if 0 < j < K - 1:
@@ -201,7 +201,8 @@ class WarpedGeometry:
     ``ts`` is the full depth grid (collar prefix of ``M + 1`` nodes with step
     ``eps / M``, then a near-matching step to the cap). For a Dirichlet cap
     the final node sits at ``T``; for a center cap the grid stops one cell
-    short and ``cap_decay_pair`` holds the radii of the last two nodes.
+    short and the radii ``rs[-2]``, ``rs[-1]`` of its last two nodes set the
+    per-mode decay across the capped cell.
     """
 
     dim: int
@@ -212,7 +213,6 @@ class WarpedGeometry:
     theta: np.ndarray
     ts: np.ndarray
     rs: np.ndarray
-    rps: np.ndarray
     _d2_unit: np.ndarray = field(default=None, repr=False)
 
     # -- grids ------------------------------------------------------------
@@ -228,15 +228,6 @@ class WarpedGeometry:
     @property
     def cap(self):
         return self.profile.cap
-
-    @property
-    def cap_decay_pair(self):
-        if self.cap != "center":
-            raise GeometryError("cap_decay_pair is defined for center caps only")
-        return self.rs[-2], self.rs[-1]
-
-    def r(self, t):
-        return self.profile.r(t)
 
     def mu(self, t):
         return self.dim * np.log(self.profile.r(t) / self.profile.r(0.0))
@@ -258,10 +249,7 @@ class WarpedGeometry:
         if self._d2_unit is None:
             if self.dim != 1:
                 raise GeometryError("dense slice operators are circle-only")
-            k = self.wavenumbers()
-            F = np.fft.fft(np.eye(self.N), axis=0)
-            self._d2_unit = np.real(np.fft.ifft((k**2)[:, None] * F, axis=0))
-            self._d2_unit = 0.5 * (self._d2_unit + self._d2_unit.T)
+            self._d2_unit = fourier_matrix(self.wavenumbers() ** 2)
         return self._d2_unit
 
     def laplacian_matrix(self, t):
@@ -280,15 +268,11 @@ class WarpedGeometry:
         return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class SliceData:
-    """One depth slice: positive slice operator, weight, volume log-derivative."""
-
-    t: float
-    lap: np.ndarray
-    weight: float
-    mu_dot: float
-    r: float
+def fourier_matrix(symbol):
+    """Symmetric matrix of the Fourier multiplier ``symbol`` (one value per FFT wavenumber)."""
+    F = np.fft.fft(np.eye(len(symbol)), axis=0)
+    D = np.real(np.fft.ifft(np.asarray(symbol)[:, None] * F, axis=0))
+    return 0.5 * (D + D.T)
 
 
 def build_warped_geometry(profile, N, M, eps, dim=1):
@@ -330,27 +314,11 @@ def build_warped_geometry(profile, N, M, eps, dim=1):
         raise GeometryError("depth exceeds manifold: no room between eps and the cap")
 
     rs = np.asarray(profile.r(ts), dtype=float)
-    rps = np.asarray(profile.rp(ts), dtype=float)
     if np.any(rs <= 0.0):
         raise GeometryError("invalid profile: r must stay positive on the grid")
 
     theta = TWO_PI * np.arange(N) / N
-    return WarpedGeometry(dim, N, M, float(eps), profile, theta, ts, rs, rps)
-
-
-def slice_data(geometry, j):
-    """Collar slice ``j`` (0-based, ``0 <= j <= M``)."""
-    if not 0 <= j <= geometry.M:
-        raise DepthIndexError(f"slice index {j} outside 0..{geometry.M}")
-    t = float(geometry.ts[j])
-    lap = geometry.laplacian_matrix(t) if geometry.dim == 1 else None
-    return SliceData(
-        t=t,
-        lap=lap,
-        weight=geometry.node_weight(t),
-        mu_dot=float(geometry.mu_dot(t)),
-        r=float(geometry.rs[j]),
-    )
+    return WarpedGeometry(dim, N, M, float(eps), profile, theta, ts, rs)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 A potential is a bounded function ``Q(theta, t)`` evaluated on boundary
 nodes at a given depth. All implementations are vectorized over theta and
 support re-basing in depth via :meth:`Potential.shifted`, which the window
-marching driver uses.
+marching driver uses. The rest of the package samples a potential only
+through :meth:`Potential.on_grid`.
 """
 
 import hashlib
@@ -17,6 +18,10 @@ class Potential:
     def on_slice(self, theta, t):
         """Values at the boundary nodes ``theta`` on the slice at depth ``t``."""
         raise NotImplementedError
+
+    def on_grid(self, theta, ts):
+        """Values on a depth grid: row ``j`` is :meth:`on_slice` at ``ts[j]``."""
+        return np.array([self.on_slice(theta, t) for t in ts], dtype=float)
 
     def shifted(self, dt):
         raise NotImplementedError

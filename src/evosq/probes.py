@@ -99,23 +99,20 @@ def offdiagonal_flag(geometry, kernel, threshold=OFFDIAG_THRESHOLD):
     }
 
 
-def gradient_blowup_probe(geometry, field, p=None, ambient_dim=3, slice_index=2):
+def gradient_blowup_probe(geometry, field, ambient_dim=3, slice_index=2):
     """Shell profile of ``|grad phi|^p`` near the diagonal.
 
     Gradients are spectral in each boundary variable and centered in depth.
     The slope of the finest three shells (log2 of successive mass ratios)
-    estimates the blow-up order toward the diagonal, reported against the
-    critical exponent ``p = n / (n - 1)`` (3/2 in ambient dimension 3),
-    which is the default integrand power.
+    estimates the blow-up order toward the diagonal. The integrand power is
+    the critical exponent ``p = n / (n - 1)`` (3/2 in ambient dimension 3).
     """
     n_shells = resolvable_shells(geometry.N)
     if n_shells < 4:
         raise GeometryError(
             f"gradient probe needs at least 4 shells, N={geometry.N} resolves {n_shells}"
         )
-    p_crit = ambient_dim / (ambient_dim - 1.0)
-    if p is None:
-        p = p_crit
+    p = ambient_dim / (ambient_dim - 1.0)
     j = slice_index
     if not 1 <= j <= geometry.M - 1:
         raise GeometryError("gradient probe needs an interior collar slice")
@@ -132,7 +129,7 @@ def gradient_blowup_probe(geometry, field, p=None, ambient_dim=3, slice_index=2)
         ratios = np.log2(np.maximum(finest[:-1], 1e-300) / np.maximum(finest[1:], 1e-300))
     return {
         "p": float(p),
-        "p_critical": float(p_crit),
+        "p_critical": float(p),
         "shell_masses": masses,
         "slope": float(np.mean(ratios)),
         "profile": prof,
@@ -140,13 +137,14 @@ def gradient_blowup_probe(geometry, field, p=None, ambient_dim=3, slice_index=2)
     }
 
 
-def zeta_pairing(geometry, kernel, modes=(1, 2, 4, 8), d_floor=FAR_DISTANCE):
+def zeta_pairing(geometry, kernel):
     """Oscillatory off-diagonal pairing scores (heuristic diagnostic).
 
-    Pairs the kernel against ``exp(i k (x - y))`` windowed away from the
-    diagonal, with the frequency damped through a smoothed minimum against
-    the slowly growing cutoff ``log(1 + log+(1/d))``. Scores have no pass
-    or fail meaning; they track how oscillation-resolved the far field is.
+    Pairs the kernel against ``exp(i k (x - y))`` for k = 1, 2, 4, 8 at
+    distances beyond ``FAR_DISTANCE``, with the frequency damped through a
+    smoothed minimum against the slowly growing cutoff
+    ``log(1 + log+(1/d))``. Scores have no pass or fail meaning; they track
+    how oscillation-resolved the far field is.
     """
     from .exhaustion import smooth_min
 
@@ -155,10 +153,10 @@ def zeta_pairing(geometry, kernel, modes=(1, 2, 4, 8), d_floor=FAR_DISTANCE):
     w = geometry.node_weight(0.0)
     with np.errstate(divide="ignore"):
         ll = np.log1p(np.maximum(np.log(np.maximum(1.0 / np.maximum(d, 1e-300), 1.0)), 0.0))
-    window = (d > d_floor).astype(float)
+    window = (d > FAR_DISTANCE).astype(float)
     scores = {}
     x = geometry.theta
-    for kmode in modes:
+    for kmode in (1, 2, 4, 8):
         damp = smooth_min(float(kmode), ll, 0.25)
         osc = np.cos(kmode * (x[:, None] - x[None, :]))
         scores[int(kmode)] = float(np.sum(kernel * osc * damp * window) * w * w)

@@ -48,23 +48,19 @@ def diagonal_source(family1, family2):
     g = family1.geometry
 
     def source(j):
-        t = float(g.collar_ts[j])
-        q1 = np.asarray(family1.potential.on_slice(g.theta, t), dtype=float)
-        q2 = np.asarray(family2.potential.on_slice(g.theta, t), dtype=float)
-        return np.diag((q1 - q2) / g.node_weight(t))
+        return np.diag((family1.q[j] - family2.q[j]) / g.node_weight(float(g.collar_ts[j])))
 
     return source
 
 
-def solve_source_bvp(family1, family2, terminal_sign=1.0):
+def solve_source_bvp(family1, family2):
     """Three-sweep solve; returns ``phi`` and the backward fields ``psi_h``, ``psi_p``.
 
-    ``terminal_sign`` scales the flux condition at the collar depth; the
-    physically correct value is +1 and the recovery check resolves it
-    empirically rather than trusting this default.
+    The flux condition at the collar depth carries the sign +1; the
+    recovery check resolves the orientation empirically instead.
     """
     pair = PairOperator(family1, family2)
-    K_eps = terminal_sign * difference_kernel(family1, family2, pair.geometry.M)
+    K_eps = difference_kernel(family1, family2, pair.geometry.M)
     psi_h = evolve_tensor_backward(pair, K_eps)
     psi_p = evolve_tensor_backward(pair, 0.0, source=diagonal_source(family1, family2))
     phi = evolve_tensor_forward(pair, 0.0, source=lambda j: psi_h.values[j] + psi_p.values[j])
@@ -84,7 +80,7 @@ def boundary_time_derivative(phi):
     return (4.0 * phi.values[1] - phi.values[2]) / (2.0 * h)
 
 
-def dn_recovery_check(family1, family2, terminal_sign=1.0):
+def dn_recovery_check(family1, family2):
     """Headline check: rebuild the boundary map difference from the BVP.
 
     Solves the source problem, converts the boundary depth derivative of
@@ -93,7 +89,7 @@ def dn_recovery_check(family1, family2, terminal_sign=1.0):
     of the better orientation and which one it is.
     """
     g = family1.geometry
-    stages = solve_source_bvp(family1, family2, terminal_sign=terminal_sign)
+    stages = solve_source_bvp(family1, family2)
     K0 = boundary_time_derivative(stages["phi"])
     recovered = K0 * g.node_weight(0.0)
     target = family1.lams[0] - family2.lams[0]
@@ -112,14 +108,15 @@ def dn_recovery_check(family1, family2, terminal_sign=1.0):
     }
 
 
-def layer_strip_check(family1, family2, f1, f2, chains=None):
+def layer_strip_check(family1, family2, f1, f2):
     """Strip decomposition of the boundary pairing (independent quadrature).
 
     ``<(Lam1(0) - Lam2(0)) f1, f2>`` must equal the collar volume integral
     of ``(Q1 - Q2) u1 u2`` plus the same pairing at the collar depth with
     the extended traces. Both sides are computed from scratch: the left
     from the families, the right from interior solves and the trapezoid
-    rule. Returns both sides and the relative gap.
+    rule; a family's kept ``chain`` spares its interior solve an elimination.
+    Returns both sides and the relative gap.
     """
     from .dnmap import solve_interior
 
@@ -129,20 +126,16 @@ def layer_strip_check(family1, family2, f1, f2, chains=None):
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)
 
-    u1 = solve_interior(g, family1.potential, f1, chain=None if chains is None else chains[0])
-    u2 = solve_interior(g, family2.potential, f2, chain=None if chains is None else chains[1])
+    u1 = solve_interior(g, family1.potential, f1, chain=family1.chain)
+    u2 = solve_interior(g, family2.potential, f2, chain=family2.chain)
 
     lhs = g.node_weight(0.0) * float(np.dot((family1.lams[0] - family2.lams[0]) @ f1, f2))
 
     ts = g.collar_ts
-    volume = 0.0
     slab_vals = np.empty(g.M + 1)
     for j in range(g.M + 1):
-        t = float(ts[j])
-        q1 = np.asarray(family1.potential.on_slice(g.theta, t), dtype=float)
-        q2 = np.asarray(family2.potential.on_slice(g.theta, t), dtype=float)
-        slab_vals[j] = g.node_weight(t) * float(
-            np.sum((q1 - q2) * u1.values[j] * u2.values[j])
+        slab_vals[j] = g.node_weight(float(ts[j])) * float(
+            np.sum((family1.q[j] - family2.q[j]) * u1.values[j] * u2.values[j])
         )
     volume = float(np.trapezoid(slab_vals, ts))
 

@@ -124,10 +124,8 @@ def apply_variant(pair_op, field, variant="factorized"):
         mu2 = float(f2.geometry.mu_dot(t))
         L1 = f1.geometry.laplacian_matrix(t)
         L2 = f2.geometry.laplacian_matrix(t)
-        q1 = np.asarray(f1.potential.on_slice(f1.geometry.theta, t), dtype=float)
-        q2 = np.asarray(f2.potential.on_slice(f2.geometry.theta, t), dtype=float)
         Zj = -d2W[j] - m * dW[j] + L1 @ W[j] + W[j] @ L2.T
-        Zj += q1[:, None] * W[j] + W[j] * q2[None, :]
+        Zj += f1.q[j][:, None] * W[j] + W[j] * f2.q[j][None, :]
         if variant == "expanded-double":
             B1 = f1.lams[j] - 0.5 * mu1 * np.eye(g.N)
             B2 = f2.lams[j] - 0.5 * mu2 * np.eye(g.N)

@@ -133,6 +133,17 @@ def test_bad_numeric_value_exits_two(tmp_path, capsys, scenario, override):
 
 
 @pytest.mark.parametrize(
+    "scenario, key", [("oducp-probe", "expect_flag"), ("dn-compute", "save_family")]
+)
+@pytest.mark.parametrize("value", ["no", '"false"', "0", "1", "null"])
+def test_non_boolean_flag_exits_two(tmp_path, capsys, scenario, key, value):
+    code, out, summary = _run(tmp_path, scenario, *SMALL, "--override", f"{key}={value}")
+    err = capsys.readouterr().err
+    assert code == 2 and summary is None and not list(out.glob("*.evsq"))
+    assert err.startswith(f"config error: config entry '{key}' needs true or false")
+
+
+@pytest.mark.parametrize(
     "scenario, override",
     [
         ("convergence-study", "levels=[[16, 16], [16]]"),

@@ -126,11 +126,22 @@ def test_family_indexing(annulus_families):
     assert np.array_equal(fam1.at_depth(0.0), fam1.lam(0))
     assert np.array_equal(fam1.at_depth(g.eps), fam1.lam(g.M))
     assert fam1.depths.shape == (g.M + 1,)
-    with pytest.raises(DepthIndexError):
+    for j in (g.M + 1, -1):
+        with pytest.raises(DepthIndexError):
+            fam1.lam(j)
+    with pytest.raises(IndexError):  # also catchable as a plain IndexError
         fam1.lam(g.M + 1)
     for depth in (0.12345, np.nan, np.inf, -np.inf):
         with pytest.raises(DepthIndexError):
             fam1.at_depth(depth)
+
+
+def test_family_q_is_the_potential_on_collar_nodes(annulus_families):
+    fam1, _ = annulus_families
+    g = fam1.geometry
+    assert fam1.q.shape == (g.M + 1, g.N)
+    for j, t in enumerate(g.collar_ts):
+        assert np.array_equal(fam1.q[j], fam1.potential.on_slice(g.theta, t))
 
 
 def test_mode_path_rejects_angular_potentials(annulus_geometry):
@@ -315,6 +326,17 @@ def test_conformal_identity_flat_cylinder():
     g = build_warped_geometry(make_profile("flat-cylinder", T=0.9), N=16, M=64, eps=0.3)
     res = conformal_identity_check(g, lambda t: np.exp(2.0 * t), 3, modes=range(0, 9))
     assert res["max_rel_error"] < 1e-3
+
+
+def test_conformal_identity_disk_is_first_order_at_k0():
+    # the k = 0 eigenvalue vanishes on the disk: its entry is an absolute error
+    # over the floor sigma(0) / (2 r(0)), and the cap makes it first order in h
+    res = {}
+    for M in (64, 128):
+        g = build_warped_geometry("disk", N=32, M=M, eps=0.3)
+        res[M] = conformal_identity_check(g, lambda t: np.exp(t), 3, modes=range(0, 9))
+    assert np.isfinite(res[64]["max_rel_error"]) and res[64]["max_rel_error"] < 1e-2
+    assert 1.8 <= res[64]["per_mode"][(0,)] / res[128]["per_mode"][(0,)] <= 2.2
 
 
 def test_conformal_identity_annulus(annulus_geometry):

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from evosq.errors import DepthIndexError, GeometryError
+from evosq.errors import GeometryError
 from evosq.geometry import (
     build_warped_geometry,
     conformal_potential,
     derivative_matrix,
     fd_weights,
+    fourier_matrix,
     make_profile,
-    slice_data,
     sobolev_apply,
     sobolev_norm,
 )
@@ -136,13 +136,7 @@ def test_center_cap_stops_short():
     g = build_warped_geometry("disk", N=16, M=16, eps=0.3)
     assert g.cap == "center"
     assert g.ts[-1] < g.T
-    r_prev, r_last = g.cap_decay_pair
-    assert r_prev > r_last > 0
-
-
-def test_cap_decay_pair_requires_center_cap(annulus_geometry):
-    with pytest.raises(GeometryError, match="center"):
-        annulus_geometry.cap_decay_pair
+    assert g.rs[-2] > g.rs[-1] > 0
 
 
 @pytest.mark.parametrize(
@@ -172,32 +166,23 @@ def test_dimension_tag_validation():
         build_warped_geometry("disk", N=16, M=16, eps=0.3, dim=3)
 
 
-def test_slice_data_fields(annulus_geometry):
-    g = annulus_geometry
-    s0 = slice_data(g, 0)
-    assert s0.t == 0.0
-    assert np.isclose(s0.r, 1.0)
-    assert np.isclose(s0.weight, 2 * np.pi / g.N)
-    assert np.isclose(s0.mu_dot, -1.0)  # d/dt log r at t=0 for r = 1 - t
-    sM = slice_data(g, g.M)
-    assert np.isclose(sM.t, g.eps)
-
-
-def test_slice_index_bounds(annulus_geometry):
-    with pytest.raises(DepthIndexError):
-        slice_data(annulus_geometry, annulus_geometry.M + 1)
-    with pytest.raises(DepthIndexError):
-        slice_data(annulus_geometry, -1)
-    # also catchable as a plain IndexError
-    with pytest.raises(IndexError):
-        slice_data(annulus_geometry, annulus_geometry.M + 1)
-
-
 def test_hash_distinguishes_geometries(annulus_geometry):
     g2 = build_warped_geometry(make_profile("annulus", rho=0.25), N=32, M=64, eps=0.3)
     assert annulus_geometry.hash() == g2.hash()
     g3 = build_warped_geometry(make_profile("annulus", rho=0.25), N=64, M=64, eps=0.3)
     assert annulus_geometry.hash() != g3.hash()
+
+
+def test_fourier_matrix_scales_pure_modes():
+    N = 16
+    theta = 2 * np.pi * np.arange(N) / N
+    k = np.abs(np.fft.fftfreq(N, d=1.0 / N))
+    symbol = 0.7**k + 0.1 * k**2
+    D = fourier_matrix(symbol)
+    for kk in range(N // 2 + 1):
+        u = np.cos(kk * theta)
+        assert np.allclose(D @ u, symbol[kk] * u, atol=1e-12)
+    assert np.array_equal(D, D.T)
 
 
 def test_torus_has_no_dense_slice_operator():

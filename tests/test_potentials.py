@@ -97,6 +97,30 @@ def test_sampled_shift_rebases():
     assert p.descriptor() != SampledPotential(THETA, ts, vals).descriptor()
 
 
+_GRID_TS = np.linspace(0.0, 0.5, 11)
+_SAMPLED = SampledPotential(
+    THETA, _GRID_TS, np.cos(THETA)[:, None] * np.exp(_GRID_TS)[None, :]
+)
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [
+        ZeroPotential(),
+        ConstantPotential(2.5),
+        BumpPotential(amplitude=3.0, theta0=1.0, t0=0.1, width=0.4),
+        _SAMPLED,
+        _SAMPLED.shifted(0.1),
+    ],
+    ids=["zero", "constant", "bump", "sampled", "shifted-sampled"],
+)
+def test_on_grid_stacks_on_slice_rows(potential):
+    ts = np.r_[_GRID_TS[:7], _GRID_TS[:7] + 0.013]  # grid nodes and spline depths
+    grid = potential.on_grid(THETA, ts)
+    assert grid.dtype == float and grid.shape == (ts.size, THETA.size)
+    assert np.array_equal(grid, np.stack([potential.on_slice(THETA, t) for t in ts]))
+
+
 def test_make_potential_dispatch():
     assert isinstance(make_potential(None), ZeroPotential)
     assert isinstance(make_potential(0), ZeroPotential)

@@ -182,7 +182,7 @@ def test_layer_strip_identity(annulus_families):
     g = fam1.geometry
     f1 = np.cos(g.theta) + 0.2
     f2 = np.sin(2 * g.theta) - 0.1
-    res = layer_strip_check(fam1, fam2, f1, f2, chains=(fam1.chain, fam2.chain))
+    res = layer_strip_check(fam1, fam2, f1, f2)
     assert res["rel_gap"] < 1e-3
     assert abs(res["lhs"] - res["volume_term"] - res["deep_term"]) <= abs(
         res["lhs"] - res["rhs"]
