@@ -50,7 +50,6 @@ from .dnmap import (
 )
 from .evolution import (
     PairOperator,
-    TensorField,
     evolve_tensor_backward,
     evolve_tensor_forward,
     evolve_trace,
@@ -104,7 +103,6 @@ __all__ = [
     "SplitMix64",
     "StepFailureError",
     "SurfaceMesh",
-    "TensorField",
     "WarpedGeometry",
     "ZeroPotential",
     "apply_variant",

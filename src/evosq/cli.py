@@ -104,6 +104,8 @@ _NUMBERS = {
     "ambient_dim": int, "n_ambient": int, "modes_max": int, "time_budget": float,
     "samples_per_cell": int, "max_windows": int, "rate_min": float,
 }
+# lower bounds of the numeric keys that have one
+_MINIMA = {"ambient_dim": 2, "modes_max": 0}
 
 
 def _number(key, value, kind):
@@ -124,6 +126,9 @@ def _typed(cfg):
     The boolean keys must be JSON ``true`` or ``false``.
     """
     typed = {k: _number(k, v, _NUMBERS[k]) if k in _NUMBERS else v for k, v in cfg.items()}
+    for key, low in _MINIMA.items():
+        if key in typed and typed[key] < low:
+            raise ConfigError(f"config entry {key!r} needs a value >= {low}, got {cfg[key]!r}")
     for key in ("expect_flag", "save_family"):
         if key in cfg and not isinstance(cfg[key], bool):
             raise ConfigError(f"config entry {key!r} needs true or false, got {cfg[key]!r}")
@@ -269,7 +274,7 @@ def _evolve_error(cfg, g):
     fam = compute_dn_family(g, cfg.get("q1", _DEFAULT_Q1), keep_chain=True)
     f = _boundary_data(g, cfg.get("boundary_data"))
     u_flow = evolve_trace(fam, f)
-    u_int = solve_interior(g, fam.potential, f, chain=fam.chain).values[: g.M + 1]
+    u_int = solve_interior(fam, f)[: g.M + 1]
     return float(np.max(np.abs(u_flow - u_int)) / max(np.max(np.abs(u_int)), 1e-30))
 
 
@@ -479,7 +484,7 @@ def _run_march(cfg, out):
         fam1 = compute_dn_family(g, q1.shifted(depth) if depth else q1)
         fam2 = compute_dn_family(g, q2.shifted(depth) if depth else q2)
         check = dn_recovery_check(fam1, fam2)
-        nul = null_test(fam1, compute_dn_family(g, q1.shifted(depth) if depth else q1))
+        nul = null_test(fam1, fam1)
         ok = check["rel_error"] <= tol and check["sign"] == 1 and nul["passed"]
         windows.append(
             {

@@ -146,33 +146,21 @@ def compute_dn_family(geometry, potential=None, keep_chain=False):
     return DNFamily(geometry, potential, lams, chain=S if keep_chain else None)
 
 
-class InteriorSolution:
-    """Interior extension of boundary data on the full depth grid."""
+def solve_interior(family, f):
+    """Extend boundary data ``f`` into the capped region below ``family``'s boundary.
 
-    def __init__(self, ts, values):
-        self.ts = ts
-        self.values = values
-
-    def at_node(self, j):
-        return self.values[j]
-
-
-def solve_interior(geometry, potential, f, chain=None):
-    """Extend boundary data ``f`` into the capped region.
-
-    Forward substitution through the propagation chain; the result satisfies
-    the interior equation at every grid node and the cap condition.
+    Forward substitution through the family's kept propagation chain, or
+    through one fresh :func:`propagation_chain` when it kept none. Returns the
+    ``(K, N)`` array over the full grid ``geometry.ts``; it satisfies the
+    interior equation at every grid node and the cap condition.
     """
-    potential = make_potential(potential)
-    if chain is None:
-        chain = propagation_chain(geometry, potential)
-    f = np.asarray(f, dtype=float)
-    K = geometry.ts.size
-    u = np.empty((K, geometry.N))
-    u[0] = f
-    for j in range(1, K):
+    g = family.geometry
+    chain = family.chain or propagation_chain(g, family.potential)
+    u = np.empty((g.ts.size, g.N))
+    u[0] = np.asarray(f, dtype=float)
+    for j in range(1, g.ts.size):
         u[j] = chain[j] @ u[j - 1]
-    return InteriorSolution(geometry.ts.copy(), u)
+    return u
 
 
 # ---------------------------------------------------------------------------

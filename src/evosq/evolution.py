@@ -12,6 +12,10 @@ backward transport solves the formally adjoint equation
 ``(-d/dt - m + A) psi = g`` with the volume-weight rate
 ``m(t) = mu1'(t) + mu2'(t)``.
 
+Every field is a plain array indexed by collar node first: a trace is
+``(M+1, N)`` and a kernel field ``(M+1, N, N)``, row ``j`` at depth
+``geometry.collar_ts[j]``.
+
 All steppers are trapezoidal (second order); both transports are one
 stepper run down or up the collar. Its implicit half-step is a symmetric
 positive system solved matrix-free by conjugate gradients (Frobenius inner
@@ -19,12 +23,9 @@ products) to ``_CG_TOL``: the recovered ``rel_error`` is reproducible only to
 about 5e-9 relative at N=32, M=64 (5e-8 at M=128), so pin no bound finer.
 """
 
-import os
-
 import numpy as np
 
 from .errors import GeometryError, StepFailureError
-from . import io as evsq_io
 
 _CG_TOL = 1e-10
 _CG_MAXITER = 500
@@ -47,63 +48,6 @@ class PairOperator:
     def volume_rate(self, j):
         t = float(self.geometry.collar_ts[j])
         return float(self.family1.geometry.mu_dot(t)) + float(self.family2.geometry.mu_dot(t))
-
-
-class TensorField:
-    """Kernel-valued depth trace on the collar grid."""
-
-    def __init__(self, ts, values, meta=None):
-        self.ts = np.asarray(ts, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        if self.values.ndim != 3 or self.values.shape[0] != self.ts.size:
-            raise GeometryError("tensor field needs one square kernel per depth node")
-        self.meta = dict(meta or {})
-
-    def __len__(self):
-        return self.ts.size
-
-    def slice(self, j):
-        return self.values[j]
-
-    def save(self, directory, geometry_hash, provenance=""):
-        os.makedirs(directory, exist_ok=True)
-        names = []
-        for j in range(len(self)):
-            name = f"slice_{j:05d}.evsq"
-            evsq_io.write_matrix(
-                os.path.join(directory, name),
-                self.values[j],
-                {
-                    "kind": "tensor-slice",
-                    "t": float(self.ts[j]),
-                    "N": int(self.values.shape[1]),
-                    "M": len(self) - 1,
-                    "geometry_hash": geometry_hash,
-                    "provenance": provenance,
-                },
-            )
-            names.append(name)
-        evsq_io.write_manifest(
-            os.path.join(directory, "manifest.json"),
-            {
-                "kind": "tensor-field",
-                "slices": names,
-                "ts": [float(t) for t in self.ts],
-                "geometry_hash": geometry_hash,
-                "meta": self.meta,
-            },
-        )
-
-    @classmethod
-    def load(cls, directory, expected_geometry_hash=None):
-        manifest = evsq_io.read_manifest(os.path.join(directory, "manifest.json"))
-        slices = []
-        for name in manifest["slices"]:
-            arr, _ = evsq_io.read_matrix(
-                os.path.join(directory, name), expected_geometry_hash=expected_geometry_hash
-            )
-            slices.append(arr)
-        return cls(np.asarray(manifest["ts"]), np.stack(slices), meta=manifest.get("meta"))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +121,7 @@ def _transport(pair_op, W_start, nodes, rate, source, direction):
             return X + 0.5 * _h * (AX - _m * X if _m else AX)  # saves two N^2 passes when m = 0
 
         out[k] = _cg(op, B, x0=out[i], context=f" ({direction} step to node {k})")
-    return TensorField(ts, out)
+    return out
 
 
 def evolve_tensor_forward(pair_op, W0, source=None):
@@ -202,9 +146,7 @@ def evolved_rank_one(family1, family2, f1, f2):
     """Outer-product field of two evolved traces; lies in ker(d/dt + A)."""
     u1 = evolve_trace(family1, f1)
     u2 = evolve_trace(family2, f2)
-    g = family1.geometry
-    vals = np.einsum("ji,jk->jik", u1, u2)
-    return TensorField(g.collar_ts, vals, meta={"kind": "evolved-rank-one"})
+    return np.einsum("ji,jk->jik", u1, u2)
 
 
 def kron_generator(lam1, lam2):

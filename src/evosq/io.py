@@ -109,19 +109,6 @@ def read_matrix(path, expected_geometry_hash=None):
     return arr, sidecar
 
 
-def write_manifest(path, manifest):
-    path = Path(path)
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path
-
-
-def read_manifest(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def dump_json(obj):
     """Canonical JSON text used for summaries: sorted keys, stable floats."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"

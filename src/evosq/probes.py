@@ -31,7 +31,7 @@ def null_test(family1, family2):
     """Source problem with matching data must vanish identically."""
     stages = solve_source_bvp(family1, family2)
     worst = max(
-        float(np.abs(stages[name].values).max()) for name in ("phi", "psi_h", "psi_p")
+        float(np.abs(stages[name]).max()) for name in ("phi", "psi_h", "psi_p")
     )
     scale = float(np.linalg.norm(family1.lams[0]))
     return {"max_abs": worst, "scale": scale, "passed": worst <= 1e-10 * scale}
@@ -99,8 +99,8 @@ def offdiagonal_flag(geometry, kernel, threshold=OFFDIAG_THRESHOLD):
     }
 
 
-def gradient_blowup_probe(geometry, field, ambient_dim=3, slice_index=2):
-    """Shell profile of ``|grad phi|^p`` near the diagonal.
+def gradient_blowup_probe(geometry, W, ambient_dim=3, slice_index=2):
+    """Shell profile of ``|grad phi|^p`` near the diagonal of a field on ``geometry.collar_ts``.
 
     Gradients are spectral in each boundary variable and centered in depth.
     The slope of the finest three shells (log2 of successive mass ratios)
@@ -116,11 +116,11 @@ def gradient_blowup_probe(geometry, field, ambient_dim=3, slice_index=2):
     j = slice_index
     if not 1 <= j <= geometry.M - 1:
         raise GeometryError("gradient probe needs an interior collar slice")
-    W = field.values
     k = geometry.wavenumbers()
     dx = np.real(np.fft.ifft(1j * k[:, None] * np.fft.fft(W[j], axis=0), axis=0))
     dy = np.real(np.fft.ifft(1j * k[None, :] * np.fft.fft(W[j], axis=1), axis=1))
-    dt = (W[j + 1] - W[j - 1]) / (float(field.ts[j + 1]) - float(field.ts[j - 1]))
+    ts = geometry.collar_ts
+    dt = (W[j + 1] - W[j - 1]) / (float(ts[j + 1]) - float(ts[j - 1]))
     grad = np.sqrt(dx**2 + dy**2 + dt**2)
     prof = shell_decomposition(geometry, grad, p=p)
     masses = prof["masses"]

@@ -19,7 +19,8 @@ Sweeps (all trapezoidal, matrix-free):
   3. ``(d/dt + A) phi = psi_h + psi_p`` forward from zero.
 
 The forward transport is linear in its source, so one forward sweep on the
-summed source carries both backward fields into ``phi``.
+summed source carries both backward fields into ``phi``. Every stage is a
+plain ``(M+1, N, N)`` array, row ``j`` at depth ``geometry.collar_ts[j]``.
 
 With matching potentials every sweep is identically zero (the null test in
 :mod:`evosq.probes` relies on this being exact, not merely small).
@@ -54,7 +55,7 @@ def diagonal_source(family1, family2):
 
 
 def solve_source_bvp(family1, family2):
-    """Three-sweep solve; returns ``phi`` and the backward fields ``psi_h``, ``psi_p``.
+    """Three-sweep solve; returns the arrays ``phi`` and the backward fields ``psi_h``, ``psi_p``.
 
     The flux condition at the collar depth carries the sign +1; the
     recovery check resolves the orientation empirically instead.
@@ -63,21 +64,20 @@ def solve_source_bvp(family1, family2):
     K_eps = difference_kernel(family1, family2, pair.geometry.M)
     psi_h = evolve_tensor_backward(pair, K_eps)
     psi_p = evolve_tensor_backward(pair, 0.0, source=diagonal_source(family1, family2))
-    phi = evolve_tensor_forward(pair, 0.0, source=lambda j: psi_h.values[j] + psi_p.values[j])
-    phi.meta = {"kind": "source-bvp"}
+    phi = evolve_tensor_forward(pair, 0.0, source=lambda j: psi_h[j] + psi_p[j])
     return {"phi": phi, "psi_h": psi_h, "psi_p": psi_p}
 
 
-def boundary_time_derivative(phi):
-    """One-sided depth derivative of a field at the boundary node.
+def boundary_time_derivative(geometry, phi):
+    """One-sided depth derivative at the boundary node of a field on ``geometry.collar_ts``.
 
     Assumes the field vanishes on the boundary slice (the BVP pins it);
     second order on the uniform collar step.
     """
-    h = float(phi.ts[1] - phi.ts[0])
-    if np.linalg.norm(phi.values[0]) > 1e-13 * max(np.linalg.norm(phi.values[1]), 1.0):
+    h = float(geometry.collar_ts[1] - geometry.collar_ts[0])
+    if np.linalg.norm(phi[0]) > 1e-13 * max(np.linalg.norm(phi[1]), 1.0):
         raise GeometryError("boundary derivative assumes a pinned boundary slice")
-    return (4.0 * phi.values[1] - phi.values[2]) / (2.0 * h)
+    return (4.0 * phi[1] - phi[2]) / (2.0 * h)
 
 
 def dn_recovery_check(family1, family2):
@@ -90,7 +90,7 @@ def dn_recovery_check(family1, family2):
     """
     g = family1.geometry
     stages = solve_source_bvp(family1, family2)
-    K0 = boundary_time_derivative(stages["phi"])
+    K0 = boundary_time_derivative(g, stages["phi"])
     recovered = K0 * g.node_weight(0.0)
     target = family1.lams[0] - family2.lams[0]
     scale = max(np.linalg.norm(target), 1e-30)
@@ -126,8 +126,8 @@ def layer_strip_check(family1, family2, f1, f2):
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)
 
-    u1 = solve_interior(g, family1.potential, f1, chain=family1.chain)
-    u2 = solve_interior(g, family2.potential, f2, chain=family2.chain)
+    u1 = solve_interior(family1, f1)
+    u2 = solve_interior(family2, f2)
 
     lhs = g.node_weight(0.0) * float(np.dot((family1.lams[0] - family2.lams[0]) @ f1, f2))
 
@@ -135,13 +135,13 @@ def layer_strip_check(family1, family2, f1, f2):
     slab_vals = np.empty(g.M + 1)
     for j in range(g.M + 1):
         slab_vals[j] = g.node_weight(float(ts[j])) * float(
-            np.sum((family1.q[j] - family2.q[j]) * u1.values[j] * u2.values[j])
+            np.sum((family1.q[j] - family2.q[j]) * u1[j] * u2[j])
         )
     volume = float(np.trapezoid(slab_vals, ts))
 
     w_eps = g.node_weight(float(ts[-1]))
     deep = w_eps * float(
-        np.dot((family1.lams[g.M] - family2.lams[g.M]) @ u1.values[g.M], u2.values[g.M])
+        np.dot((family1.lams[g.M] - family2.lams[g.M]) @ u1[g.M], u2[g.M])
     )
     rhs = volume + deep
     denom = max(abs(lhs), abs(rhs), 1e-30)

@@ -30,7 +30,6 @@ two-node margin on each side.
 import numpy as np
 
 from .errors import GeometryError
-from .evolution import TensorField
 
 VARIANTS = ("factorized", "expanded-double", "expanded-single")
 
@@ -91,13 +90,12 @@ def _depth_apply(D, field_values):
     return np.tensordot(D, field_values, axes=(1, 0))
 
 
-def apply_variant(pair_op, field, variant="factorized"):
-    """Apply one squared-operator variant to a tensor field on the collar."""
+def apply_variant(pair_op, W, variant="factorized"):
+    """Apply one squared-operator variant to a ``(M+1, N, N)`` kernel field on the collar."""
     if variant not in VARIANTS:
         raise GeometryError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     g = pair_op.geometry
     ts = g.collar_ts
-    W = field.values
     if W.shape[0] != ts.size:
         raise GeometryError("field does not live on the collar grid")
 
@@ -109,7 +107,7 @@ def apply_variant(pair_op, field, variant="factorized"):
         Z = _depth_apply(Dstar, Y)
         for j in range(ts.size):
             Z[j] += pair_op.apply(j, Y[j])
-        return TensorField(ts, Z, meta={"variant": variant})
+        return Z
 
     D, _ = sbp_first_derivative(ts)
     D2 = second_derivative_matrix(ts)
@@ -135,11 +133,11 @@ def apply_variant(pair_op, field, variant="factorized"):
             B2 = f2.lams[j] - mu2 * np.eye(g.N)
             Zj += B1 @ W[j] @ B2.T - mu1 * mu2 * W[j]
         Z[j] = Zj
-    return TensorField(ts, Z, meta={"variant": variant, "endpoint_stencil": "one-sided-4pt"})
+    return Z
 
 
-def kernel_residual(pair_op, field, variant="factorized", margin=2):
-    """Relative annihilation defect of a field, away from the collar ends.
+def kernel_residual(pair_op, W, variant="factorized", margin=2):
+    """Relative annihilation defect of a kernel field, away from the collar ends.
 
     The defect on slice ``j`` is the Frobenius norm of the applied variant,
     normalized by the largest first-order term ``|A_j W_j|`` over the same
@@ -149,13 +147,11 @@ def kernel_residual(pair_op, field, variant="factorized", margin=2):
     g = pair_op.geometry
     if g.M + 1 <= 2 * margin + 1:
         raise GeometryError("collar too short for an interior residual")
-    applied = apply_variant(pair_op, field, variant)
+    applied = apply_variant(pair_op, W, variant)
     interior = range(margin, g.M + 1 - margin)
-    scale = max(
-        float(np.linalg.norm(pair_op.apply(j, field.values[j]))) for j in interior
-    )
+    scale = max(float(np.linalg.norm(pair_op.apply(j, W[j]))) for j in interior)
     scale = max(scale, 1e-30)
-    per_slice = np.array([np.linalg.norm(applied.values[j]) / scale for j in interior])
+    per_slice = np.array([np.linalg.norm(applied[j]) / scale for j in interior])
     return {
         "max_rel": float(per_slice.max()),
         "per_slice": per_slice,

@@ -20,7 +20,6 @@ from evosq.dnmap import (
 )
 from evosq.evolution import (
     PairOperator,
-    TensorField,
     evolve_trace,
     evolved_rank_one,
     kron_generator,
@@ -124,7 +123,7 @@ def test_criterion_03_trace_evolution():
         fam = compute_dn_family(g, Q1_SPEC, keep_chain=True)
         f = np.cos(g.theta) + 0.3
         u_flow = evolve_trace(fam, f)
-        u_int = solve_interior(g, fam.potential, f, chain=fam.chain).values[: g.M + 1]
+        u_int = solve_interior(fam, f)[: g.M + 1]
         errs.append(float(np.linalg.norm(u_flow - u_int) / np.linalg.norm(u_int)))
     rate = _rate(errs)
     ok = errs[-1] < 1e-2 and rate >= 1.8
@@ -159,7 +158,7 @@ def _smooth_random_field(g):
                 :, None
             ] * np.sin(k2 * th)[None, :]
             vals += c * prof[:, None, None] * ang[None, :, :]
-    return TensorField(ts, vals)
+    return vals
 
 
 def test_criterion_05_factorization_variants():
@@ -176,8 +175,8 @@ def test_criterion_05_factorization_variants():
         for v in ("factorized", "expanded-double", "expanded-single"):
             res[v].append(kernel_residual(pair, fld, v)["max_rel"])
         sm = _smooth_random_field(g)
-        a_f = apply_variant(pair, sm, "factorized").values
-        a_d = apply_variant(pair, sm, "expanded-double").values
+        a_f = apply_variant(pair, sm, "factorized")
+        a_d = apply_variant(pair, sm, "expanded-double")
         interior = range(2, g.M - 1)
         scale = max(np.linalg.norm(a_d[j]) for j in interior)
         res["agree"].append(
@@ -258,7 +257,7 @@ def test_criterion_08_null_source():
     from evosq.source_bvp import solve_source_bvp
 
     phi = solve_source_bvp(f1, f2)["phi"]
-    dphi = float(np.max(np.abs(boundary_time_derivative(phi))))
+    dphi = float(np.max(np.abs(boundary_time_derivative(g, phi))))
     ok = out["max_abs"] <= 1e-10 * out["scale"] and dphi <= 1e-10 * out["scale"]
     _report(
         8,

@@ -153,6 +153,9 @@ def test_non_boolean_flag_exits_two(tmp_path, capsys, scenario, key, value):
         ("conformal-check", 'gamma={"kind": "poly", "coeffs": [1, "x"]}'),
         ("dn-compute", 'q1={"kind": "bump", "width": "x"}'),
         ("dn-compute", 'q1={"kind": "bump", "amplitude": "x"}'),
+        ("oducp-probe", "ambient_dim=1"),
+        ("oducp-probe", "ambient_dim=-3"),
+        ("conformal-check", "modes_max=-1"),
     ],
 )
 def test_bad_nested_numeric_value_exits_two(tmp_path, capsys, scenario, override):
@@ -319,6 +322,19 @@ def test_global_march_reaches_cap(tmp_path):
     # windows tile the depth without gaps
     for w, nxt in zip(res["windows"], res["windows"][1:]):
         assert nxt["start"] == pytest.approx(w["end"])
+
+
+def test_global_march_computes_one_chain_per_family(tmp_path, monkeypatch):
+    # two windows on the default annulus with two families each; the null
+    # test pairs the q1 family with itself instead of eliminating it again
+    from evosq import dnmap
+
+    calls = []
+    chain = dnmap.propagation_chain
+    monkeypatch.setattr(dnmap, "propagation_chain", lambda *a: calls.append(a) or chain(*a))
+    code, _, summary = _run(tmp_path, "global-march")
+    assert code == 0 and len(summary["results"]["windows"]) == 2
+    assert len(calls) == 4
 
 
 def test_evolve_convergence_study_takes_boundary_data(tmp_path):

@@ -5,7 +5,6 @@ from evosq.dnmap import DNFamily, compute_dn_family, solve_interior
 from evosq.errors import GeometryError, StepFailureError
 from evosq.evolution import (
     PairOperator,
-    TensorField,
     evolve_tensor_backward,
     evolve_tensor_forward,
     evolve_trace,
@@ -21,7 +20,7 @@ def _trace_error(M):
     fam = compute_dn_family(g, 1.0, keep_chain=True)
     f = np.cos(2 * g.theta) + 0.5 * np.sin(3 * g.theta)
     u = evolve_trace(fam, f)
-    ref = solve_interior(g, fam.potential, f, chain=fam.chain).values[: g.M + 1]
+    ref = solve_interior(fam, f)[: g.M + 1]
     return np.max(np.abs(u - ref)) / np.max(np.abs(ref))
 
 
@@ -60,8 +59,8 @@ def test_rank_one_field_solves_forward_flow(annulus_families):
     field = evolved_rank_one(fam1, fam2, f1, f2)
     op = PairOperator(fam1, fam2)
     direct = evolve_tensor_forward(op, np.outer(f1, f2))
-    scale = np.max(np.abs(field.values))
-    assert np.max(np.abs(field.values - direct.values)) < 1e-2 * scale
+    scale = np.max(np.abs(field))
+    assert np.max(np.abs(field - direct)) < 1e-2 * scale
 
 
 def test_forward_flow_second_order():
@@ -75,7 +74,7 @@ def test_forward_flow_second_order():
         op = PairOperator(fam1, fam2)
         direct = evolve_tensor_forward(op, np.outer(f1, f2))
         ref = evolved_rank_one(fam1, fam2, f1, f2)
-        errs[M] = np.max(np.abs(direct.values - ref.values)) / np.max(np.abs(ref.values))
+        errs[M] = np.max(np.abs(direct - ref)) / np.max(np.abs(ref))
     assert np.log2(errs[32] / errs[64]) > 1.8
 
 
@@ -92,7 +91,7 @@ def test_backward_flow_duality(annulus_families):
     for j in range(g.M + 1):
         t = g.collar_ts[j]
         w = g.node_weight(t) * fam2.geometry.node_weight(t)
-        vals[j] = w * np.sum(phi.values[j] * psi.values[j])
+        vals[j] = w * np.sum(phi[j] * psi[j])
     drift = np.max(np.abs(vals - vals[0])) / np.abs(vals[0])
     assert drift < 1e-2
 
@@ -102,7 +101,7 @@ def test_backward_zero_data_is_zero(annulus_families):
     g = fam1.geometry
     op = PairOperator(fam1, fam2)
     psi = evolve_tensor_backward(op, np.zeros((g.N, g.N)))
-    assert np.all(psi.values == 0.0)
+    assert np.all(psi == 0.0)
 
 
 def test_implicit_step_failure_reports():
@@ -116,27 +115,3 @@ def test_implicit_step_failure_reports():
         evolve_tensor_forward(op, np.ones((32, 32)))
     assert exc.value.iterations == 500
 
-
-def test_tensor_field_round_trip(tmp_path, annulus_families):
-    fam1, fam2 = annulus_families
-    g = fam1.geometry
-    field = evolved_rank_one(fam1, fam2, np.cos(g.theta), np.sin(g.theta))
-    field.save(tmp_path / "field", g.hash(), provenance="round trip test")
-    back = TensorField.load(tmp_path / "field", expected_geometry_hash=g.hash())
-    assert np.array_equal(back.values, field.values)
-    assert np.array_equal(back.ts, field.ts)
-    assert back.meta == field.meta
-
-
-def test_tensor_field_load_warns_on_foreign_hash(tmp_path, annulus_families):
-    fam1, fam2 = annulus_families
-    g = fam1.geometry
-    field = evolved_rank_one(fam1, fam2, np.cos(g.theta), np.sin(g.theta))
-    field.save(tmp_path / "field", g.hash())
-    with pytest.warns(UserWarning, match="geometry_hash"):
-        TensorField.load(tmp_path / "field", expected_geometry_hash="other")
-
-
-def test_tensor_field_shape_validation():
-    with pytest.raises(GeometryError, match="square kernel"):
-        TensorField(np.linspace(0, 1, 5), np.zeros((4, 3, 3)))

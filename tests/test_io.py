@@ -8,9 +8,7 @@ from evosq.io import (
     MAGIC,
     SIDECAR_KEYS,
     dump_json,
-    read_manifest,
     read_matrix,
-    write_manifest,
     write_matrix,
 )
 
@@ -119,13 +117,6 @@ def test_bad_sidecar_raises_format_error(tmp_path, text):
     for expected in (None, "abc123"):
         with pytest.raises(FormatError, match="sidecar"):
             read_matrix(p, expected_geometry_hash=expected)
-
-
-def test_manifest_round_trip(tmp_path):
-    p = tmp_path / "manifest.json"
-    manifest = {"slices": ["a.evsq", "b.evsq"], "N": 8, "M": 4}
-    write_manifest(p, manifest)
-    assert read_manifest(p) == manifest
 
 
 def test_dump_json_deterministic():

@@ -3,7 +3,7 @@ import pytest
 
 from evosq.dnmap import compute_dn_family, dn_mode_symbol
 from evosq.errors import GeometryError
-from evosq.evolution import PairOperator, TensorField, evolved_rank_one
+from evosq.evolution import PairOperator, evolved_rank_one
 from evosq.geometry import build_warped_geometry, make_profile
 from evosq.squared import (
     VARIANTS,
@@ -86,12 +86,12 @@ def test_variant_difference_is_cross_product(annulus_families):
     g = fam1.geometry
     op = PairOperator(fam1, fam2)
     rng = np.random.default_rng(9)
-    field = TensorField(g.collar_ts, rng.standard_normal((g.M + 1, g.N, g.N)))
+    field = rng.standard_normal((g.M + 1, g.N, g.N))
     double = apply_variant(op, field, "expanded-double")
     single = apply_variant(op, field, "expanded-single")
     for j in (0, g.M // 2, g.M):
-        cross = fam1.lams[j] @ field.values[j] @ fam2.lams[j].T
-        diff = double.values[j] - single.values[j]
+        cross = fam1.lams[j] @ field[j] @ fam2.lams[j].T
+        diff = double[j] - single[j]
         assert np.max(np.abs(diff - cross)) < 1e-10 * max(np.max(np.abs(cross)), 1.0)
 
 
@@ -107,13 +107,13 @@ def test_scalar_mirror_matches_structured_apply():
     field = evolved_rank_one(fam1, fam2, e1, e2)
     applied = apply_variant(op, field, "factorized")
 
-    p = field.values[:, 0, 0] / (e1[0] * e2[0])
+    p = field[:, 0, 0] / (e1[0] * e2[0])
     lam1 = dn_mode_symbol(g, 1.5, float(k * k))
     lam2 = dn_mode_symbol(g, 0.5, float(l * l))
     m = np.zeros(g.M + 1)
     mirror = scalar_factorized_apply(g.collar_ts, lam1, lam2, m, p)
 
-    got = np.einsum("jik,i,k->j", applied.values, e1, e2) / (e1 @ e1) / (e2 @ e2)
+    got = np.einsum("jik,i,k->j", applied, e1, e2) / (e1 @ e1) / (e2 @ e2)
     scale = np.max(np.abs(mirror)) + np.max(np.abs(p))
     assert np.max(np.abs(got - mirror)) < 1e-6 * scale
 
@@ -125,7 +125,7 @@ def test_variant_validation(annulus_families):
     field = evolved_rank_one(fam1, fam2, np.cos(g.theta), np.cos(g.theta))
     with pytest.raises(GeometryError, match="unknown variant"):
         apply_variant(op, field, "fancy")
-    bad = TensorField(g.ts, np.zeros((g.ts.size, g.N, g.N)))
+    bad = np.zeros((g.ts.size, g.N, g.N))  # full grid, not the collar
     with pytest.raises(GeometryError, match="collar grid"):
         apply_variant(op, bad, "factorized")
     assert set(VARIANTS) == {"factorized", "expanded-double", "expanded-single"}
