@@ -105,7 +105,7 @@ _NUMBERS = {
     "samples_per_cell": int, "max_windows": int, "rate_min": float,
 }
 # lower bounds of the numeric keys that have one
-_MINIMA = {"ambient_dim": 2, "modes_max": 0}
+_MINIMA = {"ambient_dim": 2, "modes_max": 0, "samples_per_cell": 4, "max_windows": 1}
 
 
 def _number(key, value, kind):

@@ -9,9 +9,12 @@ dense matrix on the boundary nodes. One backward elimination sweep over the
 full depth grid produces the propagation chain ``u_j = S_j u_{j-1}``; every
 collar-depth map is then read off the chain with one-sided derivative
 stencils, so the whole family costs a single sweep. The sweep runs over
-pivot blocks: one dense N x N block per node, or, for theta-independent
-potentials, a batch of 1 x 1 blocks, one per Fourier mode (the per-mode
-path); both share the elimination and the extraction.
+pivot blocks: one dense N x N block per node, or per mode, a batch of 1 x 1
+blocks, one per Fourier mode; both share the elimination and the
+extraction. The per-mode path serves theta-independent potentials, and the
+dense chain runs it too over its deep stretch, the nodes below the last row
+where the potential varies in theta, where every block is circulant; it
+materializes those blocks as dense circulants and sweeps densely above.
 
 Everything here is second order in the depth step. Maps are symmetrized
 after extraction: the true map is symmetric in the slice inner product (a
@@ -44,30 +47,40 @@ def _second_order_coeffs(h_minus, h_plus, mu):
     return a + mu * al, b + mu * be, c + mu * ga
 
 
-def _eliminate(geometry, lap, q, mu, cap):
+def _eliminate(geometry, lap, q, mu, cap, top=1, bottom=None, circulant=False):
     """Backward elimination ``S_j = -(B_j + c_j S_{j+1})^-1 a_j`` over pivot blocks.
 
     ``lap`` is the unit-radius slice Laplacian as ``(..., n, n)`` blocks,
     ``q(j)`` the potential block at node ``j``, ``mu`` the first-order depth
-    coefficient per node and ``cap`` the last block. A singular pivot or a
-    block norm above ``_SINGULAR_FACTOR * sqrt(n)`` is a resonance.
+    coefficient per node and ``cap`` the block at node ``bottom`` (default the
+    last node). The sweep fills nodes ``bottom - 1`` down to ``top`` of one
+    ``(K, ..., n, n)`` array and returns it; its other rows are unset. One
+    array, not K, so that a dropped chain goes back to the operating system
+    whole. A singular pivot or a block norm above
+    ``_SINGULAR_FACTOR * sqrt(n)`` is a resonance. With ``circulant`` the
+    batch of N 1 x 1 blocks is the spectrum of one circulant N x N block and
+    is guarded as that block would be: a zero mode pivot is a singular pivot
+    and the norm is the Frobenius one, the root of the summed squared
+    symbols, against ``_SINGULAR_FACTOR * sqrt(N)``.
     """
     ts = geometry.ts
-    K = ts.size
+    bottom = ts.size - 1 if bottom is None else bottom
     eye = np.eye(lap.shape[-1])
-    guard = _SINGULAR_FACTOR * np.sqrt(lap.shape[-1])
-    S = [None] * (K - 1) + [cap]
-    for j in range(K - 2, 0, -1):
+    guard = _SINGULAR_FACTOR * np.sqrt(lap.shape[0] if circulant else lap.shape[-1])
+    S = np.empty((ts.size,) + cap.shape)
+    S[bottom] = cap
+    for j in range(bottom - 1, top - 1, -1):
         ap, bp, cp = _second_order_coeffs(ts[j] - ts[j - 1], ts[j + 1] - ts[j], mu[j])
         P = bp * eye - lap / geometry.rs[j] ** 2 - q(j) + cp * S[j + 1]
         try:
             S[j] = np.linalg.solve(P, -ap * eye)
-            norm = np.sqrt(np.einsum("...ij,...ij->...", S[j], S[j]))
+            sq = np.einsum("...ij,...ij->...", S[j], S[j])
         except np.linalg.LinAlgError:
-            norm = np.where(np.linalg.det(P) == 0.0, np.inf, 0.0)
+            sq = np.where(np.linalg.det(P) == 0.0, np.inf, 0.0)
+        norm = np.sqrt(np.sum(sq) if circulant else sq)
         bad = norm > guard
         if np.any(bad):
-            mode = f" (mode ksq={float(lap[bad][0, 0, 0])})" if lap.ndim > 2 else ""
+            mode = f" (mode ksq={float(lap[bad][0, 0, 0])})" if norm.ndim else ""
             why = "" if mode else f": propagation norm {norm:.3g}"
             raise DNComputationError(
                 f"Dirichlet eigenvalue collision{mode} near depth {ts[j]:.6g}{why}"
@@ -79,20 +92,36 @@ def propagation_chain(geometry, potential):
     """Backward elimination over the full grid.
 
     Returns a list ``S`` with ``S[j]`` mapping the slice value at node
-    ``j - 1`` to node ``j`` (``S[0]`` is None). Raises
-    :class:`DNComputationError` when an interior resonance makes a pivot
-    singular (a Dirichlet eigenvalue collision of the capped region).
+    ``j - 1`` to node ``j`` (``S[0]`` is None). Below the last row where the
+    potential varies in theta, and with the cap, every block is circulant:
+    that deep run is eliminated per Fourier mode and materialized with
+    :func:`fourier_matrix`, and the dense sweep continues from its top to
+    node 1. Raises :class:`DNComputationError` when an interior resonance
+    makes a pivot singular (a Dirichlet eigenvalue collision of the capped
+    region).
     """
     if geometry.dim != 1:
         raise GeometryError("dense propagation is circle-only; use dn_mode_symbol")
-    ts, N = geometry.ts, geometry.N
+    ts, k = geometry.ts, geometry.wavenumbers()
     if geometry.cap == "center":  # per-mode decay (r_last / r_prev)^|k| across the capped cell
-        cap = fourier_matrix((geometry.rs[-1] / geometry.rs[-2]) ** np.abs(geometry.wavenumbers()))
+        cap = (geometry.rs[-1] / geometry.rs[-2]) ** np.abs(k)
     else:
-        cap = np.zeros((N, N))
+        cap = np.zeros_like(k)
     Q = potential.on_grid(geometry.theta, ts)
-    lap = geometry.d2_unit()
-    return _eliminate(geometry, lap, lambda j: np.diag(Q[j]), geometry.mu_dot(ts), cap)
+    mu = geometry.mu_dot(ts)
+    rippled = np.flatnonzero(np.any(Q[:-1] != Q[:-1, :1], axis=1))
+    top = int(rippled[-1]) + 1 if rippled.size else 1  # highest node of the theta-constant run
+    symbols = _eliminate(
+        geometry, (k**2)[:, None, None], lambda j: Q[j, 0], mu, cap[:, None, None], top=top,
+        circulant=True,
+    )[..., 0, 0]
+    S = _eliminate(
+        geometry, geometry.d2_unit(), lambda j: np.diag(Q[j]), mu, fourier_matrix(symbols[top]),
+        bottom=top,
+    )
+    for j in range(top + 1, ts.size):
+        S[j] = fourier_matrix(symbols[j])
+    return [None] + list(S[1:])
 
 
 def _extract_dn(geometry, S, j):

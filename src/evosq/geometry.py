@@ -269,10 +269,17 @@ class WarpedGeometry:
 
 
 def fourier_matrix(symbol):
-    """Symmetric matrix of the Fourier multiplier ``symbol`` (one value per FFT wavenumber)."""
-    F = np.fft.fft(np.eye(len(symbol)), axis=0)
-    D = np.real(np.fft.ifft(np.asarray(symbol)[:, None] * F, axis=0))
-    return 0.5 * (D + D.T)
+    """Symmetric circulant matrix of the Fourier multiplier ``symbol`` (one value per FFT wavenumber).
+
+    Entry ``(i, j)`` is ``c[(i - j) % N]`` with ``c = real(ifft(symbol))``,
+    symmetrized as ``(c[m] + c[-m]) / 2``, so the matrix is exactly symmetric
+    and circulant. It is how the propagation chain materializes the blocks it
+    eliminates per mode.
+    """
+    c = np.real(np.fft.ifft(symbol))
+    m = np.arange(c.size)
+    c = 0.5 * (c + c[-m])
+    return c[np.subtract.outer(m, m) % m.size]
 
 
 def build_warped_geometry(profile, N, M, eps, dim=1):

@@ -164,6 +164,19 @@ def test_bad_nested_numeric_value_exits_two(tmp_path, capsys, scenario, override
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize(
+    "scenario, key, low", [("exhaustion", "samples_per_cell", 4), ("global-march", "max_windows", 1)]
+)
+@pytest.mark.parametrize("below", [1, 4])
+def test_value_below_its_minimum_exits_two(tmp_path, capsys, scenario, key, low, below):
+    # too few push-through samples cannot cover a cell (this was exit 3), and
+    # no march window can never pass (this was exit 1): both are bad configs
+    code, _, summary = _run(tmp_path, scenario, "--override", f"{key}={low - below}")
+    assert code == 2 and summary is None
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config entry '{key}' needs a value >= {low}")
+
+
 def test_bad_config_file_exits_two(tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
@@ -184,8 +197,9 @@ def test_malformed_potential_exits_two(tmp_path):
     assert code == 2
 
 
-def test_numerical_failure_exits_three(tmp_path):
-    # resonant constant potential: the elimination pivot goes singular
+def test_numerical_failure_exits_three(tmp_path, capsys):
+    # resonant constant potential: the elimination pivot goes singular in the
+    # chain's theta-constant run, which covers the whole grid here
     T, eps, M, N = 0.8, 0.4, 32, 16
     h = eps / M
     K = M + 1 + round((T - eps) / h)
@@ -208,6 +222,9 @@ def test_numerical_failure_exits_three(tmp_path):
     )
     assert code == 3
     assert summary is None
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: Dirichlet eigenvalue collision near depth")
+    assert "propagation norm" in err
 
 
 def test_null_scenario(tmp_path):

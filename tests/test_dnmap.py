@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from evosq.dnmap import (
+    _eliminate,
     coercivity_probe,
     compute_dn_family,
     conductivity_mode_dn,
     conformal_identity_check,
     dn_mode_symbol,
     dn_pairing,
+    propagation_chain,
     riccati_integrate,
     riccati_residual,
     solve_interior,
@@ -18,7 +20,8 @@ from evosq.errors import (
     GeometryError,
     RiccatiEscapeError,
 )
-from evosq.geometry import build_warped_geometry, make_profile
+from evosq.geometry import build_warped_geometry, fourier_matrix, make_profile
+from evosq.potentials import SampledPotential, make_potential
 from evosq.rng import SplitMix64
 
 
@@ -93,6 +96,30 @@ def test_dense_and_mode_paths_agree_on_every_cap(profile):
             dense = np.real(np.diag(F @ lams[j] @ np.conj(F.T))) / g.N
             mode = dn_mode_symbol(g, q, ksq, depths=[j])[0]
             assert np.max(np.abs(dense - mode) / np.abs(mode)) < 1e-10
+
+
+@pytest.mark.parametrize("profile", ["annulus", "disk", "flat-cylinder"])
+def test_chain_matches_whole_grid_dense_elimination(profile):
+    # the theta-constant run below the bump (all of the grid for a constant)
+    # is eliminated per mode; every block must equal the dense sweep's
+    g = build_warped_geometry(make_profile(profile), N=16, M=32, eps=0.3)
+    k = g.wavenumbers()
+    if g.cap == "center":
+        cap = fourier_matrix((g.rs[-1] / g.rs[-2]) ** np.abs(k))
+    else:
+        cap = np.zeros((g.N, g.N))
+    bump = {"kind": "bump", "amplitude": 2.0, "theta0": 0.0, "t0": 0.1, "width": 0.2}
+    for spec, top in ((bump, int(np.searchsorted(g.ts, 0.3, side="right"))), (1.5, 1)):
+        potential = make_potential(spec)
+        Q = potential.on_grid(g.theta, g.ts)
+        dense = _eliminate(g, g.d2_unit(), lambda j: np.diag(Q[j]), g.mu_dot(g.ts), cap)
+        chain = propagation_chain(g, potential)
+        assert chain[0] is None and len(chain) == g.ts.size
+        for S, D in zip(chain[1:], dense[1:]):
+            assert np.linalg.norm(S - D) <= 1e-12 * np.linalg.norm(D)
+        for S in chain[top:]:
+            assert np.array_equal(S, S.T)
+            assert np.array_equal(S, np.roll(S, (1, 1), axis=(0, 1)))
 
 
 # -- structural properties ----------------------------------------------------
@@ -223,6 +250,29 @@ def test_resonance_raises_dense_and_mode():
         dn_mode_symbol(g, q_res, np.array([4.0, 0.0, 1.0]))
 
 
+def test_resonance_raises_on_the_mode_run_and_the_dense_sweep(monkeypatch):
+    # the constant is eliminated per mode down the whole grid; a 1e-12 cos
+    # ripple on every row leaves no theta-constant run, so the dense sweep
+    # meets the same collision; both report it as the dense block would
+    from evosq import dnmap
+
+    g, q_res = _resonant_setup()
+    K = g.ts.size
+    rippled = SampledPotential(g.theta, g.ts, q_res + 1e-12 * np.cos(g.theta)[:, None] * np.ones(K))
+    tops = []
+    eliminate = dnmap._eliminate
+    monkeypatch.setattr(
+        dnmap, "_eliminate", lambda *a, **kw: tops.append(kw.get("top")) or eliminate(*a, **kw)
+    )
+    for potential, top in ((q_res, 1), (rippled, K - 1)):
+        tops.clear()
+        with pytest.raises(
+            DNComputationError, match=r"^Dirichlet eigenvalue collision near depth .*: propagation norm"
+        ):
+            compute_dn_family(g, potential)
+        assert tops[0] == top
+
+
 def test_singular_mode_pivot_names_its_mode():
     # a constant potential that makes the first pivot of the ksq = 4 block exactly zero
     g = build_warped_geometry(make_profile("flat-cylinder", T=0.8), N=8, M=16, eps=0.3)
@@ -230,6 +280,9 @@ def test_singular_mode_pivot_names_its_mode():
     b = -2.0 / ((ts[-2] - ts[-3]) * (ts[-1] - ts[-2]))
     with pytest.raises(DNComputationError, match=r"mode ksq=4\.0\)"):
         dn_mode_symbol(g, b - 4.0, np.array([1.0, 4.0, 9.0]))
+    # in the dense chain's per-mode run the zero mode pivot is a singular block
+    with pytest.raises(DNComputationError, match=r"near depth [\d.]+: propagation norm inf$"):
+        compute_dn_family(g, b - 4.0)
 
 
 def test_off_resonance_passes():
