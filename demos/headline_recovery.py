@@ -1,6 +1,6 @@
 """Recover the boundary-map difference from the diagonal source problem.
 
-The three-sweep collar solve turns the potential difference into a field
+The two-sweep collar solve turns the potential difference into a field
 whose boundary slope reproduces Lam1(0) - Lam2(0). This runs the flat
 cylinder with a constant-vs-zero pair under refinement, then a bump pair
 on the annulus, and finishes with the angular shell masses of the

@@ -61,10 +61,10 @@ def _load_config(path):
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     return cfg
@@ -138,6 +138,8 @@ def _typed(cfg):
             typed["levels"] = [[_number("levels", n, int) for n in (N, M)] for N, M in levels]
         except (TypeError, ValueError):
             raise ConfigError(f"config entry 'levels' needs [N, M] pairs, got {levels!r}") from None
+        if len(typed["levels"]) < 2:  # a rate needs two levels
+            raise ConfigError(f"config entry 'levels' needs at least two levels, got {levels!r}")
     return typed
 
 
@@ -206,8 +208,8 @@ def _gamma_callable(spec):
         return lambda t: np.exp(rate * np.asarray(t, dtype=float))
     if kind == "poly":
         coeffs = spec.get("coeffs", [1.0, 0.5])
-        if not isinstance(coeffs, list):
-            raise ConfigError(f"gamma coeffs must be a list, got {coeffs!r}")
+        if not isinstance(coeffs, list) or not coeffs:
+            raise ConfigError(f"gamma coeffs must be a non-empty list, got {coeffs!r}")
         coeffs = [_number("coeffs", c, float) for c in coeffs]
         return lambda t: np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), coeffs)
     raise ConfigError(f"unknown conformal factor kind {kind!r}")
@@ -364,10 +366,8 @@ def _run_layer_strip(cfg, out):
 
 def _run_null(cfg, out):
     g = _build_geometry(cfg)
-    q1 = cfg.get("q1", _DEFAULT_Q1)
-    fam1 = compute_dn_family(g, q1)
-    fam2 = compute_dn_family(g, q1)
-    res = null_test(fam1, fam2)
+    fam = compute_dn_family(g, cfg.get("q1", _DEFAULT_Q1))
+    res = null_test(fam, fam)
     return {k: res[k] for k in ("max_abs", "scale", "passed")}, bool(res["passed"])
 
 
@@ -426,6 +426,8 @@ def _run_conformal(cfg, out):
 
 def _run_exhaustion(cfg, out):
     if "mesh" in cfg:
+        if not isinstance(cfg["mesh"], str):
+            raise ConfigError(f"mesh must be a path string, got {cfg['mesh']!r}")
         mesh = load_mesh(cfg["mesh"])
     else:
         kind = cfg.get("mesh_kind", "annulus")
@@ -535,8 +537,7 @@ def _run_convergence(cfg, out):
 
     idx = np.arange(len(errors), dtype=float)
     logs = np.log2(np.maximum(errors, 1e-300))
-    slope = float(np.polyfit(idx, logs, 1)[0]) if len(errors) > 1 else 0.0
-    rate = -slope
+    rate = -float(np.polyfit(idx, logs, 1)[0])
     _write_csv(
         os.path.join(out, "rates.csv"),
         ("level", "N", "M", "error"),

@@ -118,12 +118,15 @@ class SurfaceMesh:
 
 def load_mesh(path):
     """Parse an OFF file (triangles only; comments and blank lines allowed)."""
-    with open(path) as fh:
-        tokens = []
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
+    try:
+        with open(path) as fh:
+            tokens = []
+            for line in fh:
+                line = line.split("#", 1)[0].strip()
+                if line:
+                    tokens.extend(line.split())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: unreadable mesh file ({exc})") from None
     if not tokens or tokens[0] != "OFF":
         raise FormatError(f"{path}: not an OFF file")
     try:

@@ -4,9 +4,9 @@ The recovery pipeline certifies that a potential difference leaves a
 visible imprint on boundary kernels away from the diagonal. These probes
 quantify that imprint:
 
-* :func:`null_test` runs the full source problem with matching potentials
-  and demands *exact* zeros (the discrete stages short-circuit on zero
-  data, so any nonzero is a plumbing bug, not roundoff);
+* :func:`null_test` runs both sweeps of the source problem with matching
+  potentials and demands *exact* zeros in ``phi`` and ``psi`` (each step
+  short-circuits on zero data, so any nonzero is a plumbing bug);
 * :func:`shell_decomposition` splits kernel mass over dyadic bands of the
   off-diagonal distance and checks the bands partition the total;
 * :func:`offdiagonal_flag` raises a flag when mass survives at distances
@@ -30,9 +30,7 @@ FAR_DISTANCE = np.pi / 8
 def null_test(family1, family2):
     """Source problem with matching data must vanish identically."""
     stages = solve_source_bvp(family1, family2)
-    worst = max(
-        float(np.abs(stages[name]).max()) for name in ("phi", "psi_h", "psi_p")
-    )
+    worst = max(float(np.abs(stages[name]).max()) for name in ("phi", "psi"))
     scale = float(np.linalg.norm(family1.lams[0]))
     return {"max_abs": worst, "scale": scale, "passed": worst <= 1e-10 * scale}
 

@@ -6,21 +6,20 @@ families with potentials ``Q1, Q2``. Differentiating the map equation shows
 
     (d* + A) U = R,     R(t) = diagonal kernel of (Q1 - Q2) on the slice,
 
-with ``d* = -d/dt - m``. The solver never uses ``U`` below the top slice:
-it integrates the second-order problem ``(d* + A)(d/dt + A) phi = R`` with
-``phi(0) = 0`` and the flux condition ``(d/dt + A) phi = U`` at the collar
-depth, in three first-order sweeps. The depth derivative of ``phi`` at the
-boundary then *re-derives* the kernel of the map difference at ``t = 0``,
-which is the quantity the whole pipeline is meant to certify.
+with ``d* = -d/dt - m``. The solver integrates the second-order problem
+``(d* + A)(d/dt + A) phi = R`` with ``phi(0) = 0`` and the flux condition
+``(d/dt + A) phi = U`` at the collar depth, one sweep per first-order factor.
+The depth derivative of ``phi`` at the boundary then *re-derives* the kernel
+of the map difference at ``t = 0``, which is the quantity the whole pipeline
+is meant to certify.
 
-Sweeps (all trapezoidal, matrix-free):
-  1. ``(d* + A) psi_h = 0`` backward from the flux condition at the collar depth;
-  2. ``(d* + A) psi_p = R`` backward from zero;
-  3. ``(d/dt + A) phi = psi_h + psi_p`` forward from zero.
+Sweeps (both trapezoidal, matrix-free):
+  1. ``(d* + A) psi = R`` backward from ``psi(eps) = U(eps)``, so ``psi`` is
+     ``U`` transported up from the collar depth;
+  2. ``(d/dt + A) phi = psi`` forward from zero.
 
-The forward transport is linear in its source, so one forward sweep on the
-summed source carries both backward fields into ``phi``. Every stage is a
-plain ``(M+1, N, N)`` array, row ``j`` at depth ``geometry.collar_ts[j]``.
+Both fields are plain ``(M+1, N, N)`` arrays, row ``j`` at depth
+``geometry.collar_ts[j]``.
 
 With matching potentials every sweep is identically zero (the null test in
 :mod:`evosq.probes` relies on this being exact, not merely small).
@@ -55,17 +54,16 @@ def diagonal_source(family1, family2):
 
 
 def solve_source_bvp(family1, family2):
-    """Three-sweep solve; returns the arrays ``phi`` and the backward fields ``psi_h``, ``psi_p``.
+    """Two-sweep solve; returns the arrays ``phi`` and ``psi``, the transported ``U``.
 
     The flux condition at the collar depth carries the sign +1; the
     recovery check resolves the orientation empirically instead.
     """
     pair = PairOperator(family1, family2)
     K_eps = difference_kernel(family1, family2, pair.geometry.M)
-    psi_h = evolve_tensor_backward(pair, K_eps)
-    psi_p = evolve_tensor_backward(pair, 0.0, source=diagonal_source(family1, family2))
-    phi = evolve_tensor_forward(pair, 0.0, source=lambda j: psi_h[j] + psi_p[j])
-    return {"phi": phi, "psi_h": psi_h, "psi_p": psi_p}
+    psi = evolve_tensor_backward(pair, K_eps, source=diagonal_source(family1, family2))
+    phi = evolve_tensor_forward(pair, 0.0, source=psi.__getitem__)
+    return {"phi": phi, "psi": psi}
 
 
 def boundary_time_derivative(geometry, phi):

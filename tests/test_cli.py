@@ -156,6 +156,9 @@ def test_non_boolean_flag_exits_two(tmp_path, capsys, scenario, key, value):
         ("oducp-probe", "ambient_dim=1"),
         ("oducp-probe", "ambient_dim=-3"),
         ("conformal-check", "modes_max=-1"),
+        ("conformal-check", 'gamma={"kind": "poly", "coeffs": []}'),
+        ("convergence-study", "levels=[]"),
+        ("convergence-study", "levels=[[16, 16]]"),
     ],
 )
 def test_bad_nested_numeric_value_exits_two(tmp_path, capsys, scenario, override):
@@ -177,11 +180,15 @@ def test_value_below_its_minimum_exits_two(tmp_path, capsys, scenario, key, low,
     assert err.startswith(f"config error: config entry '{key}' needs a value >= {low}")
 
 
-def test_bad_config_file_exits_two(tmp_path):
+def test_bad_config_file_exits_two(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
-    assert main(["dn-compute", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert main(["dn-compute", "--config", str(tmp_path / "missing.json")]) == 2
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00\x80")
+    for path in (cfg, tmp_path / "missing.json", tmp_path, binary):
+        assert main(["dn-compute", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
 
 def test_invalid_geometry_exits_two(tmp_path):
@@ -321,6 +328,24 @@ def test_exhaustion_reads_off_file(tmp_path):
     assert summary["results"]["triangles"] == 24
 
 
+@pytest.mark.parametrize("mesh", ["null", "5", "[1]"])
+def test_exhaustion_rejects_a_mesh_that_is_not_a_path(tmp_path, capsys, mesh):
+    code, _, summary = _run(tmp_path, "exhaustion", "--override", f"mesh={mesh}")
+    err = capsys.readouterr().err
+    assert code == 2 and summary is None
+    assert err.startswith("config error: mesh must be a path string")
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+def test_exhaustion_unreadable_mesh_exits_three(tmp_path, capsys, kind):
+    path = {"missing": tmp_path / "none.off", "directory": tmp_path, "binary": tmp_path / "b.off"}
+    path["binary"].write_bytes(b"\xff\xfe\x00\x80")
+    code, _, summary = _run(tmp_path, "exhaustion", "--override", f"mesh={path[kind]}")
+    err = capsys.readouterr().err
+    assert code == 3 and summary is None
+    assert err.startswith("numerical failure:") and "unreadable mesh file" in err
+
+
 def test_global_march_reaches_cap(tmp_path):
     code, out, summary = _run(
         tmp_path,
@@ -352,6 +377,18 @@ def test_global_march_computes_one_chain_per_family(tmp_path, monkeypatch):
     code, _, summary = _run(tmp_path, "global-march")
     assert code == 0 and len(summary["results"]["windows"]) == 2
     assert len(calls) == 4
+
+
+def test_null_test_computes_one_chain(tmp_path, monkeypatch):
+    # the null test pairs the q1 family with itself instead of eliminating it twice
+    from evosq import dnmap
+
+    calls = []
+    chain = dnmap.propagation_chain
+    monkeypatch.setattr(dnmap, "propagation_chain", lambda *a: calls.append(a) or chain(*a))
+    code, _, summary = _run(tmp_path, "null-test", *SMALL)
+    assert code == 0 and summary["results"]["max_abs"] == 0.0
+    assert len(calls) == 1
 
 
 def test_evolve_convergence_study_takes_boundary_data(tmp_path):

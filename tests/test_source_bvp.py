@@ -4,7 +4,8 @@ from scipy.integrate import solve_ivp
 
 from evosq.dnmap import compute_dn_family
 from evosq.errors import GeometryError
-from evosq.evolution import PairOperator, evolve_tensor_forward
+from evosq import source_bvp
+from evosq.evolution import PairOperator, evolve_tensor_backward
 from evosq.geometry import build_warped_geometry, make_profile
 from evosq.source_bvp import (
     boundary_time_derivative,
@@ -80,15 +81,14 @@ def cylinder_pair():
 
 
 def test_homogeneous_stage_closed_form(cylinder_pair):
-    # on the flat cylinder the backward homogeneous stage for one mode pair is
+    # on the flat cylinder the backward homogeneous sweep for one mode pair is
     # psi(t) = psi(eps) * prod_i sinh(kap_i (T - eps)) / sinh(kap_i (T - t))
     cp = cylinder_pair
-    stages = solve_source_bvp(cp.fam1, cp.fam2)
+    K_eps = difference_kernel(cp.fam1, cp.fam2, cp.M)
+    psi_h = evolve_tensor_backward(PairOperator(cp.fam1, cp.fam2), K_eps)
     ts = cp.g.collar_ts
-    psi_hat = np.array(
-        [_pair_mode_component(stages["psi_h"][j], cp.k) for j in range(cp.M + 1)]
-    )
-    pe = _pair_mode_component(difference_kernel(cp.fam1, cp.fam2, cp.M), cp.k)
+    psi_hat = np.array([_pair_mode_component(psi_h[j], cp.k) for j in range(cp.M + 1)])
+    pe = _pair_mode_component(K_eps, cp.k)
     closed = (
         pe
         * np.sinh(cp.kap1 * (cp.T - cp.eps))
@@ -98,9 +98,29 @@ def test_homogeneous_stage_closed_form(cylinder_pair):
     assert np.max(np.abs(psi_hat - closed)) < 1e-4 * np.max(np.abs(closed))
 
 
+def test_psi_is_the_exact_difference_kernel(cylinder_pair):
+    # psi is U transported up from the collar depth, so its mode-pair component
+    # is the exact symbol difference (lam1(t) - lam2(t)) / (w N) at every node,
+    # with a second-order error in the depth step
+    cp = cylinder_pair
+    profile = make_profile("flat-cylinder", T=cp.T)
+    errs = []
+    for M in (32, 64, 128):
+        g = build_warped_geometry(profile, N=cp.N, M=M, eps=cp.eps)
+        psi = solve_source_bvp(compute_dn_family(g, cp.c1), compute_dn_family(g, cp.c2))["psi"]
+        psi_hat = np.array([_pair_mode_component(psi[j], cp.k) for j in range(M + 1)])
+        ts = g.collar_ts
+        exact = (cp.lam1(ts) - cp.lam2(ts)) / (cp.w * cp.N)
+        errs.append(np.max(np.abs(psi_hat - exact)) / np.max(np.abs(exact)))
+    assert errs[0] < 1e-3
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.5 < coarse / fine < 4.5
+
+
 def test_all_stages_against_ode_oracle(cylinder_pair):
-    # scalar mode-pair reduction of the four-stage solve, integrated by an
-    # unrelated adaptive ODE method from exact terminal data
+    # scalar mode-pair reduction of the two-sweep solve, integrated by an
+    # unrelated adaptive ODE method from exact terminal data; the backward
+    # field is split into a homogeneous part y0 and a particular part y1
     cp = cylinder_pair
     q = cp.c1 - cp.c2
     scale = cp.w * cp.N
@@ -125,10 +145,8 @@ def test_all_stages_against_ode_oracle(cylinder_pair):
 
     stages = solve_source_bvp(cp.fam1, cp.fam2)
     ts = cp.g.collar_ts
-    psi_hat = np.array(
-        [_pair_mode_component(stages["psi_h"][j], cp.k) for j in range(cp.M + 1)]
-    )
-    psi_oracle = np.array([back.sol(t)[0] for t in ts])
+    psi_hat = np.array([_pair_mode_component(stages["psi"][j], cp.k) for j in range(cp.M + 1)])
+    psi_oracle = np.array([back.sol(t)[0] + back.sol(t)[1] for t in ts])
     assert np.max(np.abs(psi_hat - psi_oracle)) < 1e-3 * np.max(np.abs(psi_oracle))
 
     phi_hat = np.array(
@@ -150,27 +168,35 @@ def test_all_stages_against_ode_oracle(cylinder_pair):
 def test_matching_potentials_give_exact_zero(annulus_families):
     fam1, _ = annulus_families
     stages = solve_source_bvp(fam1, fam1)
-    for name in ("phi", "psi_h", "psi_p"):
+    for name in ("phi", "psi"):
         assert np.all(stages[name] == 0.0), name
 
 
-# -- three-sweep structure -------------------------------------------------------
+# -- two-sweep structure ---------------------------------------------------------
 
 
-def test_one_forward_sweep_equals_the_sum_of_two(annulus_families):
-    # the forward transport is linear in its source: one sweep on psi_h + psi_p
-    # equals separate sweeps on each, to the CG tolerance
+def test_solve_makes_one_backward_and_one_forward_sweep(annulus_families, monkeypatch):
+    calls = []
+    for name in ("evolve_tensor_backward", "evolve_tensor_forward"):
+        sweep = getattr(source_bvp, name)
+        monkeypatch.setattr(
+            source_bvp, name, lambda *a, _n=name, _f=sweep, **kw: calls.append(_n) or _f(*a, **kw)
+        )
+    stages = solve_source_bvp(*annulus_families)
+    assert set(stages) == {"phi", "psi"}
+    assert sorted(calls) == ["evolve_tensor_backward", "evolve_tensor_forward"]
+
+
+def test_backward_sweep_is_linear_in_its_data(annulus_families):
+    # the solver's one sweep from (U(eps), R) equals the homogeneous sweep from
+    # U(eps) plus the particular sweep from zero, to the CG tolerance
     fam1, fam2 = annulus_families
-    stages = solve_source_bvp(fam1, fam2)
-    assert set(stages) == {"phi", "psi_h", "psi_p"}
     pair = PairOperator(fam1, fam2)
-    zero = np.zeros((pair.geometry.N, pair.geometry.N))
-    split = sum(
-        evolve_tensor_forward(pair, zero, source=stages[name].__getitem__)
-        for name in ("psi_h", "psi_p")
-    )
-    phi = stages["phi"]
-    assert np.linalg.norm(phi - split) <= 1e-9 * np.linalg.norm(split)
+    K_eps = difference_kernel(fam1, fam2, pair.geometry.M)
+    R = diagonal_source(fam1, fam2)
+    psi = solve_source_bvp(fam1, fam2)["psi"]
+    split = evolve_tensor_backward(pair, K_eps) + evolve_tensor_backward(pair, 0.0, source=R)
+    assert np.linalg.norm(psi - split) <= 1e-9 * np.linalg.norm(split)
 
 
 # -- strip decomposition ---------------------------------------------------------
