@@ -8,13 +8,14 @@ and the slice map is ``f -> -u_t`` at the slice, a positive semi-definite
 dense matrix on the boundary nodes. One backward elimination sweep over the
 full depth grid produces the propagation chain ``u_j = S_j u_{j-1}``; every
 collar-depth map is then read off the chain with one-sided derivative
-stencils, so the whole family costs a single sweep. The sweep runs over
-pivot blocks: one dense N x N block per node, or per mode, a batch of 1 x 1
-blocks, one per Fourier mode; both share the elimination and the
-extraction. The per-mode path serves theta-independent potentials, and the
-dense chain runs it too over its deep stretch, the nodes below the last row
-where the potential varies in theta, where every block is circulant; it
-materializes those blocks as dense circulants and sweeps densely above.
+stencils, so the whole family costs a single sweep that keeps only the
+blocks 1..M+2 extraction reads. The sweep runs over pivot blocks: one dense
+N x N block per node, or per mode, a batch of 1 x 1 blocks, one per Fourier
+mode; both share the elimination and the extraction. The per-mode path
+serves theta-independent potentials, and the dense chain runs it too over
+its deep stretch, the nodes below the last row where the potential varies
+in theta, where every block is circulant; it materializes the kept ones as
+dense circulants and sweeps densely above.
 
 Everything here is second order in the depth step. Maps are symmetrized
 after extraction: the true map is symmetric in the slice inner product (a
@@ -53,28 +54,30 @@ def _eliminate(geometry, lap, q, mu, cap, top=1, bottom=None, circulant=False):
     ``lap`` is the unit-radius slice Laplacian as ``(..., n, n)`` blocks,
     ``q(j)`` the potential block at node ``j``, ``mu`` the first-order depth
     coefficient per node and ``cap`` the block at node ``bottom`` (default the
-    last node). The sweep fills nodes ``bottom - 1`` down to ``top`` of one
-    ``(K, ..., n, n)`` array and returns it; its other rows are unset. One
-    array, not K, so that a dropped chain goes back to the operating system
-    whole. A singular pivot or a block norm above
-    ``_SINGULAR_FACTOR * sqrt(n)`` is a resonance. With ``circulant`` the
-    batch of N 1 x 1 blocks is the spectrum of one circulant N x N block and
-    is guarded as that block would be: a zero mode pivot is a singular pivot
-    and the norm is the Frobenius one, the root of the summed squared
-    symbols, against ``_SINGULAR_FACTOR * sqrt(N)``.
+    last node). The sweep runs from node ``bottom - 1`` up to ``top``. It
+    returns one ``(M + 3, ..., n, n)`` array holding the blocks of rows up to
+    M + 2 (other rows unset; one array, so that a dropped chain goes back to
+    the operating system whole) and the block at ``top``. A singular pivot
+    or a block norm above ``_SINGULAR_FACTOR * sqrt(n)`` is a resonance. With
+    ``circulant`` the batch of N 1 x 1 blocks is the spectrum of one circulant
+    N x N block and is guarded as that block would be: a zero mode pivot is a
+    singular pivot and the norm is the Frobenius one, the root of the summed
+    squared symbols, against ``_SINGULAR_FACTOR * sqrt(N)``.
     """
-    ts = geometry.ts
+    ts, kept = geometry.ts, geometry.M + 2
     bottom = ts.size - 1 if bottom is None else bottom
     eye = np.eye(lap.shape[-1])
     guard = _SINGULAR_FACTOR * np.sqrt(lap.shape[0] if circulant else lap.shape[-1])
-    S = np.empty((ts.size,) + cap.shape)
-    S[bottom] = cap
+    S = np.empty((kept + 1,) + cap.shape)
+    block = cap
+    if bottom <= kept:
+        S[bottom] = cap
     for j in range(bottom - 1, top - 1, -1):
         ap, bp, cp = _second_order_coeffs(ts[j] - ts[j - 1], ts[j + 1] - ts[j], mu[j])
-        P = bp * eye - lap / geometry.rs[j] ** 2 - q(j) + cp * S[j + 1]
+        P = bp * eye - lap / geometry.rs[j] ** 2 - q(j) + cp * block
         try:
-            S[j] = np.linalg.solve(P, -ap * eye)
-            sq = np.einsum("...ij,...ij->...", S[j], S[j])
+            block = np.linalg.solve(P, -ap * eye)
+            sq = np.einsum("...ij,...ij->...", block, block)
         except np.linalg.LinAlgError:
             sq = np.where(np.linalg.det(P) == 0.0, np.inf, 0.0)
         norm = np.sqrt(np.sum(sq) if circulant else sq)
@@ -85,43 +88,43 @@ def _eliminate(geometry, lap, q, mu, cap, top=1, bottom=None, circulant=False):
             raise DNComputationError(
                 f"Dirichlet eigenvalue collision{mode} near depth {ts[j]:.6g}{why}"
             )
-    return S
+        if j <= kept:
+            S[j] = block
+    return S, block
 
 
 def propagation_chain(geometry, potential):
-    """Backward elimination over the full grid.
+    """Backward elimination over the full grid, kept on the collar.
 
-    Returns a list ``S`` with ``S[j]`` mapping the slice value at node
-    ``j - 1`` to node ``j`` (``S[0]`` is None). Below the last row where the
-    potential varies in theta, and with the cap, every block is circulant:
-    that deep run is eliminated per Fourier mode and materialized with
-    :func:`fourier_matrix`, and the dense sweep continues from its top to
-    node 1. Raises :class:`DNComputationError` when an interior resonance
-    makes a pivot singular (a Dirichlet eigenvalue collision of the capped
-    region).
+    Returns an ``(M + 3, N, N)`` array ``S`` with ``S[j]`` mapping the slice
+    value at node ``j - 1`` to node ``j`` for ``j = 1..M+2`` (row 0 is
+    unset). Below the last row where the potential varies in theta, and with
+    the cap, every block is circulant: that deep run is eliminated per
+    Fourier mode, its kept rows are materialized with :func:`fourier_matrix`,
+    and the dense sweep continues from its top to node 1. Raises
+    :class:`DNComputationError` when an interior resonance makes a pivot
+    singular (a Dirichlet eigenvalue collision of the capped region).
     """
     if geometry.dim != 1:
         raise GeometryError("dense propagation is circle-only; use dn_mode_symbol")
     ts, k = geometry.ts, geometry.wavenumbers()
-    if geometry.cap == "center":  # per-mode decay (r_last / r_prev)^|k| across the capped cell
-        cap = (geometry.rs[-1] / geometry.rs[-2]) ** np.abs(k)
-    else:
-        cap = np.zeros_like(k)
+    ratio = geometry.rs[-1] / geometry.rs[-2]  # per-mode decay ratio^|k| across the capped cell
+    cap = ratio ** np.abs(k) if geometry.cap == "center" else np.zeros_like(k)
     Q = potential.on_grid(geometry.theta, ts)
     mu = geometry.mu_dot(ts)
     rippled = np.flatnonzero(np.any(Q[:-1] != Q[:-1, :1], axis=1))
     top = int(rippled[-1]) + 1 if rippled.size else 1  # highest node of the theta-constant run
-    symbols = _eliminate(
+    symbols, top_symbol = _eliminate(
         geometry, (k**2)[:, None, None], lambda j: Q[j, 0], mu, cap[:, None, None], top=top,
         circulant=True,
-    )[..., 0, 0]
-    S = _eliminate(
-        geometry, geometry.d2_unit(), lambda j: np.diag(Q[j]), mu, fourier_matrix(symbols[top]),
-        bottom=top,
     )
-    for j in range(top + 1, ts.size):
-        S[j] = fourier_matrix(symbols[j])
-    return [None] + list(S[1:])
+    S, _ = _eliminate(
+        geometry, geometry.d2_unit(), lambda j: np.diag(Q[j]), mu,
+        fourier_matrix(top_symbol[:, 0, 0]), bottom=top,
+    )
+    for j in range(top + 1, geometry.M + 3):
+        S[j] = fourier_matrix(symbols[j, :, 0, 0])
+    return S
 
 
 def _extract_dn(geometry, S, j):
@@ -134,8 +137,8 @@ def _extract_dn(geometry, S, j):
 class DNFamily:
     """Collar family of slice maps, one per collar node.
 
-    ``chain`` is the :func:`propagation_chain` the maps were read from when
-    computed with ``keep_chain=True``, else None. ``q`` is the potential
+    ``chain`` is the collar :func:`propagation_chain` the maps were read from
+    when computed with ``keep_chain=True``, else None. ``q`` is the potential
     sampled on the collar nodes, row ``j`` at depth ``t_j``.
     """
 
@@ -176,18 +179,18 @@ def compute_dn_family(geometry, potential=None, keep_chain=False):
 
 
 def solve_interior(family, f):
-    """Extend boundary data ``f`` into the capped region below ``family``'s boundary.
+    """Extend boundary data ``f`` over the collar below ``family``'s boundary.
 
     Forward substitution through the family's kept propagation chain, or
     through one fresh :func:`propagation_chain` when it kept none. Returns the
-    ``(K, N)`` array over the full grid ``geometry.ts``; it satisfies the
-    interior equation at every grid node and the cap condition.
+    ``(M + 1, N)`` collar trace of the solution that satisfies the interior
+    equation at every grid node and the cap condition.
     """
     g = family.geometry
-    chain = family.chain or propagation_chain(g, family.potential)
-    u = np.empty((g.ts.size, g.N))
+    chain = propagation_chain(g, family.potential) if family.chain is None else family.chain
+    u = np.empty((g.M + 1, g.N))
     u[0] = np.asarray(f, dtype=float)
-    for j in range(1, g.ts.size):
+    for j in range(1, g.M + 1):
         u[j] = chain[j] @ u[j - 1]
     return u
 
@@ -212,7 +215,7 @@ def _mode_maps(geometry, ksq, q_values, mu, depths):
     lap = np.asarray(ksq, dtype=float).reshape(-1, 1, 1)
     ratio = geometry.rs[-1] / geometry.rs[-2]
     cap = ratio ** np.sqrt(lap) if geometry.cap == "center" else np.zeros_like(lap)
-    S = _eliminate(geometry, lap, q_values.__getitem__, mu, cap)
+    S, _ = _eliminate(geometry, lap, q_values.__getitem__, mu, cap)
     return np.array([_extract_dn(geometry, S, j)[:, 0, 0].reshape(np.shape(ksq)) for j in depths])
 
 
@@ -349,8 +352,8 @@ def conductivity_mode_dn(geometry, gamma, n_ambient, ksq):
 
     ts = geometry.ts
     g = np.asarray(gamma(ts), dtype=float)
-    if np.any(g <= 0.0):
-        raise GeometryError("conformal factor must be positive")
+    if not np.all((g > 0.0) & (g < np.inf)):  # NaN fails both
+        raise GeometryError("conformal factor must be positive and finite")
     sigma = g ** (0.5 * n_ambient - 1.0)
     dsigma = derivative_matrix(ts, 1) @ sigma
     mu_eff = np.asarray(geometry.mu_dot(ts), dtype=float) + dsigma / sigma

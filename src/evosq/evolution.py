@@ -19,8 +19,9 @@ Every field is a plain array indexed by collar node first: a trace is
 All steppers are trapezoidal (second order); both transports are one
 stepper run down or up the collar. Its implicit half-step is a symmetric
 positive system solved matrix-free by conjugate gradients (Frobenius inner
-products) to ``_CG_TOL``: the recovered ``rel_error`` is reproducible only to
-about 5e-9 relative at N=32, M=64 (5e-8 at M=128), so pin no bound finer.
+products) to ``_CG_TOL``. Pin no bound finer than its noise in ``rel_error``:
+about 5e-9 relative in the headline at N=32, M=64 (5e-8 at M=128), but 7.5e-7
+in a global-march window (N=32, M=64), where ``rel_error`` is only 4e-4 to 3e-3.
 """
 
 import numpy as np

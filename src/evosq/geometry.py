@@ -273,8 +273,8 @@ def fourier_matrix(symbol):
 
     Entry ``(i, j)`` is ``c[(i - j) % N]`` with ``c = real(ifft(symbol))``,
     symmetrized as ``(c[m] + c[-m]) / 2``, so the matrix is exactly symmetric
-    and circulant. It is how the propagation chain materializes the blocks it
-    eliminates per mode.
+    and circulant. It is how the propagation chain materializes the kept
+    blocks it eliminates per mode.
     """
     c = np.real(np.fft.ifft(symbol))
     m = np.arange(c.size)
@@ -390,8 +390,8 @@ def conformal_potential(geometry, gamma, n_ambient):
     except TypeError:
         g = np.asarray(gamma(ts), dtype=float).reshape(1, K)
         vals = np.broadcast_to(g, (geometry.N, K)).copy()
-    if np.any(vals <= 0.0):
-        raise GeometryError("conformal factor must be positive")
+    if not np.all((vals > 0.0) & (vals < np.inf)):  # NaN fails both
+        raise GeometryError("conformal factor must be positive and finite")
     if geometry.dim == 2 and not np.allclose(vals, vals[:1, :]):
         raise GeometryError("torus conformal factors must depend on t only")
 

@@ -137,6 +137,17 @@ class SampledPotential(Potential):
         return ("sampled", self._digest, round(self.base_shift, 14))
 
 
+def _finite(value, owner, name):
+    """``value`` as a float; a boolean, a non-number, NaN or an infinity is an error."""
+    try:
+        x = None if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        x = None
+    if x is None or not np.isfinite(x):
+        raise GeometryError(f"{owner} needs a finite numeric {name}, got {value!r}")
+    return x
+
+
 def make_potential(spec):
     """Build a potential from a flat config dictionary."""
     if spec is None:
@@ -144,7 +155,8 @@ def make_potential(spec):
     if isinstance(spec, Potential):
         return spec
     if isinstance(spec, (int, float)):
-        return ConstantPotential(spec) if spec else ZeroPotential()
+        value = _finite(spec, "a constant potential", "value")
+        return ConstantPotential(value) if value else ZeroPotential()
     if not isinstance(spec, dict):
         raise GeometryError(
             f"potential spec must be a number or an object with a 'kind', "
@@ -154,20 +166,10 @@ def make_potential(spec):
     if kind == "zero":
         return ZeroPotential()
     if kind == "constant":
-        try:
-            return ConstantPotential(float(spec["value"]))
-        except (KeyError, TypeError, ValueError):
-            raise GeometryError("constant potential needs a numeric 'value'") from None
+        return ConstantPotential(_finite(spec.get("value"), "constant potential", "'value'"))
     if kind == "bump":
-        try:
-            return BumpPotential(
-                spec.get("amplitude", 1.0),
-                spec.get("theta0", 0.0),
-                spec.get("t0", 0.0),
-                spec.get("width", 0.3),
-            )
-        except (TypeError, ValueError):
-            raise GeometryError(
-                "bump potential needs numeric 'amplitude', 'theta0', 't0' and 'width'"
-            ) from None
+        defaults = {"amplitude": 1.0, "theta0": 0.0, "t0": 0.0, "width": 0.3}
+        return BumpPotential(
+            *(_finite(spec.get(k, d), "bump potential", repr(k)) for k, d in defaults.items())
+        )
     raise GeometryError(f"unknown potential kind {kind!r}")

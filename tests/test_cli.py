@@ -159,6 +159,13 @@ def test_non_boolean_flag_exits_two(tmp_path, capsys, scenario, key, value):
         ("conformal-check", 'gamma={"kind": "poly", "coeffs": []}'),
         ("convergence-study", "levels=[]"),
         ("convergence-study", "levels=[[16, 16]]"),
+        ("dn-compute", "q1=NaN"),
+        ("dn-compute", "q1=true"),
+        ("dn-compute", 'q1={"kind": "constant", "value": -Infinity}'),
+        ("dn-compute", 'q1={"kind": "bump", "amplitude": Infinity}'),
+        ("dn-compute", 'q1={"kind": "bump", "t0": NaN}'),
+        ("global-march", "q1=NaN"),
+        ("conformal-check", 'gamma={"kind": "exp", "rate": 1000}'),
     ],
 )
 def test_bad_nested_numeric_value_exits_two(tmp_path, capsys, scenario, override):

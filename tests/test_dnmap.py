@@ -101,7 +101,8 @@ def test_dense_and_mode_paths_agree_on_every_cap(profile):
 @pytest.mark.parametrize("profile", ["annulus", "disk", "flat-cylinder"])
 def test_chain_matches_whole_grid_dense_elimination(profile):
     # the theta-constant run below the bump (all of the grid for a constant)
-    # is eliminated per mode; every block must equal the dense sweep's
+    # is eliminated per mode; every kept block must equal the dense sweep's,
+    # also when the run starts below the kept collar rows (the deep bump)
     g = build_warped_geometry(make_profile(profile), N=16, M=32, eps=0.3)
     k = g.wavenumbers()
     if g.cap == "center":
@@ -109,17 +110,38 @@ def test_chain_matches_whole_grid_dense_elimination(profile):
     else:
         cap = np.zeros((g.N, g.N))
     bump = {"kind": "bump", "amplitude": 2.0, "theta0": 0.0, "t0": 0.1, "width": 0.2}
-    for spec, top in ((bump, int(np.searchsorted(g.ts, 0.3, side="right"))), (1.5, 1)):
+    deep = {"kind": "bump", "amplitude": 2.0, "theta0": 0.0, "t0": 0.4, "width": 0.06}
+    cases = [(bump, 0.3), (deep, 0.46), (1.5, 0.0)]
+    for spec, t_end in cases:
+        top = max(int(np.searchsorted(g.ts, t_end, side="right")), 1)
         potential = make_potential(spec)
         Q = potential.on_grid(g.theta, g.ts)
-        dense = _eliminate(g, g.d2_unit(), lambda j: np.diag(Q[j]), g.mu_dot(g.ts), cap)
+        dense, _ = _eliminate(g, g.d2_unit(), lambda j: np.diag(Q[j]), g.mu_dot(g.ts), cap)
         chain = propagation_chain(g, potential)
-        assert chain[0] is None and len(chain) == g.ts.size
+        assert chain.shape == (g.M + 3, g.N, g.N)
         for S, D in zip(chain[1:], dense[1:]):
             assert np.linalg.norm(S - D) <= 1e-12 * np.linalg.norm(D)
         for S in chain[top:]:
             assert np.array_equal(S, S.T)
             assert np.array_equal(S, np.roll(S, (1, 1), axis=(0, 1)))
+
+
+def test_chain_allocates_only_the_collar_blocks():
+    # a chain over the whole grid would hold K = 213 blocks on this disk
+    import tracemalloc
+
+    g = build_warped_geometry("disk", N=32, M=64, eps=0.3)
+    bump = {"kind": "bump", "amplitude": 2.0, "theta0": 0.0, "t0": 0.1, "width": 0.2}
+    assert g.ts.size > 3 * (g.M + 3)
+    for spec in (bump, 1.5):
+        potential = make_potential(spec)
+        tracemalloc.start()
+        try:
+            propagation_chain(g, potential)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (g.M + 3) * g.N**2 * 8
 
 
 # -- structural properties ----------------------------------------------------
@@ -187,18 +209,19 @@ def test_dense_path_is_circle_only():
 
 
 def test_interior_solution_matches_separated_form(annulus_geometry):
+    # at node M the Dirichlet-cap term moves the solution by 4.9e-2 (k = 1)
+    # and 6.3e-4 (k = 3), so a wrong cap fails the 1e-4 bound
     g = annulus_geometry
-    rho, k = 0.25, 3
-    f = np.cos(k * g.theta)
-    sol = solve_interior(compute_dn_family(g), f)
-    assert np.array_equal(sol[0], f)
-    r = g.rs
-    radial = (r**k - rho ** (2 * k) * r ** (-k)) / (1.0 - rho ** (2 * k))
-    for j in (g.M // 2, g.M, g.ts.size - 2):
-        expect = radial[j] * f
-        assert np.max(np.abs(sol[j] - expect)) < 1e-3
-    # Dirichlet cap
-    assert np.max(np.abs(sol[g.ts.size - 1])) < 1e-12
+    fam = compute_dn_family(g)
+    rho, r = 0.25, g.rs
+    for k in (1, 3):
+        f = np.cos(k * g.theta)
+        sol = solve_interior(fam, f)
+        assert sol.shape == (g.M + 1, g.N)
+        assert np.array_equal(sol[0], f)
+        radial = (r**k - rho ** (2 * k) * r ** (-k)) / (1.0 - rho ** (2 * k))
+        for j in (g.M // 2, g.M):
+            assert np.max(np.abs(sol[j] - radial[j] * f)) < 1e-4
 
 
 def test_interior_solution_reuses_chain(annulus_families):
@@ -209,7 +232,7 @@ def test_interior_solution_reuses_chain(annulus_families):
     f = np.sin(2 * g.theta)
     a = solve_interior(fam1, f)
     b = solve_interior(compute_dn_family(g, fam1.potential), f)
-    assert a.shape == (g.ts.size, g.N)
+    assert a.shape == (g.M + 1, g.N)
     assert np.array_equal(a, b)
 
 
@@ -352,6 +375,13 @@ def test_conductivity_mode_closed_form():
     lam0 = conductivity_mode_dn(g, lambda t: np.exp(2.0 * t), 3, 0.0)
     exact = 1.0 / (1.0 - np.exp(-T))
     assert abs(lam0 - exact) / exact < 1e-4
+
+
+def test_conductivity_mode_rejects_a_non_finite_factor():
+    g = build_warped_geometry(make_profile("flat-cylinder", T=0.9), N=16, M=16, eps=0.3)
+    for bad in (np.inf, np.nan, -1.0):
+        with pytest.raises(GeometryError, match="positive and finite"):
+            conductivity_mode_dn(g, lambda t: np.where(t > 0.5, bad, 1.0), 3, 1.0)
 
 
 def test_mode_paths_take_an_array_of_modes():

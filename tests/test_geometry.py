@@ -256,6 +256,9 @@ def test_conformal_validation():
         conformal_potential(g, lambda t: np.exp(t), 2)
     with pytest.raises(GeometryError, match="positive"):
         conformal_potential(g, lambda t: t - 1.0, 3)
+    for bad in (np.inf, np.nan):  # an overflowing or undefined factor
+        with pytest.raises(GeometryError, match="positive and finite"):
+            conformal_potential(g, lambda t: np.where(t > 0.5, bad, 1.0), 3)
     g2 = build_warped_geometry(make_profile("flat-cylinder", T=0.9), N=8, M=16, eps=0.3, dim=2)
     with pytest.raises(GeometryError, match="depend on t only"):
         conformal_potential(g2, lambda th, t: np.exp(t) + 0.1 * np.cos(th), 3)

@@ -142,3 +142,23 @@ def test_make_potential_rejects_malformed_specs():
         make_potential({"kind": "constant"})
     with pytest.raises(GeometryError, match="numeric 'value'"):
         make_potential({"kind": "constant", "value": "big"})
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        np.nan,
+        -np.inf,
+        True,
+        {"kind": "constant", "value": np.inf},
+        {"kind": "constant", "value": False},
+        {"kind": "bump", "amplitude": np.inf},
+        {"kind": "bump", "t0": np.nan},
+        {"kind": "bump", "theta0": -np.inf},
+        {"kind": "bump", "width": True},
+    ],
+)
+def test_make_potential_rejects_non_finite_and_boolean_numbers(spec):
+    # a NaN or infinite potential is no potential; a boolean is not a number
+    with pytest.raises(GeometryError, match="needs a finite numeric"):
+        make_potential(spec)
