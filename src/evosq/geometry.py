@@ -25,6 +25,7 @@ import numpy as np
 from .errors import GeometryError
 
 TWO_PI = 2.0 * np.pi
+MAX_DEPTH_NODES = 10**6  # full-grid node bound; the disk at M=512 has about 1 700
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +39,8 @@ class Profile:
     Attributes
     ----------
     name : str
-        One of ``disk``, ``annulus``, ``flat-cylinder``, ``custom``.
+        One of ``disk``, ``annulus``, ``flat-cylinder``, or ``custom-shift``
+        for a re-based profile.
     T : float
         Cap depth.
     cap : str
@@ -83,8 +85,6 @@ def make_profile(name, **params):
     ``disk``: r = 1 - t, T = 1, center cap.
     ``annulus``: r = 1 - t, T = 1 - rho, Dirichlet cap (requires 0 < rho < 1).
     ``flat-cylinder``: r = 1, Dirichlet cap at depth ``T``.
-    ``custom``: cubic-spline interpolant of ``t_samples``/``r_samples`` with
-    cap ``dirichlet`` or ``center``.
     """
     if name == "disk":
         return Profile("disk", 1.0, "center", lambda t: 1.0 - t, lambda t: -np.ones_like(np.asarray(t, dtype=float)))
@@ -112,24 +112,6 @@ def make_profile(name, **params):
             lambda t: np.zeros_like(np.asarray(t, dtype=float)),
             params=(round(T, 12),),
         )
-    if name == "custom":
-        from scipy.interpolate import CubicSpline
-
-        ts = np.asarray(params["t_samples"], dtype=float)
-        rs = np.asarray(params["r_samples"], dtype=float)
-        if ts.ndim != 1 or ts.shape != rs.shape or ts.size < 4:
-            raise GeometryError("invalid profile: need >= 4 matching samples")
-        if np.any(np.diff(ts) <= 0) or ts[0] != 0.0:
-            raise GeometryError("invalid profile: t samples must increase from 0")
-        if np.any(rs <= 0.0):
-            raise GeometryError("invalid profile: r must stay positive")
-        cap = params.get("cap", "dirichlet")
-        if cap not in ("dirichlet", "center"):
-            raise GeometryError(f"invalid profile: unknown cap {cap!r}")
-        spl = CubicSpline(ts, rs)
-        dspl = spl.derivative()
-        digest = hashlib.sha256(ts.tobytes() + rs.tobytes()).hexdigest()[:12]
-        return Profile("custom", ts[-1], cap, spl, dspl, params=(digest, cap))
     raise GeometryError(f"invalid profile: unknown name {name!r}")
 
 
@@ -311,6 +293,12 @@ def build_warped_geometry(profile, N, M, eps, dim=1):
     if not 0.0 < eps < T:
         raise GeometryError(f"depth exceeds manifold: eps={eps}, cap T={T}")
 
+    nodes = M + 1 + (T - eps) * M / eps  # collar plus the tail at the collar step
+    if nodes > MAX_DEPTH_NODES:
+        raise GeometryError(
+            f"depth grid too large: eps={eps} with M={M} needs {nodes:.4g} nodes, "
+            f"above {MAX_DEPTH_NODES}"
+        )
     collar = np.linspace(0.0, eps, M + 1)
     J2 = max(2, int(round((T - eps) / h)))
     tail = np.linspace(eps, T, J2 + 1)[1:]

@@ -94,22 +94,20 @@ class BumpPotential(Potential):
 
 
 class SampledPotential(Potential):
-    """Potential tabulated on a (theta, t) product grid.
+    """Potential tabulated on a (theta, t) product grid: a table of node values.
 
-    Depth evaluation interpolates with a cubic spline; the theta grid must
-    match the geometry nodes exactly (spectral consistency).
+    :meth:`on_slice` returns the stored column at a depth that is one of the
+    ``t_grid`` nodes; any other depth is a :class:`GeometryError`. The theta
+    grid must match the geometry nodes exactly (spectral consistency).
     """
 
     def __init__(self, theta_grid, t_grid, values, base_shift=0.0):
-        from scipy.interpolate import CubicSpline
-
         self.theta_grid = np.asarray(theta_grid, dtype=float)
         self.t_grid = np.asarray(t_grid, dtype=float)
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != (self.theta_grid.size, self.t_grid.size):
             raise GeometryError("sampled potential: values shape mismatch")
         self.base_shift = float(base_shift)
-        self._spline = CubicSpline(self.t_grid, self.values, axis=1)
         self._digest = hashlib.sha256(
             self.theta_grid.tobytes() + self.t_grid.tobytes() + self.values.tobytes()
         ).hexdigest()[:12]
@@ -126,7 +124,7 @@ class SampledPotential(Potential):
         for cand in (j - 1, j, j + 1):
             if 0 <= cand < self.t_grid.size and abs(self.t_grid[cand] - tt) < 1e-12:
                 return self.values[:, cand].copy()
-        return self._spline(np.clip(tt, lo, hi))
+        raise GeometryError(f"sampled potential: depth {tt} is not a grid node")
 
     def shifted(self, dt):
         return SampledPotential(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,6 +355,51 @@ def test_exhaustion_unreadable_mesh_exits_three(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert code == 3 and summary is None
     assert err.startswith("numerical failure:") and "unreadable mesh file" in err
+
+
+def test_exhaustion_non_finite_vertex_exits_three(tmp_path, capsys):
+    from evosq.meshes import disk_mesh, save_off
+
+    p = tmp_path / "nan.off"
+    save_off(p, disk_mesh(3, 8))
+    lines = p.read_text().splitlines()
+    lines[2], lines[3] = "nan nan 0", "inf 1 0"  # the first two vertex lines
+    p.write_text("\n".join(lines) + "\n")
+    code, _, summary = _run(tmp_path, "exhaustion", "--override", f"mesh={p}")
+    err = capsys.readouterr().err
+    assert code == 3 and summary is None
+    assert err.startswith("numerical failure:") and "finite" in err
+
+
+def test_tiny_eps_depth_grid_is_a_config_error(tmp_path, capsys):
+    code, _, summary = _run(tmp_path, "dn-compute", *SMALL, "--override", "eps=1e-9")
+    err = capsys.readouterr().err
+    assert code == 2 and summary is None
+    assert err.startswith("config error:") and "eps=1e-09" in err and "M=16" in err
+
+
+def test_conformal_check_runs_without_scipy(tmp_path):
+    # the package needs numpy alone: a conformal run (the one that samples a
+    # tabulated potential) must not import scipy
+    script = (
+        "import sys\n"
+        "from evosq.cli import main\n"
+        "code = main(['conformal-check', '--out', sys.argv[1], '--override', 'geometry=flat-cylinder',\n"
+        "             '--override', 'dim=2', '--override', 'N=8', '--override', 'M=16',\n"
+        "             '--override', 'modes_max=2'])\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(code, loaded)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_global_march_reaches_cap(tmp_path):

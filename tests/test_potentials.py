@@ -58,12 +58,13 @@ def test_sampled_exact_node_lookup():
     assert np.array_equal(p.on_slice(THETA, ts[4]), vals[:, 4])
 
 
-def test_sampled_interpolation_accuracy():
+def test_sampled_between_nodes_is_an_error():
     ts = np.linspace(0.0, 1.0, 41)
-    vals = np.ones_like(THETA)[:, None] * np.sin(2 * ts)[None, :]
-    p = SampledPotential(THETA, ts, vals)
-    t = 0.333
-    assert np.max(np.abs(p.on_slice(THETA, t) - np.sin(2 * t))) < 1e-6
+    p = SampledPotential(THETA, ts, np.zeros((16, 41)))
+    with pytest.raises(GeometryError, match="not a grid node"):
+        p.on_slice(THETA, 0.333)
+    with pytest.raises(GeometryError, match="not a grid node"):
+        p.shifted(0.01).on_slice(THETA, ts[3])
 
 
 def test_sampled_theta_mismatch():
@@ -115,7 +116,9 @@ _SAMPLED = SampledPotential(
     ids=["zero", "constant", "bump", "sampled", "shifted-sampled"],
 )
 def test_on_grid_stacks_on_slice_rows(potential):
-    ts = np.r_[_GRID_TS[:7], _GRID_TS[:7] + 0.013]  # grid nodes and spline depths
+    ts = np.r_[_GRID_TS[:7], _GRID_TS[:7] + 0.013]  # grid nodes and off-node depths
+    if isinstance(potential, SampledPotential):
+        ts = _GRID_TS[:7]  # a node table answers at its nodes only
     grid = potential.on_grid(THETA, ts)
     assert grid.dtype == float and grid.shape == (ts.size, THETA.size)
     assert np.array_equal(grid, np.stack([potential.on_slice(THETA, t) for t in ts]))
