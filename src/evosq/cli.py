@@ -2,8 +2,10 @@
 
 Scenarios bundle the library's checks into reproducible runs. Every run
 writes a canonical ``summary.json`` (sorted keys, no timestamps; repeat runs
-are byte-identical) plus scenario-specific artifacts under the output
-directory.
+are byte-identical, except for the wall time ``order_seconds`` that
+``exhaustion`` records) plus scenario-specific artifacts under the output
+directory. The scenario table ``_SCENARIOS`` holds each scenario's runner and
+its config keys with their defaults.
 
 Exit codes: 0 all checks passed; 1 a check failed; 2 configuration error
 (unknown key, bad value, malformed config file); 3 numerical failure
@@ -48,6 +50,9 @@ from .squared import kernel_residual
 
 _DEFAULT_Q1 = {"kind": "bump", "amplitude": 3.0, "theta0": 1.0, "t0": 0.1, "width": 0.4}
 _DEFAULT_Q2 = {"kind": "bump", "amplitude": -2.0, "theta0": 4.0, "t0": 0.15, "width": 0.35}
+_F1 = {"kind": "mode", "k": 1, "offset": 0.3}  # boundary_data
+_F2 = {"kind": "mode", "k": 2, "offset": 0.1}  # boundary_data2
+_GAMMA = {"kind": "exp", "rate": 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -87,23 +92,6 @@ def _apply_override(cfg, spec):
     node[parts[-1]] = value
 
 
-def _check_keys(scenario, cfg):
-    allowed = _SCENARIOS[scenario][1]
-    unknown = sorted(set(cfg) - allowed)
-    if unknown:
-        raise ConfigError(
-            f"unknown config keys for {scenario}: {', '.join(unknown)} "
-            f"(allowed: {', '.join(sorted(allowed))})"
-        )
-
-
-# numeric config keys and their types, converted once before the runner
-_NUMBERS = {
-    "N": int, "M": int, "dim": int, "eps": float, "rho": float, "T": float,
-    "tol": float, "sym_tol": float, "single_floor": float, "threshold": float,
-    "ambient_dim": int, "n_ambient": int, "modes_max": int, "time_budget": float,
-    "samples_per_cell": int, "max_windows": int, "rate_min": float,
-}
 # lower bounds of the numeric keys that have one
 _MINIMA = {"ambient_dim": 2, "modes_max": 0, "samples_per_cell": 4, "max_windows": 1}
 
@@ -120,18 +108,31 @@ def _number(key, value, kind):
     return out
 
 
-def _typed(cfg):
-    """Copy of ``cfg`` with the numeric keys converted and ``levels`` as ``[N, M]`` int pairs.
+def _typed(scenario, cfg):
+    """The runner's config: ``cfg`` checked against the scenario's table row and completed from it.
 
-    The boolean keys must be JSON ``true`` or ``false``.
+    A key outside the row is an error. A key whose default is an int or a
+    float is converted to that type, a key whose default is a bool must be
+    JSON ``true`` or ``false``, and ``levels`` becomes ``[N, M]`` int pairs.
+    Absent keys take their default, except that a key whose default is None
+    stays absent.
     """
-    typed = {k: _number(k, v, _NUMBERS[k]) if k in _NUMBERS else v for k, v in cfg.items()}
+    defaults = _SCENARIOS[scenario][1]
+    unknown = sorted(set(cfg) - set(defaults))
+    if unknown:
+        raise ConfigError(
+            f"unknown config keys for {scenario}: {', '.join(unknown)} "
+            f"(allowed: {', '.join(sorted(defaults))})"
+        )
+    typed = {k: v for k, v in defaults.items() if v is not None}
+    for key, value in cfg.items():
+        kind = type(defaults[key])
+        if kind is bool and not isinstance(value, bool):
+            raise ConfigError(f"config entry {key!r} needs true or false, got {value!r}")
+        typed[key] = _number(key, value, kind) if kind in (int, float) else value
     for key, low in _MINIMA.items():
-        if key in typed and typed[key] < low:
+        if key in cfg and typed[key] < low:
             raise ConfigError(f"config entry {key!r} needs a value >= {low}, got {cfg[key]!r}")
-    for key in ("expect_flag", "save_family"):
-        if key in cfg and not isinstance(cfg[key], bool):
-            raise ConfigError(f"config entry {key!r} needs true or false, got {cfg[key]!r}")
     if "levels" in cfg:
         levels = cfg["levels"]
         try:
@@ -144,43 +145,36 @@ def _typed(cfg):
 
 
 def _profile(cfg):
-    name = cfg.get("geometry", "annulus")
+    name = cfg["geometry"]
     if name == "annulus":
-        return make_profile("annulus", rho=cfg.get("rho", 0.25))
+        return make_profile("annulus", rho=cfg["rho"])
     if name == "disk":
         return make_profile("disk")
     if name == "flat-cylinder":
-        return make_profile("flat-cylinder", T=cfg.get("T", 1.0))
+        return make_profile("flat-cylinder", T=cfg["T"])
     raise ConfigError(f"unknown geometry {name!r}")
 
 
-def _build_geometry(cfg):
-    return build_warped_geometry(
-        _profile(cfg),
-        N=cfg.get("N", 32),
-        M=cfg.get("M", 64),
-        eps=cfg.get("eps", 0.3),
-        dim=cfg.get("dim", 1),
-    )
+def _build_geometry(cfg, profile=None):
+    profile = _profile(cfg) if profile is None else profile
+    return build_warped_geometry(profile, N=cfg["N"], M=cfg["M"], eps=cfg["eps"], dim=cfg["dim"])
 
 
 def _pair(cfg):
     """Geometry and the slice-map families of ``q1`` and ``q2`` on it."""
     g = _build_geometry(cfg)
-    fam1 = compute_dn_family(g, cfg.get("q1", _DEFAULT_Q1))
-    fam2 = compute_dn_family(g, cfg.get("q2", _DEFAULT_Q2))
-    return g, fam1, fam2
+    return g, compute_dn_family(g, cfg["q1"]), compute_dn_family(g, cfg["q2"])
 
 
 def _spec(spec, default, what):
-    spec = spec or default
+    spec = spec or default  # null and {} stand for the table default
     if not isinstance(spec, dict):
         raise ConfigError(f"{what} must be an object with a 'kind', got {spec!r}")
     return spec
 
 
-def _boundary_data(geometry, spec):
-    spec = _spec(spec, {"kind": "mode", "k": 1, "offset": 0.3}, "boundary data")
+def _boundary_data(geometry, spec, default=_F1):
+    spec = _spec(spec, default, "boundary data")
     kind = spec.get("kind", "mode")
     if kind == "mode":
         k = _number("k", spec.get("k", 1), int)
@@ -195,13 +189,11 @@ def _boundary_data(geometry, spec):
 
 def _pair_data(cfg, g):
     """Boundary data ``(f1, f2)`` for the two-family pairing checks."""
-    f1 = _boundary_data(g, cfg.get("boundary_data"))
-    f2 = _boundary_data(g, cfg.get("boundary_data2", {"kind": "mode", "k": 2, "offset": 0.1}))
-    return f1, f2
+    return _boundary_data(g, cfg["boundary_data"]), _boundary_data(g, cfg["boundary_data2"], _F2)
 
 
 def _gamma_callable(spec):
-    spec = _spec(spec, {"kind": "exp", "rate": 1.0}, "gamma")
+    spec = _spec(spec, _GAMMA, "gamma")
     kind = spec.get("kind", "exp")
     if kind == "exp":
         rate = _number("rate", spec.get("rate", 1.0), float)
@@ -236,27 +228,15 @@ def _write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return f"{v:.12e}"
-    return str(v)
+            fh.write(",".join(f"{v:.12e}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def _write_evsq(out, name, array, kind, t, g, scenario):
     evsq_io.write_matrix(
         os.path.join(out, name),
         array,
-        {
-            "kind": kind,
-            "t": t,
-            "N": g.N,
-            "M": g.M,
-            "geometry_hash": g.hash(),
-            "provenance": f"evosq-cli/{scenario}",
-        },
+        {"kind": kind, "t": t, "N": g.N, "M": g.M, "geometry_hash": g.hash(),
+         "provenance": f"evosq-cli/{scenario}"},
     )
 
 
@@ -272,24 +252,29 @@ def _riccati_error(fam):
     return float(np.linalg.norm(road[0] - fam.lams[0]) / max(np.linalg.norm(fam.lams[0]), 1e-30))
 
 
-def _evolve_error(cfg, g):
+def _evolve_error(cfg):
     """Relative sup gap between the trace flow and the interior solve of the boundary data."""
-    fam = compute_dn_family(g, cfg.get("q1", _DEFAULT_Q1), keep_chain=True)
-    f = _boundary_data(g, cfg.get("boundary_data"))
+    g = _build_geometry(cfg)
+    fam = compute_dn_family(g, cfg["q1"], keep_chain=True)
+    f = _boundary_data(g, cfg["boundary_data"])
     u_flow = evolve_trace(fam, f)
     u_int = solve_interior(fam, f)
     return float(np.max(np.abs(u_flow - u_int)) / max(np.max(np.abs(u_int)), 1e-30))
 
 
+def _headline_error(cfg):
+    """Relative error of the recovered potential difference."""
+    return dn_recovery_check(*_pair(cfg)[1:])["rel_error"]
+
+
 def _run_dn_compute(cfg, out):
     g = _build_geometry(cfg)
-    fam = compute_dn_family(g, cfg.get("q1", _DEFAULT_Q1))
-    sym_tol = cfg.get("sym_tol", 1e-8)
+    fam = compute_dn_family(g, cfg["q1"])
     defect = max(
         float(np.linalg.norm(L - L.T) / max(np.linalg.norm(L), 1e-30)) for L in fam.lams
     )
     eig0 = np.linalg.eigvalsh(fam.lams[0])
-    if cfg.get("save_family", True):
+    if cfg["save_family"]:
         for tag, j in (("boundary", 0), ("collar", g.M)):
             _write_evsq(
                 out, f"lam_{tag}.evsq", fam.lams[j], "slice-map", float(g.collar_ts[j]), g,
@@ -302,33 +287,26 @@ def _run_dn_compute(cfg, out):
         "eig_min": float(eig0.min()),
         "eig_max": float(eig0.max()),
     }
-    return results, defect <= sym_tol
+    return results, defect <= cfg["sym_tol"]
 
 
 def _run_riccati(cfg, out):
-    fam = compute_dn_family(_build_geometry(cfg), cfg.get("q1", _DEFAULT_Q1))
+    fam = compute_dn_family(_build_geometry(cfg), cfg["q1"])
     err = _riccati_error(fam)
-    tol = cfg.get("tol", 1e-2)
-    results = {
-        "cross_error": err,
-        "residual": float(riccati_residual(fam)),
-        "tol": tol,
-    }
-    return results, err <= tol
+    results = {"cross_error": err, "residual": float(riccati_residual(fam)), "tol": cfg["tol"]}
+    return results, err <= cfg["tol"]
 
 
 def _run_evolve(cfg, out):
-    err = _evolve_error(cfg, _build_geometry(cfg))
-    tol = cfg.get("tol", 1e-2)
-    return {"sup_error": err, "tol": tol}, err <= tol
+    err = _evolve_error(cfg)
+    return {"sup_error": err, "tol": cfg["tol"]}, err <= cfg["tol"]
 
 
 def _run_kernel(cfg, out):
     g, fam1, fam2 = _pair(cfg)
     W = evolved_rank_one(fam1, fam2, *_pair_data(cfg, g))
     pair = PairOperator(fam1, fam2)
-    tol = cfg.get("tol", 1e-3)
-    floor = cfg.get("single_floor", 0.05)
+    tol, floor = cfg["tol"], cfg["single_floor"]
     res = {v: kernel_residual(pair, W, v)["max_rel"] for v in
            ("factorized", "expanded-double", "expanded-single")}
     passed = (
@@ -336,48 +314,40 @@ def _run_kernel(cfg, out):
         and res["expanded-double"] <= tol
         and res["expanded-single"] >= floor
     )
-    results = {"residuals": res, "tol": tol, "single_floor": floor}
-    return results, passed
+    return {"residuals": res, "tol": tol, "single_floor": floor}, passed
 
 
 def _run_headline(cfg, out):
     g, fam1, fam2 = _pair(cfg)
     check = dn_recovery_check(fam1, fam2)
-    tol = cfg.get("tol", 5e-2)
     _write_evsq(
         out, "recovered_difference.evsq", check["recovered"], "recovered-difference", 0.0, g,
         "bvp-headline",
     )
-    results = {
-        "rel_error": check["rel_error"],
-        "sign": check["sign"],
-        "tol": tol,
-    }
-    return results, check["rel_error"] <= tol and check["sign"] == 1
+    results = {"rel_error": check["rel_error"], "sign": check["sign"], "tol": cfg["tol"]}
+    return results, check["rel_error"] <= cfg["tol"] and check["sign"] == 1
 
 
 def _run_layer_strip(cfg, out):
     g, fam1, fam2 = _pair(cfg)
     check = layer_strip_check(fam1, fam2, *_pair_data(cfg, g))
-    tol = cfg.get("tol", 1e-3)
     results = {k: check[k] for k in ("lhs", "rhs", "volume_term", "deep_term", "rel_gap")}
-    results["tol"] = tol
-    return results, check["rel_gap"] <= tol
+    results["tol"] = cfg["tol"]
+    return results, check["rel_gap"] <= cfg["tol"]
 
 
 def _run_null(cfg, out):
-    g = _build_geometry(cfg)
-    fam = compute_dn_family(g, cfg.get("q1", _DEFAULT_Q1))
+    fam = compute_dn_family(_build_geometry(cfg), cfg["q1"])
     res = null_test(fam, fam)
     return {k: res[k] for k in ("max_abs", "scale", "passed")}, bool(res["passed"])
 
 
 def _run_probe(cfg, out):
     g, fam1, fam2 = _pair(cfg)
-    ambient_dim = cfg.get("ambient_dim", 3)
+    ambient_dim = cfg["ambient_dim"]
     check = dn_recovery_check(fam1, fam2)
     kernel = check["recovered"] / g.node_weight(0.0)
-    flag = offdiagonal_flag(g, kernel, threshold=cfg.get("threshold", 1e-6))
+    flag = offdiagonal_flag(g, kernel, threshold=cfg["threshold"])
     prof = flag["profile"]
     _write_csv(
         os.path.join(out, "shells.csv"),
@@ -398,14 +368,13 @@ def _run_probe(cfg, out):
         results["gradient_slope"] = grad["slope"]
     else:
         results["gradient_slope"] = None
-    return results, bool(flag["flag"]) == cfg.get("expect_flag", True)
+    return results, bool(flag["flag"]) == cfg["expect_flag"]
 
 
 def _run_conformal(cfg, out):
     g = _build_geometry(cfg)
-    gamma = _gamma_callable(cfg.get("gamma"))
-    n_amb = cfg.get("n_ambient", 3)
-    kmax = cfg.get("modes_max", 8)
+    gamma = _gamma_callable(cfg["gamma"])
+    kmax = cfg["modes_max"]
     if g.dim == 1:
         modes = list(range(kmax + 1))
     else:
@@ -415,14 +384,19 @@ def _run_conformal(cfg, out):
             for k2 in range(k1, kmax + 1)
             if k1 * k1 + k2 * k2 <= kmax * kmax
         ]
-    res = conformal_identity_check(g, gamma, n_amb, modes)
-    tol = cfg.get("tol", 1e-3)
-    results = {
-        "max_rel_error": res["max_rel_error"],
-        "modes_checked": len(modes),
-        "tol": tol,
-    }
-    return results, res["max_rel_error"] <= tol
+    res = conformal_identity_check(g, gamma, cfg["n_ambient"], modes)
+    results = {"max_rel_error": res["max_rel_error"], "modes_checked": len(modes)}
+    results["tol"] = cfg["tol"]
+    return results, res["max_rel_error"] <= cfg["tol"]
+
+
+# mesh kind -> (maker, number of resolution parameters)
+_MESH_MAKERS = {
+    "annulus": (meshes.annulus_mesh, 2),
+    "disk": (meshes.disk_mesh, 2),
+    "strip": (meshes.strip_mesh, 2),
+    "sphere": (meshes.sphere_mesh, 1),
+}
 
 
 def _run_exhaustion(cfg, out):
@@ -431,17 +405,10 @@ def _run_exhaustion(cfg, out):
             raise ConfigError(f"mesh must be a path string, got {cfg['mesh']!r}")
         mesh = load_mesh(cfg["mesh"])
     else:
-        kind = cfg.get("mesh_kind", "annulus")
-        params = cfg.get("mesh_params", [50, 100])
-        # mesh kind -> (maker, number of resolution parameters)
-        maker, arity = {
-            "annulus": (meshes.annulus_mesh, 2),
-            "disk": (meshes.disk_mesh, 2),
-            "strip": (meshes.strip_mesh, 2),
-            "sphere": (meshes.sphere_mesh, 1),
-        }.get(kind, (None, 0))
-        if maker is None:
+        kind, params = cfg["mesh_kind"], cfg["mesh_params"]
+        if not isinstance(kind, str) or kind not in _MESH_MAKERS:
             raise ConfigError(f"unknown mesh kind {kind!r}")
+        maker, arity = _MESH_MAKERS[kind]
         if not isinstance(params, list) or len(params) != arity:
             raise ConfigError(
                 f"mesh_params for mesh_kind {kind!r} needs {arity} ints, got {params!r}"
@@ -450,12 +417,11 @@ def _run_exhaustion(cfg, out):
         if min(params) < 1:
             raise ConfigError(f"mesh_params needs positive ints, got {params!r}")
         mesh = maker(*params)
-    budget = cfg.get("time_budget", 5.0)
     t0 = time.perf_counter()
     order, certs = exhaustion_order(mesh)
     verify_order(mesh, order, certs)
     elapsed = time.perf_counter() - t0
-    stats = collar_map_samples(mesh, order, certs, samples_per_cell=cfg.get("samples_per_cell", 4))
+    stats = collar_map_samples(mesh, order, certs, samples_per_cell=cfg["samples_per_cell"])
     results = {
         "triangles": mesh.n_triangles,
         "order_seconds": elapsed,
@@ -463,78 +429,56 @@ def _run_exhaustion(cfg, out):
         "min_new_samples": stats["min_new_samples"],
         "growth_steps": stats["growth_steps"],
     }
-    passed = elapsed <= budget and stats["collisions"] == 0
+    passed = elapsed <= cfg["time_budget"] and stats["collisions"] == 0
     return results, passed
 
 
 def _run_march(cfg, out):
     profile = _profile(cfg)
-    N = cfg.get("N", 32)
-    M = cfg.get("M", 64)
-    eps = cfg.get("eps", 0.3)
-    q1 = make_potential(cfg.get("q1", {"kind": "constant", "value": 1.5}))
-    q2 = make_potential(cfg.get("q2", {"kind": "zero"}))
-    tol = cfg.get("tol", 5e-2)
-    max_windows = cfg.get("max_windows", 16)
+    eps = cfg["eps"]
+    q1, q2 = make_potential(cfg["q1"]), make_potential(cfg["q2"])
 
     windows = []
     depth = 0.0
-    passed = True
-    h = eps / M
-    while len(windows) < max_windows and profile.T - depth - eps > 2.0 * h:
-        prof_w = profile.shifted(depth) if depth else profile
-        g = build_warped_geometry(prof_w, N=N, M=M, eps=eps, dim=cfg.get("dim", 1))
+    h = eps / cfg["M"]
+    while len(windows) < cfg["max_windows"] and profile.T - depth - eps > 2.0 * h:
+        g = _build_geometry(cfg, profile.shifted(depth) if depth else profile)
         fam1 = compute_dn_family(g, q1.shifted(depth) if depth else q1)
         fam2 = compute_dn_family(g, q2.shifted(depth) if depth else q2)
         check = dn_recovery_check(fam1, fam2)
         nul = null_test(fam1, fam1)
-        ok = check["rel_error"] <= tol and check["sign"] == 1 and nul["passed"]
-        windows.append(
-            {
-                "start": depth,
-                "end": depth + eps,
-                "rel_error": check["rel_error"],
-                "sign": check["sign"],
-                "null_ok": bool(nul["passed"]),
-                "passed": bool(ok),
-            }
-        )
-        if not ok:
-            passed = False
+        ok = check["rel_error"] <= cfg["tol"] and check["sign"] == 1 and nul["passed"]
+        windows.append({
+            "start": depth, "end": depth + eps, "rel_error": check["rel_error"],
+            "sign": check["sign"], "null_ok": bool(nul["passed"]), "passed": bool(ok),
+        })
+        if not ok:  # the march stops at the first failing window
             break
         depth += eps
 
-    last = windows[-1]["end"] if windows and windows[-1]["passed"] else (
-        windows[-2]["end"] if len(windows) > 1 else 0.0
-    )
-    cap_reached = profile.T - last <= eps + 1e-12
+    last = max((w["end"] for w in windows if w["passed"]), default=0.0)
     results = {
         "windows": windows,
         "last_verified_depth": last,
         "cap_depth": profile.T,
-        "cap_reached": bool(cap_reached),
+        "cap_reached": bool(profile.T - last <= eps + 1e-12),
     }
-    return results, passed and bool(windows)
+    return results, bool(windows) and windows[-1]["passed"]
+
+
+# convergence quantity -> its error at one (N, M) level
+_MEASURES = {
+    "headline": _headline_error,
+    "riccati": lambda cfg: _riccati_error(compute_dn_family(_build_geometry(cfg), cfg["q1"])),
+    "evolve": _evolve_error,
+}
 
 
 def _run_convergence(cfg, out):
-    quantity = cfg.get("quantity", "headline")
-    levels = cfg.get("levels", [[32, 32], [32, 64], [32, 128]])
-    rate_min = cfg.get("rate_min", 1.5)
-    errors = []
-    for N, M in levels:
-        lvl_cfg = {**cfg, "N": N, "M": M}
-        if quantity == "headline":
-            err = dn_recovery_check(*_pair(lvl_cfg)[1:])["rel_error"]
-        elif quantity == "riccati":
-            err = _riccati_error(
-                compute_dn_family(_build_geometry(lvl_cfg), lvl_cfg.get("q1", _DEFAULT_Q1))
-            )
-        elif quantity == "evolve":
-            err = _evolve_error(lvl_cfg, _build_geometry(lvl_cfg))
-        else:
-            raise ConfigError(f"unknown convergence quantity {quantity!r}")
-        errors.append(err)
+    quantity, levels = cfg["quantity"], cfg["levels"]
+    if not isinstance(quantity, str) or quantity not in _MEASURES:
+        raise ConfigError(f"unknown convergence quantity {quantity!r}")
+    errors = [_MEASURES[quantity]({**cfg, "N": N, "M": M}) for N, M in levels]
 
     idx = np.arange(len(errors), dtype=float)
     logs = np.log2(np.maximum(errors, 1e-300))
@@ -544,42 +488,44 @@ def _run_convergence(cfg, out):
         ("level", "N", "M", "error"),
         [(i, N, M, e) for i, ((N, M), e) in enumerate(zip(levels, errors))],
     )
-    results = {
-        "quantity": quantity,
-        "errors": errors,
-        "rate": rate,
-        "rate_min": rate_min,
-        "levels": levels,
-    }
-    return results, rate >= rate_min
+    results = {"quantity": quantity, "errors": errors, "rate": rate, "levels": levels}
+    results["rate_min"] = cfg["rate_min"]
+    return results, rate >= cfg["rate_min"]
 
 
-# scenario name -> (runner, allowed config keys), in CLI order
-_COMMON_KEYS = frozenset({"geometry", "rho", "T", "N", "M", "eps", "dim"})
-_PAIR_KEYS = _COMMON_KEYS | {"q1", "q2"}
+# scenario name -> (runner, {config key: default}), in CLI order. A default
+# also fixes the key's type (see _typed); a None default leaves the key unset.
+_GEOMETRY = {"geometry": "annulus", "rho": 0.25, "T": 1.0, "N": 32, "M": 64, "eps": 0.3, "dim": 1}
+_ONE = {**_GEOMETRY, "q1": _DEFAULT_Q1}
+_PAIR = {**_ONE, "q2": _DEFAULT_Q2}
+_DATA = {"boundary_data": _F1, "boundary_data2": _F2}
 
 _SCENARIOS = {
-    "dn-compute": (_run_dn_compute, _COMMON_KEYS | {"q1", "save_family", "sym_tol"}),
-    "riccati-check": (_run_riccati, _COMMON_KEYS | {"q1", "tol"}),
-    "evolve-check": (_run_evolve, _COMMON_KEYS | {"q1", "boundary_data", "tol"}),
-    "kernel-check": (
-        _run_kernel,
-        _PAIR_KEYS | {"boundary_data", "boundary_data2", "tol", "single_floor"},
+    "dn-compute": (_run_dn_compute, {**_ONE, "save_family": True, "sym_tol": 1e-8}),
+    "riccati-check": (_run_riccati, {**_ONE, "tol": 1e-2}),
+    "evolve-check": (_run_evolve, {**_ONE, "boundary_data": _F1, "tol": 1e-2}),
+    "kernel-check": (_run_kernel, {**_PAIR, **_DATA, "tol": 1e-3, "single_floor": 0.05}),
+    "bvp-headline": (_run_headline, {**_PAIR, "tol": 5e-2}),
+    "layer-strip": (_run_layer_strip, {**_PAIR, **_DATA, "tol": 1e-3}),
+    "null-test": (_run_null, _ONE),
+    "oducp-probe": (
+        _run_probe, {**_PAIR, "threshold": 1e-6, "ambient_dim": 3, "expect_flag": True}
     ),
-    "bvp-headline": (_run_headline, _PAIR_KEYS | {"tol"}),
-    "layer-strip": (_run_layer_strip, _PAIR_KEYS | {"boundary_data", "boundary_data2", "tol"}),
-    "null-test": (_run_null, _COMMON_KEYS | {"q1"}),
-    "oducp-probe": (_run_probe, _PAIR_KEYS | {"threshold", "ambient_dim", "expect_flag"}),
-    "conformal-check": (_run_conformal, _COMMON_KEYS | {"gamma", "n_ambient", "modes_max", "tol"}),
-    "exhaustion": (
-        _run_exhaustion,
-        frozenset({"mesh", "mesh_kind", "mesh_params", "samples_per_cell", "time_budget"}),
+    "conformal-check": (
+        _run_conformal, {**_GEOMETRY, "gamma": _GAMMA, "n_ambient": 3, "modes_max": 8, "tol": 1e-3}
     ),
-    "global-march": (_run_march, _PAIR_KEYS | {"tol", "max_windows"}),
-    "convergence-study": (
-        _run_convergence,
-        _PAIR_KEYS | {"quantity", "levels", "rate_min", "boundary_data"},
-    ),
+    "exhaustion": (_run_exhaustion, {
+        "mesh": None, "mesh_kind": "annulus", "mesh_params": [50, 100], "samples_per_cell": 4,
+        "time_budget": 5.0,
+    }),
+    "global-march": (_run_march, {
+        **_PAIR, "q1": {"kind": "constant", "value": 1.5}, "q2": {"kind": "zero"}, "tol": 5e-2,
+        "max_windows": 16,
+    }),
+    "convergence-study": (_run_convergence, {
+        **_PAIR, "quantity": "headline", "levels": [[32, 32], [32, 64], [32, 128]],
+        "rate_min": 1.5, "boundary_data": _F1,
+    }),
 }
 
 SCENARIOS = tuple(_SCENARIOS)
@@ -607,9 +553,9 @@ def main(argv=None):
         cfg = _load_config(args.config)
         for spec in args.override:
             _apply_override(cfg, spec)
-        _check_keys(args.scenario, cfg)
+        typed = _typed(args.scenario, cfg)
         os.makedirs(args.out, exist_ok=True)
-        results, passed = runner(_typed(cfg), args.out)
+        results, passed = runner(typed, args.out)
     except (ConfigError, GeometryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

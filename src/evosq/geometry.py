@@ -362,50 +362,23 @@ def conformal_potential(geometry, gamma, n_ambient):
     sampled on the full depth grid together with the boundary correction
     ``d_nu sigma^(1/2)`` at ``t = 0`` (outward normal, ``d_nu = -d/dt``).
 
-    ``gamma`` may be a callable of ``t`` or, on the circle, a callable of
-    ``(theta, t)`` returning an ``(N, K)`` sample block.
+    ``gamma`` is a callable of the depth ``t``.
     """
     from .potentials import SampledPotential
 
     if n_ambient < 3:
         raise GeometryError(f"conformal reduction needs ambient dim >= 3, got {n_ambient}")
     ts = geometry.ts
-    K = ts.size
-    try:
-        vals = np.asarray(gamma(geometry.theta[:, None], ts[None, :]), dtype=float)
-        if vals.shape != (geometry.N, K):
-            raise TypeError
-    except TypeError:
-        g = np.asarray(gamma(ts), dtype=float).reshape(1, K)
-        vals = np.broadcast_to(g, (geometry.N, K)).copy()
+    vals = np.asarray(gamma(ts), dtype=float).reshape(1, ts.size)
     if not np.all((vals > 0.0) & (vals < np.inf)):  # NaN fails both
         raise GeometryError("conformal factor must be positive and finite")
-    if geometry.dim == 2 and not np.allclose(vals, vals[:1, :]):
-        raise GeometryError("torus conformal factors must depend on t only")
 
-    p = 0.5 * (0.5 * n_ambient - 1.0)  # sigma^(1/2) = gamma^p
-    # t-only factors are reduced on a single row and broadcast at the end:
-    # the slice operator annihilates them exactly, and per-row matmul rounding
-    # must not introduce spurious theta dependence
-    theta_constant = np.array_equal(vals, np.broadcast_to(vals[:1, :], vals.shape))
-    shalf = (vals[:1, :] if theta_constant else vals) ** p
-
-    D1 = derivative_matrix(ts, 1)
-    D2 = derivative_matrix(ts, 2)
-    dt_s = shalf @ D1.T
-    dtt_s = shalf @ D2.T
+    # a t-only factor is reduced on a single row and broadcast over theta
+    shalf = vals ** (0.5 * (0.5 * n_ambient - 1.0))  # sigma^(1/2)
+    dt_s = shalf @ derivative_matrix(ts, 1).T
+    dtt_s = shalf @ derivative_matrix(ts, 2).T
     mu_dot = np.asarray(geometry.mu_dot(ts), dtype=float)
-
-    lap_term = np.zeros_like(shalf)
-    if geometry.dim == 1 and not theta_constant:
-        d2u = geometry.d2_unit()
-        for j in range(K):
-            lap_term[:, j] = (d2u @ shalf[:, j]) / geometry.rs[j] ** 2
-
-    Q = (dtt_s + mu_dot[None, :] * dt_s - lap_term) / shalf
-    correction = -dt_s[:, 0]
-    if theta_constant:
-        Q = np.broadcast_to(Q, (geometry.N, K)).copy()
-        correction = np.full(geometry.N, correction[0])
-    pot = SampledPotential(geometry.theta.copy(), ts.copy(), Q)
+    Q = np.broadcast_to((dtt_s + mu_dot[None, :] * dt_s) / shalf, (geometry.N, ts.size))
+    pot = SampledPotential(geometry.theta.copy(), ts.copy(), Q.copy())
+    correction = np.full(geometry.N, -dt_s[0, 0])
     return pot, correction  # correction = d_nu sigma^(1/2) at t=0, d_nu = -d/dt

@@ -1,10 +1,10 @@
 """Zeroth-order coefficients (potentials) on the collar.
 
 A potential is a bounded function ``Q(theta, t)`` evaluated on boundary
-nodes at a given depth. All implementations are vectorized over theta and
-support re-basing in depth via :meth:`Potential.shifted`, which the window
-marching driver uses. The rest of the package samples a potential only
-through :meth:`Potential.on_grid`.
+nodes at a given depth. All implementations are vectorized over theta; the
+analytic ones also support re-basing in depth via :meth:`Potential.shifted`,
+which the window marching driver uses. The rest of the package samples a
+potential only through :meth:`Potential.on_grid`.
 """
 
 import hashlib
@@ -98,16 +98,16 @@ class SampledPotential(Potential):
 
     :meth:`on_slice` returns the stored column at a depth that is one of the
     ``t_grid`` nodes; any other depth is a :class:`GeometryError`. The theta
-    grid must match the geometry nodes exactly (spectral consistency).
+    grid must match the geometry nodes exactly (spectral consistency). The
+    table is built on one geometry's depth grid and is not re-based.
     """
 
-    def __init__(self, theta_grid, t_grid, values, base_shift=0.0):
+    def __init__(self, theta_grid, t_grid, values):
         self.theta_grid = np.asarray(theta_grid, dtype=float)
         self.t_grid = np.asarray(t_grid, dtype=float)
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != (self.theta_grid.size, self.t_grid.size):
             raise GeometryError("sampled potential: values shape mismatch")
-        self.base_shift = float(base_shift)
         self._digest = hashlib.sha256(
             self.theta_grid.tobytes() + self.t_grid.tobytes() + self.values.tobytes()
         ).hexdigest()[:12]
@@ -116,7 +116,7 @@ class SampledPotential(Potential):
         theta = np.asarray(theta, dtype=float)
         if theta.shape != self.theta_grid.shape or not np.allclose(theta, self.theta_grid):
             raise GeometryError("sampled potential: theta nodes do not match the geometry")
-        tt = float(t) + self.base_shift
+        tt = float(t)
         lo, hi = self.t_grid[0], self.t_grid[-1]
         if tt < lo - 1e-12 or tt > hi + 1e-12:
             raise GeometryError(f"sampled potential: depth {tt} outside [{lo}, {hi}]")
@@ -126,13 +126,8 @@ class SampledPotential(Potential):
                 return self.values[:, cand].copy()
         raise GeometryError(f"sampled potential: depth {tt} is not a grid node")
 
-    def shifted(self, dt):
-        return SampledPotential(
-            self.theta_grid, self.t_grid, self.values, base_shift=self.base_shift + dt
-        )
-
     def descriptor(self):
-        return ("sampled", self._digest, round(self.base_shift, 14))
+        return ("sampled", self._digest)
 
 
 def _finite(value, owner, name):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evosq.cli import SCENARIOS, main
+from evosq.cli import _SCENARIOS, SCENARIOS, main
 from evosq.io import read_matrix
 
 SMALL = ["--override", "N=16", "--override", "M=16"]
@@ -134,6 +134,27 @@ def test_bad_numeric_value_exits_two(tmp_path, capsys, scenario, override):
     err = capsys.readouterr().err
     assert code == 2 and summary is None
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+# every (scenario, key) whose table default fixes a number or bool type
+TYPED_KEYS = [
+    (scenario, key)
+    for scenario, (_, defaults) in _SCENARIOS.items()
+    for key, default in defaults.items()
+    if type(default) in (int, float, bool)
+]
+
+
+@pytest.mark.parametrize("scenario, key", TYPED_KEYS)
+def test_every_typed_key_rejects_a_value_of_another_type(tmp_path, capsys, scenario, key):
+    expected = {int: "a finite int", float: "a finite float", bool: "true or false"}
+    kind = type(_SCENARIOS[scenario][1][key])
+    code, _, summary = _run(
+        tmp_path, scenario, "--override", f"{key}={'0' if kind is bool else 'abc'}"
+    )
+    err = capsys.readouterr().err
+    assert code == 2 and summary is None and "Traceback" not in err
+    assert err.startswith(f"config error: config entry {key!r} needs {expected[kind]}")
 
 
 @pytest.mark.parametrize(
@@ -282,6 +303,16 @@ def test_layer_strip_scenario(tmp_path):
     assert summary["results"]["rel_gap"] <= summary["results"]["tol"]
 
 
+@pytest.mark.parametrize("value", ["null", "{}"])
+def test_empty_second_boundary_data_takes_its_own_default(tmp_path, value):
+    # null and {} stand for boundary_data2's default, not for boundary_data's
+    code, _, default = _run(tmp_path, "kernel-check", *TINY["kernel-check"], sub="a")
+    empty = ["--override", f"boundary_data2={value}"]
+    code2, _, summary = _run(tmp_path, "kernel-check", *TINY["kernel-check"], *empty, sub="b")
+    assert code == code2 == 0
+    assert summary["results"] == default["results"]
+
+
 def test_conformal_scenario(tmp_path):
     code, out, summary = _run(
         tmp_path,
@@ -327,6 +358,14 @@ def test_exhaustion_rejects_bad_mesh_params(tmp_path, capsys, params):
     err = capsys.readouterr().err
     assert code == 2 and summary is None
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["torus", '["annulus"]', '{"a": 1}'])
+def test_exhaustion_rejects_an_unknown_mesh_kind(tmp_path, capsys, kind):
+    code, _, summary = _run(tmp_path, "exhaustion", "--override", f"mesh_kind={kind}")
+    err = capsys.readouterr().err
+    assert code == 2 and summary is None
+    assert err.startswith("config error: unknown mesh kind") and "Traceback" not in err
 
 
 def test_exhaustion_reads_off_file(tmp_path):

@@ -218,13 +218,6 @@ def test_conformal_potential_closed_form():
     assert np.max(np.abs(corr + 0.5)) < 1e-6
 
 
-def test_conformal_potential_theta_dependent():
-    g = build_warped_geometry(make_profile("flat-cylinder", T=0.9), N=32, M=32, eps=0.3)
-    pot, corr = conformal_potential(g, lambda th, t: np.exp(2.0 * t) + 0.1 * np.cos(th), 3)
-    assert corr.shape == (g.N,)
-    assert np.all(np.isfinite(pot.on_slice(g.theta, g.ts[11])))
-
-
 def test_conformal_validation():
     g = build_warped_geometry(make_profile("flat-cylinder", T=0.9), N=16, M=16, eps=0.3)
     with pytest.raises(GeometryError, match="ambient dim"):
@@ -234,9 +227,6 @@ def test_conformal_validation():
     for bad in (np.inf, np.nan):  # an overflowing or undefined factor
         with pytest.raises(GeometryError, match="positive and finite"):
             conformal_potential(g, lambda t: np.where(t > 0.5, bad, 1.0), 3)
-    g2 = build_warped_geometry(make_profile("flat-cylinder", T=0.9), N=8, M=16, eps=0.3, dim=2)
-    with pytest.raises(GeometryError, match="depend on t only"):
-        conformal_potential(g2, lambda th, t: np.exp(t) + 0.1 * np.cos(th), 3)
 
 
 def test_conformal_constant_factor_is_inert():

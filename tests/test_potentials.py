@@ -63,8 +63,6 @@ def test_sampled_between_nodes_is_an_error():
     p = SampledPotential(THETA, ts, np.zeros((16, 41)))
     with pytest.raises(GeometryError, match="not a grid node"):
         p.on_slice(THETA, 0.333)
-    with pytest.raises(GeometryError, match="not a grid node"):
-        p.shifted(0.01).on_slice(THETA, ts[3])
 
 
 def test_sampled_theta_mismatch():
@@ -81,21 +79,11 @@ def test_sampled_depth_range():
     p = SampledPotential(THETA, ts, np.zeros((16, 11)))
     with pytest.raises(GeometryError, match="outside"):
         p.on_slice(THETA, 0.7)
-    with pytest.raises(GeometryError, match="outside"):
-        p.shifted(0.4).on_slice(THETA, 0.2)
 
 
 def test_sampled_shape_validation():
     with pytest.raises(GeometryError, match="shape"):
         SampledPotential(THETA, np.linspace(0, 1, 5), np.zeros((16, 7)))
-
-
-def test_sampled_shift_rebases():
-    ts = np.linspace(0.0, 1.0, 21)
-    vals = np.ones_like(THETA)[:, None] * ts[None, :]
-    p = SampledPotential(THETA, ts, vals).shifted(0.25)
-    assert np.allclose(p.on_slice(THETA, 0.25), 0.5)
-    assert p.descriptor() != SampledPotential(THETA, ts, vals).descriptor()
 
 
 _GRID_TS = np.linspace(0.0, 0.5, 11)
@@ -111,9 +99,8 @@ _SAMPLED = SampledPotential(
         ConstantPotential(2.5),
         BumpPotential(amplitude=3.0, theta0=1.0, t0=0.1, width=0.4),
         _SAMPLED,
-        _SAMPLED.shifted(0.1),
     ],
-    ids=["zero", "constant", "bump", "sampled", "shifted-sampled"],
+    ids=["zero", "constant", "bump", "sampled"],
 )
 def test_on_grid_stacks_on_slice_rows(potential):
     ts = np.r_[_GRID_TS[:7], _GRID_TS[:7] + 0.013]  # grid nodes and off-node depths
