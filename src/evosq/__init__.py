@@ -11,7 +11,6 @@ surfaces.
 
 from .errors import (
     ConfigError,
-    DepthIndexError,
     DNComputationError,
     EvosqError,
     FormatError,
@@ -27,7 +26,6 @@ from .geometry import (
     conformal_potential,
     make_profile,
     sobolev_apply,
-    sobolev_norm,
 )
 from .potentials import (
     BumpPotential,
@@ -43,7 +41,6 @@ from .dnmap import (
     compute_dn_family,
     conformal_identity_check,
     dn_mode_symbol,
-    dn_pairing,
     riccati_integrate,
     riccati_residual,
     solve_interior,
@@ -76,7 +73,6 @@ from .exhaustion import (
     load_mesh,
     push_through,
     smooth_min,
-    smooth_min_nary,
     verify_order,
 )
 from .io import read_matrix, write_matrix
@@ -90,7 +86,6 @@ __all__ = [
     "ConstantPotential",
     "DNComputationError",
     "DNFamily",
-    "DepthIndexError",
     "EvosqError",
     "FormatError",
     "GeometryError",
@@ -114,7 +109,6 @@ __all__ = [
     "conformal_potential",
     "diagonal_source",
     "dn_mode_symbol",
-    "dn_pairing",
     "dn_recovery_check",
     "evolve_tensor_backward",
     "evolve_tensor_forward",
@@ -137,9 +131,7 @@ __all__ = [
     "scalar_factorized_apply",
     "shell_decomposition",
     "smooth_min",
-    "smooth_min_nary",
     "sobolev_apply",
-    "sobolev_norm",
     "solve_interior",
     "solve_source_bvp",
     "verify_order",

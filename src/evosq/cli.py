@@ -438,9 +438,11 @@ def _run_march(cfg, out):
     eps = cfg["eps"]
     q1, q2 = make_potential(cfg["q1"]), make_potential(cfg["q2"])
 
+    h = eps / cfg["M"]
+    if profile.T - eps <= 2.0 * h:
+        raise ConfigError(f"global-march has no window: eps={eps} leaves no room before cap T={profile.T}")
     windows = []
     depth = 0.0
-    h = eps / cfg["M"]
     while len(windows) < cfg["max_windows"] and profile.T - depth - eps > 2.0 * h:
         g = _build_geometry(cfg, profile.shifted(depth) if depth else profile)
         fam1 = compute_dn_family(g, q1.shifted(depth) if depth else q1)

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DepthIndexError, DNComputationError, GeometryError, RiccatiEscapeError
+from .errors import DNComputationError, GeometryError, RiccatiEscapeError
 from .geometry import fd_weights, fourier_matrix, sobolev_apply
 from .potentials import make_potential
 from .rng import SplitMix64
@@ -151,21 +151,6 @@ class DNFamily:
     @cached_property
     def q(self):
         return self.potential.on_grid(self.geometry.theta, self.geometry.collar_ts)
-
-    def lam(self, j):
-        if not 0 <= j <= self.geometry.M:
-            raise DepthIndexError(f"slice index {j} outside 0..{self.geometry.M}")
-        return self.lams[j]
-
-    def at_depth(self, t):
-        j = int(round(t / (self.geometry.eps / self.geometry.M))) if np.isfinite(t) else -1
-        if not (0 <= j <= self.geometry.M and abs(self.geometry.ts[j] - t) < 1e-10):
-            raise DepthIndexError(f"depth {t} is not a collar node")
-        return self.lams[j]
-
-    @property
-    def depths(self):
-        return self.geometry.collar_ts
 
 
 def compute_dn_family(geometry, potential=None, keep_chain=False):
@@ -293,13 +278,8 @@ def riccati_residual(family):
 
 
 # ---------------------------------------------------------------------------
-# slice pairings and coercivity
+# coercivity
 # ---------------------------------------------------------------------------
-
-
-def dn_pairing(geometry, lam, f, g, t=0.0):
-    """Slice inner product ``<lam f, g>`` with the node quadrature weight."""
-    return float(geometry.node_weight(t) * np.dot(lam @ np.asarray(f), np.asarray(g)))
 
 
 def coercivity_probe(family):
@@ -368,9 +348,10 @@ def conformal_identity_check(geometry, gamma, n_ambient, modes):
     the reduced potential. Returns per-mode relative errors and their max.
     The denominator is floored at ``sigma(0) / (2 r(0))``, below every
     nonvanishing eigenvalue; on the disk the k = 0 eigenvalue vanishes and
-    its entry is the absolute error over that floor, first order in the
-    depth step because the cap's ``r^|k|`` decay is exact only for zero
-    potential.
+    its entry is the absolute error over that floor: second order in the
+    depth step for a factor smooth at the disk centre, first order for
+    ``gamma = e^t`` (``e^(1 - |x|)``), whose conical point there gives a
+    reduced potential like ``-1 / (4 |x|)``.
     """
     from .geometry import conformal_potential
 

@@ -13,10 +13,6 @@ class GeometryError(EvosqError):
     """Invalid profile, depth range, or grid parameters."""
 
 
-class DepthIndexError(GeometryError, IndexError):
-    """Depth index outside the collar grid."""
-
-
 class DNComputationError(EvosqError):
     """Elliptic boundary solve failed (singular or near-singular system)."""
 

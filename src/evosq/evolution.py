@@ -10,7 +10,8 @@ which is never materialized as an N^2 x N^2 matrix; both factors act by
 dense N x N multiplication. Forward transport solves ``(d/dt + A) phi = g``,
 backward transport solves the formally adjoint equation
 ``(-d/dt - m + A) psi = g`` with the volume-weight rate
-``m(t) = mu1'(t) + mu2'(t)``.
+``m(t) = 2 mu'(t)``: both families live on one geometry and differ only in
+their potentials.
 
 Every field is a plain array indexed by collar node first: a trace is
 ``(M+1, N)`` and a kernel field ``(M+1, N, N)``, row ``j`` at depth
@@ -32,23 +33,27 @@ _CG_TOL = 1e-10
 _CG_MAXITER = 500
 
 
+def shared_geometry(family1, family2):
+    """The one geometry a family pair lives on: the same object or the same ``hash()``."""
+    g1, g2 = family1.geometry, family2.geometry
+    if g2 is not g1 and g2.hash() != g1.hash():
+        raise GeometryError(f"a family pair needs one geometry, got {g1.hash()} and {g2.hash()}")
+    return g1
+
+
 class PairOperator:
-    """Slice-indexed generator ``W -> Lam1(t) W + W Lam2(t)^T``."""
+    """Slice-indexed generator ``W -> Lam1(t) W + W Lam2(t)^T`` of two families on one geometry."""
 
     def __init__(self, family1, family2):
-        g1, g2 = family1.geometry, family2.geometry
-        if (g1.N, g1.M, g1.eps) != (g2.N, g2.M, g2.eps):
-            raise GeometryError("pair operator needs matching collar grids")
+        self.geometry = shared_geometry(family1, family2)
         self.family1 = family1
         self.family2 = family2
-        self.geometry = g1
 
     def apply(self, j, W):
         return self.family1.lams[j] @ W + W @ self.family2.lams[j].T
 
     def volume_rate(self, j):
-        t = float(self.geometry.collar_ts[j])
-        return float(self.family1.geometry.mu_dot(t)) + float(self.family2.geometry.mu_dot(t))
+        return 2.0 * float(self.geometry.mu_dot(float(self.geometry.collar_ts[j])))
 
 
 # ---------------------------------------------------------------------------

@@ -38,30 +38,6 @@ def smooth_min(x, y, eps):
     return 0.5 * (x + y - np.sqrt(eps**2 + (x - y) ** 2) + eps)
 
 
-def smooth_min_nary(values, eps):
-    """Symmetrized smoothed minimum of several values.
-
-    Averages ``smooth_min(smooth_min(rest), x_i)`` over which value is held
-    out. Stays within ``[min, min + (n - 1) eps / 2]``; the pairwise bound
-    ``eps / 2`` does *not* survive past two arguments.
-    """
-    values = [float(v) for v in values]
-    n = len(values)
-    if n == 0:
-        raise ValueError("need at least one value")
-    if n > 8:
-        raise ValueError("n-ary smoothed minimum is exponential; use pairwise folds")
-    if n == 1:
-        return values[0]
-    if n == 2:
-        return smooth_min(values[0], values[1], eps)
-    acc = 0.0
-    for i in range(n):
-        rest = values[:i] + values[i + 1 :]
-        acc += smooth_min(smooth_min_nary(rest, eps), values[i], eps)
-    return acc / n
-
-
 # ---------------------------------------------------------------------------
 # surface meshes
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ map is ``f -> -du/dt`` at the slice, which is positive semi-definite.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,34 +33,29 @@ MAX_DEPTH_NODES = 10**6  # full-grid node bound; the disk at M=512 has about 1 7
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class Profile:
-    """Warping function ``r(t)`` on ``[0, T]`` with its derivative.
+    """Linear warping function ``r(t) = 1 + slope * (t + shift)`` on ``[0, T]``.
 
-    Attributes
-    ----------
-    name : str
-        One of ``disk``, ``annulus``, ``flat-cylinder``, or ``custom-shift``
-        for a re-based profile.
-    T : float
-        Cap depth.
-    cap : str
-        ``dirichlet`` (value pinned to zero at ``T``) or ``center``
-        (per-mode decay condition one cell before ``T``).
+    ``name`` is ``disk``, ``annulus``, ``flat-cylinder``, or ``custom-shift``
+    for a profile re-based at depth ``shift``; ``T`` is the cap depth; ``cap``
+    is ``dirichlet`` (value pinned to zero at ``T``) or ``center`` (per-mode
+    decay condition one cell before ``T``); ``params`` are the construction
+    parameters the descriptor records.
     """
 
-    def __init__(self, name, T, cap, r, rp, params=()):
-        self.name = name
-        self.T = float(T)
-        self.cap = cap
-        self._r = r
-        self._rp = rp
-        self.params = tuple(params)
+    name: str
+    T: float
+    cap: str
+    slope: float
+    params: tuple = ()
+    shift: float = 0.0
 
     def r(self, t):
-        return self._r(np.asarray(t, dtype=float))
+        return 1.0 + self.slope * (np.asarray(t, dtype=float) + self.shift)
 
     def rp(self, t):
-        return self._rp(np.asarray(t, dtype=float))
+        return np.full_like(np.asarray(t, dtype=float), self.slope)
 
     def descriptor(self):
         return (self.name,) + self.params
@@ -69,14 +64,8 @@ class Profile:
         """Profile re-based at depth ``dt`` (Fermi window re-basing)."""
         if dt < 0 or dt >= self.T:
             raise GeometryError(f"shift {dt} outside [0, T)")
-        return Profile(
-            "custom-shift",
-            self.T - dt,
-            self.cap,
-            lambda t, _d=dt: self._r(np.asarray(t, dtype=float) + _d),
-            lambda t, _d=dt: self._rp(np.asarray(t, dtype=float) + _d),
-            params=self.descriptor() + ("shift", round(float(dt), 12)),
-        )
+        params = self.descriptor() + ("shift", round(float(dt), 12))
+        return replace(self, name="custom-shift", T=self.T - dt, params=params, shift=self.shift + dt)
 
 
 def make_profile(name, **params):
@@ -87,31 +76,17 @@ def make_profile(name, **params):
     ``flat-cylinder``: r = 1, Dirichlet cap at depth ``T``.
     """
     if name == "disk":
-        return Profile("disk", 1.0, "center", lambda t: 1.0 - t, lambda t: -np.ones_like(np.asarray(t, dtype=float)))
+        return Profile("disk", 1.0, "center", -1.0)
     if name == "annulus":
         rho = float(params.get("rho", 0.5))
         if not 0.0 < rho < 1.0:
             raise GeometryError(f"invalid profile: annulus rho={rho}")
-        return Profile(
-            "annulus",
-            1.0 - rho,
-            "dirichlet",
-            lambda t: 1.0 - t,
-            lambda t: -np.ones_like(np.asarray(t, dtype=float)),
-            params=(round(rho, 12),),
-        )
+        return Profile("annulus", 1.0 - rho, "dirichlet", -1.0, (round(rho, 12),))
     if name == "flat-cylinder":
         T = float(params.get("T", 1.0))
         if T <= 0:
             raise GeometryError(f"invalid profile: flat-cylinder T={T}")
-        return Profile(
-            "flat-cylinder",
-            T,
-            "dirichlet",
-            lambda t: np.ones_like(np.asarray(t, dtype=float)),
-            lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            params=(round(T, 12),),
-        )
+        return Profile("flat-cylinder", T, "dirichlet", 0.0, (round(T, 12),))
     raise GeometryError(f"invalid profile: unknown name {name!r}")
 
 
@@ -322,29 +297,16 @@ def build_warped_geometry(profile, N, M, eps, dim=1):
 
 
 def sobolev_apply(geometry, s, u):
-    """Apply ``(1 + L_0)^s`` on the boundary slice.
+    """Apply ``(1 + L_0)^s`` to a boundary function (shape ``(N,)``).
 
-    Accepts a boundary function (shape ``(N,)``) or a tensor-square field
-    (shape ``(N, N)``), where the reference operator is the slice operator at
-    ``t = 0`` (symbol ``k^2 / r(0)^2``, summed over axes for tensors).
+    The reference operator is the slice operator at ``t = 0`` (symbol
+    ``k^2 / r(0)^2``).
     """
     u = np.asarray(u, dtype=float)
-    r0 = float(geometry.profile.r(0.0))
-    k = geometry.wavenumbers()
-    if u.ndim == 1:
-        mult = (1.0 + (k / r0) ** 2) ** s
-        return np.real(np.fft.ifft(mult * np.fft.fft(u)))
-    if u.ndim == 2:
-        kx = (k / r0) ** 2
-        mult = (1.0 + kx[:, None] + kx[None, :]) ** s
-        return np.real(np.fft.ifft2(mult * np.fft.fft2(u)))
-    raise GeometryError(f"sobolev_apply expects rank 1 or 2, got {u.ndim}")
-
-
-def sobolev_norm(geometry, s, u):
-    w0 = geometry.node_weight(0.0)
-    v = sobolev_apply(geometry, s, u)
-    return float(np.sqrt(max(np.sum(u * v) * w0 ** (np.asarray(u).ndim), 0.0)))
+    if u.ndim != 1:
+        raise GeometryError(f"sobolev_apply expects rank 1, got {u.ndim}")
+    mult = (1.0 + (geometry.wavenumbers() / float(geometry.profile.r(0.0))) ** 2) ** s
+    return np.real(np.fft.ifft(mult * np.fft.fft(u)))
 
 
 # ---------------------------------------------------------------------------

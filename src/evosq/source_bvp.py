@@ -28,7 +28,7 @@ With matching potentials every sweep is identically zero (the null test in
 import numpy as np
 
 from .errors import GeometryError
-from .evolution import PairOperator, evolve_tensor_backward, evolve_tensor_forward
+from .evolution import PairOperator, evolve_tensor_backward, evolve_tensor_forward, shared_geometry
 
 
 def difference_kernel(family1, family2, j):
@@ -118,9 +118,7 @@ def layer_strip_check(family1, family2, f1, f2):
     """
     from .dnmap import solve_interior
 
-    g = family1.geometry
-    if family2.geometry is not g and family2.geometry.hash() != g.hash():
-        raise GeometryError("layer strip check needs a shared geometry")
+    g = shared_geometry(family1, family2)
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)
 

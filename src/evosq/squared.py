@@ -11,7 +11,7 @@ evolved rank-one field. This module realizes that operator three ways:
 
 ``expanded-double``
     The algebraically expanded form, assembled from geometry data alone:
-    ``-W'' - m W' + L1 W + W L2 + Q1 W + W Q2 + 2 B1 W B2`` with
+    ``-W'' - m W' + L W + W L + Q1 W + W Q2 + 2 B1 W B2`` with
     ``Bi = Lam_i - mu'/2``. Identical to ``factorized`` in the continuum;
     the two assemblies are independent checks of each other.
 
@@ -71,17 +71,13 @@ def second_derivative_matrix(ts):
 def sbp_pair(pair_op):
     """Derivative and exact weighted adjoint for the pair geometry.
 
-    With ``V_j = exp(mu1 + mu2)(t_j)`` the pair satisfies
+    With ``V_j = exp(2 mu)(t_j)`` the pair satisfies
     ``<<D u, v>> = <<u, D* v>> + boundary`` exactly in the volume-weighted
     trapezoid pairing.
     """
-    g = pair_op.geometry
-    ts = g.collar_ts
+    ts = pair_op.geometry.collar_ts
     D, omega = sbp_first_derivative(ts)
-    V = np.exp(
-        np.asarray(pair_op.family1.geometry.mu(ts), dtype=float)
-        + np.asarray(pair_op.family2.geometry.mu(ts), dtype=float)
-    )
+    V = np.exp(2.0 * np.asarray(pair_op.geometry.mu(ts), dtype=float))
     Dstar = -np.diag(1.0 / V) @ D @ np.diag(V)
     return D, Dstar, omega, V
 
@@ -115,23 +111,18 @@ def apply_variant(pair_op, W, variant="factorized"):
     d2W = _depth_apply(D2, W)
     Z = np.empty_like(W)
     f1, f2 = pair_op.family1, pair_op.family2
+    eye = np.eye(g.N)
+    # Bi = Lam_i - half mu': doubled with half = 1/2, single with the full shift
+    half, cross = (0.5, 2.0) if variant == "expanded-double" else (1.0, 1.0)
     for j in range(ts.size):
         t = float(ts[j])
-        m = pair_op.volume_rate(j)
-        mu1 = float(f1.geometry.mu_dot(t))
-        mu2 = float(f2.geometry.mu_dot(t))
-        L1 = f1.geometry.laplacian_matrix(t)
-        L2 = f2.geometry.laplacian_matrix(t)
-        Zj = -d2W[j] - m * dW[j] + L1 @ W[j] + W[j] @ L2.T
+        mu = float(g.mu_dot(t))
+        L = g.laplacian_matrix(t)
+        Zj = -d2W[j] - 2.0 * mu * dW[j] + L @ W[j] + W[j] @ L.T
         Zj += f1.q[j][:, None] * W[j] + W[j] * f2.q[j][None, :]
-        if variant == "expanded-double":
-            B1 = f1.lams[j] - 0.5 * mu1 * np.eye(g.N)
-            B2 = f2.lams[j] - 0.5 * mu2 * np.eye(g.N)
-            Zj += 2.0 * (B1 @ W[j] @ B2.T) - 0.5 * mu1 * mu2 * W[j]
-        else:
-            B1 = f1.lams[j] - mu1 * np.eye(g.N)
-            B2 = f2.lams[j] - mu2 * np.eye(g.N)
-            Zj += B1 @ W[j] @ B2.T - mu1 * mu2 * W[j]
+        B1 = f1.lams[j] - half * mu * eye
+        B2 = f2.lams[j] - half * mu * eye
+        Zj += cross * (B1 @ W[j] @ B2.T) - half * mu * mu * W[j]
         Z[j] = Zj
     return Z
 

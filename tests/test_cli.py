@@ -212,6 +212,14 @@ def test_value_below_its_minimum_exits_two(tmp_path, capsys, scenario, key, low,
     assert err.startswith(f"config error: config entry '{key}' needs a value >= {low}")
 
 
+@pytest.mark.parametrize("eps", ["2", "0.7"])
+def test_global_march_without_a_window_exits_two(tmp_path, capsys, eps):
+    # past the cap, or too close to it for two collar steps (this was exit 1)
+    code, _, summary = _run(tmp_path, "global-march", *SMALL, "--override", f"eps={eps}")
+    assert code == 2 and summary is None
+    assert capsys.readouterr().err.startswith("config error: global-march has no window")
+
+
 def test_bad_config_file_exits_two(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")

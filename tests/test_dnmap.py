@@ -8,14 +8,12 @@ from evosq.dnmap import (
     conductivity_mode_dn,
     conformal_identity_check,
     dn_mode_symbol,
-    dn_pairing,
     propagation_chain,
     riccati_integrate,
     riccati_residual,
     solve_interior,
 )
 from evosq.errors import (
-    DepthIndexError,
     DNComputationError,
     GeometryError,
     RiccatiEscapeError,
@@ -42,7 +40,7 @@ def annulus_exact(k, rho):
 
 def test_annulus_eigenvalues(annulus_geometry):
     fam = compute_dn_family(annulus_geometry)
-    lam0 = fam.lam(0)
+    lam0 = fam.lams[0]
     for k in range(0, 9):
         exact = annulus_exact(k, 0.25)
         got = _mode_eigenvalue(annulus_geometry, lam0, k)
@@ -51,7 +49,7 @@ def test_annulus_eigenvalues(annulus_geometry):
 
 def test_disk_eigenvalues():
     g = build_warped_geometry("disk", N=16, M=128, eps=0.3)
-    lam0 = compute_dn_family(g).lam(0)
+    lam0 = compute_dn_family(g).lams[0]
     for k in range(0, 7):
         got = _mode_eigenvalue(g, lam0, k)
         assert abs(got - k) / max(k, 1) < 2e-3, f"mode {k}"
@@ -79,7 +77,7 @@ def test_torus_mode_symbol():
 def test_dense_and_mode_paths_agree(annulus_geometry):
     fam = compute_dn_family(annulus_geometry, 1.5)
     for k in (0, 1, 4):
-        dense = _mode_eigenvalue(annulus_geometry, fam.lam(0), k)
+        dense = _mode_eigenvalue(annulus_geometry, fam.lams[0], k)
         mode = float(dn_mode_symbol(annulus_geometry, 1.5, float(k) ** 2, depths=[0])[0])
         assert abs(dense - mode) < 1e-8 * max(abs(dense), 1.0)
 
@@ -150,18 +148,18 @@ def test_chain_allocates_only_the_collar_blocks():
 def test_map_is_symmetric(annulus_families):
     fam1, _ = annulus_families
     for j in (0, fam1.geometry.M // 2, fam1.geometry.M):
-        lam = fam1.lam(j)
+        lam = fam1.lams[j]
         assert np.array_equal(lam, lam.T)
 
 
 def test_zero_potential_map_is_psd(annulus_geometry):
-    lam0 = compute_dn_family(annulus_geometry).lam(0)
+    lam0 = compute_dn_family(annulus_geometry).lams[0]
     w = np.linalg.eigvalsh(lam0)
     assert w.min() > -1e-8
 
 
 def test_fourier_diagonal_when_potential_is_radial(annulus_geometry):
-    lam0 = compute_dn_family(annulus_geometry, 0.7).lam(0)
+    lam0 = compute_dn_family(annulus_geometry, 0.7).lams[0]
     F = np.fft.fft(np.eye(annulus_geometry.N), axis=0)
     hat = F @ lam0 @ np.conj(F.T) / annulus_geometry.N
     off = hat - np.diag(np.diag(hat))
@@ -172,17 +170,6 @@ def test_family_indexing(annulus_families):
     fam1, _ = annulus_families
     g = fam1.geometry
     assert fam1.lams.shape == (g.M + 1, g.N, g.N)
-    assert np.array_equal(fam1.at_depth(0.0), fam1.lam(0))
-    assert np.array_equal(fam1.at_depth(g.eps), fam1.lam(g.M))
-    assert fam1.depths.shape == (g.M + 1,)
-    for j in (g.M + 1, -1):
-        with pytest.raises(DepthIndexError):
-            fam1.lam(j)
-    with pytest.raises(IndexError):  # also catchable as a plain IndexError
-        fam1.lam(g.M + 1)
-    for depth in (0.12345, np.nan, np.inf, -np.inf):
-        with pytest.raises(DepthIndexError):
-            fam1.at_depth(depth)
 
 
 def test_family_q_is_the_potential_on_collar_nodes(annulus_families):
@@ -246,7 +233,7 @@ def test_neumann_value_consistent_with_map(annulus_families):
     w = fd_weights(g.ts[:3], g.ts[0], 1)
     du = w @ sol[:3]
     # symmetrization perturbs the extracted map at the stencil error level
-    assert np.max(np.abs(-du - fam1.lam(0) @ f)) < 1e-4 * np.max(np.abs(du))
+    assert np.max(np.abs(-du - fam1.lams[0] @ f)) < 1e-4 * np.max(np.abs(du))
 
 
 # -- interior resonance guard -------------------------------------------------
@@ -321,8 +308,8 @@ def test_off_resonance_passes():
 
 def test_riccati_integration_recovers_family(annulus_geometry):
     fam = compute_dn_family(annulus_geometry, 1.0)
-    out = riccati_integrate(annulus_geometry, 1.0, fam.lam(annulus_geometry.M))
-    err = np.linalg.norm(out[0] - fam.lam(0)) / np.linalg.norm(fam.lam(0))
+    out = riccati_integrate(annulus_geometry, 1.0, fam.lams[annulus_geometry.M])
+    err = np.linalg.norm(out[0] - fam.lams[0]) / np.linalg.norm(fam.lams[0])
     assert err < 1e-2
 
 
@@ -338,21 +325,13 @@ def test_riccati_residual_second_order():
 
 def test_riccati_escape(annulus_geometry):
     fam = compute_dn_family(annulus_geometry)
-    bad = fam.lam(annulus_geometry.M) + 1e3 * np.eye(annulus_geometry.N)
+    bad = fam.lams[annulus_geometry.M] + 1e3 * np.eye(annulus_geometry.N)
     with pytest.raises(RiccatiEscapeError) as exc:
         riccati_integrate(annulus_geometry, None, bad)
     assert 0.0 <= exc.value.depth < annulus_geometry.eps
 
 
-# -- pairings and coercivity ----------------------------------------------------
-
-
-def test_dn_pairing_positive(annulus_geometry):
-    fam = compute_dn_family(annulus_geometry)
-    f = np.cos(2 * annulus_geometry.theta)
-    val = dn_pairing(annulus_geometry, fam.lam(0), f, f)
-    exact = annulus_exact(2, 0.25) * np.pi  # <lam f, f> = lam_2 * pi for cos(2 theta)
-    assert abs(val - exact) / exact < 1e-2
+# -- coercivity ----------------------------------------------------------------
 
 
 def test_coercivity_probe_zero_potential(annulus_geometry):

@@ -47,7 +47,7 @@ def test_kron_generator_consistency():
 def test_pair_operator_grid_mismatch():
     g1 = build_warped_geometry(make_profile("annulus", rho=0.25), N=16, M=16, eps=0.3)
     g2 = build_warped_geometry(make_profile("annulus", rho=0.25), N=16, M=32, eps=0.3)
-    with pytest.raises(GeometryError, match="matching"):
+    with pytest.raises(GeometryError, match="one geometry"):
         PairOperator(compute_dn_family(g1), compute_dn_family(g2))
 
 

@@ -10,7 +10,6 @@ from evosq.exhaustion import (
     load_mesh,
     push_through,
     smooth_min,
-    smooth_min_nary,
     verify_order,
 )
 from evosq.meshes import annulus_mesh, disk_mesh, save_off, sphere_mesh, strip_mesh
@@ -52,36 +51,6 @@ def test_smooth_min_symmetric():
 def test_smooth_min_eps_validation():
     with pytest.raises(ValueError, match="positive"):
         smooth_min(1.0, 2.0, 0.0)
-    with pytest.raises(ValueError, match="positive"):
-        smooth_min_nary([1.0, 2.0, 3.0], -0.1)
-
-
-def test_nary_bound_and_pairwise_failure():
-    # the pairwise eps/2 excess bound does not survive three arguments:
-    # this triple exceeds it, while the (n-1) eps / 2 bound still holds
-    vals, eps = (-2.0, 2.0, 2.0), 1.0
-    v = smooth_min_nary(vals, eps)
-    excess = v - min(vals)
-    assert excess > 0.5 * eps
-    assert excess <= (len(vals) - 1) * eps / 2
-
-
-def test_nary_sweep_holds_general_bound():
-    rng = SplitMix64(7)
-    for n in (3, 4, 5):
-        for _ in range(400):
-            vals = [6.0 * (rng.next_float() - 0.5) for _ in range(n)]
-            v = smooth_min_nary(vals, 0.4)
-            assert min(vals) <= v <= min(vals) + (n - 1) * 0.2 + 1e-12
-
-
-def test_nary_edge_cases():
-    assert smooth_min_nary([3.5], 0.2) == 3.5
-    assert smooth_min_nary([1.0, 2.0], 0.2) == smooth_min(1.0, 2.0, 0.2)
-    with pytest.raises(ValueError, match="at least one"):
-        smooth_min_nary([], 0.2)
-    with pytest.raises(ValueError, match="pairwise folds"):
-        smooth_min_nary(list(range(9)), 0.2)
 
 
 # -- mesh construction and parsing ----------------------------------------------

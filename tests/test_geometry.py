@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from evosq.geometry import (
     fourier_matrix,
     make_profile,
     sobolev_apply,
-    sobolev_norm,
 )
 
 
@@ -67,6 +68,21 @@ def test_profile_shift():
         p.shifted(0.75)
     with pytest.raises(GeometryError):
         p.shifted(-0.1)
+
+
+def test_profiles_are_bitwise_linear_warps():
+    ts = np.linspace(0.0, 0.7, 29)
+    for p, r, rp in (
+        (make_profile("disk"), 1.0 - ts, -1.0),
+        (make_profile("annulus", rho=0.25), 1.0 - ts, -1.0),
+        (make_profile("flat-cylinder", T=0.8), 1.0, 0.0),
+    ):
+        assert np.array_equal(p.r(ts), np.broadcast_to(r, ts.shape))
+        assert np.array_equal(p.rp(ts), np.full_like(ts, rp))
+        assert not any(callable(getattr(p, f.name)) for f in fields(p))  # plain data
+    p = make_profile("annulus", rho=0.25)
+    for d in (0.1, 0.3, 0.55):
+        assert np.array_equal(p.shifted(d).r(ts), 1.0 - (ts + d))
 
 
 # -- finite difference weights ----------------------------------------------
@@ -186,23 +202,10 @@ def test_sobolev_multiplier_on_pure_mode(annulus_geometry):
         assert np.allclose(v, (1.0 + k**2) ** s * u, atol=1e-10)
 
 
-def test_sobolev_apply_tensor(annulus_geometry):
-    g = annulus_geometry
-    u = np.outer(np.cos(2 * g.theta), np.sin(3 * g.theta))
-    v = sobolev_apply(g, -0.5, u)
-    assert np.allclose(v, (1.0 + 4.0 + 9.0) ** -0.5 * u, atol=1e-10)
-
-
-def test_sobolev_norm_monotone_in_s(annulus_geometry):
-    g = annulus_geometry
-    u = np.cos(3 * g.theta)
-    assert sobolev_norm(g, 1.0, u) > sobolev_norm(g, 0.0, u) > sobolev_norm(g, -1.0, u)
-    assert sobolev_norm(g, 0.0, np.zeros(g.N)) == 0.0
-
-
 def test_sobolev_rank_check(annulus_geometry):
-    with pytest.raises(GeometryError, match="rank"):
-        sobolev_apply(annulus_geometry, 0.5, np.zeros((2, 2, 2)))
+    for shape in ((2, 2), (2, 2, 2)):
+        with pytest.raises(GeometryError, match="rank"):
+            sobolev_apply(annulus_geometry, 0.5, np.zeros(shape))
 
 
 # -- conformal reduction ----------------------------------------------------

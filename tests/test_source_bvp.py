@@ -218,8 +218,20 @@ def test_layer_strip_geometry_mismatch(annulus_families):
     fam1, _ = annulus_families
     g2 = build_warped_geometry(make_profile("annulus", rho=0.25), N=16, M=16, eps=0.3)
     other = compute_dn_family(g2, Q2_SPEC)
-    with pytest.raises(GeometryError, match="shared geometry"):
+    with pytest.raises(GeometryError, match="one geometry"):
         layer_strip_check(fam1, other, np.ones(32), np.ones(32))
+
+
+@pytest.mark.parametrize("other", ["flat-cylinder", "disk"])
+def test_family_pair_on_two_geometries_is_rejected(other):
+    # equal N, M, eps and potentials: only the warping differs
+    g1 = build_warped_geometry(make_profile("annulus", rho=0.25), N=16, M=16, eps=0.3)
+    g2 = build_warped_geometry(make_profile(other), N=16, M=16, eps=0.3)
+    fam1, fam2 = compute_dn_family(g1, Q1_SPEC), compute_dn_family(g2, Q1_SPEC)
+    f = np.ones(16)
+    for check in (PairOperator, dn_recovery_check, lambda a, b: layer_strip_check(a, b, f, f)):
+        with pytest.raises(GeometryError, match="one geometry"):
+            check(fam1, fam2)
 
 
 # -- plumbing ---------------------------------------------------------------------
