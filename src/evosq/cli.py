@@ -551,6 +551,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     runner = _SCENARIOS[args.scenario][0]
+    existed = os.path.isdir(args.out)
     try:
         cfg = _load_config(args.config)
         for spec in args.override:
@@ -560,6 +561,8 @@ def main(argv=None):
         results, passed = runner(typed, args.out)
     except (ConfigError, GeometryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        if not existed and os.path.isdir(args.out) and not os.listdir(args.out):
+            os.rmdir(args.out)  # made by this call and still empty
         return 2
     except (DNComputationError, RiccatiEscapeError, StepFailureError, MeshError, FormatError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

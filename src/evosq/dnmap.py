@@ -1,34 +1,32 @@
 """Depth-indexed Dirichlet-to-Neumann families on a warped collar.
 
-The interior problem at depth ``t`` below a collar slice is
+The interior problem below a collar slice, in divergence form with ``w = r^dim``, is
 
-    u_tt + mu'(t) u_t - L_t u - Q u = 0,   u|_slice = f,  cap condition at T,
+    (w u_t)_t - w (L_t + Q) u = 0,   u|_slice = f,  cap condition at T,
 
 and the slice map is ``f -> -u_t`` at the slice, a positive semi-definite
-dense matrix on the boundary nodes. One backward elimination sweep over the
-full depth grid produces the propagation chain ``u_j = S_j u_{j-1}``; every
-collar-depth map is then read off the chain with one-sided derivative
-stencils, so the whole family costs a single sweep that keeps only the
-blocks 1..M+2 extraction reads. The sweep runs over pivot blocks: one dense
-N x N block per node, or per mode, a batch of 1 x 1 blocks, one per Fourier
-mode; both share the elimination and the extraction. The per-mode path
-serves theta-independent potentials, and the dense chain runs it too over
-its deep stretch, the nodes below the last row where the potential varies
-in theta, where every block is circulant; it materializes the kept ones as
-dense circulants and sweeps densely above.
+dense matrix on the boundary nodes. The depth rows are conservative (weights
+``w_{j+1/2}`` on the cells), so the problem below any node is a symmetric
+block tridiagonal system. One backward elimination sweep over the full depth
+grid gives the propagation chain ``u_j = S_j u_{j-1}``, kept on rows 1..M+1,
+and the map at node ``j`` is its Schur complement, the half-cell flux
 
-Everything here is second order in the depth step. Maps are symmetrized
-after extraction: the true map is symmetric in the slice inner product (a
-scalar multiple of the Euclidean one on equispaced nodes), and the one-sided
-stencil introduces a pure-noise antisymmetric O(h^2) defect.
+    Lam_j = (w_{j+1/2} / w_j) (I - S_{j+1}) / h_j + (h_j / 2) (L_j + Q_j),
+
+symmetric to round-off and exact in the discrete Green identities (layer
+stripping, the one-cell Moebius step). The sweep runs over pivot blocks: one
+dense N x N block per node, or per mode, a batch of 1 x 1 blocks, one per
+Fourier mode; both share the elimination and the extraction. The per-mode
+path serves theta-independent potentials, and the dense chain runs it too
+over its deep stretch, the nodes below the last row where the potential
+varies in theta, where every block is circulant; it materializes the kept
+ones as dense circulants and sweeps densely above.
 """
-
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DNComputationError, GeometryError, RiccatiEscapeError
-from .geometry import fd_weights, fourier_matrix, sobolev_apply
+from .geometry import conformal_potential, fourier_matrix, sobolev_apply
 from .potentials import make_potential
 from .rng import SplitMix64
 
@@ -36,35 +34,39 @@ _ESCAPE_FACTOR = 50.0
 _SINGULAR_FACTOR = 1e6
 
 
-def _second_order_coeffs(h_minus, h_plus, mu):
-    """3-point stencil weights of ``u'' + mu u'`` on spacings (h-, h+)."""
-    s = h_minus + h_plus
-    a = 2.0 / (h_minus * s)
-    b = -2.0 / (h_minus * h_plus)
-    c = 2.0 / (h_plus * s)
-    al = -h_plus / (h_minus * s)
-    be = (h_plus - h_minus) / (h_minus * h_plus)
-    ga = h_minus / (h_plus * s)
-    return a + mu * al, b + mu * be, c + mu * ga
+def _weights(geometry, sigma=None):
+    """Half-node weights ``w_{j+1/2}`` and node weights ``w_j`` of the depth rows.
+
+    ``rho = r^dim`` at cell midpoints and nodes; with a conductivity ``sigma``
+    per node, ``rho_{j+1/2} s_j s_{j+1}`` and ``rho_j sigma_j``, ``s = sigma^(1/2)``.
+    """
+    ts = geometry.ts
+    sigma = np.ones(ts.size) if sigma is None else sigma
+    s = np.sqrt(sigma)
+    half = geometry.profile.r(0.5 * (ts[:-1] + ts[1:])) ** geometry.dim
+    return half * s[:-1] * s[1:], geometry.rs**geometry.dim * sigma
 
 
-def _eliminate(geometry, lap, q, mu, cap, top=1, bottom=None, circulant=False):
+def _eliminate(geometry, lap, q, w, cap, top=1, bottom=None, circulant=False):
     """Backward elimination ``S_j = -(B_j + c_j S_{j+1})^-1 a_j`` over pivot blocks.
 
     ``lap`` is the unit-radius slice Laplacian as ``(..., n, n)`` blocks,
-    ``q(j)`` the potential block at node ``j``, ``mu`` the first-order depth
-    coefficient per node and ``cap`` the block at node ``bottom`` (default the
-    last node). The sweep runs from node ``bottom - 1`` up to ``top``. It
-    returns one ``(M + 3, ..., n, n)`` array holding the blocks of rows up to
-    M + 2 (other rows unset; one array, so that a dropped chain goes back to
-    the operating system whole) and the block at ``top``. A singular pivot
-    or a block norm above ``_SINGULAR_FACTOR * sqrt(n)`` is a resonance. With
-    ``circulant`` the batch of N 1 x 1 blocks is the spectrum of one circulant
-    N x N block and is guarded as that block would be: a zero mode pivot is a
-    singular pivot and the norm is the Frobenius one, the root of the summed
-    squared symbols, against ``_SINGULAR_FACTOR * sqrt(N)``.
+    ``q(j)`` the potential block at node ``j``, ``w`` the :func:`_weights`
+    pair and ``cap`` the block at node ``bottom`` (default the last node).
+    Row ``j`` is ``w_{j+1/2} (u_{j+1} - u_j) / h+ - w_{j-1/2} (u_j - u_{j-1}) / h-
+    - hbar w_j (L_j + Q_j) u_j = 0`` divided by ``hbar w_j``, ``hbar = (h- + h+) / 2``.
+    The sweep runs from node ``bottom - 1`` up to ``top``. It returns one
+    ``(M + 2, ..., n, n)`` array holding the blocks of rows up to M + 1 (other
+    rows unset; one array, so that a dropped chain goes back to the operating
+    system whole) and the block at ``top``. A singular pivot or a block norm
+    above ``_SINGULAR_FACTOR * sqrt(n)`` is a resonance. With ``circulant``
+    the batch of N 1 x 1 blocks is the spectrum of one circulant N x N block
+    and is guarded as that block would be: a zero mode pivot is a singular
+    pivot and the norm is the Frobenius one, the root of the summed squared
+    symbols, against ``_SINGULAR_FACTOR * sqrt(N)``.
     """
-    ts, kept = geometry.ts, geometry.M + 2
+    ts, kept = geometry.ts, geometry.M + 1
+    (half, node), dt = w, np.diff(ts)
     bottom = ts.size - 1 if bottom is None else bottom
     eye = np.eye(lap.shape[-1])
     guard = _SINGULAR_FACTOR * np.sqrt(lap.shape[0] if circulant else lap.shape[-1])
@@ -73,8 +75,9 @@ def _eliminate(geometry, lap, q, mu, cap, top=1, bottom=None, circulant=False):
     if bottom <= kept:
         S[bottom] = cap
     for j in range(bottom - 1, top - 1, -1):
-        ap, bp, cp = _second_order_coeffs(ts[j] - ts[j - 1], ts[j + 1] - ts[j], mu[j])
-        P = bp * eye - lap / geometry.rs[j] ** 2 - q(j) + cp * block
+        scale = 0.5 * (dt[j - 1] + dt[j]) * node[j]
+        ap, cp = half[j - 1] / (dt[j - 1] * scale), half[j] / (dt[j] * scale)
+        P = -(ap + cp) * eye - lap / geometry.rs[j] ** 2 - q(j) + cp * block
         try:
             block = np.linalg.solve(P, -ap * eye)
             sq = np.einsum("...ij,...ij->...", block, block)
@@ -93,11 +96,18 @@ def _eliminate(geometry, lap, q, mu, cap, top=1, bottom=None, circulant=False):
     return S, block
 
 
+def _extract_dn(geometry, S, lap, q, w, j):
+    """Map at node ``j``: the half-cell flux of the chain's row ``j + 1``."""
+    h = geometry.ts[j + 1] - geometry.ts[j]
+    flux = (w[0][j] / w[1][j] / h) * (np.eye(lap.shape[-1]) - S[j + 1])
+    return flux + 0.5 * h * (lap / geometry.rs[j] ** 2 + q(j))
+
+
 def propagation_chain(geometry, potential):
     """Backward elimination over the full grid, kept on the collar.
 
-    Returns an ``(M + 3, N, N)`` array ``S`` with ``S[j]`` mapping the slice
-    value at node ``j - 1`` to node ``j`` for ``j = 1..M+2`` (row 0 is
+    Returns an ``(M + 2, N, N)`` array ``S`` with ``S[j]`` mapping the slice
+    value at node ``j - 1`` to node ``j`` for ``j = 1..M+1`` (row 0 is
     unset). Below the last row where the potential varies in theta, and with
     the cap, every block is circulant: that deep run is eliminated per
     Fourier mode, its kept rows are materialized with :func:`fourier_matrix`,
@@ -107,60 +117,50 @@ def propagation_chain(geometry, potential):
     """
     if geometry.dim != 1:
         raise GeometryError("dense propagation is circle-only; use dn_mode_symbol")
-    ts, k = geometry.ts, geometry.wavenumbers()
+    ts, k, w = geometry.ts, geometry.wavenumbers(), _weights(geometry)
     ratio = geometry.rs[-1] / geometry.rs[-2]  # per-mode decay ratio^|k| across the capped cell
     cap = ratio ** np.abs(k) if geometry.cap == "center" else np.zeros_like(k)
     Q = potential.on_grid(geometry.theta, ts)
-    mu = geometry.mu_dot(ts)
     rippled = np.flatnonzero(np.any(Q[:-1] != Q[:-1, :1], axis=1))
     top = int(rippled[-1]) + 1 if rippled.size else 1  # highest node of the theta-constant run
     symbols, top_symbol = _eliminate(
-        geometry, (k**2)[:, None, None], lambda j: Q[j, 0], mu, cap[:, None, None], top=top,
+        geometry, (k**2)[:, None, None], lambda j: Q[j, 0], w, cap[:, None, None], top=top,
         circulant=True,
     )
     S, _ = _eliminate(
-        geometry, geometry.d2_unit(), lambda j: np.diag(Q[j]), mu,
+        geometry, geometry.d2_unit(), lambda j: np.diag(Q[j]), w,
         fourier_matrix(top_symbol[:, 0, 0]), bottom=top,
     )
-    for j in range(top + 1, geometry.M + 3):
+    for j in range(top + 1, geometry.M + 2):
         S[j] = fourier_matrix(symbols[j, :, 0, 0])
     return S
 
 
-def _extract_dn(geometry, S, j):
-    ts = geometry.ts
-    w = fd_weights(ts[j : j + 3], ts[j], 1)
-    lam = -(w[0] * np.eye(S[j + 1].shape[-1]) + w[1] * S[j + 1] + w[2] * (S[j + 2] @ S[j + 1]))
-    return 0.5 * (lam + np.swapaxes(lam, -1, -2))
-
-
 class DNFamily:
-    """Collar family of slice maps, one per collar node.
+    """Collar family of slice maps ``lams``, one per collar node.
 
-    ``chain`` is the collar :func:`propagation_chain` the maps were read from
-    when computed with ``keep_chain=True``, else None. ``q`` is the potential
-    sampled on the collar nodes, row ``j`` at depth ``t_j``.
+    ``q`` is the potential on the collar nodes, row ``j`` at depth ``t_j``;
+    ``chain`` the kept :func:`propagation_chain` (``keep_chain=True``) or None.
     """
 
-    def __init__(self, geometry, potential, lams, chain=None):
+    def __init__(self, geometry, potential, lams, q, chain=None):
         self.geometry = geometry
         self.potential = potential
         self.lams = lams
+        self.q = q
         self.chain = chain
-
-    @cached_property
-    def q(self):
-        return self.potential.on_grid(self.geometry.theta, self.geometry.collar_ts)
 
 
 def compute_dn_family(geometry, potential=None, keep_chain=False):
     """Slice maps at every collar node from one elimination sweep."""
     potential = make_potential(potential)
     S = propagation_chain(geometry, potential)
+    q = potential.on_grid(geometry.theta, geometry.collar_ts)
+    lap, w = geometry.d2_unit(), _weights(geometry)
     lams = np.empty((geometry.M + 1, geometry.N, geometry.N))
     for j in range(geometry.M + 1):
-        lams[j] = _extract_dn(geometry, S, j)
-    return DNFamily(geometry, potential, lams, chain=S if keep_chain else None)
+        lams[j] = _extract_dn(geometry, S, lap, lambda i: np.diag(q[i]), w, j)
+    return DNFamily(geometry, potential, lams, q, chain=S if keep_chain else None)
 
 
 def solve_interior(family, f):
@@ -195,13 +195,14 @@ def _mode_q_values(geometry, potential):
     return Q.mean(axis=1)
 
 
-def _mode_maps(geometry, ksq, q_values, mu, depths):
+def _mode_maps(geometry, ksq, q, w, depths):
     """Mode eigenvalues at node indices ``depths``, eliminated as 1 x 1 pivot blocks."""
     lap = np.asarray(ksq, dtype=float).reshape(-1, 1, 1)
     ratio = geometry.rs[-1] / geometry.rs[-2]
     cap = ratio ** np.sqrt(lap) if geometry.cap == "center" else np.zeros_like(lap)
-    S, _ = _eliminate(geometry, lap, q_values.__getitem__, mu, cap)
-    return np.array([_extract_dn(geometry, S, j)[:, 0, 0].reshape(np.shape(ksq)) for j in depths])
+    S, _ = _eliminate(geometry, lap, q, w, cap)
+    lams = [_extract_dn(geometry, S, lap, q, w, j)[:, 0, 0] for j in depths]
+    return np.array(lams).reshape((len(lams),) + np.shape(ksq))
 
 
 def dn_mode_symbol(geometry, potential, ksq, depths=None):
@@ -213,9 +214,9 @@ def dn_mode_symbol(geometry, potential, ksq, depths=None):
     indices; an array ``ksq`` adds a trailing mode axis.
     """
     potential = make_potential(potential)
-    q = _mode_q_values(geometry, potential)
+    q = _mode_q_values(geometry, potential).__getitem__
     idx = range(geometry.M + 1) if depths is None else np.atleast_1d(depths)
-    out = _mode_maps(geometry, ksq, q, geometry.mu_dot(geometry.ts), idx)
+    out = _mode_maps(geometry, ksq, q, _weights(geometry), idx)
     if depths is None or np.ndim(depths):
         return out
     return out[0] if np.ndim(ksq) else float(out[0])
@@ -324,20 +325,18 @@ def coercivity_probe(family):
 def conductivity_mode_dn(geometry, gamma, n_ambient, ksq):
     """Mode eigenvalue of the conductivity-form slice map ``-sigma(0) u'(0)``.
 
-    Solves ``u'' + (mu' + sigma'/sigma) u' - ksq/r^2 u = 0`` with the cap
-    condition, where ``sigma = gamma^(n/2 - 1)``. An array ``ksq`` gives an
+    Solves ``(r^dim sigma u')' - r^dim sigma ksq/r^2 u = 0`` with the cap
+    condition, where ``sigma = gamma^(n/2 - 1)``, through the conservative
+    sweep with the conductivity weights of :func:`_weights`: ``sigma(0)``
+    times the half-cell flux at the boundary node. An array ``ksq`` gives an
     array of eigenvalues.
     """
-    from .geometry import derivative_matrix
-
-    ts = geometry.ts
-    g = np.asarray(gamma(ts), dtype=float)
+    g = np.asarray(gamma(geometry.ts), dtype=float)
     if not np.all((g > 0.0) & (g < np.inf)):  # NaN fails both
         raise GeometryError("conformal factor must be positive and finite")
     sigma = g ** (0.5 * n_ambient - 1.0)
-    dsigma = derivative_matrix(ts, 1) @ sigma
-    mu_eff = np.asarray(geometry.mu_dot(ts), dtype=float) + dsigma / sigma
-    return float(sigma[0]) * _mode_maps(geometry, ksq, np.zeros(ts.size), mu_eff, [0])[0]
+    w = _weights(geometry, sigma)
+    return float(sigma[0]) * _mode_maps(geometry, ksq, lambda j: 0.0, w, [0])[0]
 
 
 def conformal_identity_check(geometry, gamma, n_ambient, modes):
@@ -353,12 +352,8 @@ def conformal_identity_check(geometry, gamma, n_ambient, modes):
     ``gamma = e^t`` (``e^(1 - |x|)``), whose conical point there gives a
     reduced potential like ``-1 / (4 |x|)``.
     """
-    from .geometry import conformal_potential
-
     pot, correction = conformal_potential(geometry, gamma, n_ambient)
-    sigma0 = float(np.asarray(gamma(np.array([0.0])), dtype=float).ravel()[0]) ** (
-        0.5 * n_ambient - 1.0
-    )
+    sigma0 = float(np.ravel(gamma(np.array([0.0])))[0]) ** (0.5 * n_ambient - 1.0)
     corr0 = float(np.mean(correction))
     ksq = np.array([float(np.dot(k, k)) if np.ndim(k) else float(k) ** 2 for k in modes])
     lam_q = dn_mode_symbol(geometry, pot, ksq, depths=[0])[0]

@@ -7,14 +7,14 @@ closed off at ``t = T`` either by a Dirichlet cap or, for the disk, by the
 coordinate center (handled one cell early with a per-mode decay condition).
 
 Discretization: ``N`` equispaced boundary nodes (spectral in the angular
-variables) and second-order finite differences in depth. The collar grid is
-``t_j = j * eps / M``; the full grid extends it to the cap with a matching
-step so one elimination sweep serves every collar depth.
+variables) and a conservative three-point scheme in depth (:mod:`evosq.dnmap`).
+The collar grid is ``t_j = j * eps / M``; the full grid extends it to the cap
+with a matching step so one elimination sweep serves every collar depth.
 
 Sign conventions (fixed here, relied on everywhere else): the interior
-equation is ``u_tt + mu' u_t - L_t u - Q u = 0`` with the *positive* slice
-operator ``L_t`` (Fourier symbol ``(k / r(t))^2``), and the induced boundary
-map is ``f -> -du/dt`` at the slice, which is positive semi-definite.
+equation is ``(w u_t)_t - w (L_t + Q) u = 0`` with ``w = r^dim`` and the
+*positive* slice operator ``L_t`` (Fourier symbol ``(k / r(t))^2``), and the
+induced boundary map is ``f -> -du/dt`` at the slice, positive semi-definite.
 """
 
 import hashlib

@@ -78,6 +78,14 @@ def test_dn_compute_pass_and_artifacts(tmp_path):
         assert side["kind"] == "slice-map"
 
 
+def test_dn_compute_symmetry_gate_is_live(tmp_path):
+    # the maps are symmetric to round-off, not by construction: the gate can fail
+    code, _, summary = _run(tmp_path, "dn-compute", sub="a")
+    assert code == 0 and 0.0 < summary["results"]["symmetry_defect"] <= 1e-14
+    code, _, summary = _run(tmp_path, "dn-compute", "--override", "sym_tol=1e-18", sub="b")
+    assert code == 1 and summary["passed"] is False
+
+
 def test_summary_is_deterministic(tmp_path):
     code1, out1, _ = _run(tmp_path, "bvp-headline", *SMALL, sub="a")
     code2, out2, _ = _run(tmp_path, "bvp-headline", *SMALL, sub="b")
@@ -218,6 +226,21 @@ def test_global_march_without_a_window_exits_two(tmp_path, capsys, eps):
     code, _, summary = _run(tmp_path, "global-march", *SMALL, "--override", f"eps={eps}")
     assert code == 2 and summary is None
     assert capsys.readouterr().err.startswith("config error: global-march has no window")
+
+
+@pytest.mark.parametrize(
+    "scenario, extra",
+    [
+        ("global-march", [*SMALL, "--override", "eps=2"]),
+        ("dn-compute", ["--override", "geometry=sphere"]),
+    ],
+)
+def test_config_error_in_a_runner_leaves_no_out_directory(tmp_path, scenario, extra):
+    code, out, _ = _run(tmp_path, scenario, *extra)
+    assert code == 2 and not out.exists()
+    out.mkdir()  # a directory the call did not make stays
+    code, out, _ = _run(tmp_path, scenario, *extra)
+    assert code == 2 and out.is_dir()
 
 
 def test_bad_config_file_exits_two(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from evosq.dnmap import (
     _eliminate,
+    _weights,
     coercivity_probe,
     compute_dn_family,
     conductivity_mode_dn,
@@ -21,6 +22,8 @@ from evosq.errors import (
 from evosq.geometry import build_warped_geometry, fourier_matrix, make_profile
 from evosq.potentials import SampledPotential, make_potential
 from evosq.rng import SplitMix64
+from evosq.source_bvp import layer_strip_check
+from tests.conftest import Q1_SPEC, Q2_SPEC
 
 
 def _mode_eigenvalue(geometry, lam, k):
@@ -114,9 +117,9 @@ def test_chain_matches_whole_grid_dense_elimination(profile):
         top = max(int(np.searchsorted(g.ts, t_end, side="right")), 1)
         potential = make_potential(spec)
         Q = potential.on_grid(g.theta, g.ts)
-        dense, _ = _eliminate(g, g.d2_unit(), lambda j: np.diag(Q[j]), g.mu_dot(g.ts), cap)
+        dense, _ = _eliminate(g, g.d2_unit(), lambda j: np.diag(Q[j]), _weights(g), cap)
         chain = propagation_chain(g, potential)
-        assert chain.shape == (g.M + 3, g.N, g.N)
+        assert chain.shape == (g.M + 2, g.N, g.N)
         for S, D in zip(chain[1:], dense[1:]):
             assert np.linalg.norm(S - D) <= 1e-12 * np.linalg.norm(D)
         for S in chain[top:]:
@@ -146,10 +149,11 @@ def test_chain_allocates_only_the_collar_blocks():
 
 
 def test_map_is_symmetric(annulus_families):
+    # the maps are Schur complements of a symmetric system: nothing symmetrizes them
     fam1, _ = annulus_families
     for j in (0, fam1.geometry.M // 2, fam1.geometry.M):
         lam = fam1.lams[j]
-        assert np.array_equal(lam, lam.T)
+        assert np.linalg.norm(lam - lam.T) <= 1e-14 * np.linalg.norm(lam)
 
 
 def test_zero_potential_map_is_psd(annulus_geometry):
@@ -192,6 +196,52 @@ def test_dense_path_is_circle_only():
         compute_dn_family(g)
 
 
+# -- exact discrete identities --------------------------------------------------
+
+_PROFILES = {name: make_profile(name, rho=0.25) for name in ("annulus", "disk", "flat-cylinder")}
+
+
+@pytest.fixture(scope="module", params=sorted(_PROFILES))
+def bump_pair(request):
+    g = build_warped_geometry(_PROFILES[request.param], N=32, M=64, eps=0.3)
+    return compute_dn_family(g, Q1_SPEC, keep_chain=True), compute_dn_family(g, Q2_SPEC)
+
+
+def test_maps_are_symmetric_without_symmetrizing(bump_pair):
+    for fam in bump_pair:
+        for lam in fam.lams:
+            assert np.linalg.norm(lam - lam.T) <= 1e-14 * np.linalg.norm(lam)
+
+
+@pytest.mark.parametrize("profile", sorted(_PROFILES))
+def test_maps_are_psd_for_a_nonnegative_potential(profile):
+    g = build_warped_geometry(_PROFILES[profile], N=32, M=64, eps=0.3)
+    for lam in compute_dn_family(g, 1.0).lams:
+        eig = np.linalg.eigvalsh(lam)
+        assert eig.min() >= -1e-12 * np.abs(eig).max()
+
+
+def test_layer_strip_identity_is_exact(bump_pair):
+    g = bump_pair[0].geometry
+    f1, f2 = np.cos(g.theta) + 0.3, np.cos(2.0 * g.theta) + 0.1
+    assert layer_strip_check(*bump_pair, f1, f2)["rel_gap"] <= 1e-10
+
+
+def test_maps_follow_the_moebius_recursion(bump_pair):
+    # eliminating one cell at a time, up from the collar-depth map, gives every map
+    half, node = _weights(bump_pair[0].geometry)
+    for fam in bump_pair:
+        g, eye = fam.geometry, np.eye(fam.geometry.N)
+        lq = [g.laplacian_matrix(t) + np.diag(q) for t, q in zip(g.collar_ts, fam.q)]
+        lam = fam.lams[g.M]
+        for j in range(g.M - 1, -1, -1):
+            h = g.ts[j + 1] - g.ts[j]
+            A = half[j] / h
+            S = A * np.linalg.inv(A * eye + node[j + 1] * (lam + 0.5 * h * lq[j + 1]))
+            lam = 0.5 * h * lq[j] + (A / node[j]) * (eye - S)
+            assert np.linalg.norm(lam - fam.lams[j]) <= 1e-12 * np.linalg.norm(fam.lams[j])
+
+
 # -- interior extension -------------------------------------------------------
 
 
@@ -227,13 +277,13 @@ def test_neumann_value_consistent_with_map(annulus_families):
     fam1, _ = annulus_families
     g = fam1.geometry
     f = np.cos(g.theta)
-    sol = solve_interior(fam1, f)
-    from evosq.geometry import fd_weights
-
-    w = fd_weights(g.ts[:3], g.ts[0], 1)
-    du = w @ sol[:3]
-    # symmetrization perturbs the extracted map at the stencil error level
-    assert np.max(np.abs(-du - fam1.lams[0] @ f)) < 1e-4 * np.max(np.abs(du))
+    u = solve_interior(fam1, f)
+    # the map is the half-cell flux of the discrete solution at the boundary node
+    half, node = _weights(g)
+    h = g.ts[1] - g.ts[0]
+    flux = -(half[0] / node[0]) * (u[1] - u[0]) / h
+    flux += 0.5 * h * (g.laplacian_matrix(0.0) @ f + fam1.q[0] * f)
+    assert np.max(np.abs(flux - fam1.lams[0] @ f)) <= 1e-12 * np.max(np.abs(flux))
 
 
 # -- interior resonance guard -------------------------------------------------

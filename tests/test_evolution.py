@@ -109,7 +109,7 @@ def test_implicit_step_failure_reports():
     # symmetric slice maps with condition number ~1e16: conjugate gradients
     # cannot reach the step tolerance and must fail loudly
     lams = np.tile(np.diag(np.logspace(0, 16, 32)), (g.M + 1, 1, 1))
-    fam = DNFamily(g, ZeroPotential(), lams)
+    fam = DNFamily(g, ZeroPotential(), lams, np.zeros((g.M + 1, g.N)))
     op = PairOperator(fam, fam)
     with pytest.raises(StepFailureError, match="implicit step") as exc:
         evolve_tensor_forward(op, np.ones((32, 32)))

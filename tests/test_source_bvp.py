@@ -240,7 +240,9 @@ def test_family_pair_on_two_geometries_is_rejected(other):
 def test_difference_kernel_symmetry(annulus_families):
     fam1, fam2 = annulus_families
     K = difference_kernel(fam1, fam2, 0)
-    assert np.array_equal(K, K.T)
+    # bounded by the symmetry defect of either map, on the kernel's scale
+    scale = np.linalg.norm(fam1.lams[0]) / fam1.geometry.node_weight(0.0)
+    assert np.linalg.norm(K - K.T) <= 1e-14 * scale
 
 
 def test_diagonal_source_values(annulus_families):
