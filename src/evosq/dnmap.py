@@ -141,6 +141,7 @@ class DNFamily:
 
     ``q`` is the potential on the collar nodes, row ``j`` at depth ``t_j``;
     ``chain`` the kept :func:`propagation_chain` (``keep_chain=True``) or None.
+    Without a kept chain ``lams`` may be a view of the dropped chain's buffer.
     """
 
     def __init__(self, geometry, potential, lams, q, chain=None):
@@ -152,12 +153,17 @@ class DNFamily:
 
 
 def compute_dn_family(geometry, potential=None, keep_chain=False):
-    """Slice maps at every collar node from one elimination sweep."""
+    """Slice maps at every collar node from one elimination sweep.
+
+    Without ``keep_chain`` the maps are written over the chain: map ``j``
+    reads only row ``j + 1``, so row ``j`` is free once it is made, and
+    ``lams`` is the view ``S[:M+1]``.
+    """
     potential = make_potential(potential)
     S = propagation_chain(geometry, potential)
     q = potential.on_grid(geometry.theta, geometry.collar_ts)
     lap, w = geometry.d2_unit(), _weights(geometry)
-    lams = np.empty((geometry.M + 1, geometry.N, geometry.N))
+    lams = np.empty((geometry.M + 1, geometry.N, geometry.N)) if keep_chain else S[: geometry.M + 1]
     for j in range(geometry.M + 1):
         lams[j] = _extract_dn(geometry, S, lap, lambda i: np.diag(q[i]), w, j)
     return DNFamily(geometry, potential, lams, q, chain=S if keep_chain else None)

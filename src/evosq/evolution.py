@@ -15,7 +15,9 @@ their potentials.
 
 Every field is a plain array indexed by collar node first: a trace is
 ``(M+1, N)`` and a kernel field ``(M+1, N, N)``, row ``j`` at depth
-``geometry.collar_ts[j]``.
+``geometry.collar_ts[j]``. A transport asked for ``rows`` returns only the
+nodes ``0..rows-1``: the forward sweep stops there, the backward sweep runs
+the whole collar but keeps no deeper slice than the one it steps from.
 
 All steppers are trapezoidal (second order); both transports are one
 stepper run down or up the collar. Its implicit half-step is a symmetric
@@ -107,16 +109,26 @@ def evolve_trace(family, f):
     return u
 
 
-def _transport(pair_op, W_start, nodes, rate, source, direction):
-    """Trapezoid steps of ``(d/ds + A - rate) W = source``, ``s`` running along ``nodes``."""
+def _transport(pair_op, W_start, nodes, rate, source, direction, rows):
+    """Trapezoid steps of ``(d/ds + A - rate) W = source``, ``s`` running along ``nodes``.
+
+    The stepper carries its current slice and returns the ``(rows, N, N)``
+    array of the nodes below ``rows`` (all ``M + 1`` when ``rows`` is None).
+    """
     g = pair_op.geometry
     ts = g.collar_ts
-    out = np.empty((g.M + 1, g.N, g.N))
-    out[nodes[0]] = np.asarray(W_start, dtype=float)
+    rows = g.M + 1 if rows is None else rows
+    if not 1 <= rows <= g.M + 1:
+        raise GeometryError(f"a transport keeps 1..{g.M + 1} rows, got {rows}")
+    out = np.empty((rows, g.N, g.N))
+    W = np.empty((g.N, g.N))
+    W[...] = W_start
+    if nodes[0] < rows:
+        out[nodes[0]] = W
     src_i = None if source is None else np.asarray(source(nodes[0]), dtype=float)
     for i, k in zip(nodes[:-1], nodes[1:]):
         h = abs(ts[k] - ts[i])
-        B = out[i] - 0.5 * h * (pair_op.apply(i, out[i]) - rate(i) * out[i])
+        B = W - 0.5 * h * (pair_op.apply(i, W) - rate(i) * W)
         if source is not None:
             src_k = np.asarray(source(k), dtype=float)
             B = B + 0.5 * h * (src_i + src_k)
@@ -126,26 +138,33 @@ def _transport(pair_op, W_start, nodes, rate, source, direction):
             AX = pair_op.apply(_k, X)
             return X + 0.5 * _h * (AX - _m * X if _m else AX)  # saves two N^2 passes when m = 0
 
-        out[k] = _cg(op, B, x0=out[i], context=f" ({direction} step to node {k})")
+        W = _cg(op, B, x0=W, context=f" ({direction} step to node {k})")
+        if k < rows:
+            out[k] = W
     return out
 
 
-def evolve_tensor_forward(pair_op, W0, source=None):
+def evolve_tensor_forward(pair_op, W0, source=None, rows=None):
     """Solve ``(d/dt + A) phi = source`` down the collar from ``phi(0) = W0``.
 
     ``source`` is None (homogeneous) or a callable ``source(j) -> kernel``.
+    With ``rows`` the sweep stops after node ``rows - 1`` and returns those
+    rows alone.
     """
-    return _transport(pair_op, W0, range(pair_op.geometry.M + 1), lambda j: 0.0, source, "forward")
+    nodes = range(pair_op.geometry.M + 1)[:rows]
+    return _transport(pair_op, W0, nodes, lambda j: 0.0, source, "forward", rows)
 
 
-def evolve_tensor_backward(pair_op, W_eps, source=None):
+def evolve_tensor_backward(pair_op, W_eps, source=None, rows=None):
     """Solve ``psi' = (A - m) psi - source`` upward from ``psi(eps) = W_eps``.
 
     This is the formal adjoint flow of the forward transport with respect to
-    the volume-weighted kernel pairing; ``m`` is the slice volume rate.
+    the volume-weighted kernel pairing; ``m`` is the slice volume rate. The
+    sweep always runs the whole collar; with ``rows`` it keeps only the nodes
+    below ``rows``.
     """
     nodes = range(pair_op.geometry.M, -1, -1)
-    return _transport(pair_op, W_eps, nodes, pair_op.volume_rate, source, "backward")
+    return _transport(pair_op, W_eps, nodes, pair_op.volume_rate, source, "backward", rows)
 
 
 def evolved_rank_one(family1, family2, f1, f2):

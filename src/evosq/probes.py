@@ -100,6 +100,8 @@ def offdiagonal_flag(geometry, kernel, threshold=OFFDIAG_THRESHOLD):
 def gradient_blowup_probe(geometry, W, ambient_dim=3, slice_index=2):
     """Shell profile of ``|grad phi|^p`` near the diagonal of a field on ``geometry.collar_ts``.
 
+    ``W`` holds the field's first collar rows (all ``M+1``, or the rows a
+    solve kept); ``slice_index`` must have a row on each side of it.
     Gradients are spectral in each boundary variable and centered in depth.
     The slope of the finest three shells (log2 of successive mass ratios)
     estimates the blow-up order toward the diagonal. The integrand power is
@@ -112,8 +114,8 @@ def gradient_blowup_probe(geometry, W, ambient_dim=3, slice_index=2):
         )
     p = ambient_dim / (ambient_dim - 1.0)
     j = slice_index
-    if not 1 <= j <= geometry.M - 1:
-        raise GeometryError("gradient probe needs an interior collar slice")
+    if not 1 <= j <= W.shape[0] - 2:
+        raise GeometryError(f"gradient probe needs an interior collar slice of {W.shape[0]} rows")
     k = geometry.wavenumbers()
     dx = np.real(np.fft.ifft(1j * k[:, None] * np.fft.fft(W[j], axis=0), axis=0))
     dy = np.real(np.fft.ifft(1j * k[None, :] * np.fft.fft(W[j], axis=1), axis=1))

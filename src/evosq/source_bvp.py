@@ -18,8 +18,12 @@ Sweeps (both trapezoidal, matrix-free):
      ``U`` transported up from the collar depth;
   2. ``(d/dt + A) phi = psi`` forward from zero.
 
-Both fields are plain ``(M+1, N, N)`` arrays, row ``j`` at depth
-``geometry.collar_ts[j]``.
+Both fields are plain ``(rows, N, N)`` arrays, row ``j`` at depth
+``geometry.collar_ts[j]``: all ``M+1`` collar nodes by default. The
+boundary derivative reads only rows 0-2 of ``phi``, which need only rows
+0-2 of ``psi``; since ``phi`` starts from zero, a solve that keeps ``rows``
+stops its forward sweep at node ``rows - 1``, and its backward sweep, which
+must still run the whole collar, keeps only those rows.
 
 With matching potentials every sweep is identically zero (the null test in
 :mod:`evosq.probes` relies on this being exact, not merely small).
@@ -53,16 +57,18 @@ def diagonal_source(family1, family2):
     return source
 
 
-def solve_source_bvp(family1, family2):
+def solve_source_bvp(family1, family2, rows=None):
     """Two-sweep solve; returns the arrays ``phi`` and ``psi``, the transported ``U``.
 
-    The flux condition at the collar depth carries the sign +1; the
-    recovery check resolves the orientation empirically instead.
+    With ``rows`` both arrays hold collar nodes ``0..rows-1`` only; their
+    values are those of the full solve. The flux condition at the collar
+    depth carries the sign +1; the recovery check resolves the orientation
+    empirically instead.
     """
     pair = PairOperator(family1, family2)
     K_eps = difference_kernel(family1, family2, pair.geometry.M)
-    psi = evolve_tensor_backward(pair, K_eps, source=diagonal_source(family1, family2))
-    phi = evolve_tensor_forward(pair, 0.0, source=psi.__getitem__)
+    psi = evolve_tensor_backward(pair, K_eps, source=diagonal_source(family1, family2), rows=rows)
+    phi = evolve_tensor_forward(pair, 0.0, source=psi.__getitem__, rows=rows)
     return {"phi": phi, "psi": psi}
 
 
@@ -84,10 +90,12 @@ def dn_recovery_check(family1, family2):
     Solves the source problem, converts the boundary depth derivative of
     ``phi`` back to an operator with the slice weight, and compares against
     ``Lam1(0) - Lam2(0)`` for both orientations. Reports the relative error
-    of the better orientation and which one it is.
+    of the better orientation and which one it is. Its ``stages`` keep rows
+    0-3 of ``phi`` and ``psi``: rows 0-2 give the boundary derivative, and
+    row 3 the depth difference at slice 2 of :func:`gradient_blowup_probe`.
     """
     g = family1.geometry
-    stages = solve_source_bvp(family1, family2)
+    stages = solve_source_bvp(family1, family2, rows=4)
     K0 = boundary_time_derivative(g, stages["phi"])
     recovered = K0 * g.node_weight(0.0)
     target = family1.lams[0] - family2.lams[0]

@@ -273,6 +273,20 @@ def test_interior_solution_reuses_chain(annulus_families):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("profile", ["annulus", "disk"])
+def test_maps_in_the_chain_buffer_equal_maps_beside_the_chain(profile):
+    g = build_warped_geometry(make_profile(profile, rho=0.25), N=16, M=32, eps=0.3)
+    shared = compute_dn_family(g, Q1_SPEC)
+    kept = compute_dn_family(g, Q1_SPEC, keep_chain=True)
+    assert shared.chain is None
+    assert shared.lams.shape == kept.lams.shape == (g.M + 1, g.N, g.N)
+    assert np.array_equal(shared.lams, kept.lams)
+    # a kept chain is not overwritten: it still extends boundary data as a fresh one does
+    assert not np.shares_memory(kept.lams, kept.chain)
+    f = np.cos(g.theta) + 0.3 * np.sin(3 * g.theta)
+    assert np.array_equal(solve_interior(kept, f), solve_interior(shared, f))
+
+
 def test_neumann_value_consistent_with_map(annulus_families):
     fam1, _ = annulus_families
     g = fam1.geometry

@@ -16,7 +16,7 @@ from evosq.probes import (
     shell_decomposition,
     zeta_pairing,
 )
-from evosq.source_bvp import dn_recovery_check
+from evosq.source_bvp import dn_recovery_check, solve_source_bvp
 
 
 def test_null_test_exact(annulus_families):
@@ -114,6 +114,18 @@ def test_gradient_probe_slice_bounds():
     field = evolved_rank_one(fam1, fam2, np.cos(g.theta), np.sin(g.theta))
     with pytest.raises(GeometryError, match="interior collar slice"):
         gradient_blowup_probe(g, field, slice_index=0)
+
+
+def test_gradient_probe_reads_kept_rows():
+    # a solve that keeps four rows serves slice 2; slice 3 has no row below it
+    g = build_warped_geometry(make_profile("annulus", rho=0.25), N=64, M=16, eps=0.3)
+    fam1, fam2 = compute_dn_family(g, 1.0), compute_dn_family(g, -0.5)
+    full = solve_source_bvp(fam1, fam2)["phi"]
+    kept = solve_source_bvp(fam1, fam2, rows=4)["phi"]
+    assert gradient_blowup_probe(g, kept)["slope"] == gradient_blowup_probe(g, full)["slope"]
+    gradient_blowup_probe(g, full, slice_index=3)
+    with pytest.raises(GeometryError, match="interior collar slice"):
+        gradient_blowup_probe(g, kept, slice_index=3)
 
 
 def test_zeta_pairing_finite_and_keyed(annulus_families):

@@ -187,6 +187,47 @@ def test_solve_makes_one_backward_and_one_forward_sweep(annulus_families, monkey
     assert sorted(calls) == ["evolve_tensor_backward", "evolve_tensor_forward"]
 
 
+def test_kept_rows_are_the_full_solve_rows(annulus_families, monkeypatch):
+    fam1, fam2 = annulus_families
+    g = fam1.geometry
+    full = solve_source_bvp(fam1, fam2)
+    kept = solve_source_bvp(fam1, fam2, rows=4)
+    for name in ("phi", "psi"):
+        assert kept[name].shape == (4, g.N, g.N)
+        assert np.array_equal(kept[name], full[name][:4]), name
+    # the recovery check keeps four rows and recovers the full solve's slope
+    forward_nodes, in_forward = set(), []
+    apply = PairOperator.apply
+    forward = source_bvp.evolve_tensor_forward
+
+    def counted_apply(self, j, W):
+        if in_forward:
+            forward_nodes.add(j)
+        return apply(self, j, W)
+
+    def flagged_forward(*args, **kwargs):
+        in_forward.append(True)
+        try:
+            return forward(*args, **kwargs)
+        finally:
+            in_forward.pop()
+
+    monkeypatch.setattr(PairOperator, "apply", counted_apply)
+    monkeypatch.setattr(source_bvp, "evolve_tensor_forward", flagged_forward)
+    res = dn_recovery_check(fam1, fam2)
+    assert forward_nodes == {0, 1, 2, 3}  # three forward steps, not M
+    assert res["stages"]["phi"].shape[0] == 4
+    recovered = boundary_time_derivative(g, full["phi"]) * g.node_weight(0.0)
+    assert np.array_equal(res["recovered"], recovered)
+
+
+@pytest.mark.parametrize("rows", [-1, 0, 66])
+def test_rows_outside_the_collar_are_rejected(annulus_families, rows):
+    assert annulus_families[0].geometry.M + 1 == 65
+    with pytest.raises(GeometryError, match="rows"):
+        solve_source_bvp(*annulus_families, rows=rows)
+
+
 def test_backward_sweep_is_linear_in_its_data(annulus_families):
     # the solver's one sweep from (U(eps), R) equals the homogeneous sweep from
     # U(eps) plus the particular sweep from zero, to the CG tolerance
