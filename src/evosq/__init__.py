@@ -52,7 +52,7 @@ from .evolution import (
     evolve_trace,
     evolved_rank_one,
 )
-from .squared import apply_variant, kernel_residual, sbp_first_derivative, scalar_factorized_apply
+from .squared import apply_variant, kernel_residual, sbp_derivative, scalar_factorized_apply
 from .source_bvp import (
     diagonal_source,
     dn_recovery_check,
@@ -127,7 +127,7 @@ __all__ = [
     "read_matrix",
     "riccati_integrate",
     "riccati_residual",
-    "sbp_first_derivative",
+    "sbp_derivative",
     "scalar_factorized_apply",
     "shell_decomposition",
     "smooth_min",

@@ -94,6 +94,8 @@ def _apply_override(cfg, spec):
 
 # lower bounds of the numeric keys that have one
 _MINIMA = {"ambient_dim": 2, "modes_max": 0, "samples_per_cell": 4, "max_windows": 1}
+# keys that must be > 0: at 0 or below, the check they set cannot fail
+_POSITIVE = ("single_floor", "threshold")
 
 
 def _number(key, value, kind):
@@ -133,6 +135,9 @@ def _typed(scenario, cfg):
     for key, low in _MINIMA.items():
         if key in cfg and typed[key] < low:
             raise ConfigError(f"config entry {key!r} needs a value >= {low}, got {cfg[key]!r}")
+    for key in _POSITIVE:
+        if key in cfg and typed[key] <= 0:
+            raise ConfigError(f"config entry {key!r} needs a value > 0, got {cfg[key]!r}")
     if "levels" in cfg:
         levels = cfg["levels"]
         try:
@@ -390,12 +395,12 @@ def _run_conformal(cfg, out):
     return results, res["max_rel_error"] <= cfg["tol"]
 
 
-# mesh kind -> (maker, number of resolution parameters)
+# mesh kind -> (maker, least value of each parameter); under 3 sectors a ring makes no surface
 _MESH_MAKERS = {
-    "annulus": (meshes.annulus_mesh, 2),
-    "disk": (meshes.disk_mesh, 2),
-    "strip": (meshes.strip_mesh, 2),
-    "sphere": (meshes.sphere_mesh, 1),
+    "annulus": (meshes.annulus_mesh, (1, 3)),
+    "disk": (meshes.disk_mesh, (1, 3)),
+    "strip": (meshes.strip_mesh, (1, 1)),
+    "sphere": (meshes.sphere_mesh, (1,)),
 }
 
 
@@ -408,14 +413,16 @@ def _run_exhaustion(cfg, out):
         kind, params = cfg["mesh_kind"], cfg["mesh_params"]
         if not isinstance(kind, str) or kind not in _MESH_MAKERS:
             raise ConfigError(f"unknown mesh kind {kind!r}")
-        maker, arity = _MESH_MAKERS[kind]
-        if not isinstance(params, list) or len(params) != arity:
+        maker, minima = _MESH_MAKERS[kind]
+        if not isinstance(params, list) or len(params) != len(minima):
             raise ConfigError(
-                f"mesh_params for mesh_kind {kind!r} needs {arity} ints, got {params!r}"
+                f"mesh_params for mesh_kind {kind!r} needs {len(minima)} ints, got {params!r}"
             )
         params = [_number("mesh_params", p, int) for p in params]
-        if min(params) < 1:
-            raise ConfigError(f"mesh_params needs positive ints, got {params!r}")
+        if any(p < low for p, low in zip(params, minima)):
+            raise ConfigError(
+                f"mesh_params for mesh_kind {kind!r} needs ints >= {list(minima)}, got {params!r}"
+            )
         mesh = maker(*params)
     t0 = time.perf_counter()
     order, certs = exhaustion_order(mesh)

@@ -65,13 +65,14 @@ class SurfaceMesh:
         V = len(self.vertices)
         if self.triangles.size and (self.triangles.min() < 0 or self.triangles.max() >= V):
             raise MeshError("triangle vertex index out of range")
-        for tri in self.triangles:
+        tris = self.triangles.tolist()  # plain ints, also in the messages
+        for tri in tris:
             if len(set(tri)) != 3:
                 raise MeshError(f"degenerate triangle {tuple(tri)}")
 
         directed = {}
         edge_tris = {}
-        for f, (a, b, c) in enumerate(self.triangles):
+        for f, (a, b, c) in enumerate(tris):
             for u, v in ((a, b), (b, c), (c, a)):
                 key = (min(u, v), max(u, v))
                 edge_tris.setdefault(key, []).append(f)

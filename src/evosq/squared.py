@@ -5,9 +5,9 @@ adjoint gives a positive second-order operator whose kernel contains every
 evolved rank-one field. This module realizes that operator three ways:
 
 ``factorized``
-    Literal composition ``(D* + A)(D + A)`` with a summation-by-parts
-    derivative ``D`` and its exact discrete weighted adjoint
-    ``D* = -V^{-1} D V`` (``V`` holds the slice volume factors).
+    Literal composition ``(D* + A)(D + A)`` with the SBP(2,1) derivative
+    stencil ``D`` and its exact discrete weighted adjoint
+    ``D* = -V^{-1} D V`` (``V = exp(2 mu)`` holds the slice volume factors).
 
 ``expanded-double``
     The algebraically expanded form, assembled from geometry data alone:
@@ -22,9 +22,15 @@ evolved rank-one field. This module realizes that operator three ways:
     annihilate evolved fields; keeping it separate guards against the
     doubling being silently dropped.
 
-End rows of ``D`` are first order, so residuals of the factorized form are
-meaningful only away from the collar ends; :func:`kernel_residual` skips a
-two-node margin on each side.
+Depth derivatives are stencils applied along the first axis
+(:func:`sbp_derivative`, :func:`second_derivative`); no depth matrix is
+formed. End rows of ``D`` are first order, so residuals of the factorized
+form are meaningful only away from the collar ends; :func:`kernel_residual`
+skips a two-node margin on each side.
+
+The residuals are small differences of fields that conjugate gradients
+solved to ``_CG_TOL`` (see :mod:`evosq.evolution`), so they reproduce only
+to about 3e-8 relative: a round-off change upstream moves them that far.
 """
 
 import numpy as np
@@ -41,49 +47,33 @@ def _uniform_step(ts):
     return float(hs[0])
 
 
-def sbp_first_derivative(ts):
-    """SBP(2,1) derivative and its norm: ``Omega D + D^T Omega = B``."""
-    h = _uniform_step(ts)
-    K = ts.size
-    D = np.zeros((K, K))
-    for j in range(1, K - 1):
-        D[j, j - 1] = -0.5 / h
-        D[j, j + 1] = 0.5 / h
-    D[0, 0], D[0, 1] = -1.0 / h, 1.0 / h
-    D[K - 1, K - 2], D[K - 1, K - 1] = -1.0 / h, 1.0 / h
-    omega = np.full(K, h)
-    omega[0] = omega[-1] = 0.5 * h
-    return D, omega
+def sbp_derivative(u, ts):
+    """SBP(2,1) first derivative of ``u`` along its first (depth) axis.
 
-
-def second_derivative_matrix(ts):
-    """Centered second derivative; 4-point one-sided end rows (all O(h^2))."""
-    h = _uniform_step(ts)
-    K = ts.size
-    D2 = np.zeros((K, K))
-    for j in range(1, K - 1):
-        D2[j, j - 1 : j + 2] = (1.0, -2.0, 1.0)
-    D2[0, :4] = (2.0, -5.0, 4.0, -1.0)
-    D2[K - 1, K - 4 :] = (-1.0, 4.0, -5.0, 2.0)
-    return D2 / h**2
-
-
-def sbp_pair(pair_op):
-    """Derivative and exact weighted adjoint for the pair geometry.
-
-    With ``V_j = exp(2 mu)(t_j)`` the pair satisfies
-    ``<<D u, v>> = <<u, D* v>> + boundary`` exactly in the volume-weighted
-    trapezoid pairing.
+    Centered inside, one-sided first order at both ends: the matrix ``D``
+    with ``Omega D + D^T Omega = diag(-1, 0, ..., 0, 1)`` for the trapezoid
+    norm ``Omega``. Returns one new array.
     """
-    ts = pair_op.geometry.collar_ts
-    D, omega = sbp_first_derivative(ts)
-    V = np.exp(2.0 * np.asarray(pair_op.geometry.mu(ts), dtype=float))
-    Dstar = -np.diag(1.0 / V) @ D @ np.diag(V)
-    return D, Dstar, omega, V
+    h = _uniform_step(ts)
+    out = np.empty(u.shape)
+    np.subtract(u[2:], u[:-2], out=out[1:-1])
+    out[1:-1] *= 0.5 / h
+    out[0] = (u[1] - u[0]) / h
+    out[-1] = (u[-1] - u[-2]) / h
+    return out
 
 
-def _depth_apply(D, field_values):
-    return np.tensordot(D, field_values, axes=(1, 0))
+def second_derivative(u, ts):
+    """Centered second derivative along the first axis; 4-point one-sided end rows (all O(h^2))."""
+    h = _uniform_step(ts)
+    out = np.empty(u.shape)
+    np.add(u[2:], u[:-2], out=out[1:-1])
+    out[1:-1] -= u[1:-1]
+    out[1:-1] -= u[1:-1]
+    out[0] = 2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]
+    out[-1] = 2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]
+    out /= h * h
+    return out
 
 
 def apply_variant(pair_op, W, variant="factorized"):
@@ -96,34 +86,35 @@ def apply_variant(pair_op, W, variant="factorized"):
         raise GeometryError("field does not live on the collar grid")
 
     if variant == "factorized":
-        D, Dstar, _, _ = sbp_pair(pair_op)
-        Y = _depth_apply(D, W)
+        # (D* + A)(D + A) W with D* = -V^-1 D V, V = exp(2 mu) the slice volume factor
+        Y = sbp_derivative(W, ts)
         for j in range(ts.size):
             Y[j] += pair_op.apply(j, W[j])
-        Z = _depth_apply(Dstar, Y)
+        V = np.exp(2.0 * g.mu(ts))
+        Y *= V[:, None, None]
+        Z = sbp_derivative(Y, ts)
         for j in range(ts.size):
-            Z[j] += pair_op.apply(j, Y[j])
+            Z[j] = (pair_op.apply(j, Y[j]) - Z[j]) / V[j]
         return Z
 
-    D, _ = sbp_first_derivative(ts)
-    D2 = second_derivative_matrix(ts)
-    dW = _depth_apply(D, W)
-    d2W = _depth_apply(D2, W)
-    Z = np.empty_like(W)
+    # -W'' - 2 mu' W', then the per-node terms
+    mu_dot = g.mu_dot(ts)
+    Z = sbp_derivative(W, ts)
+    Z *= -2.0 * mu_dot[:, None, None]
+    Z -= second_derivative(W, ts)
     f1, f2 = pair_op.family1, pair_op.family2
     eye = np.eye(g.N)
     # Bi = Lam_i - half mu': doubled with half = 1/2, single with the full shift
     half, cross = (0.5, 2.0) if variant == "expanded-double" else (1.0, 1.0)
     for j in range(ts.size):
-        t = float(ts[j])
-        mu = float(g.mu_dot(t))
-        L = g.laplacian_matrix(t)
-        Zj = -d2W[j] - 2.0 * mu * dW[j] + L @ W[j] + W[j] @ L.T
+        mu = float(mu_dot[j])
+        L = g.laplacian_matrix(float(ts[j]))
+        Zj = Z[j]
+        Zj += L @ W[j] + W[j] @ L.T
         Zj += f1.q[j][:, None] * W[j] + W[j] * f2.q[j][None, :]
         B1 = f1.lams[j] - half * mu * eye
         B2 = f2.lams[j] - half * mu * eye
         Zj += cross * (B1 @ W[j] @ B2.T) - half * mu * mu * W[j]
-        Z[j] = Zj
     return Z
 
 
@@ -159,9 +150,8 @@ def scalar_factorized_apply(ts, lam1, lam2, m, p):
     derivative; used to cross-check the structured apply one mode pair at a
     time. All arguments are sampled on the collar nodes.
     """
-    D, _ = sbp_first_derivative(ts)
     lam = np.asarray(lam1, dtype=float) + np.asarray(lam2, dtype=float)
     mu_int = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(ts) * (m[1:] + m[:-1]))])
     V = np.exp(mu_int)
-    y = D @ p + lam * p
-    return -(D @ (V * y)) / V + lam * y
+    y = sbp_derivative(p, ts) + lam * p
+    return -sbp_derivative(V * y, ts) / V + lam * y

@@ -220,6 +220,19 @@ def test_value_below_its_minimum_exits_two(tmp_path, capsys, scenario, key, low,
     assert err.startswith(f"config error: config entry '{key}' needs a value >= {low}")
 
 
+@pytest.mark.parametrize(
+    "scenario, key", [("kernel-check", "single_floor"), ("oducp-probe", "threshold")]
+)
+@pytest.mark.parametrize("value", [0, -1])
+def test_a_check_that_cannot_fail_exits_two(tmp_path, capsys, scenario, key, value):
+    # a floor of 0 passes any negative control and a threshold of 0 flags any
+    # kernel: the outcome would not depend on what the run computed (this was exit 0)
+    code, _, summary = _run(tmp_path, scenario, *SMALL, "--override", f"{key}={value}")
+    assert code == 2 and summary is None
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config entry '{key}' needs a value > 0")
+
+
 @pytest.mark.parametrize("eps", ["2", "0.7"])
 def test_global_march_without_a_window_exits_two(tmp_path, capsys, eps):
     # past the cap, or too close to it for two collar steps (this was exit 1)
@@ -389,6 +402,17 @@ def test_exhaustion_rejects_bad_mesh_params(tmp_path, capsys, params):
     err = capsys.readouterr().err
     assert code == 2 and summary is None
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["annulus", "disk"])
+@pytest.mark.parametrize("params", ["[1, 2]", "[3, 1]"])
+def test_exhaustion_rejects_too_few_sectors(tmp_path, capsys, kind, params):
+    # fewer than 3 sectors make a closed or degenerate mesh (this was exit 3)
+    overrides = ["--override", f"mesh_kind={kind}", "--override", f"mesh_params={params}"]
+    code, _, summary = _run(tmp_path, "exhaustion", *overrides)
+    assert code == 2 and summary is None
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: mesh_params for mesh_kind '{kind}' needs ints >= [1, 3]")
 
 
 @pytest.mark.parametrize("kind", ["torus", '["annulus"]', '{"a": 1}'])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,23 @@ from evosq.squared import (
     VARIANTS,
     apply_variant,
     kernel_residual,
-    sbp_first_derivative,
-    sbp_pair,
+    sbp_derivative,
     scalar_factorized_apply,
-    second_derivative_matrix,
+    second_derivative,
 )
+
+
+def _trapezoid_norm(ts):
+    h = ts[1] - ts[0]
+    omega = np.full(ts.size, h)
+    omega[0] = omega[-1] = 0.5 * h
+    return omega
 
 
 def test_sbp_identity_exact():
     ts = np.linspace(0.0, 0.3, 17)
-    D, omega = sbp_first_derivative(ts)
+    D = sbp_derivative(np.eye(17), ts)
+    omega = _trapezoid_norm(ts)
     B = np.zeros((17, 17))
     B[0, 0], B[-1, -1] = -1.0, 1.0
     lhs = np.diag(omega) @ D + D.T @ np.diag(omega)
@@ -27,33 +36,62 @@ def test_sbp_identity_exact():
 
 def test_sbp_derivative_orders():
     ts = np.linspace(0.0, 0.3, 33)
-    D, _ = sbp_first_derivative(ts)
     # exact on affine functions everywhere, including the end rows
     f = 2.0 - 3.0 * ts
-    assert np.max(np.abs(D @ f + 3.0)) < 1e-12
+    assert np.max(np.abs(sbp_derivative(f, ts) + 3.0)) < 1e-12
     g = ts**2
-    assert np.max(np.abs((D @ g - 2 * ts)[1:-1])) < 1e-12
+    assert np.max(np.abs((sbp_derivative(g, ts) - 2 * ts)[1:-1])) < 1e-12
 
 
-def test_second_derivative_matrix_orders():
+def test_second_derivative_orders():
     ts = np.linspace(0.0, 0.3, 33)
-    D2 = second_derivative_matrix(ts)
     f = 1.0 + ts + 0.5 * ts**2
-    assert np.max(np.abs(D2 @ f - 1.0)) < 1e-9
+    assert np.max(np.abs(second_derivative(f, ts) - 1.0)) < 1e-9
     cube = ts**3
     # interior is exact on cubics too; end rows are one order lower
-    assert np.max(np.abs((D2 @ cube - 6 * ts)[1:-1])) < 1e-9
+    assert np.max(np.abs((second_derivative(cube, ts) - 6 * ts)[1:-1])) < 1e-9
+
+
+def test_stencils_equal_their_dense_matrices():
+    ts = np.linspace(0.0, 0.5, 6)
+    h = 0.1
+    D = np.array([
+        [-1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+        [-0.5, 0.0, 0.5, 0.0, 0.0, 0.0],
+        [0.0, -0.5, 0.0, 0.5, 0.0, 0.0],
+        [0.0, 0.0, -0.5, 0.0, 0.5, 0.0],
+        [0.0, 0.0, 0.0, -0.5, 0.0, 0.5],
+        [0.0, 0.0, 0.0, 0.0, -1.0, 1.0],
+    ]) / h
+    D2 = np.array([
+        [2.0, -5.0, 4.0, -1.0, 0.0, 0.0],
+        [1.0, -2.0, 1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, -2.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, -2.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0, -2.0, 1.0],
+        [0.0, 0.0, -1.0, 4.0, -5.0, 2.0],
+    ]) / h**2
+    # the stencils act on the first axis of an array of any rank
+    u = np.random.default_rng(4).standard_normal((6, 3, 2))
+    for stencil, dense in ((sbp_derivative, D), (second_derivative, D2)):
+        want = np.tensordot(dense, u, axes=(1, 0))
+        atol = 1e-12 * np.max(np.abs(want))
+        assert np.allclose(stencil(u, ts), want, rtol=0.0, atol=atol)
+        assert np.allclose(stencil(u[:, 0, 0], ts), want[:, 0, 0], rtol=0.0, atol=atol)
 
 
 def test_weighted_adjoint_summation_identity(annulus_families):
     fam1, fam2 = annulus_families
-    op = PairOperator(fam1, fam2)
-    D, Dstar, omega, V = sbp_pair(op)
+    g = fam1.geometry
+    ts = g.collar_ts
+    omega = _trapezoid_norm(ts)
+    V = np.exp(2.0 * g.mu(ts))
     rng = np.random.default_rng(2)
     u = rng.standard_normal(V.size)
     v = rng.standard_normal(V.size)
-    lhs = np.sum(omega * V * (D @ u) * v)
-    rhs = np.sum(omega * V * u * (Dstar @ v))
+    # D* = -V^-1 D V, as the factorized variant applies it
+    lhs = np.sum(omega * V * sbp_derivative(u, ts) * v)
+    rhs = np.sum(omega * V * u * (-sbp_derivative(V * v, ts) / V))
     boundary = V[-1] * u[-1] * v[-1] - V[0] * u[0] * v[0]
     assert abs(lhs - rhs - boundary) < 1e-12 * max(abs(lhs), abs(boundary), 1.0)
 
@@ -132,8 +170,29 @@ def test_variant_validation(annulus_families):
 
 
 def test_nonuniform_grid_rejected():
-    with pytest.raises(GeometryError, match="uniform"):
-        sbp_first_derivative(np.array([0.0, 0.1, 0.25, 0.3]))
+    ts = np.array([0.0, 0.1, 0.25, 0.3])
+    for stencil in (sbp_derivative, second_derivative):
+        with pytest.raises(GeometryError, match="uniform"):
+            stencil(np.ones(4), ts)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_residual_allocates_at_most_two_and_a_half_fields(variant):
+    # the depth derivatives are stencils: no (M+1)^2 matrix and no spare field
+    g = build_warped_geometry(make_profile("annulus", rho=0.25), N=32, M=64, eps=0.3)
+    fam1 = compute_dn_family(g, 1.0)
+    fam2 = compute_dn_family(g, -0.5)
+    op = PairOperator(fam1, fam2)
+    field = evolved_rank_one(fam1, fam2, np.cos(g.theta), np.sin(2 * g.theta) + 0.4)
+    kernel_residual(op, field, variant)  # warm any per-geometry cache
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kernel_residual(op, field, variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / field.nbytes <= 2.5
 
 
 def test_short_collar_rejected():
