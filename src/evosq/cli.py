@@ -5,7 +5,8 @@ writes a canonical ``summary.json`` (sorted keys, no timestamps; repeat runs
 are byte-identical, except for the wall time ``order_seconds`` that
 ``exhaustion`` records) plus scenario-specific artifacts under the output
 directory. The scenario table ``_SCENARIOS`` holds each scenario's runner and
-its config keys with their defaults.
+its config keys with their defaults; ``_KINDS`` holds the keys and defaults
+of each kind of the nested ``boundary_data`` and ``gamma`` specs.
 
 Exit codes: 0 all checks passed; 1 a check failed; 2 configuration error
 (unknown key, bad value, malformed config file); 3 numerical failure
@@ -110,8 +111,8 @@ def _number(key, value, kind):
     return out
 
 
-def _typed(scenario, cfg):
-    """The runner's config: ``cfg`` checked against the scenario's table row and completed from it.
+def _typed(what, defaults, cfg):
+    """``cfg`` checked against the table row ``defaults`` and completed from it.
 
     A key outside the row is an error. A key whose default is an int or a
     float is converted to that type, a key whose default is a bool must be
@@ -119,11 +120,10 @@ def _typed(scenario, cfg):
     Absent keys take their default, except that a key whose default is None
     stays absent.
     """
-    defaults = _SCENARIOS[scenario][1]
     unknown = sorted(set(cfg) - set(defaults))
     if unknown:
         raise ConfigError(
-            f"unknown config keys for {scenario}: {', '.join(unknown)} "
+            f"unknown config keys for {what}: {', '.join(unknown)} "
             f"(allowed: {', '.join(sorted(defaults))})"
         )
     typed = {k: v for k, v in defaults.items() if v is not None}
@@ -150,19 +150,12 @@ def _typed(scenario, cfg):
 
 
 def _profile(cfg):
-    name = cfg["geometry"]
-    if name == "annulus":
-        return make_profile("annulus", rho=cfg["rho"])
-    if name == "disk":
-        return make_profile("disk")
-    if name == "flat-cylinder":
-        return make_profile("flat-cylinder", T=cfg["T"])
-    raise ConfigError(f"unknown geometry {name!r}")
+    return make_profile(cfg["geometry"], rho=cfg["rho"], T=cfg["T"])
 
 
 def _build_geometry(cfg, profile=None):
     profile = _profile(cfg) if profile is None else profile
-    return build_warped_geometry(profile, N=cfg["N"], M=cfg["M"], eps=cfg["eps"], dim=cfg["dim"])
+    return build_warped_geometry(profile, N=cfg["N"], M=cfg["M"], eps=cfg["eps"])
 
 
 def _pair(cfg):
@@ -171,25 +164,31 @@ def _pair(cfg):
     return g, compute_dn_family(g, cfg["q1"]), compute_dn_family(g, cfg["q2"])
 
 
-def _spec(spec, default, what):
+# nested spec -> {kind: its keys with their defaults}; an absent "kind" means the first
+_KINDS = {
+    "boundary data": {"mode": {"k": 1, "phase": 0.0, "offset": 0.0}, "random": {"seed": 0}},
+    "gamma": {"exp": {"rate": 1.0}, "poly": {"coeffs": [1.0, 0.5]}},
+}
+
+
+def _kind(spec, default, what):
+    """``(kind, keys)`` of a nested spec, its keys typed against their ``_KINDS`` row."""
     spec = spec or default  # null and {} stand for the table default
     if not isinstance(spec, dict):
         raise ConfigError(f"{what} must be an object with a 'kind', got {spec!r}")
-    return spec
+    kinds = _KINDS[what]
+    kind = spec.get("kind", next(iter(kinds)))
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    keys = {k: v for k, v in spec.items() if k != "kind"}
+    return kind, _typed(f"{what} kind {kind!r}", kinds[kind], keys)
 
 
 def _boundary_data(geometry, spec, default=_F1):
-    spec = _spec(spec, default, "boundary data")
-    kind = spec.get("kind", "mode")
+    kind, p = _kind(spec, default, "boundary data")
     if kind == "mode":
-        k = _number("k", spec.get("k", 1), int)
-        phase = _number("phase", spec.get("phase", 0.0), float)
-        offset = _number("offset", spec.get("offset", 0.0), float)
-        return np.cos(k * geometry.theta + phase) + offset
-    if kind == "random":
-        rng = SplitMix64(_number("seed", spec.get("seed", 0), int))
-        return np.asarray(rng.normals(geometry.N))
-    raise ConfigError(f"unknown boundary data kind {kind!r}")
+        return np.cos(p["k"] * geometry.theta + p["phase"]) + p["offset"]
+    return np.asarray(SplitMix64(p["seed"]).normals(geometry.N))
 
 
 def _pair_data(cfg, g):
@@ -198,35 +197,16 @@ def _pair_data(cfg, g):
 
 
 def _gamma_callable(spec):
-    spec = _spec(spec, _GAMMA, "gamma")
-    kind = spec.get("kind", "exp")
+    kind, p = _kind(spec, _GAMMA, "gamma")
     if kind == "exp":
-        rate = _number("rate", spec.get("rate", 1.0), float)
+        rate = p["rate"]
         # no overflow warning: the geometry rejects the factor as non-finite
         return np.errstate(over="ignore")(lambda t: np.exp(rate * np.asarray(t, dtype=float)))
-    if kind == "poly":
-        coeffs = spec.get("coeffs", [1.0, 0.5])
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ConfigError(f"gamma coeffs must be a non-empty list, got {coeffs!r}")
-        coeffs = [_number("coeffs", c, float) for c in coeffs]
-        return lambda t: np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), coeffs)
-    raise ConfigError(f"unknown conformal factor kind {kind!r}")
-
-
-def _to_py(obj):
-    if isinstance(obj, dict):
-        return {str(k): _to_py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_py(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_to_py(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+    coeffs = p["coeffs"]
+    if not isinstance(coeffs, list) or not coeffs:
+        raise ConfigError(f"gamma coeffs must be a non-empty list, got {coeffs!r}")
+    coeffs = [_number("coeffs", c, float) for c in coeffs]
+    return lambda t: np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), coeffs)
 
 
 def _write_csv(path, header, rows):
@@ -310,10 +290,8 @@ def _run_evolve(cfg, out):
 def _run_kernel(cfg, out):
     g, fam1, fam2 = _pair(cfg)
     W = evolved_rank_one(fam1, fam2, *_pair_data(cfg, g))
-    pair = PairOperator(fam1, fam2)
     tol, floor = cfg["tol"], cfg["single_floor"]
-    res = {v: kernel_residual(pair, W, v)["max_rel"] for v in
-           ("factorized", "expanded-double", "expanded-single")}
+    res = kernel_residual(PairOperator(fam1, fam2), W)
     passed = (
         res["factorized"] <= tol
         and res["expanded-double"] <= tol
@@ -377,7 +355,9 @@ def _run_probe(cfg, out):
 
 
 def _run_conformal(cfg, out):
-    g = _build_geometry(cfg)
+    g = build_warped_geometry(
+        _profile(cfg), N=cfg["N"], M=cfg["M"], eps=cfg["eps"], dim=cfg["dim"]
+    )
     gamma = _gamma_callable(cfg["gamma"])
     kmax = cfg["modes_max"]
     if g.dim == 1:
@@ -504,7 +484,8 @@ def _run_convergence(cfg, out):
 
 # scenario name -> (runner, {config key: default}), in CLI order. A default
 # also fixes the key's type (see _typed); a None default leaves the key unset.
-_GEOMETRY = {"geometry": "annulus", "rho": 0.25, "T": 1.0, "N": 32, "M": 64, "eps": 0.3, "dim": 1}
+_COLLAR = {"geometry": "annulus", "rho": 0.25, "T": 1.0, "eps": 0.3}
+_GEOMETRY = {**_COLLAR, "N": 32, "M": 64}
 _ONE = {**_GEOMETRY, "q1": _DEFAULT_Q1}
 _PAIR = {**_ONE, "q2": _DEFAULT_Q2}
 _DATA = {"boundary_data": _F1, "boundary_data2": _F2}
@@ -521,7 +502,8 @@ _SCENARIOS = {
         _run_probe, {**_PAIR, "threshold": 1e-6, "ambient_dim": 3, "expect_flag": True}
     ),
     "conformal-check": (
-        _run_conformal, {**_GEOMETRY, "gamma": _GAMMA, "n_ambient": 3, "modes_max": 8, "tol": 1e-3}
+        _run_conformal,
+        {**_GEOMETRY, "dim": 1, "gamma": _GAMMA, "n_ambient": 3, "modes_max": 8, "tol": 1e-3},
     ),
     "exhaustion": (_run_exhaustion, {
         "mesh": None, "mesh_kind": "annulus", "mesh_params": [50, 100], "samples_per_cell": 4,
@@ -531,9 +513,9 @@ _SCENARIOS = {
         **_PAIR, "q1": {"kind": "constant", "value": 1.5}, "q2": {"kind": "zero"}, "tol": 5e-2,
         "max_windows": 16,
     }),
-    "convergence-study": (_run_convergence, {
-        **_PAIR, "quantity": "headline", "levels": [[32, 32], [32, 64], [32, 128]],
-        "rate_min": 1.5, "boundary_data": _F1,
+    "convergence-study": (_run_convergence, {  # its levels set N and M
+        **_COLLAR, "q1": _DEFAULT_Q1, "q2": _DEFAULT_Q2, "quantity": "headline",
+        "levels": [[32, 32], [32, 64], [32, 128]], "rate_min": 1.5, "boundary_data": _F1,
     }),
 }
 
@@ -563,7 +545,7 @@ def main(argv=None):
         cfg = _load_config(args.config)
         for spec in args.override:
             _apply_override(cfg, spec)
-        typed = _typed(args.scenario, cfg)
+        typed = _typed(args.scenario, _SCENARIOS[args.scenario][1], cfg)
         os.makedirs(args.out, exist_ok=True)
         results, passed = runner(typed, args.out)
     except (ConfigError, GeometryError) as exc:
@@ -575,12 +557,7 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
-    summary = {
-        "scenario": args.scenario,
-        "config": _to_py(cfg),
-        "results": _to_py(results),
-        "passed": bool(passed),
-    }
+    summary = {"scenario": args.scenario, "config": cfg, "results": results, "passed": bool(passed)}
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
         fh.write(evsq_io.dump_json(summary))
     status = "PASS" if passed else "FAIL"

@@ -110,5 +110,5 @@ def read_matrix(path, expected_geometry_hash=None):
 
 
 def dump_json(obj):
-    """Canonical JSON text used for summaries: sorted keys, stable floats."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text for summaries: sorted keys, stable floats, numpy values via tolist."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=lambda o: o.tolist()) + "\n"

@@ -141,8 +141,13 @@ def _finite(value, owner, name):
     return x
 
 
+_BUMP_DEFAULTS = {"amplitude": 1.0, "theta0": 0.0, "t0": 0.0, "width": 0.3}
+# potential kind -> the keys its spec may hold besides "kind"
+_SPEC_KEYS = {"zero": (), "constant": ("value",), "bump": tuple(_BUMP_DEFAULTS)}
+
+
 def make_potential(spec):
-    """Build a potential from a flat config dictionary."""
+    """Build a potential from a flat config dictionary; a key outside its kind is an error."""
     if spec is None:
         return ZeroPotential()
     if isinstance(spec, Potential):
@@ -156,13 +161,15 @@ def make_potential(spec):
             f"got {type(spec).__name__}"
         )
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+        raise GeometryError(f"unknown potential kind {kind!r}")
+    unknown = sorted(map(str, set(spec) - {"kind", *_SPEC_KEYS[kind]}))
+    if unknown:
+        raise GeometryError(f"unknown keys for a {kind} potential: {', '.join(unknown)}")
     if kind == "zero":
         return ZeroPotential()
     if kind == "constant":
         return ConstantPotential(_finite(spec.get("value"), "constant potential", "'value'"))
-    if kind == "bump":
-        defaults = {"amplitude": 1.0, "theta0": 0.0, "t0": 0.0, "width": 0.3}
-        return BumpPotential(
-            *(_finite(spec.get(k, d), "bump potential", repr(k)) for k, d in defaults.items())
-        )
-    raise GeometryError(f"unknown potential kind {kind!r}")
+    return BumpPotential(
+        *(_finite(spec.get(k, d), "bump potential", repr(k)) for k, d in _BUMP_DEFAULTS.items())
+    )

@@ -46,7 +46,7 @@ TINY = {
     "kernel-check": SMALL + ["--override", "tol=0.01"],
     "layer-strip": SMALL + ["--override", "tol=0.01"],
     "exhaustion": ["--override", "mesh_params=[6, 24]"],
-    "convergence-study": SMALL + ["--override", "levels=[[16, 16], [16, 32]]"],
+    "convergence-study": ["--override", "levels=[[16, 16], [16, 32]]"],  # levels set N and M
 }
 
 
@@ -202,9 +202,37 @@ def test_non_boolean_flag_exits_two(tmp_path, capsys, scenario, key, value):
     ],
 )
 def test_bad_nested_numeric_value_exits_two(tmp_path, capsys, scenario, override):
-    code, _, summary = _run(tmp_path, scenario, *SMALL, "--override", override)
+    size = [] if scenario == "convergence-study" else SMALL  # its levels set N and M
+    code, _, summary = _run(tmp_path, scenario, *size, "--override", override)
     assert code == 2 and summary is None
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "scenario, override, key",
+    [
+        ("bvp-headline", 'q1={"kind": "bump", "amplitud": 5}', "amplitud"),
+        ("kernel-check", 'boundary_data={"kind": "mode", "K": 3}', "K"),
+        ("conformal-check", 'gamma={"kind": "exp", "rte": 3}', "rte"),
+        ("convergence-study", "N=64", "N"),
+        ("dn-compute", "dim=1", "dim"),
+    ],
+    ids=["q1", "boundary_data", "gamma", "N", "dim"],
+)
+def test_a_key_the_run_would_ignore_exits_two(tmp_path, capsys, scenario, override, key):
+    # each run ignored the key and passed on the value it meant to change (this was exit 0)
+    code, _, summary = _run(tmp_path, scenario, "--override", override)
+    assert code == 2 and summary is None
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown") and f": {key}" in err
+
+
+def test_conformal_check_takes_dim(tmp_path):
+    # conformal-check alone passes dim to the geometry: the flat torus has 2-D modes
+    overrides = ["geometry=flat-cylinder", "dim=2", "N=8", "M=16", "modes_max=2"]
+    code, _, summary = _run(tmp_path, "conformal-check", *(f"--override={o}" for o in overrides))
+    assert code == 0 and summary["config"]["dim"] == 2
+    assert summary["results"]["modes_checked"] == 4  # (0,0), (0,1), (0,2), (1,1)
 
 
 @pytest.mark.parametrize(

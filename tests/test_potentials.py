@@ -135,6 +135,20 @@ def test_make_potential_rejects_malformed_specs():
 
 
 @pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"kind": "constant", "value": 1, "amp": 2}, "amp"),
+        ({"kind": "bump", "amplitud": 5}, "amplitud"),
+        ({"kind": "zero", "value": 1}, "value"),
+    ],
+)
+def test_make_potential_rejects_a_key_outside_its_kind(spec, key):
+    # a misspelt key would otherwise leave its default in place
+    with pytest.raises(GeometryError, match=f"unknown keys for a {spec['kind']} potential: {key}$"):
+        make_potential(spec)
+
+
+@pytest.mark.parametrize(
     "spec",
     [
         np.nan,

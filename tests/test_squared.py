@@ -102,7 +102,7 @@ def _variant_residuals(M, variant):
     fam2 = compute_dn_family(g, -0.5)
     op = PairOperator(fam1, fam2)
     field = evolved_rank_one(fam1, fam2, np.cos(g.theta), np.sin(2 * g.theta) + 0.4)
-    return kernel_residual(op, field, variant)["max_rel"]
+    return kernel_residual(op, field)[variant]
 
 
 @pytest.mark.parametrize("variant", ["factorized", "expanded-double"])
@@ -176,30 +176,20 @@ def test_nonuniform_grid_rejected():
             stencil(np.ones(4), ts)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_residual_allocates_at_most_two_and_a_half_fields(variant):
-    # the depth derivatives are stencils: no (M+1)^2 matrix and no spare field
+def test_residual_allocates_at_most_two_and_a_half_fields():
+    # the depth derivatives are stencils (no (M+1)^2 matrix), and each variant's
+    # applied field is freed before the next is applied: a kept one reads about 3
     g = build_warped_geometry(make_profile("annulus", rho=0.25), N=32, M=64, eps=0.3)
     fam1 = compute_dn_family(g, 1.0)
     fam2 = compute_dn_family(g, -0.5)
     op = PairOperator(fam1, fam2)
     field = evolved_rank_one(fam1, fam2, np.cos(g.theta), np.sin(2 * g.theta) + 0.4)
-    kernel_residual(op, field, variant)  # warm any per-geometry cache
+    kernel_residual(op, field)  # warm any per-geometry cache
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        kernel_residual(op, field, variant)
+        kernel_residual(op, field)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (peak - base) / field.nbytes <= 2.5
-
-
-def test_short_collar_rejected():
-    g = build_warped_geometry(make_profile("annulus", rho=0.25), N=16, M=8, eps=0.3)
-    fam1 = compute_dn_family(g, 1.0)
-    fam2 = compute_dn_family(g)
-    op = PairOperator(fam1, fam2)
-    field = evolved_rank_one(fam1, fam2, np.cos(g.theta), np.cos(g.theta))
-    with pytest.raises(GeometryError, match="too short"):
-        kernel_residual(op, field, margin=4)
