@@ -6,10 +6,14 @@ are byte-identical, except for the wall time ``order_seconds`` that
 ``exhaustion`` records) plus scenario-specific artifacts under the output
 directory. The scenario table ``_SCENARIOS`` holds each scenario's runner and
 its config keys with their defaults; ``_KINDS`` holds the keys and defaults
-of each kind of the nested ``boundary_data`` and ``gamma`` specs.
+of each kind of the nested ``boundary_data`` and ``gamma`` specs. A key that
+only some values of a selector take (``rho``/``T`` per ``geometry``,
+``q2``/``boundary_data`` per convergence ``quantity``, ``mesh_kind``/``mesh_params``
+unless ``mesh`` is given) is typed by the selected row and refused with any other.
 
 Exit codes: 0 all checks passed; 1 a check failed; 2 configuration error
-(unknown key, bad value, malformed config file); 3 numerical failure
+(unknown key, bad value, malformed config file, an ``--out`` that cannot be
+a directory); 3 numerical failure
 (singular pivot, escaped integration, non-convergent implicit step, bad
 input data files).
 """
@@ -42,7 +46,7 @@ from .errors import (
 )
 from .evolution import PairOperator, evolve_trace, evolved_rank_one
 from .exhaustion import collar_map_samples, exhaustion_order, load_mesh, verify_order
-from .geometry import build_warped_geometry, make_profile
+from .geometry import PROFILE_PARAMS, build_warped_geometry, make_profile
 from .potentials import make_potential
 from .probes import gradient_blowup_probe, null_test, offdiagonal_flag, zeta_pairing
 from .rng import SplitMix64
@@ -124,7 +128,7 @@ def _typed(what, defaults, cfg):
     if unknown:
         raise ConfigError(
             f"unknown config keys for {what}: {', '.join(unknown)} "
-            f"(allowed: {', '.join(sorted(defaults))})"
+            f"(allowed: {', '.join(sorted(defaults)) or 'none'})"
         )
     typed = {k: v for k, v in defaults.items() if v is not None}
     for key, value in cfg.items():
@@ -149,8 +153,17 @@ def _typed(what, defaults, cfg):
     return typed
 
 
+def _selected(cfg, what, choice, table):
+    """Row ``choice`` of ``table``, typed from ``cfg``; a key of any other row is an error."""
+    if not isinstance(choice, str) or choice not in table:
+        raise ConfigError(f"unknown {what} {choice!r}")
+    given = {k: cfg[k] for row in table.values() for k in row if k in cfg}
+    return _typed(f"{what} {choice!r}", table[choice], given)
+
+
 def _profile(cfg):
-    return make_profile(cfg["geometry"], rho=cfg["rho"], T=cfg["T"])
+    name = cfg["geometry"]
+    return make_profile(name, **_selected(cfg, "geometry", name, PROFILE_PARAMS))
 
 
 def _build_geometry(cfg, profile=None):
@@ -375,6 +388,10 @@ def _run_conformal(cfg, out):
     return results, res["max_rel_error"] <= cfg["tol"]
 
 
+# mesh source -> its keys with their defaults: an OFF file, or a mesh kind and its parameters
+_MESH_SOURCES = {
+    "mesh": {"mesh": None}, "mesh_kind": {"mesh_kind": "annulus", "mesh_params": [50, 100]},
+}
 # mesh kind -> (maker, least value of each parameter); under 3 sectors a ring makes no surface
 _MESH_MAKERS = {
     "annulus": (meshes.annulus_mesh, (1, 3)),
@@ -385,12 +402,13 @@ _MESH_MAKERS = {
 
 
 def _run_exhaustion(cfg, out):
-    if "mesh" in cfg:
-        if not isinstance(cfg["mesh"], str):
-            raise ConfigError(f"mesh must be a path string, got {cfg['mesh']!r}")
-        mesh = load_mesh(cfg["mesh"])
+    source = _selected(cfg, "mesh source", "mesh" if "mesh" in cfg else "mesh_kind", _MESH_SOURCES)
+    if "mesh" in source:
+        if not isinstance(source["mesh"], str):
+            raise ConfigError(f"mesh must be a path string, got {source['mesh']!r}")
+        mesh = load_mesh(source["mesh"])
     else:
-        kind, params = cfg["mesh_kind"], cfg["mesh_params"]
+        kind, params = source["mesh_kind"], source["mesh_params"]
         if not isinstance(kind, str) or kind not in _MESH_MAKERS:
             raise ConfigError(f"unknown mesh kind {kind!r}")
         maker, minima = _MESH_MAKERS[kind]
@@ -461,13 +479,14 @@ _MEASURES = {
     "riccati": lambda cfg: _riccati_error(compute_dn_family(_build_geometry(cfg), cfg["q1"])),
     "evolve": _evolve_error,
 }
+# convergence quantity -> the keys its measure reads beyond the collar and q1, with their defaults
+_MEASURE_KEYS = {"headline": {"q2": _DEFAULT_Q2}, "riccati": {}, "evolve": {"boundary_data": _F1}}
 
 
 def _run_convergence(cfg, out):
     quantity, levels = cfg["quantity"], cfg["levels"]
-    if not isinstance(quantity, str) or quantity not in _MEASURES:
-        raise ConfigError(f"unknown convergence quantity {quantity!r}")
-    errors = [_MEASURES[quantity]({**cfg, "N": N, "M": M}) for N, M in levels]
+    keys = _selected(cfg, "convergence quantity", quantity, _MEASURE_KEYS)
+    errors = [_MEASURES[quantity]({**cfg, **keys, "N": N, "M": M}) for N, M in levels]
 
     idx = np.arange(len(errors), dtype=float)
     logs = np.log2(np.maximum(errors, 1e-300))
@@ -483,8 +502,9 @@ def _run_convergence(cfg, out):
 
 
 # scenario name -> (runner, {config key: default}), in CLI order. A default
-# also fixes the key's type (see _typed); a None default leaves the key unset.
-_COLLAR = {"geometry": "annulus", "rho": 0.25, "T": 1.0, "eps": 0.3}
+# also fixes the key's type (see _typed); a None default leaves the key unset,
+# for its selector's table row to type (see _selected).
+_COLLAR = {"geometry": "annulus", "rho": None, "T": None, "eps": 0.3}
 _GEOMETRY = {**_COLLAR, "N": 32, "M": 64}
 _ONE = {**_GEOMETRY, "q1": _DEFAULT_Q1}
 _PAIR = {**_ONE, "q2": _DEFAULT_Q2}
@@ -506,7 +526,7 @@ _SCENARIOS = {
         {**_GEOMETRY, "dim": 1, "gamma": _GAMMA, "n_ambient": 3, "modes_max": 8, "tol": 1e-3},
     ),
     "exhaustion": (_run_exhaustion, {
-        "mesh": None, "mesh_kind": "annulus", "mesh_params": [50, 100], "samples_per_cell": 4,
+        "mesh": None, "mesh_kind": None, "mesh_params": None, "samples_per_cell": 4,
         "time_budget": 5.0,
     }),
     "global-march": (_run_march, {
@@ -514,8 +534,8 @@ _SCENARIOS = {
         "max_windows": 16,
     }),
     "convergence-study": (_run_convergence, {  # its levels set N and M
-        **_COLLAR, "q1": _DEFAULT_Q1, "q2": _DEFAULT_Q2, "quantity": "headline",
-        "levels": [[32, 32], [32, 64], [32, 128]], "rate_min": 1.5, "boundary_data": _F1,
+        **_COLLAR, "q1": _DEFAULT_Q1, "q2": None, "quantity": "headline",
+        "levels": [[32, 32], [32, 64], [32, 128]], "rate_min": 1.5, "boundary_data": None,
     }),
 }
 
@@ -546,7 +566,10 @@ def main(argv=None):
         for spec in args.override:
             _apply_override(cfg, spec)
         typed = _typed(args.scenario, _SCENARIOS[args.scenario][1], cfg)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {args.out}: {exc}") from None
         results, passed = runner(typed, args.out)
     except (ConfigError, GeometryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -68,26 +68,36 @@ class Profile:
         return replace(self, name="custom-shift", T=self.T - dt, params=params, shift=self.shift + dt)
 
 
+# profile name -> each parameter it takes, with its default
+PROFILE_PARAMS = {"disk": {}, "annulus": {"rho": 0.25}, "flat-cylinder": {"T": 1.0}}
+
+
 def make_profile(name, **params):
-    """Build a named profile.
+    """Build a named profile from its ``PROFILE_PARAMS`` row.
 
     ``disk``: r = 1 - t, T = 1, center cap.
     ``annulus``: r = 1 - t, T = 1 - rho, Dirichlet cap (requires 0 < rho < 1).
     ``flat-cylinder``: r = 1, Dirichlet cap at depth ``T``.
+
+    A parameter outside the profile's row is an error.
     """
+    if not isinstance(name, str) or name not in PROFILE_PARAMS:
+        raise GeometryError(f"invalid profile: unknown name {name!r}")
+    unknown = sorted(set(params) - set(PROFILE_PARAMS[name]))
+    if unknown:
+        raise GeometryError(f"invalid profile: {name} takes no {', '.join(unknown)}")
+    params = {**PROFILE_PARAMS[name], **params}
     if name == "disk":
         return Profile("disk", 1.0, "center", -1.0)
     if name == "annulus":
-        rho = float(params.get("rho", 0.5))
+        rho = float(params["rho"])
         if not 0.0 < rho < 1.0:
             raise GeometryError(f"invalid profile: annulus rho={rho}")
         return Profile("annulus", 1.0 - rho, "dirichlet", -1.0, (round(rho, 12),))
-    if name == "flat-cylinder":
-        T = float(params.get("T", 1.0))
-        if T <= 0:
-            raise GeometryError(f"invalid profile: flat-cylinder T={T}")
-        return Profile("flat-cylinder", T, "dirichlet", 0.0, (round(T, 12),))
-    raise GeometryError(f"invalid profile: unknown name {name!r}")
+    T = float(params["T"])
+    if not T > 0:  # NaN too
+        raise GeometryError(f"invalid profile: flat-cylinder T={T}")
+    return Profile("flat-cylinder", T, "dirichlet", 0.0, (round(T, 12),))
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from evosq import cli
 from evosq.cli import _SCENARIOS, SCENARIOS, main
+from evosq.geometry import PROFILE_PARAMS
 from evosq.io import read_matrix
+from evosq.meshes import save_off, strip_mesh
 
 SMALL = ["--override", "N=16", "--override", "M=16"]
 
 
 def _run(tmp_path, scenario, *extra, sub="out"):
+    """Run ``scenario`` into ``tmp_path / sub``; ``mesh=OFF`` names a small strip mesh."""
+    if any(e.endswith("mesh=OFF") for e in extra):
+        save_off(tmp_path / "strip.off", strip_mesh(4, 3))
+        extra = [e.replace("mesh=OFF", f"mesh={tmp_path / 'strip.off'}") for e in extra]
     out = tmp_path / sub
     code = main([scenario, "--out", str(out), *extra])
     summary = None
@@ -48,6 +55,55 @@ TINY = {
     "exhaustion": ["--override", "mesh_params=[6, 24]"],
     "convergence-study": ["--override", "levels=[[16, 16], [16, 32]]"],  # levels set N and M
 }
+
+
+class _Reads(dict):
+    """A config that adds each key read from it to ``log``."""
+
+    def __init__(self, cfg, log):
+        super().__init__(cfg)
+        self.log = log
+
+    def __getitem__(self, key):
+        self.log.add(key)
+        return super().__getitem__(key)
+
+
+# besides each scenario's TINY run: one run per value of each selector
+# (geometry, convergence quantity, mesh source), giving the keys its row adds
+SELECTOR_RUNS = {
+    "rho": ("dn-compute", [*SMALL, "--override", "rho=0.3"]),
+    "disk": ("dn-compute", [*SMALL, "--override", "geometry=disk"]),
+    "T": ("dn-compute", [*SMALL, "--override", "geometry=flat-cylinder", "--override", "T=0.9"]),
+    "q2": ("convergence-study", [*TINY["convergence-study"], "--override", 'q2={"kind": "zero"}']),
+    "riccati": ("convergence-study", [*TINY["convergence-study"], "--override", "quantity=riccati"]),
+    "evolve": ("convergence-study", [
+        *TINY["convergence-study"], "--override", "quantity=evolve",
+        "--override", 'boundary_data={"kind": "random", "seed": 3}',
+    ]),
+    "mesh": ("exhaustion", ["--override", "mesh=OFF"]),
+}
+READ_RUNS = {**{s: (s, TINY[s]) for s in SCENARIOS}, **SELECTOR_RUNS}
+
+
+@pytest.mark.parametrize("run", READ_RUNS)
+def test_a_run_reads_every_key_of_its_config(tmp_path, monkeypatch, run):
+    # a typed key that no code reads is a key the run ignores; convergence-study
+    # reads its keys on a per-level copy, so each copy records its reads as well
+    scenario, extra = READ_RUNS[run]
+    runner, defaults = _SCENARIOS[scenario]
+    reads, typed = set(), []
+
+    def recording(cfg, out):
+        typed.append(set(cfg))
+        return runner(_Reads(cfg, reads), out)
+
+    monkeypatch.setitem(cli._SCENARIOS, scenario, (recording, defaults))
+    for quantity, measure in cli._MEASURES.items():
+        monkeypatch.setitem(cli._MEASURES, quantity, lambda cfg, m=measure: m(_Reads(cfg, reads)))
+    code, _, _ = _run(tmp_path, scenario, *extra)
+    assert code == 0
+    assert typed and typed[0] - reads == set()
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -144,21 +200,30 @@ def test_bad_numeric_value_exits_two(tmp_path, capsys, scenario, override):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
-# every (scenario, key) whose table default fixes a number or bool type
+# profile parameter -> (the profile that takes it, its default)
+PROFILE_OF = {key: (name, v) for name, row in PROFILE_PARAMS.items() for key, v in row.items()}
+
+# every (scenario, key) whose table default fixes a number or bool type, and
+# every profile parameter, which its profile's row types
 TYPED_KEYS = [
     (scenario, key)
     for scenario, (_, defaults) in _SCENARIOS.items()
     for key, default in defaults.items()
-    if type(default) in (int, float, bool)
+    if type(default) in (int, float, bool) or key in PROFILE_OF
 ]
 
 
 @pytest.mark.parametrize("scenario, key", TYPED_KEYS)
 def test_every_typed_key_rejects_a_value_of_another_type(tmp_path, capsys, scenario, key):
     expected = {int: "a finite int", float: "a finite float", bool: "true or false"}
-    kind = type(_SCENARIOS[scenario][1][key])
+    if key in PROFILE_OF:
+        geometry, default = PROFILE_OF[key]
+        extra = ["--override", f"geometry={geometry}"]
+    else:
+        default, extra = _SCENARIOS[scenario][1][key], []
+    kind = type(default)
     code, _, summary = _run(
-        tmp_path, scenario, "--override", f"{key}={'0' if kind is bool else 'abc'}"
+        tmp_path, scenario, *extra, "--override", f"{key}={'0' if kind is bool else 'abc'}"
     )
     err = capsys.readouterr().err
     assert code == 2 and summary is None and "Traceback" not in err
@@ -209,19 +274,36 @@ def test_bad_nested_numeric_value_exits_two(tmp_path, capsys, scenario, override
 
 
 @pytest.mark.parametrize(
-    "scenario, override, key",
+    "scenario, overrides, key",
     [
-        ("bvp-headline", 'q1={"kind": "bump", "amplitud": 5}', "amplitud"),
-        ("kernel-check", 'boundary_data={"kind": "mode", "K": 3}', "K"),
-        ("conformal-check", 'gamma={"kind": "exp", "rte": 3}', "rte"),
-        ("convergence-study", "N=64", "N"),
-        ("dn-compute", "dim=1", "dim"),
+        ("bvp-headline", ['q1={"kind": "bump", "amplitud": 5}'], "amplitud"),
+        ("kernel-check", ['boundary_data={"kind": "mode", "K": 3}'], "K"),
+        ("conformal-check", ['gamma={"kind": "exp", "rte": 3}'], "rte"),
+        ("convergence-study", ["N=64"], "N"),
+        ("dn-compute", ["dim=1"], "dim"),
+        ("bvp-headline", ["T=0.5"], "T"),
+        ("dn-compute", ["geometry=disk", "rho=0.9"], "rho"),
+        ("dn-compute", ["geometry=flat-cylinder", "rho=0.3"], "rho"),
+        ("riccati-check", ["geometry=disk", "T=0.8"], "T"),
+        ("global-march", ["T=0.5"], "T"),
+        ("convergence-study", ["quantity=riccati", 'q2={"kind": "zero"}'], "q2"),
+        (
+            "convergence-study",
+            ["quantity=headline", 'boundary_data={"kind": "random", "seed": 5}'],
+            "boundary_data",
+        ),
+        ("exhaustion", ["mesh=OFF", "mesh_kind=disk"], "mesh_kind"),
+        ("exhaustion", ["mesh=OFF", "mesh_params=[6, 24]"], "mesh_params"),
     ],
-    ids=["q1", "boundary_data", "gamma", "N", "dim"],
+    ids=[
+        "q1", "boundary_data", "gamma", "N", "dim", "T-annulus", "rho-disk", "rho-flat-cylinder",
+        "T-disk", "T-global-march", "q2-riccati", "boundary_data-headline", "mesh_kind-mesh",
+        "mesh_params-mesh",
+    ],
 )
-def test_a_key_the_run_would_ignore_exits_two(tmp_path, capsys, scenario, override, key):
+def test_a_key_the_run_would_ignore_exits_two(tmp_path, capsys, scenario, overrides, key):
     # each run ignored the key and passed on the value it meant to change (this was exit 0)
-    code, _, summary = _run(tmp_path, scenario, "--override", override)
+    code, _, summary = _run(tmp_path, scenario, *(f"--override={o}" for o in overrides))
     assert code == 2 and summary is None
     err = capsys.readouterr().err
     assert err.startswith("config error: unknown") and f": {key}" in err
@@ -282,6 +364,16 @@ def test_config_error_in_a_runner_leaves_no_out_directory(tmp_path, scenario, ex
     out.mkdir()  # a directory the call did not make stays
     code, out, _ = _run(tmp_path, scenario, *extra)
     assert code == 2 and out.is_dir()
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_an_out_that_cannot_be_a_directory_exits_two(tmp_path, capsys, out):
+    # an existing file, or a path under one (this was exit 1 with a traceback)
+    (tmp_path / "file").write_text("kept")
+    code = main(["null-test", *SMALL, "--out", str(tmp_path / out)])
+    err = capsys.readouterr().err
+    assert code == 2 and (tmp_path / "file").read_text() == "kept"
+    assert err.startswith("config error: cannot make output directory") and "Traceback" not in err
 
 
 def test_bad_config_file_exits_two(tmp_path, capsys):
@@ -417,6 +509,15 @@ def test_exhaustion_scenario(tmp_path):
     assert summary["results"]["triangles"] == 2 * 6 * 24
 
 
+def test_exhaustion_without_keys_orders_the_default_annulus(tmp_path, monkeypatch):
+    calls = []
+    maker, minima = cli._MESH_MAKERS["annulus"]
+    small = (lambda *p: calls.append(p) or maker(6, 24), minima)
+    monkeypatch.setitem(cli._MESH_MAKERS, "annulus", small)
+    code, _, summary = _run(tmp_path, "exhaustion")
+    assert code == 0 and calls == [(50, 100)]
+
+
 def test_exhaustion_rejects_closed_mesh(tmp_path):
     code, out, summary = _run(
         tmp_path, "exhaustion", "--override", "mesh_kind=sphere", "--override", "mesh_params=[1]"
@@ -452,11 +553,7 @@ def test_exhaustion_rejects_an_unknown_mesh_kind(tmp_path, capsys, kind):
 
 
 def test_exhaustion_reads_off_file(tmp_path):
-    from evosq.meshes import save_off, strip_mesh
-
-    p = tmp_path / "strip.off"
-    save_off(p, strip_mesh(4, 3))
-    code, out, summary = _run(tmp_path, "exhaustion", "--override", f"mesh={p}")
+    code, out, summary = _run(tmp_path, "exhaustion", "--override", "mesh=OFF")
     assert code == 0
     assert summary["results"]["triangles"] == 24
 
@@ -480,7 +577,7 @@ def test_exhaustion_unreadable_mesh_exits_three(tmp_path, capsys, kind):
 
 
 def test_exhaustion_non_finite_vertex_exits_three(tmp_path, capsys):
-    from evosq.meshes import disk_mesh, save_off
+    from evosq.meshes import disk_mesh
 
     p = tmp_path / "nan.off"
     save_off(p, disk_mesh(3, 8))

@@ -32,6 +32,7 @@ def test_annulus_profile():
     assert np.isclose(p.T, 0.75)
     assert p.cap == "dirichlet"
     assert np.isclose(p.r(p.T), 0.25)
+    assert make_profile("annulus") == p  # the default the CLI uses too
 
 
 def test_flat_cylinder_profile():
@@ -50,6 +51,12 @@ def test_flat_cylinder_profile():
         {"name": "annulus", "rho": -0.5},
         {"name": "flat-cylinder", "T": 0.0},
         {"name": "nosuch"},
+        # a parameter its profile does not take, and a name that is not a string
+        {"name": "disk", "rho": 0.25},
+        {"name": "annulus", "T": 1.0},
+        {"name": "flat-cylinder", "rho": 0.25},
+        {"name": ["disk"]},
+        {"name": "flat-cylinder", "T": float("nan")},
     ],
 )
 def test_invalid_profiles(kwargs):
