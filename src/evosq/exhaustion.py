@@ -13,13 +13,26 @@ lands on the Veronese parameterization at full depth (hence stays inside
 the closed new triangle), and is injective. :func:`collar_map_samples`
 drives a deterministic sample cloud through every step and reports
 coverage and collision diagnostics.
+
+Only the growth order is a Python loop (a heap over canonical edge keys).
+The mesh checks, the OFF parser and the certificate replay are whole-array
+passes that report the first violation in scan order, and the sample cloud
+is pushed through blocks of growth steps sized to a fixed number of
+sample pairs.
 """
 
 import heapq
+import re
 
 import numpy as np
 
 from .errors import FormatError, MeshError
+
+# Sample pairs measured per block by :func:`collar_map_samples`: 128 growth
+# steps of the 105 pairs at samples_per_cell=4. Its (3, steps, pairs)
+# temporaries stay near 300 kB whatever the mesh size and lattice density,
+# unless one step alone has more pairs (a block holds one step at least).
+_BLOCK_PAIRS = 128 * 105
 
 
 # ---------------------------------------------------------------------------
@@ -65,27 +78,51 @@ class SurfaceMesh:
         V = len(self.vertices)
         if self.triangles.size and (self.triangles.min() < 0 or self.triangles.max() >= V):
             raise MeshError("triangle vertex index out of range")
-        tris = self.triangles.tolist()  # plain ints, also in the messages
-        for tri in tris:
-            if len(set(tri)) != 3:
-                raise MeshError(f"degenerate triangle {tuple(tri)}")
+        T = self.triangles
+        degenerate = np.flatnonzero(
+            (T[:, 0] == T[:, 1]) | (T[:, 1] == T[:, 2]) | (T[:, 2] == T[:, 0])
+        )
+        if degenerate.size:
+            raise MeshError(f"degenerate triangle {tuple(T[degenerate[0]].tolist())}")
 
-        directed = {}
-        edge_tris = {}
-        for f, (a, b, c) in enumerate(tris):
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (min(u, v), max(u, v))
-                edge_tris.setdefault(key, []).append(f)
-                if len(edge_tris[key]) > 2:
-                    raise MeshError(f"not edge-manifold: edge {key} borders 3+ triangles")
-                if (u, v) in directed:
-                    raise MeshError(
-                        f"inconsistent orientation: edge ({u}, {v}) traversed twice"
-                    )
-                directed[(u, v)] = f
-        self.edge_triangles = edge_tris
-        self.boundary_edges = sorted(k for k, ts in edge_tris.items() if len(ts) == 1)
-        self.boundary_vertices = sorted({v for e in self.boundary_edges for v in e})
+        # Directed edges (a, b), (b, c), (c, a) of every triangle in scan
+        # order; a stable sort by canonical key lists each edge's uses in
+        # that order, so rank r is the (r+1)-th use of its edge.
+        u, v = T.ravel(), np.roll(T, -1, axis=1).ravel()
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        keys = lo * V + hi
+        by_key = np.argsort(keys, kind="stable")
+        key = keys[by_key]
+        starts = np.ones(len(key), dtype=bool)
+        starts[1:] = key[1:] != key[:-1]
+        use = np.arange(len(key))
+        rank = use - np.maximum.accumulate(np.where(starts, use, 0))
+        # the first error in scan order is the earlier of a third use of an
+        # edge (its count is checked before its direction) and a second use
+        # in the direction of the first; any later use follows a third one
+        third = by_key[rank == 2]
+        second = np.flatnonzero(rank == 1)
+        repeated = by_key[second[u[by_key[second]] == u[by_key[second - 1]]]]
+        if third.size or repeated.size:
+            p = int(np.concatenate([third, repeated]).min())
+            if p in third:
+                raise MeshError(
+                    f"not edge-manifold: edge {(int(lo[p]), int(hi[p]))} borders 3+ triangles"
+                )
+            raise MeshError(f"inconsistent orientation: edge ({u[p]}, {v[p]}) traversed twice")
+
+        first = np.flatnonzero(starts)
+        paired = np.diff(first, append=len(key)) == 2
+        ends = zip(lo[by_key[first]].tolist(), hi[by_key[first]].tolist())
+        tri_of = by_key // 3
+        f0 = tri_of[first].tolist()
+        f1 = tri_of[np.where(paired, first + 1, first)].tolist()
+        self.edge_triangles = {
+            e: [a, b] if two else [a] for e, a, b, two in zip(ends, f0, f1, paired.tolist())
+        }
+        single = by_key[first[~paired]]
+        self.boundary_edges = list(zip(lo[single].tolist(), hi[single].tolist()))
+        self.boundary_vertices = np.unique(np.concatenate([lo[single], hi[single]])).tolist()
 
     @property
     def n_triangles(self):
@@ -99,32 +136,30 @@ def load_mesh(path):
     """Parse an OFF file (triangles only; comments and blank lines allowed)."""
     try:
         with open(path) as fh:
-            tokens = []
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    tokens.extend(line.split())
+            tokens = re.sub("#.*", "", fh.read()).split()
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: unreadable mesh file ({exc})") from None
     if not tokens or tokens[0] != "OFF":
         raise FormatError(f"{path}: not an OFF file")
     try:
         nv, nf = int(tokens[1]), int(tokens[2])
-        pos = 4  # skip edge count
-        verts = np.array(
-            [[float(tokens[pos + 3 * i + k]) for k in range(3)] for i in range(nv)]
-        )
-        pos += 3 * nv
-        faces = []
-        for _ in range(nf):
-            arity = int(tokens[pos])
-            if arity != 3:
-                raise FormatError(f"{path}: only triangle faces supported, found {arity}-gon")
-            faces.append([int(tokens[pos + 1 + k]) for k in range(3)])
-            pos += 4
-    except (IndexError, ValueError) as exc:
+        if nv < 0 or nf < 0:
+            raise ValueError(f"negative count in header: {nv} vertices, {nf} faces")
+        vend = 4 + 3 * nv  # tokens[3] is the edge count, which is not read
+        fend = vend + 4 * nf
+        if len(tokens) < fend:
+            raise ValueError(f"the header needs {fend} tokens, the file has {len(tokens)}")
+        # numpy parses each token as float() and int() do
+        verts = np.array(tokens[4:vend], dtype=float)
+        faces = np.array(tokens[vend:fend], dtype=int).reshape(nf, 4)
+    except (IndexError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed OFF data ({exc})") from None
-    return SurfaceMesh(verts, np.array(faces, dtype=int).reshape(nf, 3))
+    polygons = np.flatnonzero(faces[:, 0] != 3)
+    if polygons.size:
+        arity = faces[polygons[0], 0]
+        raise FormatError(f"{path}: only triangle faces supported, found {arity}-gon")
+    # an empty vertex block stays 1-D, which SurfaceMesh refuses
+    return SurfaceMesh(verts.reshape(nv, 3) if nv else verts, faces[:, 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -143,20 +178,24 @@ def exhaustion_order(mesh):
     """
     if mesh.is_closed():
         raise MeshError("closed surface: exhaustion needs a boundary collar")
-    bset = set(mesh.boundary_vertices)
-    collar = [f for f, tri in enumerate(mesh.triangles) if bset.intersection(tri)]
+    on_boundary = np.zeros(len(mesh.vertices), dtype=bool)
+    on_boundary[mesh.boundary_vertices] = True
+    in_collar = on_boundary[mesh.triangles].any(axis=1)
+    collar = np.flatnonzero(in_collar).tolist()
     order = list(collar)
-    certs = [{"kind": "collar", "triangle": int(f)} for f in collar]
-    done = set(collar)
+    certs = [{"kind": "collar", "triangle": f} for f in collar]
+    done = in_collar.tolist()
 
+    tris = mesh.triangles.tolist()  # plain ints: cheap heap comparisons, plain certificates
+    edge_triangles = mesh.edge_triangles
     heap = []
 
     def push_frontier(f):
-        a, b, c = mesh.triangles[f]
+        a, b, c = tris[f]
         for u, v in ((a, b), (b, c), (c, a)):
-            key = (min(u, v), max(u, v))
-            for g in mesh.edge_triangles[key]:
-                if g not in done:
+            key = (u, v) if u < v else (v, u)
+            for g in edge_triangles[key]:
+                if not done[g]:
                     heapq.heappush(heap, (key, g, f))
 
     for f in collar:
@@ -164,17 +203,15 @@ def exhaustion_order(mesh):
 
     while heap:
         key, g, donor = heapq.heappop(heap)
-        if g in done:
+        if done[g]:
             continue
-        done.add(g)
+        done[g] = True
         order.append(g)
-        certs.append(
-            {"kind": "growth", "triangle": int(g), "edge": (int(key[0]), int(key[1])), "donor": int(donor)}
-        )
+        certs.append({"kind": "growth", "triangle": g, "edge": key, "donor": donor})
         push_frontier(g)
 
-    if len(done) != mesh.n_triangles:
-        missing = sorted(set(range(mesh.n_triangles)) - done)
+    if len(order) != mesh.n_triangles:
+        missing = [f for f, absorbed in enumerate(done) if not absorbed]
         raise MeshError(
             f"unreachable simplices: {len(missing)} triangles cannot be reached "
             f"from the boundary collar (first few: {missing[:8]})"
@@ -182,51 +219,82 @@ def exhaustion_order(mesh):
     return order, certs
 
 
+def _indices(values, size):
+    """Certificate fields as an int array; a value that is not an index
+    below ``size`` becomes -1, which names no triangle and no vertex."""
+    return np.array(
+        [v if isinstance(v, (int, np.integer)) and 0 <= v < size else -1 for v in values],
+        dtype=int,
+    )
+
+
 def verify_order(mesh, order, certificates):
     """Independent replay of an exhaustion order.
 
-    Rebuilds adjacency from scratch (sets instead of the mesh's dicts) and
-    checks: the order is a permutation of all triangles, collar certificates
-    actually touch the boundary, and every growth certificate names a donor
-    already absorbed that genuinely shares the claimed edge. Raises
-    :class:`MeshError` on the first violation; returns True otherwise.
+    Rebuilds adjacency from the triangles alone (not from the mesh's edge
+    table) and checks: the order is a permutation of all triangles, collar
+    certificates actually touch the boundary, and every growth certificate
+    names a donor already absorbed that genuinely shares the claimed edge.
+    All steps are tested at once; :class:`MeshError` names the first
+    failing step, with the first check it fails in the order above.
+    Returns True otherwise.
     """
-    if sorted(order) != list(range(mesh.n_triangles)):
+    n = mesh.n_triangles
+    o = np.asarray(order)
+    if o.shape != (n,) or not np.array_equal(np.sort(o), np.arange(n)):
         raise MeshError("order is not a permutation of the triangles")
     if len(order) != len(certificates):
         raise MeshError("certificate count does not match the order")
 
-    edge_count = {}
-    for tri in mesh.triangles:
-        for u, v in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            k = frozenset((int(u), int(v)))
-            edge_count[k] = edge_count.get(k, 0) + 1
-    boundary_verts = set()
-    for k, cnt in edge_count.items():
-        if cnt == 1:
-            boundary_verts.update(k)
+    T, V = mesh.triangles, len(mesh.vertices)
+    u, v = T.ravel(), np.roll(T, -1, axis=1).ravel()
+    keys, uses = np.unique(np.minimum(u, v) * V + np.maximum(u, v), return_counts=True)
+    on_boundary = np.zeros(V, dtype=bool)
+    on_boundary[keys[uses == 1] // V] = True
+    on_boundary[keys[uses == 1] % V] = True
 
-    seen = set()
-    for step, (f, cert) in enumerate(zip(order, certificates)):
-        if cert["triangle"] != f:
-            raise MeshError(f"certificate {step} names triangle {cert['triangle']}, order has {f}")
-        tri_verts = set(int(v) for v in mesh.triangles[f])
-        if cert["kind"] == "collar":
-            if not tri_verts & boundary_verts:
-                raise MeshError(f"collar certificate for triangle {f} does not touch the boundary")
-        elif cert["kind"] == "growth":
-            donor = cert["donor"]
-            edge = frozenset(cert["edge"])
-            if donor not in seen:
-                raise MeshError(f"growth certificate for triangle {f} cites unabsorbed donor {donor}")
-            if not edge <= tri_verts:
-                raise MeshError(f"claimed edge {sorted(edge)} is not an edge of triangle {f}")
-            if not edge <= set(int(v) for v in mesh.triangles[donor]):
-                raise MeshError(f"claimed edge {sorted(edge)} is not an edge of donor {donor}")
-        else:
-            raise MeshError(f"unknown certificate kind {cert['kind']!r}")
-        seen.add(f)
-    return True
+    o = o.astype(int)
+    absorbed_at = np.empty(n, dtype=int)
+    absorbed_at[o] = np.arange(n)
+    tri = T[o]
+    kinds = [c.get("kind") for c in certificates]
+    collar = np.array([k == "collar" for k in kinds], dtype=bool)
+    growth = np.array([k == "growth" for k in kinds], dtype=bool)
+    named = _indices([c.get("triangle") for c in certificates], n)
+    failed = (named != o) | (collar & ~on_boundary[tri].any(axis=1)) | ~(collar | growth)
+
+    steps = np.flatnonzero(growth)
+    grown = [certificates[s] for s in steps]
+    donor = _indices([c.get("donor") for c in grown], n)
+    edges = [c.get("edge", ()) for c in grown]
+    edges = [e if len(e) == 2 else (-1, -1) for e in edges]
+    e0 = _indices([e[0] for e in edges], V)[:, None]
+    e1 = _indices([e[1] for e in edges], V)[:, None]
+    e1[e1 == e0] = -1  # a repeated vertex is no edge
+    absorbed = (donor >= 0) & (absorbed_at[donor] < steps)
+    in_tri = (tri[steps] == e0).any(axis=1) & (tri[steps] == e1).any(axis=1)
+    in_donor = (T[donor] == e0).any(axis=1) & (T[donor] == e1).any(axis=1)
+    failed[steps] |= ~(absorbed & in_tri & in_donor)
+
+    if not failed.any():
+        return True
+    s = int(np.argmax(failed))
+    f, cert = order[s], certificates[s]
+    if named[s] != o[s]:
+        raise MeshError(f"certificate {s} names triangle {cert.get('triangle')}, order has {f}")
+    if collar[s]:
+        raise MeshError(f"collar certificate for triangle {f} does not touch the boundary")
+    if not growth[s]:
+        raise MeshError(f"unknown certificate kind {cert.get('kind')!r}")
+    i = int(np.searchsorted(steps, s))
+    if not absorbed[i]:
+        raise MeshError(
+            f"growth certificate for triangle {f} cites unabsorbed donor {cert.get('donor')}"
+        )
+    edge = sorted(set(cert.get("edge", ())))
+    if not in_tri[i]:
+        raise MeshError(f"claimed edge {edge} is not an edge of triangle {f}")
+    raise MeshError(f"claimed edge {edge} is not an edge of donor {cert.get('donor')}")
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +368,6 @@ def _triangle_lattice(m):
     return [(a / (m + 1.0), b / (m + 1.0), c / (m + 1.0)) for a, b, c in pts]
 
 
-def _opposite(mesh, tri_idx, edge):
-    """Vertex of triangle ``tri_idx`` that is not on ``edge``."""
-    return next(int(v) for v in mesh.triangles[tri_idx] if v not in edge)
-
-
 def collar_map_samples(mesh, order=None, certificates=None, samples_per_cell=4):
     """Drive a deterministic sample cloud through every push-through step.
 
@@ -313,7 +376,10 @@ def collar_map_samples(mesh, order=None, certificates=None, samples_per_cell=4):
     only on the lattice point, so it is computed once: every pushed point
     must stay inside the closed simplex, and at least one must land strictly
     inside the new triangle (coverage). Checked per step: no two distinct
-    samples collide (world distance below 1e-9 flags a pair).
+    samples collide (world distance below 1e-9 flags a pair). The images of
+    as many steps as hold ``_BLOCK_PAIRS`` sample pairs are built and
+    measured together, with each step's arithmetic unchanged, so the result
+    does not depend on the block.
     Returns summary statistics; raises :class:`MeshError` on coverage
     failure or containment violation, and reports collisions as a count.
     """
@@ -330,27 +396,40 @@ def collar_map_samples(mesh, order=None, certificates=None, samples_per_cell=4):
     into_new = np.array([region == "new" for region, _ in pushed])
     B = np.array([out for _, out in pushed])
     new_count = int(into_new.sum())
-    P = mesh.vertices
-    iu = np.triu_indices(len(lattice), k=1)
+    grown = [c for c in certificates if c["kind"] == "growth"]
+    if grown and new_count == 0:
+        raise MeshError(f"no sample pushed into triangle {grown[0]['triangle']}; coverage failed")
+    tri = np.array([c["triangle"] for c in grown], dtype=int)
+    donor = np.array([c["donor"] for c in grown], dtype=int)
+    e0, e1 = np.array([c["edge"] for c in grown], dtype=int).reshape(-1, 2).T
+    # opposite vertex: the first vertex of the new triangle (and of the
+    # donor) that is not on the shared edge
+    corners = mesh.triangles[np.stack([tri, donor])]
+    off_edge = (corners != e0[:, None]) & (corners != e1[:, None])
+    first_off = off_edge.argmax(axis=-1)[..., None]
+    opp_new, opp_donor = np.take_along_axis(corners, first_off, axis=-1)[..., 0]
+    opp = np.where(into_new, opp_new[:, None], opp_donor[:, None])
+    Pt = np.ascontiguousarray(mesh.vertices.T)
+    iu, ju = np.triu_indices(len(lattice), k=1)
     min_pair = np.inf
     collisions = 0
-    n_growth = 0
-    for cert in certificates:
-        if cert["kind"] != "growth":
-            continue
-        n_growth += 1
-        tri = cert["triangle"]
-        if new_count == 0:
-            raise MeshError(f"no sample pushed into triangle {tri}; coverage failed")
-        e0, e1 = cert["edge"]
-        opp = np.where(
-            into_new, _opposite(mesh, tri, (e0, e1)), _opposite(mesh, cert["donor"], (e0, e1))
+    steps = max(1, _BLOCK_PAIRS // len(iu))
+    for lo in range(0, len(grown), steps):
+        block = slice(lo, lo + steps)
+        # (xyz, steps, samples) images with each step's arithmetic; the
+        # squared distances add x, y, z left to right, as a sum over xyz does
+        pts = (
+            B[:, 0] * Pt[:, e0[block], None]
+            + B[:, 1] * Pt[:, e1[block], None]
+            + B[:, 2] * Pt[:, opp[block]]
         )
-        pts = B[:, 0, None] * P[e0] + B[:, 1, None] * P[e1] + B[:, 2, None] * P[opp]
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        dist = np.sqrt(d2[iu])
+        d = pts[:, :, iu]
+        d -= pts[:, :, ju]
+        d *= d
+        dist = np.sqrt(d[0] + d[1] + d[2])
         min_pair = min(min_pair, float(dist.min()))
-        collisions += int(np.sum(dist < 1e-9))
+        collisions += int(np.count_nonzero(dist < 1e-9))
+    n_growth = len(grown)
     return {
         "growth_steps": n_growth,
         "samples_per_step": len(lattice),

@@ -590,6 +590,23 @@ def test_exhaustion_non_finite_vertex_exits_three(tmp_path, capsys):
     assert err.startswith("numerical failure:") and "finite" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n",  # index beyond int64
+        "OFF\n-1 1 0\n3 0 1 2\n",  # not an empty vertex block
+        "OFF\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n",  # not a surface without faces
+    ],
+)
+def test_exhaustion_malformed_off_exits_three(tmp_path, capsys, text):
+    p = tmp_path / "bad.off"
+    p.write_text(text)
+    code, _, summary = _run(tmp_path, "exhaustion", "--override", f"mesh={p}")
+    err = capsys.readouterr().err
+    assert code == 3 and summary is None
+    assert err.startswith("numerical failure:") and "malformed OFF data" in err
+
+
 def test_tiny_eps_depth_grid_is_a_config_error(tmp_path, capsys):
     code, _, summary = _run(tmp_path, "dn-compute", *SMALL, "--override", "eps=1e-9")
     err = capsys.readouterr().err

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evosq.errors import FormatError, MeshError
 from evosq.exhaustion import (
+    _BLOCK_PAIRS,
     SurfaceMesh,
     _triangle_lattice,
     collar_map_samples,
@@ -14,6 +19,9 @@ from evosq.exhaustion import (
 )
 from evosq.meshes import annulus_mesh, disk_mesh, save_off, sphere_mesh, strip_mesh
 from evosq.rng import SplitMix64
+
+# reproducible example sets, no example database written beside the tests
+_EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
 # -- smoothed minimum ---------------------------------------------------------
@@ -82,6 +90,66 @@ def test_mesh_validation_errors():
         SurfaceMesh(verts, np.array([[0, 1, 2], [0, 1, 3]]))
 
 
+def _scan_order_mesh_check(triangles):
+    """Reference: the first degenerate, non-manifold or orientation error in
+    scan order, or the edge table and boundary lists of a valid mesh."""
+    for tri in triangles:
+        if len(set(tri)) != 3:
+            return f"degenerate triangle {tuple(tri)}"
+    directed, edge_tris = set(), {}
+    for f, (a, b, c) in enumerate(triangles):
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (min(u, v), max(u, v))
+            edge_tris.setdefault(key, []).append(f)
+            if len(edge_tris[key]) > 2:
+                return f"not edge-manifold: edge {key} borders 3+ triangles"
+            if (u, v) in directed:
+                return f"inconsistent orientation: edge ({u}, {v}) traversed twice"
+            directed.add((u, v))
+    boundary = sorted(k for k, ts in edge_tris.items() if len(ts) == 1)
+    return edge_tris, boundary, sorted({v for e in boundary for v in e})
+
+
+_SOUP_BASE = strip_mesh(2, 2)  # 8 triangles on 9 vertices
+_VERTEX = st.integers(0, len(_SOUP_BASE.vertices) - 1)
+
+
+@st.composite
+def _triangle_soups(draw):
+    """The strip's faces in any order and rotation, with a few flipped,
+    dropped or inserted (possibly degenerate) faces."""
+    tris = draw(st.permutations(_SOUP_BASE.triangles.tolist()))
+    shifts = draw(st.lists(st.integers(0, 2), min_size=len(tris), max_size=len(tris)))
+    tris = [t[r:] + t[:r] for t, r in zip(tris, shifts)]
+    edits = st.tuples(
+        st.sampled_from(["flip", "drop", "insert"]),
+        st.integers(0, len(tris) - 1),
+        st.lists(_VERTEX, min_size=3, max_size=3),
+    )
+    for edit, at, extra in draw(st.lists(edits, max_size=4)):
+        at = min(at, len(tris) - 1)
+        if edit == "flip" and tris:
+            tris[at] = tris[at][::-1]
+        elif edit == "drop" and len(tris) > 1:
+            del tris[at]
+        elif edit == "insert":
+            tris.insert(at, extra)
+    return tris
+
+
+@_EXAMPLES
+@given(_triangle_soups())
+def test_mesh_checks_match_a_scan_order_loop(triangles):
+    expected = _scan_order_mesh_check(triangles)
+    if isinstance(expected, str):
+        with pytest.raises(MeshError) as err:
+            SurfaceMesh(_SOUP_BASE.vertices, triangles)
+        assert str(err.value) == expected
+    else:
+        m = SurfaceMesh(_SOUP_BASE.vertices, triangles)
+        assert (m.edge_triangles, m.boundary_edges, m.boundary_vertices) == expected
+
+
 def test_off_round_trip(tmp_path):
     m = annulus_mesh(2, 8)
     p = tmp_path / "annulus.off"
@@ -106,9 +174,59 @@ def test_off_parse_errors(tmp_path):
     p.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n4 0 1 2 3\n")
     with pytest.raises(FormatError, match="4-gon"):
         load_mesh(p)
+    p.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n2 0 1 2\n")
+    with pytest.raises(FormatError, match="2-gon"):
+        load_mesh(p)
     p.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n")
     with pytest.raises(FormatError, match="malformed"):
         load_mesh(p)
+
+
+_FUZZ_OFF = "OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n3 0 2 3\n".split()
+_FUZZ_VALUES = [
+    "nan", "inf", "-inf", "1e400", "abc", "3.5", "-1", "0", "3", "4", "#",
+    "99999999999999999999", "-99999999999999999999", "1000000000000000000",
+]
+
+
+@st.composite
+def _damaged_off(draw):
+    """The text of a two-triangle OFF file after a few edits: truncation,
+    a count, coordinate, face entry or token replaced by a bad, huge or
+    non-finite value, or a token dropped or inserted."""
+    tokens = list(_FUZZ_OFF)
+    value = st.one_of(st.sampled_from(_FUZZ_VALUES), st.integers(-(10**30), 10**30).map(str))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, max(len(tokens) - 1, 0)))
+        edit = draw(
+            st.sampled_from(["truncate", "recount", "vertex", "face", "replace", "drop", "insert"])
+        )
+        if edit == "truncate":
+            del tokens[at:]
+        elif edit == "recount" and len(tokens) > 2:
+            tokens[draw(st.integers(1, 2))] = draw(value)
+        elif edit == "vertex" and len(tokens) > 15:
+            tokens[draw(st.integers(4, 15))] = draw(value)
+        elif edit == "face" and len(tokens) > 16:
+            tokens[draw(st.integers(16, len(tokens) - 1))] = draw(value)
+        elif edit == "replace" and tokens:
+            tokens[at] = draw(value)
+        elif edit == "drop" and tokens:
+            del tokens[at]
+        elif edit == "insert":
+            tokens.insert(at, draw(value))
+    return "\n".join(tokens)
+
+
+@_EXAMPLES
+@given(_damaged_off())
+def test_off_loader_raises_only_format_or_mesh_errors(tmp_path_factory, text):
+    p = tmp_path_factory.getbasetemp() / "damaged.off"
+    p.write_text(text)
+    try:
+        load_mesh(p)
+    except (FormatError, MeshError):
+        pass
 
 
 # -- exhaustion order and verification --------------------------------------------
@@ -213,6 +331,85 @@ def test_verify_rejects_fake_collar():
         verify_order(m, order, bad)
 
 
+def _replayed_by_a_loop(mesh, order, certificates):
+    """Reference: replay the certificates one step at a time; the first
+    violation's message, or True."""
+    edge_count = {}
+    for tri in mesh.triangles.tolist():
+        for u, v in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            k = frozenset((u, v))
+            edge_count[k] = edge_count.get(k, 0) + 1
+    boundary = {v for k, cnt in edge_count.items() if cnt == 1 for v in k}
+    seen = set()
+    for step, (f, cert) in enumerate(zip(order, certificates)):
+        if cert["triangle"] != f:
+            return f"certificate {step} names triangle {cert['triangle']}, order has {f}"
+        tri_verts = set(mesh.triangles[f].tolist())
+        if cert["kind"] == "collar":
+            if not tri_verts & boundary:
+                return f"collar certificate for triangle {f} does not touch the boundary"
+        elif cert["kind"] == "growth":
+            donor, edge = cert["donor"], frozenset(cert["edge"])
+            if donor not in seen:
+                return f"growth certificate for triangle {f} cites unabsorbed donor {donor}"
+            if len(edge) != 2 or not edge <= tri_verts:
+                return f"claimed edge {sorted(edge)} is not an edge of triangle {f}"
+            if not edge <= set(mesh.triangles[donor].tolist()):
+                return f"claimed edge {sorted(edge)} is not an edge of donor {donor}"
+        else:
+            return f"unknown certificate kind {cert['kind']!r}"
+        seen.add(f)
+    return True
+
+
+_REPLAY_MESH = disk_mesh(3, 8)  # 40 triangles; the center fan touches no boundary vertex
+_REPLAY_ORDER = exhaustion_order(_REPLAY_MESH)
+
+
+@st.composite
+def _tampered_certificates(draw):
+    """The disk's order and certificates with up to four edits: a wrong
+    triangle, an unknown kind, a fake collar, another donor (the triangle
+    itself among them), a foreign edge or one vertex of the shared edge
+    twice, or two order entries swapped."""
+    order, certs = _REPLAY_ORDER
+    order, certs = list(order), [dict(c) for c in certs]
+    n, nv = len(order), len(_REPLAY_MESH.vertices)
+    for _ in range(draw(st.integers(0, 4))):
+        s = draw(st.integers(0, n - 1))
+        edit = draw(st.sampled_from(["triangle", "kind", "collar", "donor", "edge", "swap"]))
+        if edit == "triangle":
+            certs[s]["triangle"] = draw(st.integers(0, n - 1))
+        elif edit == "kind":
+            certs[s]["kind"] = "teleport"
+        elif edit == "collar":
+            certs[s] = {"kind": "collar", "triangle": certs[s]["triangle"]}
+        elif edit == "donor" and certs[s]["kind"] == "growth":
+            itself = st.just(certs[s]["triangle"])
+            certs[s]["donor"] = draw(st.one_of(itself, st.integers(0, n - 1)))
+        elif edit == "edge" and certs[s]["kind"] == "growth":
+            a = certs[s]["edge"][0]
+            vertex = st.integers(0, nv - 1)
+            certs[s]["edge"] = draw(st.one_of(st.tuples(vertex, vertex), st.just((a, a))))
+        elif edit == "swap":
+            t = draw(st.integers(0, n - 1))
+            order[s], order[t] = order[t], order[s]
+    return order, certs
+
+
+@_EXAMPLES
+@given(_tampered_certificates())
+def test_verify_reports_the_violation_a_step_loop_finds_first(tampered):
+    order, certs = tampered
+    expected = _replayed_by_a_loop(_REPLAY_MESH, order, certs)
+    if expected is True:
+        assert verify_order(_REPLAY_MESH, order, certs)
+    else:
+        with pytest.raises(MeshError) as err:
+            verify_order(_REPLAY_MESH, order, certs)
+        assert str(err.value) == expected
+
+
 # -- push-through maps -------------------------------------------------------------
 
 
@@ -267,13 +464,16 @@ def test_collar_map_sampling_clean():
     assert res["min_pair_distance"] > 1e-9
 
 
-def test_collar_map_sampling_matches_a_per_step_push():
-    # reference: push every lattice point again at every growth step, as a loop
-    base = disk_mesh(3, 12)
-    jitter = np.random.default_rng(0).uniform(-0.02, 0.02, base.vertices.shape)
+def _jittered_disk(rings, sectors, seed, amplitude):
+    base = disk_mesh(rings, sectors)
+    jitter = np.random.default_rng(seed).uniform(-amplitude, amplitude, base.vertices.shape)
     jitter[:, 2] = 0.0
-    m = SurfaceMesh(base.vertices + jitter, base.triangles)
-    order, certs = exhaustion_order(m)
+    return SurfaceMesh(base.vertices + jitter, base.triangles)
+
+
+def _pushed_step_by_step(m, certs, samples_per_cell):
+    """Reference: push every lattice point again at every growth step, as a
+    loop; (min_pair_distance, collisions, min_new_samples)."""
     P = m.vertices
     min_pair, collisions, min_new = np.inf, 0, np.inf
     for cert in certs:
@@ -281,7 +481,7 @@ def test_collar_map_sampling_matches_a_per_step_push():
             continue
         edge = tuple(cert["edge"])
         images, new = [], 0
-        for b in _triangle_lattice(4):
+        for b in _triangle_lattice(samples_per_cell):
             region, out = push_through(b)
             new += region == "new"
             tri = cert["triangle"] if region == "new" else cert["donor"]
@@ -293,6 +493,13 @@ def test_collar_map_sampling_matches_a_per_step_push():
         min_pair = min(min_pair, float(dist.min()))
         collisions += int(np.sum(dist < 1e-9))
         min_new = min(min_new, new)
+    return min_pair, collisions, min_new
+
+
+def test_collar_map_sampling_matches_a_per_step_push():
+    m = _jittered_disk(3, 12, seed=0, amplitude=0.02)
+    order, certs = exhaustion_order(m)
+    min_pair, collisions, min_new = _pushed_step_by_step(m, certs, 4)
     res = collar_map_samples(m, order, certs, samples_per_cell=4)
     assert res["min_pair_distance"] == min_pair
     assert res["collisions"] == collisions
@@ -302,3 +509,37 @@ def test_collar_map_sampling_matches_a_per_step_push():
 def test_collar_map_sampling_validates_density():
     with pytest.raises(MeshError, match=">= 4"):
         collar_map_samples(strip_mesh(2, 2), samples_per_cell=2)
+
+
+@pytest.mark.parametrize(
+    "rings, sectors, samples_per_cell, growth_steps",
+    [(12, 24, 4, 504), (12, 24, 6, 504), (3, 12, 20, 36)],
+)
+def test_collar_map_sampling_across_blocks_matches_a_per_step_push(
+    rings, sectors, samples_per_cell, growth_steps
+):
+    # full blocks and a partial one; at density 20 a block is one step
+    m = _jittered_disk(rings, sectors, seed=1, amplitude=0.01)
+    order, certs = exhaustion_order(m)
+    min_pair, collisions, min_new = _pushed_step_by_step(m, certs, samples_per_cell)
+    res = collar_map_samples(m, order, certs, samples_per_cell=samples_per_cell)
+    lattice = res["samples_per_step"]
+    steps = max(1, _BLOCK_PAIRS // (lattice * (lattice - 1) // 2))
+    assert res["growth_steps"] == growth_steps > steps
+    assert growth_steps % steps or steps == 1
+    assert res["min_pair_distance"] == min_pair
+    assert res["collisions"] == collisions
+    assert res["min_new_samples"] == min_new
+
+
+def test_collar_map_sampling_memory_does_not_grow_with_density():
+    # a block holds a fixed number of sample pairs, not a fixed number of steps
+    m = _jittered_disk(3, 12, seed=1, amplitude=0.01)
+    order, certs = exhaustion_order(m)
+    tracemalloc.start()
+    try:
+        collar_map_samples(m, order, certs, samples_per_cell=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
