@@ -20,7 +20,12 @@ Fourier mode; both share the elimination and the extraction. The per-mode
 path serves theta-independent potentials, and the dense chain runs it too
 over its deep stretch, the nodes below the last row where the potential
 varies in theta, where every block is circulant; it materializes the kept
-ones as dense circulants and sweeps densely above.
+ones as dense circulants and sweeps densely above. A dense pivot is
+symmetric, and positive definite in the coercive case: it is inverted by
+Schur halving down to Cholesky-certified leaves of at most 32 rows, so the
+sweep runs on matrix products. Only a pivot whose leaf Cholesky fails, an
+indefinite one beyond the first Dirichlet eigenvalue, is an LU solve, as
+are the 1 x 1 mode blocks.
 """
 
 import numpy as np
@@ -32,6 +37,7 @@ from .rng import SplitMix64
 
 _ESCAPE_FACTOR = 50.0
 _SINGULAR_FACTOR = 1e6
+_LEAF = 32  # largest pivot block _spd_inverse inverts directly
 
 
 def _weights(geometry, sigma=None):
@@ -47,6 +53,50 @@ def _weights(geometry, sigma=None):
     return half * s[:-1] * s[1:], geometry.rs**geometry.dim * sigma
 
 
+def _spd_inverse(A, out):
+    """Write the inverse of a symmetric positive definite ``A`` into ``out``.
+
+    ``A = [[A11, B], [B^T, D]]`` is inverted through ``A11^-1`` and the
+    inverse of its Schur complement ``D - B^T A11^-1 B``, halving down to
+    leaves of at most ``_LEAF`` rows; every leaf is certified by a Cholesky
+    factorization and inverted by ``np.linalg.inv``, and above the leaves the
+    work is matrix products. A leaf that is not positive definite raises
+    ``LinAlgError``. Without pivoting this is backward stable for positive
+    definite ``A`` (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., ch. 10 and 13).
+    """
+    n = A.shape[0]
+    if n <= _LEAF:
+        np.linalg.cholesky(A)
+        out[...] = np.linalg.inv(A)
+        return out
+    k = n // 2
+    B = A[:k, k:]
+    inv_a = _spd_inverse(A[:k, :k], out[:k, :k])
+    X = inv_a @ B
+    Y = X @ _spd_inverse(A[k:, k:] - B.T @ X, out[k:, k:])
+    inv_a += Y @ X.T
+    np.negative(Y, out=out[:k, k:])
+    out[k:, :k] = out[:k, k:].T
+    return out
+
+
+def _dense_inverse(neg, ap, eye, out):
+    """``ap neg^-1`` written into ``out``, for the negated dense pivot ``neg = -P`` of a sweep row.
+
+    :func:`_spd_inverse` inverts it; a pivot that is not positive definite
+    (indefinite, beyond the first Dirichlet eigenvalue) takes an LU solve,
+    which raises ``LinAlgError`` when it is singular.
+    """
+    try:
+        _spd_inverse(neg, out)
+    except np.linalg.LinAlgError:
+        out[...] = np.linalg.solve(neg, ap * eye)
+    else:
+        out *= ap
+    return out
+
+
 def _eliminate(geometry, lap, q, w, cap, top=1, bottom=None, circulant=False):
     """Backward elimination ``S_j = -(B_j + c_j S_{j+1})^-1 a_j`` over pivot blocks.
 
@@ -58,12 +108,18 @@ def _eliminate(geometry, lap, q, w, cap, top=1, bottom=None, circulant=False):
     The sweep runs from node ``bottom - 1`` up to ``top``. It returns one
     ``(M + 2, ..., n, n)`` array holding the blocks of rows up to M + 1 (other
     rows unset; one array, so that a dropped chain goes back to the operating
-    system whole) and the block at ``top``. A singular pivot or a block norm
-    above ``_SINGULAR_FACTOR * sqrt(n)`` is a resonance. With ``circulant``
-    the batch of N 1 x 1 blocks is the spectrum of one circulant N x N block
-    and is guarded as that block would be: a zero mode pivot is a singular
-    pivot and the norm is the Frobenius one, the root of the summed squared
-    symbols, against ``_SINGULAR_FACTOR * sqrt(N)``.
+    system whole) and the block at ``top``. A dense negated pivot
+    ``-P_j = (a_j + c_j) I + L_j + Q_j - c_j S_{j+1}`` is assembled in place;
+    it is symmetric, and positive definite in the coercive case, so
+    :func:`_dense_inverse` inverts it by Cholesky-certified Schur halving and
+    writes each kept block straight into its row. Only a dense pivot whose
+    leaf Cholesky fails is an LU solve, as is each batch of 1 x 1 mode
+    blocks. A singular
+    pivot or a block norm above ``_SINGULAR_FACTOR * sqrt(n)`` is a
+    resonance. With ``circulant`` the batch of N 1 x 1 blocks is the spectrum
+    of one circulant N x N block and is guarded as that block would be: a
+    zero mode pivot is a singular pivot and the norm is the Frobenius one,
+    the root of the summed squared symbols, against ``_SINGULAR_FACTOR * sqrt(N)``.
     """
     ts, kept = geometry.ts, geometry.M + 1
     (half, node), dt = w, np.diff(ts)
@@ -71,18 +127,29 @@ def _eliminate(geometry, lap, q, w, cap, top=1, bottom=None, circulant=False):
     eye = np.eye(lap.shape[-1])
     guard = _SINGULAR_FACTOR * np.sqrt(lap.shape[0] if circulant else lap.shape[-1])
     S = np.empty((kept + 1,) + cap.shape)
+    dense = lap.ndim == 2
+    neg = np.empty_like(cap)  # the dense pivot, assembled in place
     block = cap
     if bottom <= kept:
         S[bottom] = cap
     for j in range(bottom - 1, top - 1, -1):
         scale = 0.5 * (dt[j - 1] + dt[j]) * node[j]
         ap, cp = half[j - 1] / (dt[j - 1] * scale), half[j] / (dt[j] * scale)
-        P = -(ap + cp) * eye - lap / geometry.rs[j] ** 2 - q(j) + cp * block
         try:
-            block = np.linalg.solve(P, -ap * eye)
+            if dense:
+                np.multiply(ap + cp, eye, out=neg)
+                neg += lap / geometry.rs[j] ** 2
+                neg += q(j)
+                neg -= cp * block
+                block = _dense_inverse(neg, ap, eye, S[j] if j <= kept else np.empty_like(neg))
+            else:
+                neg = (ap + cp) * eye + lap / geometry.rs[j] ** 2 + q(j) - cp * block
+                block = np.linalg.solve(neg, ap * eye)
+                if j <= kept:
+                    S[j] = block
             sq = np.einsum("...ij,...ij->...", block, block)
         except np.linalg.LinAlgError:
-            sq = np.where(np.linalg.det(P) == 0.0, np.inf, 0.0)
+            sq = np.where(np.linalg.det(neg) == 0.0, np.inf, 0.0)
         norm = np.sqrt(np.sum(sq) if circulant else sq)
         bad = norm > guard
         if np.any(bad):
@@ -91,8 +158,6 @@ def _eliminate(geometry, lap, q, w, cap, top=1, bottom=None, circulant=False):
             raise DNComputationError(
                 f"Dirichlet eigenvalue collision{mode} near depth {ts[j]:.6g}{why}"
             )
-        if j <= kept:
-            S[j] = block
     return S, block
 
 

@@ -72,10 +72,19 @@ class BumpPotential(Potential):
         self.width = float(width)
 
     def on_slice(self, theta, t):
-        theta = np.asarray(theta, dtype=float)
-        dth = np.angle(np.exp(1j * (theta - self.theta0)))
-        s2 = (dth**2 + (float(t) - self.t0) ** 2) / self.width**2
-        out = np.zeros_like(theta)
+        return self._values(theta, (float(t) - self.t0) ** 2)
+
+    def on_grid(self, theta, ts):
+        """Every row in one broadcast over ``(ts, theta)``, bit for bit :meth:`on_slice`'s."""
+        # squared as Python floats, as on_slice does: libm's pow(x, 2) and
+        # numpy's x * x differ in the last bit for about one x in a thousand
+        dt2 = np.array([(float(t) - self.t0) ** 2 for t in ts])
+        return self._values(theta, dt2[:, None])
+
+    def _values(self, theta, dt2):
+        dth = np.angle(np.exp(1j * (np.asarray(theta, dtype=float) - self.theta0)))
+        s2 = (dth**2 + dt2) / self.width**2
+        out = np.zeros_like(s2)
         inside = s2 < 1.0
         out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
         return out

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from evosq.dnmap import (
+    _LEAF,
     _eliminate,
+    _spd_inverse,
     _weights,
     coercivity_probe,
     compute_dn_family,
@@ -125,6 +127,55 @@ def test_chain_matches_whole_grid_dense_elimination(profile):
         for S in chain[top:]:
             assert np.array_equal(S, S.T)
             assert np.array_equal(S, np.roll(S, (1, 1), axis=(0, 1)))
+
+
+def _maps_with_lu_spy(monkeypatch, g, potential):
+    """The maps of ``potential`` and the number of dense pivots that took an LU solve."""
+    dense_solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: dense_solves.append(a.ndim == 2) or solve(a, b))
+    lams = compute_dn_family(g, potential).lams
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    return lams, sum(dense_solves)
+
+
+@pytest.mark.parametrize("profile", ["annulus", "disk", "flat-cylinder"])
+def test_dense_sweep_matches_the_mode_symbols(profile, monkeypatch):
+    # a 1e-12 cos ripple on every row sends the whole grid through the dense
+    # sweep (N = 96 halves 48 / 24); every pivot is positive definite here
+    g = build_warped_geometry(make_profile(profile), N=96, M=32, eps=0.3)
+    ksq = g.wavenumbers() ** 2
+    for q in (-0.7, 1.5):
+        rippled = SampledPotential(g.theta, g.ts, q + 1e-12 * np.cos(g.theta)[:, None] * np.ones(g.ts.size))
+        lams, lu_rows = _maps_with_lu_spy(monkeypatch, g, rippled)
+        assert lu_rows == 0
+        for j in (0, g.M // 2, g.M):
+            mode = np.sort(dn_mode_symbol(g, q, ksq, depths=[j])[0])
+            assert np.max(np.abs(np.linalg.eigvalsh(lams[j]) - mode)) <= 1e-11 * np.abs(mode).max()
+
+
+@pytest.mark.parametrize("n", [8, 32, 33, 96, 128])
+def test_spd_inverse_matches_inv(n):
+    # 33 and 96 halve into blocks of unequal size or below the leaf size
+    G = np.random.default_rng(n).standard_normal((n, n))
+    A = G @ G.T + 0.1 * n * np.eye(n)
+    ref = np.linalg.inv(A)
+    out = np.empty_like(A)
+    assert _spd_inverse(A, out) is out
+    assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_spd_inverse_refuses_an_indefinite_schur_complement():
+    # the leading leaf is positive definite; the Schur complement is not
+    n = 4 * _LEAF
+    rng = np.random.default_rng(3)
+    G = rng.standard_normal((n, n))
+    A = G @ G.T + n * np.eye(n)
+    A[n // 2 :, n // 2 :] -= 4 * n * np.eye(n // 2)
+    assert np.linalg.eigvalsh(A).min() < 0
+    np.linalg.cholesky(A[:_LEAF, :_LEAF])
+    with pytest.raises(np.linalg.LinAlgError):
+        _spd_inverse(A, np.empty_like(A))
 
 
 def test_chain_allocates_only_the_collar_blocks():
@@ -308,8 +359,8 @@ def test_neumann_value_consistent_with_map(annulus_families):
 # -- interior resonance guard -------------------------------------------------
 
 
-def _resonant_setup():
-    T, eps, M, N = 0.8, 0.4, 32, 16
+def _resonant_setup(N=16):
+    T, eps, M = 0.8, 0.4, 32
     g = build_warped_geometry(make_profile("flat-cylinder", T=T), N=N, M=M, eps=eps)
     h = eps / M
     K = g.ts.size
@@ -362,6 +413,22 @@ def test_singular_mode_pivot_names_its_mode():
     # in the dense chain's per-mode run the zero mode pivot is a singular block
     with pytest.raises(DNComputationError, match=r"near depth [\d.]+: propagation norm inf$"):
         compute_dn_family(g, b - 4.0)
+
+
+def test_past_the_first_dirichlet_eigenvalue_only_indefinite_pivots_take_lu(monkeypatch):
+    # beyond the k = 0 collision a few dense pivots are indefinite: their leaf
+    # Cholesky fails and only those rows are LU solves; the maps still match
+    # the mode symbols (an LU solve on every row also matches them to about
+    # 5e-11 only: the 1e-12 ripple, amplified near the collision, sets that)
+    g, q_res = _resonant_setup(N=64)
+    K = g.ts.size
+    rippled = SampledPotential(g.theta, g.ts, 1.37 * q_res + 1e-12 * np.cos(g.theta)[:, None] * np.ones(K))
+    lams, lu_rows = _maps_with_lu_spy(monkeypatch, g, rippled)
+    assert 0 < lu_rows < (K - 2) // 4
+    ksq = g.wavenumbers() ** 2
+    for j in range(0, g.M + 1, 4):
+        mode = np.sort(dn_mode_symbol(g, 1.37 * q_res, ksq, depths=[j])[0])
+        assert np.max(np.abs(np.linalg.eigvalsh(lams[j]) - mode)) <= 1e-9 * np.abs(mode).max()
 
 
 def test_off_resonance_passes():

@@ -166,3 +166,21 @@ def test_make_potential_rejects_non_finite_and_boolean_numbers(spec):
     # a NaN or infinite potential is no potential; a boolean is not a number
     with pytest.raises(GeometryError, match="needs a finite numeric"):
         make_potential(spec)
+
+
+def test_bump_on_grid_is_bit_identical_to_its_stacked_slices():
+    # random bumps, centres near theta = +-pi where the circular distance
+    # wraps, and depths on both sides of the support
+    rng = np.random.default_rng(19)
+    theta = 2 * np.pi * np.arange(64) / 64
+    outside = inside = 0
+    for i in range(60):
+        centre = (np.pi if i % 2 else -np.pi) + rng.uniform(-0.1, 0.1) if i % 3 else rng.uniform(-4, 4)
+        bump = BumpPotential(rng.uniform(-40, 40), centre, rng.uniform(0, 0.5), rng.uniform(0.02, 0.6))
+        ts = np.sort(rng.uniform(-0.4, 1.2, 400))
+        grid = bump.on_grid(theta, ts)
+        assert grid.dtype == float and grid.shape == (ts.size, theta.size)
+        assert np.array_equal(grid, np.stack([bump.on_slice(theta, t) for t in ts]))
+        zero = ~np.any(grid, axis=1)
+        outside, inside = outside + zero.sum(), inside + (~zero).sum()
+    assert outside > 4000 and inside > 4000
