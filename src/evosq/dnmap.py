@@ -24,8 +24,8 @@ ones as dense circulants and sweeps densely above. A dense pivot is
 symmetric, and positive definite in the coercive case: it is inverted by
 Schur halving down to Cholesky-certified leaves of at most 32 rows, so the
 sweep runs on matrix products. Only a pivot whose leaf Cholesky fails, an
-indefinite one beyond the first Dirichlet eigenvalue, is an LU solve, as
-are the 1 x 1 mode blocks.
+indefinite one beyond the first Dirichlet eigenvalue, is an LU solve; a
+1 x 1 mode block is a division.
 """
 
 import numpy as np
@@ -113,8 +113,8 @@ def _eliminate(geometry, lap, q, w, cap, top=1, bottom=None, circulant=False):
     it is symmetric, and positive definite in the coercive case, so
     :func:`_dense_inverse` inverts it by Cholesky-certified Schur halving and
     writes each kept block straight into its row. Only a dense pivot whose
-    leaf Cholesky fails is an LU solve, as is each batch of 1 x 1 mode
-    blocks. A singular
+    leaf Cholesky fails is an LU solve; a batch of 1 x 1 mode blocks is a
+    division, where a zero pivot gives an infinite block. A singular
     pivot or a block norm above ``_SINGULAR_FACTOR * sqrt(n)`` is a
     resonance. With ``circulant`` the batch of N 1 x 1 blocks is the spectrum
     of one circulant N x N block and is guarded as that block would be: a
@@ -143,13 +143,13 @@ def _eliminate(geometry, lap, q, w, cap, top=1, bottom=None, circulant=False):
                 neg -= cp * block
                 block = _dense_inverse(neg, ap, eye, S[j] if j <= kept else np.empty_like(neg))
             else:
-                neg = (ap + cp) * eye + lap / geometry.rs[j] ** 2 + q(j) - cp * block
-                block = np.linalg.solve(neg, ap * eye)
+                with np.errstate(divide="ignore"):
+                    block = ap / ((ap + cp) + lap / geometry.rs[j] ** 2 + q(j) - cp * block)
                 if j <= kept:
                     S[j] = block
             sq = np.einsum("...ij,...ij->...", block, block)
         except np.linalg.LinAlgError:
-            sq = np.where(np.linalg.det(neg) == 0.0, np.inf, 0.0)
+            sq = np.inf
         norm = np.sqrt(np.sum(sq) if circulant else sq)
         bad = norm > guard
         if np.any(bad):

@@ -28,9 +28,8 @@ class RiccatiEscapeError(EvosqError):
 class StepFailureError(EvosqError):
     """A time step's implicit solve failed or did not converge."""
 
-    def __init__(self, message, depth=None, iterations=None):
+    def __init__(self, message, iterations=None):
         super().__init__(message)
-        self.depth = depth
         self.iterations = iterations
 
 

@@ -1,21 +1,21 @@
-"""Combinatorial exhaustion of triangulated surfaces with checkable certificates.
+"""Combinatorial exhaustion of triangulated surfaces by checkable orders.
 
 A surface with boundary is exhausted collar-first: every triangle touching
 the boundary is seeded, then the region grows one triangle at a time across
-shared edges. Each growth step records a certificate (triangle, shared
-edge, donor) that an independent checker can replay against freshly built
-adjacency, so the order never has to be trusted.
+shared edges. The order is the only record. An independent checker replays
+it against freshly built adjacency and rederives each growth step (shared
+edge, donor) from the mesh, so the order never has to be trusted.
 
 The push-through maps realize each growth step geometrically: a tube
 around the shared edge inside the donor is pressed across the edge into
 the new triangle by a C^1 blend that is the identity away from the edge,
 lands on the Veronese parameterization at full depth (hence stays inside
 the closed new triangle), and is injective. :func:`collar_map_samples`
-drives a deterministic sample cloud through every step and reports
-coverage and collision diagnostics.
+drives a deterministic sample cloud through every replayed step and
+reports coverage and collision diagnostics.
 
 Only the growth order is a Python loop (a heap over canonical edge keys).
-The mesh checks, the OFF parser and the certificate replay are whole-array
+The mesh checks, the OFF parser and the order replay are whole-array
 passes that report the first violation in scan order, and the sample cloud
 is pushed through blocks of growth steps sized to a fixed number of
 sample pairs.
@@ -168,13 +168,15 @@ def load_mesh(path):
 
 
 def exhaustion_order(mesh):
-    """Deterministic collar-first exhaustion with per-step certificates.
+    """Deterministic collar-first exhaustion order, a list of triangles.
 
-    Returns ``(order, certificates)``. The collar seeds every triangle
-    incident to a boundary vertex in ascending index order; growth steps
-    absorb the candidate across the lowest canonical edge key. Raises on
-    closed surfaces (no collar to start from) and on meshes whose triangles
-    cannot all be reached through shared edges.
+    The collar seeds every triangle incident to a boundary vertex in
+    ascending index order; each growth step absorbs the candidate across
+    the lowest canonical edge key it shares with an absorbed triangle.
+    The order is its own record: :func:`verify_order` rederives each
+    growth step's donor and edge from the mesh. Raises on closed surfaces
+    (no collar to start from) and on meshes whose triangles cannot all be
+    reached through shared edges.
     """
     if mesh.is_closed():
         raise MeshError("closed surface: exhaustion needs a boundary collar")
@@ -183,10 +185,9 @@ def exhaustion_order(mesh):
     in_collar = on_boundary[mesh.triangles].any(axis=1)
     collar = np.flatnonzero(in_collar).tolist()
     order = list(collar)
-    certs = [{"kind": "collar", "triangle": f} for f in collar]
     done = in_collar.tolist()
 
-    tris = mesh.triangles.tolist()  # plain ints: cheap heap comparisons, plain certificates
+    tris = mesh.triangles.tolist()  # plain ints: cheap heap comparisons
     edge_triangles = mesh.edge_triangles
     heap = []
 
@@ -196,18 +197,17 @@ def exhaustion_order(mesh):
             key = (u, v) if u < v else (v, u)
             for g in edge_triangles[key]:
                 if not done[g]:
-                    heapq.heappush(heap, (key, g, f))
+                    heapq.heappush(heap, (key, g))
 
     for f in collar:
         push_frontier(f)
 
     while heap:
-        key, g, donor = heapq.heappop(heap)
+        _, g = heapq.heappop(heap)
         if done[g]:
             continue
         done[g] = True
         order.append(g)
-        certs.append({"kind": "growth", "triangle": g, "edge": key, "donor": donor})
         push_frontier(g)
 
     if len(order) != mesh.n_triangles:
@@ -216,85 +216,62 @@ def exhaustion_order(mesh):
             f"unreachable simplices: {len(missing)} triangles cannot be reached "
             f"from the boundary collar (first few: {missing[:8]})"
         )
-    return order, certs
+    return order
 
 
-def _indices(values, size):
-    """Certificate fields as an int array; a value that is not an index
-    below ``size`` becomes -1, which names no triangle and no vertex."""
-    return np.array(
-        [v if isinstance(v, (int, np.integer)) and 0 <= v < size else -1 for v in values],
-        dtype=int,
-    )
-
-
-def verify_order(mesh, order, certificates):
-    """Independent replay of an exhaustion order.
+def verify_order(mesh, order):
+    """Independent replay of an exhaustion order; its growth steps.
 
     Rebuilds adjacency from the triangles alone (not from the mesh's edge
-    table) and checks: the order is a permutation of all triangles, collar
-    certificates actually touch the boundary, and every growth certificate
-    names a donor already absorbed that genuinely shares the claimed edge.
-    All steps are tested at once; :class:`MeshError` names the first
-    failing step, with the first check it fails in the order above.
-    Returns True otherwise.
+    table) and checks that the order is a permutation of all triangles. A
+    triangle with a boundary vertex is a collar step; every other triangle
+    is a growth step and must share an edge with a triangle earlier in the
+    order. All steps are tested at once; :class:`MeshError` names the
+    first step that fails. Returns the growth steps in order as int arrays
+    ``(triangle, donor, edge_lo, edge_hi)``: the shared edge is the least
+    canonical key among the triangle's edges with an earlier neighbor (the
+    one :func:`exhaustion_order` absorbs it across), the donor that
+    neighbor.
     """
     n = mesh.n_triangles
     o = np.asarray(order)
     if o.shape != (n,) or not np.array_equal(np.sort(o), np.arange(n)):
         raise MeshError("order is not a permutation of the triangles")
-    if len(order) != len(certificates):
-        raise MeshError("certificate count does not match the order")
 
     T, V = mesh.triangles, len(mesh.vertices)
     u, v = T.ravel(), np.roll(T, -1, axis=1).ravel()
-    keys, uses = np.unique(np.minimum(u, v) * V + np.maximum(u, v), return_counts=True)
+    keys = np.minimum(u, v) * V + np.maximum(u, v)
+    # the two uses of an interior edge are adjacent after a sort by key
+    by_key = np.argsort(keys, kind="stable")
+    twice = np.flatnonzero(keys[by_key[1:]] == keys[by_key[:-1]])
+    first, second = by_key[twice], by_key[twice + 1]
+    neighbor = np.full(3 * n, -1)
+    neighbor[first], neighbor[second] = second // 3, first // 3
     on_boundary = np.zeros(V, dtype=bool)
-    on_boundary[keys[uses == 1] // V] = True
-    on_boundary[keys[uses == 1] % V] = True
+    on_boundary[u[neighbor < 0]] = True
+    on_boundary[v[neighbor < 0]] = True
 
     o = o.astype(int)
     absorbed_at = np.empty(n, dtype=int)
     absorbed_at[o] = np.arange(n)
-    tri = T[o]
-    kinds = [c.get("kind") for c in certificates]
-    collar = np.array([k == "collar" for k in kinds], dtype=bool)
-    growth = np.array([k == "growth" for k in kinds], dtype=bool)
-    named = _indices([c.get("triangle") for c in certificates], n)
-    failed = (named != o) | (collar & ~on_boundary[tri].any(axis=1)) | ~(collar | growth)
+    nb = neighbor.reshape(n, 3)[o]
+    earlier = (nb >= 0) & (absorbed_at[nb] < np.arange(n)[:, None])
+    growth = ~on_boundary[T[o]].any(axis=1)
+    failed = growth & ~earlier.any(axis=1)
+    if failed.any():
+        s = int(np.argmax(failed))
+        raise MeshError(
+            f"step {s}: triangle {o[s]} touches no boundary vertex and shares "
+            "no edge with an earlier triangle"
+        )
 
     steps = np.flatnonzero(growth)
-    grown = [certificates[s] for s in steps]
-    donor = _indices([c.get("donor") for c in grown], n)
-    edges = [c.get("edge", ()) for c in grown]
-    edges = [e if len(e) == 2 else (-1, -1) for e in edges]
-    e0 = _indices([e[0] for e in edges], V)[:, None]
-    e1 = _indices([e[1] for e in edges], V)[:, None]
-    e1[e1 == e0] = -1  # a repeated vertex is no edge
-    absorbed = (donor >= 0) & (absorbed_at[donor] < steps)
-    in_tri = (tri[steps] == e0).any(axis=1) & (tri[steps] == e1).any(axis=1)
-    in_donor = (T[donor] == e0).any(axis=1) & (T[donor] == e1).any(axis=1)
-    failed[steps] |= ~(absorbed & in_tri & in_donor)
-
-    if not failed.any():
-        return True
-    s = int(np.argmax(failed))
-    f, cert = order[s], certificates[s]
-    if named[s] != o[s]:
-        raise MeshError(f"certificate {s} names triangle {cert.get('triangle')}, order has {f}")
-    if collar[s]:
-        raise MeshError(f"collar certificate for triangle {f} does not touch the boundary")
-    if not growth[s]:
-        raise MeshError(f"unknown certificate kind {cert.get('kind')!r}")
-    i = int(np.searchsorted(steps, s))
-    if not absorbed[i]:
-        raise MeshError(
-            f"growth certificate for triangle {f} cites unabsorbed donor {cert.get('donor')}"
-        )
-    edge = sorted(set(cert.get("edge", ())))
-    if not in_tri[i]:
-        raise MeshError(f"claimed edge {edge} is not an edge of triangle {f}")
-    raise MeshError(f"claimed edge {edge} is not an edge of donor {cert.get('donor')}")
+    tri = o[steps]
+    edge_keys = np.where(earlier[steps], keys.reshape(n, 3)[tri], V * V)
+    side = edge_keys.argmin(axis=1)[:, None]
+    key = np.take_along_axis(edge_keys, side, axis=1)[:, 0]
+    donor = np.take_along_axis(nb[steps], side, axis=1)[:, 0]
+    return tri, donor, key // V, key % V
 
 
 # ---------------------------------------------------------------------------
@@ -368,25 +345,26 @@ def _triangle_lattice(m):
     return [(a / (m + 1.0), b / (m + 1.0), c / (m + 1.0)) for a, b, c in pts]
 
 
-def collar_map_samples(mesh, order=None, certificates=None, samples_per_cell=4):
+def collar_map_samples(mesh, order, samples_per_cell=4):
     """Drive a deterministic sample cloud through every push-through step.
 
-    For each growth step, the donor triangle is sampled on an interior
-    barycentric lattice and pushed across the shared edge. The push depends
-    only on the lattice point, so it is computed once: every pushed point
-    must stay inside the closed simplex, and at least one must land strictly
-    inside the new triangle (coverage). Checked per step: no two distinct
-    samples collide (world distance below 1e-9 flags a pair). The images of
-    as many steps as hold ``_BLOCK_PAIRS`` sample pairs are built and
-    measured together, with each step's arithmetic unchanged, so the result
-    does not depend on the block.
-    Returns summary statistics; raises :class:`MeshError` on coverage
-    failure or containment violation, and reports collisions as a count.
+    The order is replayed by :func:`verify_order` first, so only growth
+    steps the mesh confirms are sampled. For each growth step, the donor
+    triangle is sampled on an interior barycentric lattice and pushed
+    across the shared edge. The push depends only on the lattice point, so
+    it is computed once: every pushed point must stay inside the closed
+    simplex, and at least one must land strictly inside the new triangle
+    (coverage). Checked per step: no two distinct samples collide (world
+    distance below 1e-9 flags a pair). The images of as many steps as hold
+    ``_BLOCK_PAIRS`` sample pairs are built and measured together, with
+    each step's arithmetic unchanged, so the result does not depend on the
+    block. Returns summary statistics; raises :class:`MeshError` on an order the
+    replay refuses, coverage failure or containment violation, and reports
+    collisions as a count.
     """
     if samples_per_cell < 4:
         raise MeshError("push-through sampling needs samples_per_cell >= 4 for coverage")
-    if order is None or certificates is None:
-        order, certificates = exhaustion_order(mesh)
+    tri, donor, e0, e1 = verify_order(mesh, order)
     lattice = _triangle_lattice(samples_per_cell)
     # lattice points are given on (shared edge, opposite vertex) of the donor
     pushed = [push_through(b) for b in lattice]
@@ -396,12 +374,9 @@ def collar_map_samples(mesh, order=None, certificates=None, samples_per_cell=4):
     into_new = np.array([region == "new" for region, _ in pushed])
     B = np.array([out for _, out in pushed])
     new_count = int(into_new.sum())
-    grown = [c for c in certificates if c["kind"] == "growth"]
-    if grown and new_count == 0:
-        raise MeshError(f"no sample pushed into triangle {grown[0]['triangle']}; coverage failed")
-    tri = np.array([c["triangle"] for c in grown], dtype=int)
-    donor = np.array([c["donor"] for c in grown], dtype=int)
-    e0, e1 = np.array([c["edge"] for c in grown], dtype=int).reshape(-1, 2).T
+    n_growth = len(tri)
+    if n_growth and new_count == 0:
+        raise MeshError(f"no sample pushed into triangle {tri[0]}; coverage failed")
     # opposite vertex: the first vertex of the new triangle (and of the
     # donor) that is not on the shared edge
     corners = mesh.triangles[np.stack([tri, donor])]
@@ -414,7 +389,7 @@ def collar_map_samples(mesh, order=None, certificates=None, samples_per_cell=4):
     min_pair = np.inf
     collisions = 0
     steps = max(1, _BLOCK_PAIRS // len(iu))
-    for lo in range(0, len(grown), steps):
+    for lo in range(0, n_growth, steps):
         block = slice(lo, lo + steps)
         # (xyz, steps, samples) images with each step's arithmetic; the
         # squared distances add x, y, z left to right, as a sum over xyz does
@@ -429,7 +404,6 @@ def collar_map_samples(mesh, order=None, certificates=None, samples_per_cell=4):
         dist = np.sqrt(d[0] + d[1] + d[2])
         min_pair = min(min_pair, float(dist.min()))
         collisions += int(np.count_nonzero(dist < 1e-9))
-    n_growth = len(grown)
     return {
         "growth_steps": n_growth,
         "samples_per_step": len(lattice),

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import GeometryError
+from .potentials import SampledPotential
 
 TWO_PI = 2.0 * np.pi
 MAX_DEPTH_NODES = 10**6  # full-grid node bound; the disk at M=512 has about 1 700
@@ -336,8 +337,6 @@ def conformal_potential(geometry, gamma, n_ambient):
 
     ``gamma`` is a callable of the depth ``t``.
     """
-    from .potentials import SampledPotential
-
     if n_ambient < 3:
         raise GeometryError(f"conformal reduction needs ambient dim >= 3, got {n_ambient}")
     ts = geometry.ts

@@ -21,6 +21,7 @@ quantify that imprint:
 import numpy as np
 
 from .errors import GeometryError
+from .exhaustion import smooth_min
 from .source_bvp import solve_source_bvp
 
 OFFDIAG_THRESHOLD = 1e-6
@@ -146,8 +147,6 @@ def zeta_pairing(geometry, kernel):
     ``log(1 + log+(1/d))``. Scores have no pass or fail meaning; they track
     how oscillation-resolved the far field is.
     """
-    from .exhaustion import smooth_min
-
     kernel = np.asarray(kernel, dtype=float)
     d = _circular_distance(geometry.theta)
     w = geometry.node_weight(0.0)

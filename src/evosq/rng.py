@@ -5,6 +5,8 @@ platforms: same seed, same stream, no dependence on numpy's generator
 versioning. The mixer is the standard splitmix64 finalizer.
 """
 
+import math
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -31,8 +33,6 @@ class SplitMix64:
 
     def normals(self, n):
         """Standard normals via Box-Muller on the deterministic stream."""
-        import math
-
         out = []
         while len(out) < n:
             u1 = self.next_float()

@@ -31,6 +31,7 @@ With matching potentials every sweep is identically zero (the null test in
 
 import numpy as np
 
+from .dnmap import solve_interior
 from .errors import GeometryError
 from .evolution import PairOperator, evolve_tensor_backward, evolve_tensor_forward, shared_geometry
 
@@ -124,8 +125,6 @@ def layer_strip_check(family1, family2, f1, f2):
     rule; a family's kept ``chain`` spares its interior solve an elimination.
     Returns both sides and the relative gap.
     """
-    from .dnmap import solve_interior
-
     g = shared_geometry(family1, family2)
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)

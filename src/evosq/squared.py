@@ -34,10 +34,9 @@ in ``W`` is amplified. Multiplying ``W`` by ``1 + 1e-16 z`` (``z`` standard
 normal) moved the factorized and expanded-double residuals by up to 5.6e-10
 and 3.1e-9 relative at N=32, M=64 and by up to 2.9e-8 and 1.4e-7 at
 N=128, M=256 (five draws each). A round-off change upstream of ``W`` moves
-them that far, and a round-off change of the maps further: inverting the
-dense pivots by Schur halving instead of an LU solve moved the maps by
-up to 2.1e-14 relative and these residuals by up to 3.8e-8 relative at N=32,
-M=64 (expanded-double, disk).
+them that far, and a round-off change of the maps further: a change of the
+maps by up to 2.1e-14 relative moved these residuals by up to 3.8e-8
+relative at N=32, M=64 (expanded-double, disk).
 """
 
 import numpy as np

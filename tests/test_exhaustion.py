@@ -234,20 +234,17 @@ def test_off_loader_raises_only_format_or_mesh_errors(tmp_path_factory, text):
 
 def test_exhaustion_deterministic():
     m = annulus_mesh(4, 12)
-    o1, c1 = exhaustion_order(m)
-    o2, c2 = exhaustion_order(m)
-    assert o1 == o2
-    assert c1 == c2
-    assert verify_order(m, o1, c1)
+    o1 = exhaustion_order(m)
+    assert o1 == exhaustion_order(m)
+    verify_order(m, o1)
 
 
 def test_exhaustion_covers_all_triangles():
     m = disk_mesh(5, 16)
-    order, certs = exhaustion_order(m)
+    order = exhaustion_order(m)
     assert sorted(order) == list(range(m.n_triangles))
-    kinds = {c["kind"] for c in certs}
-    assert kinds == {"collar", "growth"}
-    assert verify_order(m, order, certs)
+    grown = verify_order(m, order)[0]
+    assert 0 < len(grown) < m.n_triangles  # both collar and growth steps
 
 
 def test_exhaustion_refuses_closed_surface():
@@ -269,97 +266,55 @@ def test_exhaustion_reports_unreachable_component():
         exhaustion_order(m)
 
 
-def test_verify_rejects_tampered_donor():
-    m = annulus_mesh(3, 10)
-    order, certs = exhaustion_order(m)
-    bad = [dict(c) for c in certs]
-    for c in bad:
-        if c["kind"] == "growth":
-            c["donor"] = order[-1] if c["triangle"] != order[-1] else order[-2]
-            break
-    with pytest.raises(MeshError, match="unabsorbed donor|not an edge"):
-        verify_order(m, order, bad)
-
-
-def test_verify_rejects_tampered_edge():
-    m = annulus_mesh(3, 10)
-    order, certs = exhaustion_order(m)
-    bad = [dict(c) for c in certs]
-    for c in bad:
-        if c["kind"] == "growth":
-            c["edge"] = (0, len(m.vertices) - 1)
-            break
-    with pytest.raises(MeshError, match="not an edge"):
-        verify_order(m, order, bad)
-
-
-def test_verify_rejects_reordered_pairs():
-    m = strip_mesh(4, 4)
-    order, certs = exhaustion_order(m)
-    swapped = list(order)
-    swapped[0], swapped[-1] = swapped[-1], swapped[0]
-    with pytest.raises(MeshError, match="names triangle"):
-        verify_order(m, swapped, certs)
-
-
 def test_verify_rejects_non_permutation():
     m = strip_mesh(2, 2)
-    order, certs = exhaustion_order(m)
+    order = exhaustion_order(m)
     with pytest.raises(MeshError, match="permutation"):
-        verify_order(m, [order[0]] * len(order), certs)
-    with pytest.raises(MeshError, match="certificate count"):
-        verify_order(m, order, certs[:-1])
+        verify_order(m, [order[0]] * len(order))
+    with pytest.raises(MeshError, match="permutation"):
+        verify_order(m, order[:-1])
 
 
-def test_verify_rejects_unknown_kind():
-    m = strip_mesh(2, 2)
-    order, certs = exhaustion_order(m)
-    bad = [dict(c) for c in certs]
-    bad[0]["kind"] = "teleport"
-    with pytest.raises(MeshError, match="unknown certificate kind"):
-        verify_order(m, order, bad)
-
-
-def test_verify_rejects_fake_collar():
+def test_verify_rejects_an_interior_triangle_ahead_of_its_neighbours():
     # inner triangles of a large disk touch no boundary vertex
     m = disk_mesh(6, 12)
-    order, certs = exhaustion_order(m)
-    bad = [dict(c) for c in certs]
-    victim = next(i for i, c in enumerate(bad) if c["kind"] == "growth")
-    bad[victim] = {"kind": "collar", "triangle": bad[victim]["triangle"]}
-    with pytest.raises(MeshError, match="does not touch the boundary"):
-        verify_order(m, order, bad)
+    order = exhaustion_order(m)
+    moved = [order[-1]] + order[:-1]
+    with pytest.raises(MeshError, match=f"step 0: triangle {order[-1]} touches no boundary"):
+        verify_order(m, moved)
 
 
-def _replayed_by_a_loop(mesh, order, certificates):
-    """Reference: replay the certificates one step at a time; the first
-    violation's message, or True."""
-    edge_count = {}
-    for tri in mesh.triangles.tolist():
-        for u, v in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            k = frozenset((u, v))
-            edge_count[k] = edge_count.get(k, 0) + 1
-    boundary = {v for k, cnt in edge_count.items() if cnt == 1 for v in k}
-    seen = set()
-    for step, (f, cert) in enumerate(zip(order, certificates)):
-        if cert["triangle"] != f:
-            return f"certificate {step} names triangle {cert['triangle']}, order has {f}"
-        tri_verts = set(mesh.triangles[f].tolist())
-        if cert["kind"] == "collar":
-            if not tri_verts & boundary:
-                return f"collar certificate for triangle {f} does not touch the boundary"
-        elif cert["kind"] == "growth":
-            donor, edge = cert["donor"], frozenset(cert["edge"])
-            if donor not in seen:
-                return f"growth certificate for triangle {f} cites unabsorbed donor {donor}"
-            if len(edge) != 2 or not edge <= tri_verts:
-                return f"claimed edge {sorted(edge)} is not an edge of triangle {f}"
-            if not edge <= set(mesh.triangles[donor].tolist()):
-                return f"claimed edge {sorted(edge)} is not an edge of donor {donor}"
-        else:
-            return f"unknown certificate kind {cert['kind']!r}"
+def _replayed_by_a_loop(mesh, order):
+    """Reference: replay the order one step at a time; the growth steps as
+    lists (triangle, donor, edge_lo, edge_hi), or the first violation's
+    message."""
+    if sorted(order) != list(range(mesh.n_triangles)):
+        return "order is not a permutation of the triangles"
+    tris = mesh.triangles.tolist()
+    uses = {}
+    for f, (a, b, c) in enumerate(tris):
+        for u, v in ((a, b), (b, c), (c, a)):
+            uses.setdefault((min(u, v), max(u, v)), []).append(f)
+    boundary = {v for edge, fs in uses.items() if len(fs) == 1 for v in edge}
+    seen, steps = set(), []
+    for step, f in enumerate(order):
+        if not boundary & set(tris[f]):
+            a, b, c = tris[f]
+            shared = sorted(
+                ((min(u, v), max(u, v)), g)
+                for u, v in ((a, b), (b, c), (c, a))
+                for g in uses[(min(u, v), max(u, v))]
+                if g != f and g in seen
+            )
+            if not shared:
+                return (
+                    f"step {step}: triangle {f} touches no boundary vertex and shares "
+                    "no edge with an earlier triangle"
+                )
+            (lo, hi), donor = shared[0]
+            steps.append((f, donor, lo, hi))
         seen.add(f)
-    return True
+    return [list(column) for column in zip(*steps)] or [[], [], [], []]
 
 
 _REPLAY_MESH = disk_mesh(3, 8)  # 40 triangles; the center fan touches no boundary vertex
@@ -367,47 +322,46 @@ _REPLAY_ORDER = exhaustion_order(_REPLAY_MESH)
 
 
 @st.composite
-def _tampered_certificates(draw):
-    """The disk's order and certificates with up to four edits: a wrong
-    triangle, an unknown kind, a fake collar, another donor (the triangle
-    itself among them), a foreign edge or one vertex of the shared edge
-    twice, or two order entries swapped."""
-    order, certs = _REPLAY_ORDER
-    order, certs = list(order), [dict(c) for c in certs]
-    n, nv = len(order), len(_REPLAY_MESH.vertices)
+def _swapped_orders(draw):
+    """The disk's order with up to four pairs of entries swapped."""
+    order = list(_REPLAY_ORDER)
+    n = len(order)
     for _ in range(draw(st.integers(0, 4))):
-        s = draw(st.integers(0, n - 1))
-        edit = draw(st.sampled_from(["triangle", "kind", "collar", "donor", "edge", "swap"]))
-        if edit == "triangle":
-            certs[s]["triangle"] = draw(st.integers(0, n - 1))
-        elif edit == "kind":
-            certs[s]["kind"] = "teleport"
-        elif edit == "collar":
-            certs[s] = {"kind": "collar", "triangle": certs[s]["triangle"]}
-        elif edit == "donor" and certs[s]["kind"] == "growth":
-            itself = st.just(certs[s]["triangle"])
-            certs[s]["donor"] = draw(st.one_of(itself, st.integers(0, n - 1)))
-        elif edit == "edge" and certs[s]["kind"] == "growth":
-            a = certs[s]["edge"][0]
-            vertex = st.integers(0, nv - 1)
-            certs[s]["edge"] = draw(st.one_of(st.tuples(vertex, vertex), st.just((a, a))))
-        elif edit == "swap":
-            t = draw(st.integers(0, n - 1))
-            order[s], order[t] = order[t], order[s]
-    return order, certs
+        s, t = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        order[s], order[t] = order[t], order[s]
+    return order
 
 
 @_EXAMPLES
-@given(_tampered_certificates())
-def test_verify_reports_the_violation_a_step_loop_finds_first(tampered):
-    order, certs = tampered
-    expected = _replayed_by_a_loop(_REPLAY_MESH, order, certs)
-    if expected is True:
-        assert verify_order(_REPLAY_MESH, order, certs)
-    else:
+@given(_swapped_orders())
+def test_verify_reports_the_violation_a_step_loop_finds_first(order):
+    expected = _replayed_by_a_loop(_REPLAY_MESH, order)
+    if isinstance(expected, str):
         with pytest.raises(MeshError) as err:
-            verify_order(_REPLAY_MESH, order, certs)
+            verify_order(_REPLAY_MESH, order)
         assert str(err.value) == expected
+    else:
+        assert [column.tolist() for column in verify_order(_REPLAY_MESH, order)] == expected
+
+
+@pytest.mark.parametrize(
+    "mesh", [strip_mesh(4, 4), annulus_mesh(3, 10), disk_mesh(6, 12)], ids=["strip", "annulus", "disk"]
+)
+def test_verify_derives_the_growth_steps_a_step_loop_derives(mesh):
+    order = exhaustion_order(mesh)
+    expected = _replayed_by_a_loop(mesh, order)
+    assert [column.tolist() for column in verify_order(mesh, order)] == expected
+
+
+def test_collar_map_sampling_refuses_an_order_the_replay_refuses():
+    # triangle 0 lies in the center fan; taken first after the collar it
+    # has no absorbed neighbor to be pushed from
+    order = list(_REPLAY_ORDER)
+    collar = len(order) - len(verify_order(_REPLAY_MESH, order)[0])
+    order.remove(0)
+    order.insert(collar, 0)
+    with pytest.raises(MeshError, match=f"step {collar}: triangle 0 touches no boundary"):
+        collar_map_samples(_REPLAY_MESH, order)
 
 
 # -- push-through maps -------------------------------------------------------------
@@ -456,8 +410,7 @@ def test_push_through_depth_monotone_near_edge():
 
 def test_collar_map_sampling_clean():
     m = annulus_mesh(3, 12)
-    order, certs = exhaustion_order(m)
-    res = collar_map_samples(m, order, certs, samples_per_cell=4)
+    res = collar_map_samples(m, exhaustion_order(m), samples_per_cell=4)
     assert res["growth_steps"] > 0
     assert res["collisions"] == 0
     assert res["min_new_samples"] >= 1
@@ -471,20 +424,18 @@ def _jittered_disk(rings, sectors, seed, amplitude):
     return SurfaceMesh(base.vertices + jitter, base.triangles)
 
 
-def _pushed_step_by_step(m, certs, samples_per_cell):
-    """Reference: push every lattice point again at every growth step, as a
-    loop; (min_pair_distance, collisions, min_new_samples)."""
+def _pushed_step_by_step(m, order, samples_per_cell):
+    """Reference: push every lattice point again at every growth step of the
+    loop replay, as a loop; (min_pair_distance, collisions, min_new_samples)."""
     P = m.vertices
     min_pair, collisions, min_new = np.inf, 0, np.inf
-    for cert in certs:
-        if cert["kind"] != "growth":
-            continue
-        edge = tuple(cert["edge"])
+    for f, donor, lo, hi in zip(*_replayed_by_a_loop(m, order)):
+        edge = (lo, hi)
         images, new = [], 0
         for b in _triangle_lattice(samples_per_cell):
             region, out = push_through(b)
             new += region == "new"
-            tri = cert["triangle"] if region == "new" else cert["donor"]
+            tri = f if region == "new" else donor
             opp = next(int(v) for v in m.triangles[tri] if v not in edge)
             images.append(out[0] * P[edge[0]] + out[1] * P[edge[1]] + out[2] * P[opp])
         pts = np.asarray(images)
@@ -498,9 +449,9 @@ def _pushed_step_by_step(m, certs, samples_per_cell):
 
 def test_collar_map_sampling_matches_a_per_step_push():
     m = _jittered_disk(3, 12, seed=0, amplitude=0.02)
-    order, certs = exhaustion_order(m)
-    min_pair, collisions, min_new = _pushed_step_by_step(m, certs, 4)
-    res = collar_map_samples(m, order, certs, samples_per_cell=4)
+    order = exhaustion_order(m)
+    min_pair, collisions, min_new = _pushed_step_by_step(m, order, 4)
+    res = collar_map_samples(m, order, samples_per_cell=4)
     assert res["min_pair_distance"] == min_pair
     assert res["collisions"] == collisions
     assert res["min_new_samples"] == min_new
@@ -508,7 +459,8 @@ def test_collar_map_sampling_matches_a_per_step_push():
 
 def test_collar_map_sampling_validates_density():
     with pytest.raises(MeshError, match=">= 4"):
-        collar_map_samples(strip_mesh(2, 2), samples_per_cell=2)
+        m = strip_mesh(2, 2)
+        collar_map_samples(m, exhaustion_order(m), samples_per_cell=2)
 
 
 @pytest.mark.parametrize(
@@ -520,9 +472,9 @@ def test_collar_map_sampling_across_blocks_matches_a_per_step_push(
 ):
     # full blocks and a partial one; at density 20 a block is one step
     m = _jittered_disk(rings, sectors, seed=1, amplitude=0.01)
-    order, certs = exhaustion_order(m)
-    min_pair, collisions, min_new = _pushed_step_by_step(m, certs, samples_per_cell)
-    res = collar_map_samples(m, order, certs, samples_per_cell=samples_per_cell)
+    order = exhaustion_order(m)
+    min_pair, collisions, min_new = _pushed_step_by_step(m, order, samples_per_cell)
+    res = collar_map_samples(m, order, samples_per_cell=samples_per_cell)
     lattice = res["samples_per_step"]
     steps = max(1, _BLOCK_PAIRS // (lattice * (lattice - 1) // 2))
     assert res["growth_steps"] == growth_steps > steps
@@ -535,10 +487,10 @@ def test_collar_map_sampling_across_blocks_matches_a_per_step_push(
 def test_collar_map_sampling_memory_does_not_grow_with_density():
     # a block holds a fixed number of sample pairs, not a fixed number of steps
     m = _jittered_disk(3, 12, seed=1, amplitude=0.01)
-    order, certs = exhaustion_order(m)
+    order = exhaustion_order(m)
     tracemalloc.start()
     try:
-        collar_map_samples(m, order, certs, samples_per_cell=20)
+        collar_map_samples(m, order, samples_per_cell=20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
