@@ -14,9 +14,9 @@ unless ``mesh`` is given) is typed by the selected row and refused with any othe
 
 Exit codes: 0 all checks passed; 1 a check failed; 2 configuration error
 (unknown key, bad value, malformed config file, an ``--out`` that cannot be
-a directory); 3 numerical failure
+a directory, a problem too large to allocate on this host); 3 numerical failure
 (singular pivot, escaped integration, non-convergent implicit step, bad
-input data files).
+input data files; an unreadable matrix file raises ``FormatError`` alone).
 """
 
 import argparse
@@ -571,8 +571,9 @@ def main(argv=None):
         except OSError as exc:
             raise ConfigError(f"cannot make output directory {args.out}: {exc}") from None
         results, passed = runner(typed, args.out)
-    except (ConfigError, GeometryError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, GeometryError, MemoryError) as exc:
+        too_large = "problem too large for this host: " if isinstance(exc, MemoryError) else ""
+        print(f"config error: {too_large}{exc}", file=sys.stderr)
         if not existed and os.path.isdir(args.out) and not os.listdir(args.out):
             os.rmdir(args.out)  # made by this call and still empty
         return 2

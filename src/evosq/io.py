@@ -84,7 +84,10 @@ def read_matrix(path, expected_geometry_hash=None):
     need = off + 8 * count
     if len(raw) != need:
         raise FormatError(f"{path}: payload size {len(raw) - off} != {8 * count}")
-    arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(dims).copy()
+    try:
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(dims).copy()
+    except ValueError as exc:  # an empty payload beside dims whose product numpy cannot hold
+        raise FormatError(f"{path}: dimensions {dims} form no array: {exc}") from None
 
     sidecar_path = Path(str(path) + ".json")
     sidecar = None

@@ -658,6 +658,16 @@ def test_global_march_reaches_cap(tmp_path):
         assert nxt["start"] == pytest.approx(w["end"])
 
 
+def test_a_problem_too_large_for_the_host_exits_2_and_leaves_no_directory(tmp_path, monkeypatch, capsys):
+    def too_large(cfg, out):  # what numpy raises for an (N, N) array past the host's memory
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
+
+    monkeypatch.setitem(cli._SCENARIOS, "null-test", (too_large, _SCENARIOS["null-test"][1]))
+    code, out, summary = _run(tmp_path, "null-test", "--override", "N=1000000", sub="new")
+    assert code == 2 and summary is None and not out.exists()
+    assert "config error: problem too large for this host: Unable to allocate" in capsys.readouterr().err
+
+
 def test_global_march_computes_one_chain_per_family(tmp_path, monkeypatch):
     # two windows on the default annulus with two families each; the null
     # test pairs the q1 family with itself instead of eliminating it again

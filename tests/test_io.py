@@ -1,7 +1,10 @@
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evosq.errors import FormatError
 from evosq.io import (
@@ -90,6 +93,41 @@ def test_implausible_rank(tmp_path):
     p.write_bytes(MAGIC + struct.pack("<I", 99))
     with pytest.raises(FormatError, match="rank"):
         read_matrix(p)
+
+
+_DIM = st.one_of(st.sampled_from([0, 1, 2, 3, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def _damaged_files(draw):
+    """Header and payload with a wrong magic, rank, dimension, size or length, or none of these."""
+    magic = draw(st.sampled_from([MAGIC, MAGIC, b"EVSQ2", b"NOPE!"]))
+    dims = draw(st.lists(_DIM, max_size=10))
+    rank = draw(st.one_of(st.just(len(dims)), st.integers(0, 2**32 - 1)))
+    count = math.prod(dims)
+    size = 8 * count if count <= 64 else draw(st.integers(0, 64))
+    size += draw(st.sampled_from([0, 0, 8, -8, 3]))  # right-sized or mis-sized
+    payload = draw(st.binary(min_size=max(size, 0), max_size=max(size, 0)))
+    raw = magic + struct.pack(f"<{1 + len(dims)}I", rank, *dims) + payload
+    return raw[: draw(st.one_of(st.just(len(raw)), st.integers(0, len(raw))))]  # or truncated
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_damaged_files())
+@example(MAGIC + struct.pack("<4I", 3, 2**32 - 1, 2**32 - 1, 0))
+@example(MAGIC + struct.pack("<4I", 3, 2**32 - 1, 0, 2**31))
+def test_a_damaged_file_reads_or_raises_format_error_only(tmp_path_factory, raw):
+    p = tmp_path_factory.getbasetemp() / "fuzz.evsq"
+    p.write_bytes(raw)
+    try:
+        arr, _ = read_matrix(p)
+    except FormatError:
+        return
+    # a file that reads is exactly its header and its payload
+    assert raw[: len(MAGIC)] == MAGIC and struct.unpack_from("<I", raw, len(MAGIC)) == (arr.ndim,)
+    off = len(MAGIC) + 4 + 4 * arr.ndim
+    assert struct.unpack_from(f"<{arr.ndim}I", raw, len(MAGIC) + 4) == arr.shape
+    assert raw[off:] == arr.astype("<f8").tobytes()
 
 
 def test_hash_mismatch_warns_but_returns(tmp_path):

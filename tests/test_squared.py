@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evosq.dnmap import compute_dn_family, dn_mode_symbol
 from evosq.errors import GeometryError
@@ -15,6 +17,7 @@ from evosq.squared import (
     scalar_factorized_apply,
     second_derivative,
 )
+from tests.conftest import Q1_SPEC, Q2_SPEC
 
 
 def _trapezoid_norm(ts):
@@ -176,8 +179,8 @@ def test_nonuniform_grid_rejected():
             stencil(np.ones(4), ts)
 
 
-def _residual_setup():
-    g = build_warped_geometry(make_profile("annulus", rho=0.25), N=32, M=64, eps=0.3)
+def _residual_setup(M=64):
+    g = build_warped_geometry(make_profile("annulus", rho=0.25), N=32, M=M, eps=0.3)
     fam1 = compute_dn_family(g, 1.0)
     fam2 = compute_dn_family(g, -0.5)
     op = PairOperator(fam1, fam2)
@@ -185,7 +188,7 @@ def _residual_setup():
     return op, field
 
 
-def _peak_fields(run, field):
+def _peak_slices(run, field):
     run()  # warm any per-geometry cache
     tracemalloc.start()
     try:
@@ -194,17 +197,142 @@ def _peak_fields(run, field):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (peak - base) / field.nbytes
+    return (peak - base) / field[0].nbytes
+
+
+# the walk holds a window of W, Y and A W slices plus one slice's temporaries
+# (measured: 19 slices for the residual, 12 beside the output field for one variant)
+_FEW_SLICES = 24
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_residual_allocates_at_most_two_and_a_half_fields(variant):
-    # the depth derivatives are stencils: no (M+1)^2 matrix and no spare field
+def test_apply_variant_allocates_one_field_and_a_few_slices(variant):
+    # the depth derivatives are row stencils: no (M+1)^2 matrix and no whole-field temporary
     op, field = _residual_setup()
-    assert _peak_fields(lambda: apply_variant(op, field, variant), field) <= 2.5
+    assert _peak_slices(lambda: apply_variant(op, field, variant), field) <= len(field) + _FEW_SLICES
 
 
 def test_residual_frees_each_variant_before_the_next():
-    # each variant's applied field is freed before the next is applied: a kept one reads about 3
-    op, field = _residual_setup()
-    assert _peak_fields(lambda: kernel_residual(op, field), field) <= 2.5
+    # one walk keeps norms only: the same few slices at any depth resolution
+    for M in (64, 256):
+        op, field = _residual_setup(M)
+        assert _peak_slices(lambda: kernel_residual(op, field), field) <= _FEW_SLICES
+
+
+# -- the whole-field assembly the per-slice walk replaced, kept as a bit-for-bit reference
+
+
+def _reference_d1(u, h):
+    out = np.empty(u.shape)
+    np.subtract(u[2:], u[:-2], out=out[1:-1])
+    out[1:-1] *= 0.5 / h
+    out[0] = (u[1] - u[0]) / h
+    out[-1] = (u[-1] - u[-2]) / h
+    return out
+
+
+def _reference_d2(u, h):
+    out = np.empty(u.shape)
+    np.add(u[2:], u[:-2], out=out[1:-1])
+    out[1:-1] -= u[1:-1]
+    out[1:-1] -= u[1:-1]
+    out[0] = 2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]
+    out[-1] = 2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]
+    out /= h * h
+    return out
+
+
+def _reference_apply(pair_op, W, variant):
+    g = pair_op.geometry
+    ts = g.collar_ts
+    h = float(ts[1] - ts[0])
+    if variant == "factorized":
+        Y = _reference_d1(W, h)
+        for j in range(ts.size):
+            Y[j] += pair_op.apply(j, W[j])
+        V = np.exp(2.0 * g.mu(ts))
+        Y *= V[:, None, None]
+        Z = _reference_d1(Y, h)
+        for j in range(ts.size):
+            Z[j] = (pair_op.apply(j, Y[j]) - Z[j]) / V[j]
+        return Z
+    mu_dot = g.mu_dot(ts)
+    Z = _reference_d1(W, h)
+    Z *= -2.0 * mu_dot[:, None, None]
+    Z -= _reference_d2(W, h)
+    f1, f2 = pair_op.family1, pair_op.family2
+    eye = np.eye(g.N)
+    half, cross = (0.5, 2.0) if variant == "expanded-double" else (1.0, 1.0)
+    for j in range(ts.size):
+        mu = float(mu_dot[j])
+        L = g.laplacian_matrix(float(ts[j]))
+        Zj = Z[j]
+        Zj += L @ W[j] + W[j] @ L.T
+        Zj += f1.q[j][:, None] * W[j] + W[j] * f2.q[j][None, :]
+        B1 = f1.lams[j] - half * mu * eye
+        B2 = f2.lams[j] - half * mu * eye
+        Zj += cross * (B1 @ W[j] @ B2.T) - half * mu * mu * W[j]
+    return Z
+
+
+def _reference_residual(pair_op, W):
+    interior = range(2, pair_op.geometry.M - 1)
+    scale = max(max(float(np.linalg.norm(pair_op.apply(j, W[j]))) for j in interior), 1e-30)
+
+    def worst(applied):
+        return max(float(np.linalg.norm(applied[j]) / scale) for j in interior)
+
+    return {variant: worst(_reference_apply(pair_op, W, variant)) for variant in VARIANTS}
+
+
+_GEOMETRIES = {"annulus": {"rho": 0.25}, "disk": {}, "flat-cylinder": {"T": 0.9}}
+
+
+def _pair(geometry, N, M, q1, q2):
+    g = build_warped_geometry(make_profile(geometry, **_GEOMETRIES[geometry]), N=N, M=M, eps=0.3)
+    return PairOperator(compute_dn_family(g, q1), compute_dn_family(g, q2))
+
+
+def _assert_bit_for_bit(op, field):
+    ts = op.geometry.collar_ts
+    h = float(ts[1] - ts[0])
+    assert np.array_equal(sbp_derivative(field, ts), _reference_d1(field, h))
+    assert np.array_equal(second_derivative(field, ts), _reference_d2(field, h))
+    for variant in VARIANTS:
+        got, want = apply_variant(op, field, variant), _reference_apply(op, field, variant)
+        for j in range(len(want)):
+            assert np.array_equal(got[j], want[j]), (variant, j)
+    got, want = kernel_residual(op, field), _reference_residual(op, field)
+    assert all(got[variant] == want[variant] for variant in VARIANTS), (got, want)
+
+
+@pytest.mark.parametrize("geometry", sorted(_GEOMETRIES))
+def test_walk_equals_the_whole_field_assembly_bit_for_bit(geometry):
+    op = _pair(geometry, 32, 64, Q1_SPEC, Q2_SPEC)
+    g = op.geometry
+    evolved = evolved_rank_one(op.family1, op.family2, np.cos(g.theta) + 0.3, np.sin(2 * g.theta))
+    _assert_bit_for_bit(op, evolved)
+    _assert_bit_for_bit(op, np.random.default_rng(1).standard_normal(evolved.shape))
+
+
+_bumps = st.fixed_dictionaries({
+    "kind": st.just("bump"),
+    "amplitude": st.floats(-2.0, 3.0),
+    "theta0": st.floats(0.0, 6.3),
+    "t0": st.floats(0.0, 0.3),
+    "width": st.floats(0.1, 0.5),
+})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    geometry=st.sampled_from(sorted(_GEOMETRIES)),
+    N=st.sampled_from([8, 12]),
+    M=st.sampled_from([8, 9, 16]),
+    q1=_bumps,
+    q2=_bumps,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_walk_equals_the_whole_field_assembly_on_random_fields(geometry, N, M, q1, q2, seed):
+    op = _pair(geometry, N, M, q1, q2)
+    _assert_bit_for_bit(op, np.random.default_rng(seed).standard_normal((M + 1, N, N)))
