@@ -15,8 +15,10 @@ unless ``mesh`` is given) is typed by the selected row and refused with any othe
 Exit codes: 0 all checks passed; 1 a check failed; 2 configuration error
 (unknown key, bad value, malformed config file, an ``--out`` that cannot be
 a directory, a problem too large to allocate on this host); 3 numerical failure
-(singular pivot, escaped integration, non-convergent implicit step, bad
-input data files; an unreadable matrix file raises ``FormatError`` alone).
+(singular pivot, escaped integration, non-convergent implicit step, a
+result that overflowed to a non-finite value, which ``summary.json`` never
+holds, bad input data files; an unreadable matrix file raises
+``FormatError`` alone).
 """
 
 import argparse
@@ -571,6 +573,9 @@ def main(argv=None):
         except OSError as exc:
             raise ConfigError(f"cannot make output directory {args.out}: {exc}") from None
         results, passed = runner(typed, args.out)
+        text = evsq_io.dump_json(
+            {"scenario": args.scenario, "config": cfg, "results": results, "passed": bool(passed)}
+        )
     except (ConfigError, GeometryError, MemoryError) as exc:
         too_large = "problem too large for this host: " if isinstance(exc, MemoryError) else ""
         print(f"config error: {too_large}{exc}", file=sys.stderr)
@@ -581,9 +586,8 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
-    summary = {"scenario": args.scenario, "config": cfg, "results": results, "passed": bool(passed)}
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        fh.write(evsq_io.dump_json(summary))
+        fh.write(text)
     status = "PASS" if passed else "FAIL"
     print(f"{args.scenario}: {status}")
     return 0 if passed else 1

@@ -21,10 +21,18 @@ the whole collar but keeps no deeper slice than the one it steps from.
 
 All steppers are trapezoidal (second order); both transports are one
 stepper run down or up the collar. Its implicit half-step is a symmetric
-positive system solved matrix-free by conjugate gradients (Frobenius inner
-products) to ``_CG_TOL``. Pin no bound finer than its noise in ``rel_error``:
-about 5e-9 relative in the headline at N=32, M=64 (5e-8 at M=128), but 7.5e-7
-in a global-march window (N=32, M=64), where ``rel_error`` is only 4e-4 to 3e-3.
+positive system solved matrix-free by conjugate gradients to ``_CG_TOL``,
+in place with one scratch slice. Each solve is recycled into the next step:
+the step to node ``i`` ends with ``W_i + (h/2)(A_i - m_i) W_i = B - r``, ``r``
+being CG's own residual, so the next explicit half costs no operator apply
+(a sweep applies it on its first step only), and the last two explicit
+halves start CG from an Adams-Bashforth prediction. CG's inner products are
+``einsum`` reductions, not BLAS dots; as OpenBLAS splits a GEMM by output
+blocks, a transport is then bit-identical under any BLAS thread count. Pin
+no bound finer than CG's noise in ``rel_error``: a 1e-15-tolerance rerun
+moves the headline by 2e-9 to 9e-9 relative at N=32, M=64 (5e-8 to 1.7e-7
+at M=128) on the annulus, disk and flat cylinder, and a global-march window
+(N=32, M=64) by up to 1.4e-7, where ``rel_error`` is only 1e-3 to 6e-3.
 """
 
 import numpy as np
@@ -52,7 +60,9 @@ class PairOperator:
         self.family2 = family2
 
     def apply(self, j, W):
-        return self.family1.lams[j] @ W + W @ self.family2.lams[j].T
+        AW = self.family1.lams[j] @ W
+        AW += W @ self.family2.lams[j].T
+        return AW
 
     def volume_rate(self, j):
         return 2.0 * float(self.geometry.mu_dot(float(self.geometry.collar_ts[j])))
@@ -63,26 +73,39 @@ class PairOperator:
 # ---------------------------------------------------------------------------
 
 
-def _cg(apply_op, B, x0=None, tol=_CG_TOL, maxiter=_CG_MAXITER, context=""):
-    b_norm = np.linalg.norm(B)
+def _dot(X, Y):
+    """Frobenius inner product by numpy's own loop, not a BLAS dot: no thread count changes it."""
+    return float(np.einsum("ij,ij->", X, Y))
+
+
+def _cg(apply_op, B, x, tol=_CG_TOL, maxiter=_CG_MAXITER, context=""):
+    """Conjugate gradients for ``apply_op(x) = B`` from the start ``x``, updated in place.
+
+    Returns ``(x, r)`` with ``r`` CG's own residual ``B - apply_op(x)``;
+    zero ``B`` returns exact zeros for both. ``apply_op`` returns a fresh
+    array, which the loop uses as its scratch.
+    """
+    b_norm = np.sqrt(_dot(B, B))
     if b_norm == 0.0:
-        return np.zeros_like(B)
-    x = B.copy() if x0 is None else x0.copy()
+        x[...] = 0.0
+        return x, np.zeros_like(B)
     r = B - apply_op(x)
     p = r.copy()
-    rr = np.vdot(r, r).real
-    for it in range(maxiter):
+    rr = _dot(r, r)
+    for _ in range(maxiter):
         if np.sqrt(rr) <= tol * b_norm:
-            return x
+            return x, r
         Ap = apply_op(p)
-        alpha = rr / np.vdot(p, Ap).real
-        x += alpha * p
-        r -= alpha * Ap
-        rr_new = np.vdot(r, r).real
-        p = r + (rr_new / rr) * p
+        alpha = rr / _dot(p, Ap)
+        Ap *= alpha
+        r -= Ap
+        x += np.multiply(p, alpha, out=Ap)
+        rr_new = _dot(r, r)
+        p *= rr_new / rr
+        p += r
         rr = rr_new
     if np.sqrt(rr) <= tol * b_norm:
-        return x
+        return x, r
     raise StepFailureError(
         f"implicit step failed to converge{context}: residual {np.sqrt(rr) / b_norm:.3g}",
         iterations=maxiter,
@@ -114,6 +137,9 @@ def _transport(pair_op, W_start, nodes, rate, source, direction, rows):
 
     The stepper carries its current slice and returns the ``(rows, N, N)``
     array of the nodes below ``rows`` (all ``M + 1`` when ``rows`` is None).
+    ``D`` is the explicit half ``(h/2)(A_i - rate_i) W_i`` of the step from
+    node ``i``: applied on the first step, read off the last solve after it.
+    CG starts from an Euler, then an Adams-Bashforth (AB2), prediction.
     """
     g = pair_op.geometry
     ts = g.collar_ts
@@ -125,22 +151,41 @@ def _transport(pair_op, W_start, nodes, rate, source, direction, rows):
     W[...] = W_start
     if nodes[0] < rows:
         out[nodes[0]] = W
-    src_i = None if source is None else np.asarray(source(nodes[0]), dtype=float)
+    zero = np.zeros_like(W)
+    src = (lambda j: zero) if source is None else (lambda j: np.asarray(source(j), dtype=float))
+    src_i = src(nodes[0])
+    cX = np.empty_like(W)  # the op's one scratch slice
+    D = None
     for i, k in zip(nodes[:-1], nodes[1:]):
         h = abs(ts[k] - ts[i])
-        B = W - 0.5 * h * (pair_op.apply(i, W) - rate(i) * W)
-        if source is not None:
-            src_k = np.asarray(source(k), dtype=float)
-            B = B + 0.5 * h * (src_i + src_k)
-            src_i = src_k
+        src_k = src(k)
+        if D is None:
+            D = 0.5 * h * (pair_op.apply(i, W) - rate(i) * W)
+            B = W - D + 0.5 * h * (src_i + src_k)
+            W -= 2.0 * D  # Euler start
+            W += h * src_i
+        else:  # each update in place: D into the last residual, B into itself, the start into W
+            np.subtract(B, r, out=r)
+            r -= W
+            r *= h / h_prev
+            np.subtract(W, r, out=B)
+            B += 0.5 * h * (src_i + src_k)
+            W -= 3.0 * r
+            W += D
+            W += h * (1.5 * src_i - 0.5 * src_prev)
+            D = r
+        src_prev = src_i  # for the next AB2 start; the older source is freed before the solve
 
-        def op(X, _k=k, _h=h, _m=rate(k)):
+        def op(X, _k=k, _half=0.5 * h, _c=1.0 - 0.5 * h * rate(k)):
             AX = pair_op.apply(_k, X)
-            return X + 0.5 * _h * (AX - _m * X if _m else AX)  # saves two N^2 passes when m = 0
+            AX *= _half
+            AX += np.multiply(X, _c, out=cX)
+            return AX
 
-        W = _cg(op, B, x0=W, context=f" ({direction} step to node {k})")
+        W, r = _cg(op, B, W, context=f" ({direction} step to node {k})")
         if k < rows:
             out[k] = W
+        src_i, h_prev = src_k, h
     return out
 
 

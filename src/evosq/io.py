@@ -34,12 +34,15 @@ def write_matrix(path, array, sidecar):
     path : str or Path
         Target file; the sidecar goes to ``<path>.json``.
     array : ndarray
-        Real float payload. NaNs are refused.
+        Real float payload of rank at most 8, each dimension below 2**32
+        (what :func:`read_matrix` reads back). NaNs are refused.
     sidecar : dict
         Must contain the keys in ``SIDECAR_KEYS``.
     """
     path = Path(path)
-    arr = np.ascontiguousarray(array, dtype="<f8")
+    arr = np.asarray(array, dtype="<f8", order="C")  # keeps a 0-d array's rank
+    if arr.ndim > 8 or any(d >= 2**32 for d in arr.shape):
+        raise FormatError(f"refusing to write shape {arr.shape} to {path}: rank <= 8, dims < 2**32")
     if np.isnan(arr).any():
         raise FormatError(f"refusing to write NaN payload to {path}")
     missing = [k for k in SIDECAR_KEYS if k not in sidecar]
@@ -113,5 +116,14 @@ def read_matrix(path, expected_geometry_hash=None):
 
 
 def dump_json(obj):
-    """Canonical JSON text for summaries: sorted keys, stable floats, numpy values via tolist."""
-    return json.dumps(obj, sort_keys=True, indent=2, default=lambda o: o.tolist()) + "\n"
+    """Canonical JSON text for summaries: sorted keys, stable floats, numpy values via tolist.
+
+    As in matrix payloads, a NaN or an infinity is refused (``FormatError``).
+    """
+    try:
+        text = json.dumps(
+            obj, sort_keys=True, indent=2, allow_nan=False, default=lambda o: o.tolist()
+        )
+    except ValueError as exc:
+        raise FormatError(f"refusing to write a non-finite value: {exc}") from None
+    return text + "\n"

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evosq import cli
 from evosq.cli import _SCENARIOS, SCENARIOS, main
@@ -721,3 +725,53 @@ def test_convergence_study_writes_rates(tmp_path):
     lines = (out / "rates.csv").read_text().strip().splitlines()
     assert lines[0] == "level,N,M,error"
     assert len(lines) == 4
+
+
+# -- override fuzz of the transport's callers -----------------------------------
+
+# default-width bumps at which the N=16, M=16, eps=0.3 Dirichlet problem is
+# singular (found by bisection on the pole of Lam(0)): the chain must exit 3
+_RESONANT = {"annulus": -1562.2369384765625, "disk": -1556.6102294921875,
+             "flat-cylinder": -1527.160888671875}
+_AMPLITUDES = st.one_of(
+    st.floats(-1e4, 1e4), st.sampled_from(sorted(_RESONANT.values())), st.floats()
+)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"summary.json holds {name}")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    scenario=st.sampled_from(["null-test", "bvp-headline"]),
+    geometry=st.sampled_from(sorted(_RESONANT)),
+    N=st.one_of(st.sampled_from([8, 10, 12, 14, 16]), st.integers(0, 16)),
+    M=st.one_of(st.integers(8, 16), st.integers(0, 16)),
+    eps=st.one_of(
+        st.floats(0.02, 0.7), st.floats(-0.5, 2.0), st.sampled_from([0.0, 0.3, float("inf")])
+    ),
+    a1=_AMPLITUDES,
+    a2=_AMPLITUDES,
+)
+@example("bvp-headline", "annulus", 16, 16, 0.3, _RESONANT["annulus"], -2.0)
+@example("null-test", "flat-cylinder", 16, 16, 0.3, _RESONANT["flat-cylinder"], 0.0)
+@example("null-test", "annulus", 8, 8, 0.5, 4.290498537581631e155, 0.0)  # the map norm overflows
+def test_transport_overrides_exit_cleanly(tmp_path_factory, scenario, geometry, N, M, eps, a1, a2):
+    overrides = {"geometry": geometry, "N": N, "M": M, "eps": eps,
+                 "q1": {"kind": "bump", "amplitude": a1}}
+    if scenario == "bvp-headline":
+        overrides["q2"] = {"kind": "bump", "amplitude": a2, "theta0": 4.0}
+    argv = [scenario, "--out", str(tmp_path_factory.mktemp("fuzz") / "out")]
+    for key, value in overrides.items():
+        argv += ["--override", f"{key}={json.dumps(value)}"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with np.errstate(over="ignore", invalid="ignore"):  # huge amplitudes overflow
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        json.loads(Path(argv[2], "summary.json").read_text(), parse_constant=_refuse_constant)
+    if (N, M, eps, geometry, a1) == (16, 16, 0.3, geometry, _RESONANT[geometry]):
+        assert code == 3

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evosq import evolution
 from evosq.dnmap import DNFamily, compute_dn_family, solve_interior
 from evosq.errors import GeometryError, StepFailureError
 from evosq.evolution import (
@@ -13,6 +14,8 @@ from evosq.evolution import (
 )
 from evosq.geometry import build_warped_geometry, make_profile
 from evosq.potentials import ZeroPotential
+from evosq.source_bvp import diagonal_source
+from tests.conftest import Q1_SPEC, Q2_SPEC
 
 
 def _trace_error(M):
@@ -115,3 +118,94 @@ def test_implicit_step_failure_reports():
         evolve_tensor_forward(op, np.ones((32, 32)))
     assert exc.value.iterations == 500
 
+
+
+# -- the recycled stepper against a reference that recomputes everything ------
+
+
+def _reference_cg(op, B, x, tol):
+    x = x.copy()
+    r = B - op(x)
+    p = r.copy()
+    rr = np.vdot(r, r)
+    while np.sqrt(rr) > tol * np.linalg.norm(B):
+        Ap = op(p)
+        alpha = rr / np.vdot(p, Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        rr, rr_old = np.vdot(r, r), rr
+        p = r + (rr / rr_old) * p
+    return x
+
+
+def _reference_transport(pair_op, W_start, nodes, rate, source, tol):
+    """Trapezoid steps with an explicit apply each and CG started from ``W``."""
+    ts = pair_op.geometry.collar_ts
+    W = np.array(W_start, dtype=float)
+    out = {nodes[0]: W}
+    for i, k in zip(nodes[:-1], nodes[1:]):
+        h = abs(ts[k] - ts[i])
+        B = W - 0.5 * h * (pair_op.apply(i, W) - rate(i) * W) + 0.5 * h * (source(i) + source(k))
+
+        def op(X, k=k, h=h):
+            return X + 0.5 * h * (pair_op.apply(k, X) - rate(k) * X)
+
+        W = _reference_cg(op, B, W, tol)
+        out[k] = W
+    return np.array([out[j] for j in sorted(out)])
+
+
+def _source_pair(geometry_name, **kw):
+    g = build_warped_geometry(make_profile(geometry_name, **kw), N=16, M=32, eps=0.3)
+    fam1, fam2 = compute_dn_family(g, Q1_SPEC), compute_dn_family(g, Q2_SPEC)
+    return g, PairOperator(fam1, fam2), diagonal_source(fam1, fam2)
+
+
+@pytest.mark.parametrize(
+    "geometry_name, kw", [("annulus", {"rho": 0.25}), ("flat-cylinder", {"T": 0.9})]
+)
+def test_recycled_sweeps_match_the_reference_stepper(geometry_name, kw):
+    g, op, src = _source_pair(geometry_name, **kw)
+    W0 = np.random.default_rng(7).standard_normal((g.N, g.N))
+    forward = evolve_tensor_forward(op, W0, source=src)
+    ref = _reference_transport(op, W0, range(g.M + 1), lambda j: 0.0, src, 1e-14)
+    assert np.max(np.abs(forward - ref)) <= 1e-9 * np.max(np.abs(ref))
+    backward = evolve_tensor_backward(op, W0, source=src)
+    ref = _reference_transport(op, W0, range(g.M, -1, -1), op.volume_rate, src, 1e-14)
+    assert np.max(np.abs(backward - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_backward_sweep_applies_only_its_first_explicit_half(monkeypatch):
+    # every apply outside the implicit solves is an explicit half: only node M's
+    g, op, src = _source_pair("annulus", rho=0.25)
+    W0 = np.random.default_rng(8).standard_normal((g.N, g.N))
+    calls, solving = [], []
+    apply, cg = PairOperator.apply, evolution._cg
+
+    def spy(self, j, W):
+        calls.append((j, bool(solving)))
+        return apply(self, j, W)
+
+    def solve(*args, **kwargs):
+        solving.append(True)
+        try:
+            return cg(*args, **kwargs)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(PairOperator, "apply", spy)
+    monkeypatch.setattr(evolution, "_cg", solve)
+    evolve_tensor_backward(op, W0, source=src)
+    assert [j for j, inside in calls if not inside] == [g.M]
+    assert [j for j, _ in calls].count(g.M) == 1
+    recycled = len(calls)
+    calls.clear()
+    _reference_transport(op, W0, range(g.M, -1, -1), op.volume_rate, src, 1e-10)
+    assert recycled < len(calls)
+
+
+def test_forward_zero_data_is_zero(annulus_families):
+    op = PairOperator(*annulus_families)
+    N = op.geometry.N
+    phi = evolve_tensor_forward(op, np.zeros((N, N)), source=lambda j: np.zeros((N, N)))
+    assert np.all(phi == 0.0)

@@ -51,6 +51,23 @@ def test_rank_one_round_trip(tmp_path):
     assert np.array_equal(back, arr)
 
 
+def test_zero_rank_round_trip(tmp_path):
+    arr = np.array(2.5)
+    p = tmp_path / "scalar.evsq"
+    write_matrix(p, arr, _sidecar())
+    back, _ = read_matrix(p)
+    assert back.shape == ()
+    assert back == arr
+
+
+@pytest.mark.parametrize("shape", [(1,) * 9, (0, 2**32)], ids=["rank-9", "dim-2**32"])
+def test_unreadable_shape_refused(tmp_path, shape):
+    p = tmp_path / "big.evsq"
+    with pytest.raises(FormatError, match="refusing to write shape"):
+        write_matrix(p, np.empty(shape), _sidecar())
+    assert not p.exists()
+
+
 def test_nan_refused(tmp_path):
     arr = np.ones((2, 2))
     arr[0, 1] = np.nan
@@ -155,6 +172,12 @@ def test_bad_sidecar_raises_format_error(tmp_path, text):
     for expected in (None, "abc123"):
         with pytest.raises(FormatError, match="sidecar"):
             read_matrix(p, expected_geometry_hash=expected)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf])
+def test_dump_json_refuses_non_finite(value):
+    with pytest.raises(FormatError, match="non-finite"):
+        dump_json({"results": [1.0, value]})
 
 
 def test_dump_json_deterministic():
