@@ -773,5 +773,5 @@ def test_transport_overrides_exit_cleanly(tmp_path_factory, scenario, geometry, 
     assert "Traceback" not in err.getvalue()
     if code in (0, 1):
         json.loads(Path(argv[2], "summary.json").read_text(), parse_constant=_refuse_constant)
-    if (N, M, eps, geometry, a1) == (16, 16, 0.3, geometry, _RESONANT[geometry]):
+    if (N, M, eps, a1) == (16, 16, 0.3, _RESONANT[geometry]):
         assert code == 3
