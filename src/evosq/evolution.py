@@ -21,8 +21,11 @@ the whole collar but keeps no deeper slice than the one it steps from.
 
 All steppers are trapezoidal (second order); both transports are one
 stepper run down or up the collar. Its implicit half-step is a symmetric
-positive system solved matrix-free by conjugate gradients to ``_CG_TOL``,
-in place with one scratch slice. Each solve is recycled into the next step:
+system, positive definite unless a potential is near a resonance, solved
+matrix-free by conjugate gradients to ``_CG_TOL``, in place with one
+scratch slice. CG raises ``StepFailureError`` at the first search direction
+whose curvature ``p.Ap`` is not positive, which also stops it on a
+non-finite value. Each solve is recycled into the next step:
 the step to node ``i`` ends with ``W_i + (h/2)(A_i - m_i) W_i = B - r``, ``r``
 being CG's own residual, so the next explicit half costs no operator apply
 (a sweep applies it on its first step only), and the last two explicit
@@ -83,7 +86,8 @@ def _cg(apply_op, B, x, tol=_CG_TOL, maxiter=_CG_MAXITER, context=""):
 
     Returns ``(x, r)`` with ``r`` CG's own residual ``B - apply_op(x)``;
     zero ``B`` returns exact zeros for both. ``apply_op`` returns a fresh
-    array, which the loop uses as its scratch.
+    array, which the loop uses as its scratch. A direction with ``p.Ap``
+    not > 0 (an indefinite operator, or NaN) is a ``StepFailureError``.
     """
     b_norm = np.sqrt(_dot(B, B))
     if b_norm == 0.0:
@@ -92,11 +96,17 @@ def _cg(apply_op, B, x, tol=_CG_TOL, maxiter=_CG_MAXITER, context=""):
     r = B - apply_op(x)
     p = r.copy()
     rr = _dot(r, r)
-    for _ in range(maxiter):
+    for it in range(maxiter):
         if np.sqrt(rr) <= tol * b_norm:
             return x, r
         Ap = apply_op(p)
-        alpha = rr / _dot(p, Ap)
+        pAp = _dot(p, Ap)
+        if not pAp > 0.0:
+            raise StepFailureError(
+                f"implicit step is not positive definite{context}: p.Ap = {pAp:.3g}",
+                iterations=it,
+            )
+        alpha = rr / pAp
         Ap *= alpha
         r -= Ap
         x += np.multiply(p, alpha, out=Ap)

@@ -32,7 +32,11 @@ def null_test(family1, family2):
     """Source problem with matching data must vanish identically."""
     stages = solve_source_bvp(family1, family2)
     worst = max(float(np.abs(stages[name]).max()) for name in ("phi", "psi"))
-    scale = float(np.linalg.norm(family1.lams[0]))
+    lam = family1.lams[0]
+    # Frobenius norm scaled by a power of two near max|lam|: exact, and no square overflows
+    two = np.ldexp(1.0, int(np.frexp(np.abs(lam).max())[1]) - 1)
+    x = lam / two
+    scale = float(two * np.sqrt(np.einsum("ij,ij->", x, x)))
     return {"max_abs": worst, "scale": scale, "passed": worst <= 1e-10 * scale}
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from evosq import cli
 from evosq.cli import _SCENARIOS, SCENARIOS, main
+from evosq.evolution import PairOperator
 from evosq.geometry import PROFILE_PARAMS
 from evosq.io import read_matrix
 from evosq.meshes import save_off, strip_mesh
@@ -207,42 +208,49 @@ def test_bad_numeric_value_exits_two(tmp_path, capsys, scenario, override):
 # profile parameter -> (the profile that takes it, its default)
 PROFILE_OF = {key: (name, v) for name, row in PROFILE_PARAMS.items() for key, v in row.items()}
 
-# every (scenario, key) whose table default fixes a number or bool type, and
-# every profile parameter, which its profile's row types
+# every (scenario, key) whose table default fixes a number type, and every
+# profile parameter, which its profile's row types
 TYPED_KEYS = [
     (scenario, key)
     for scenario, (_, defaults) in _SCENARIOS.items()
     for key, default in defaults.items()
-    if type(default) in (int, float, bool) or key in PROFILE_OF
+    if type(default) in (int, float) or key in PROFILE_OF
 ]
 
 
 @pytest.mark.parametrize("scenario, key", TYPED_KEYS)
 def test_every_typed_key_rejects_a_value_of_another_type(tmp_path, capsys, scenario, key):
-    expected = {int: "a finite int", float: "a finite float", bool: "true or false"}
     if key in PROFILE_OF:
         geometry, default = PROFILE_OF[key]
         extra = ["--override", f"geometry={geometry}"]
     else:
         default, extra = _SCENARIOS[scenario][1][key], []
-    kind = type(default)
-    code, _, summary = _run(
-        tmp_path, scenario, *extra, "--override", f"{key}={'0' if kind is bool else 'abc'}"
-    )
+    code, _, summary = _run(tmp_path, scenario, *extra, "--override", f"{key}=abc")
     err = capsys.readouterr().err
     assert code == 2 and summary is None and "Traceback" not in err
-    assert err.startswith(f"config error: config entry {key!r} needs {expected[kind]}")
+    expected = f"config error: config entry {key!r} needs a finite {type(default).__name__}"
+    assert err.startswith(expected)
 
 
 @pytest.mark.parametrize(
-    "scenario, key", [("oducp-probe", "expect_flag"), ("dn-compute", "save_family")]
+    "scenario, key",
+    [
+        ("exhaustion", "time_budget"),
+        ("dn-compute", "save_family"),
+        ("oducp-probe", "expect_flag"),
+        ("oducp-probe", "threshold"),
+        ("kernel-check", "single_floor"),
+        ("convergence-study", "rate_min"),
+    ],
 )
-@pytest.mark.parametrize("value", ["no", '"false"', "0", "1", "null"])
-def test_non_boolean_flag_exits_two(tmp_path, capsys, scenario, key, value):
-    code, out, summary = _run(tmp_path, scenario, *SMALL, "--override", f"{key}={value}")
+def test_a_key_that_no_caller_set_is_unknown(tmp_path, capsys, scenario, key):
+    # dn-compute always writes both maps, oducp-probe passes on a raised flag at
+    # probes.OFFDIAG_THRESHOLD, exhaustion on zero collisions alone, and the
+    # kernel floor and the least rate are constants (each key was a setting)
+    code, out, summary = _run(tmp_path, scenario, "--override", f"{key}=1")
     err = capsys.readouterr().err
-    assert code == 2 and summary is None and not list(out.glob("*.evsq"))
-    assert err.startswith(f"config error: config entry '{key}' needs true or false")
+    assert code == 2 and summary is None and not out.exists()
+    assert err.startswith(f"config error: unknown config keys for {scenario}: {key}")
 
 
 @pytest.mark.parametrize(
@@ -334,25 +342,21 @@ def test_value_below_its_minimum_exits_two(tmp_path, capsys, scenario, key, low,
     assert err.startswith(f"config error: config entry '{key}' needs a value >= {low}")
 
 
-@pytest.mark.parametrize(
-    "scenario, key", [("kernel-check", "single_floor"), ("oducp-probe", "threshold")]
-)
-@pytest.mark.parametrize("value", [0, -1])
-def test_a_check_that_cannot_fail_exits_two(tmp_path, capsys, scenario, key, value):
-    # a floor of 0 passes any negative control and a threshold of 0 flags any
-    # kernel: the outcome would not depend on what the run computed (this was exit 0)
-    code, _, summary = _run(tmp_path, scenario, *SMALL, "--override", f"{key}={value}")
-    assert code == 2 and summary is None
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: config entry '{key}' needs a value > 0")
-
-
 @pytest.mark.parametrize("eps", ["2", "0.7"])
 def test_global_march_without_a_window_exits_two(tmp_path, capsys, eps):
     # past the cap, or too close to it for two collar steps (this was exit 1)
     code, _, summary = _run(tmp_path, "global-march", *SMALL, "--override", f"eps={eps}")
     assert code == 2 and summary is None
     assert capsys.readouterr().err.startswith("config error: global-march has no window")
+
+
+@pytest.mark.parametrize("M", [0, -4])
+def test_global_march_without_a_collar_step_exits_two(tmp_path, capsys, M):
+    # the window check divided by M before the geometry refused it (this was a ZeroDivisionError)
+    code, _, summary = _run(tmp_path, "global-march", "--override", f"M={M}")
+    err = capsys.readouterr().err
+    assert code == 2 and summary is None
+    assert err.startswith("config error: global-march has no window") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -727,14 +731,52 @@ def test_convergence_study_writes_rates(tmp_path):
     assert len(lines) == 4
 
 
-# -- override fuzz of the transport's callers -----------------------------------
-
 # default-width bumps at which the N=16, M=16, eps=0.3 Dirichlet problem is
 # singular (found by bisection on the pole of Lam(0)): the chain must exit 3
 _RESONANT = {"annulus": -1562.2369384765625, "disk": -1556.6102294921875,
              "flat-cylinder": -1527.160888671875}
+# a bump just short of the annulus pole: Lam(0) has an eigenvalue of -1.2e8
+_INDEFINITE = -1562.23681640625
+
+
+@pytest.mark.parametrize(
+    "amplitude, message, most",
+    [
+        (_INDEFINITE, "(backward step to node 9): p.Ap = -1.33e+06", 60),
+        (1e160, "(backward step to node 13): p.Ap = nan", 5),
+    ],
+    ids=["indefinite", "overflow"],
+)
+def test_an_implicit_step_that_is_not_positive_definite_exits_three(
+    tmp_path, capsys, monkeypatch, amplitude, message, most
+):
+    # the indefinite step converged to a wrong answer (this was exit 1 with
+    # rel_error 0.9999996); the overflowed one iterated on NaN (1000 applies)
+    applies = []
+    apply = PairOperator.apply
+    monkeypatch.setattr(
+        PairOperator, "apply", lambda op, j, W: applies.append(j) or apply(op, j, W)
+    )
+    q1 = json.dumps({"kind": "bump", "amplitude": amplitude})
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, summary = _run(tmp_path, "bvp-headline", *SMALL, "--override", f"q1={q1}")
+    err = capsys.readouterr().err
+    assert code == 3 and summary is None
+    assert err == f"numerical failure: implicit step is not positive definite {message}\n"
+    assert len(applies) <= most
+
+
+def test_null_test_on_a_map_near_1e154_passes(tmp_path):
+    # the map norm is finite, but its unscaled sum of squares overflowed (this was exit 3)
+    overrides = ["N=8", "M=8", "eps=0.5", 'q1={"kind": "bump", "amplitude": 4.29e155}']
+    code, _, summary = _run(tmp_path, "null-test", *(f"--override={o}" for o in overrides))
+    assert code == 0 and summary["results"]["scale"] == 1.340625e154
+
+
+# -- override fuzz of the transport's callers -----------------------------------
+
 _AMPLITUDES = st.one_of(
-    st.floats(-1e4, 1e4), st.sampled_from(sorted(_RESONANT.values())), st.floats()
+    st.floats(-1e4, 1e4), st.sampled_from(sorted([*_RESONANT.values(), _INDEFINITE])), st.floats()
 )
 
 
@@ -757,6 +799,8 @@ def _refuse_constant(name):
 @example("bvp-headline", "annulus", 16, 16, 0.3, _RESONANT["annulus"], -2.0)
 @example("null-test", "flat-cylinder", 16, 16, 0.3, _RESONANT["flat-cylinder"], 0.0)
 @example("null-test", "annulus", 8, 8, 0.5, 4.290498537581631e155, 0.0)  # the map norm overflows
+@example("bvp-headline", "annulus", 16, 16, 0.3, _INDEFINITE, -2.0)
+@example("bvp-headline", "annulus", 16, 16, 0.3, 1e160, -2.0)
 def test_transport_overrides_exit_cleanly(tmp_path_factory, scenario, geometry, N, M, eps, a1, a2):
     overrides = {"geometry": geometry, "N": N, "M": M, "eps": eps,
                  "q1": {"kind": "bump", "amplitude": a1}}
@@ -775,3 +819,87 @@ def test_transport_overrides_exit_cleanly(tmp_path_factory, scenario, geometry, 
         json.loads(Path(argv[2], "summary.json").read_text(), parse_constant=_refuse_constant)
     if (N, M, eps, a1) == (16, 16, 0.3, _RESONANT[geometry]):
         assert code == 3
+    if (scenario, geometry, N, M, eps) == ("bvp-headline", "annulus", 16, 16, 0.3):
+        if a1 in (_INDEFINITE, 1e160) and a2 == -2.0:
+            assert code == 3
+    if (scenario, N, M, eps, a1) == ("null-test", 8, 8, 0.5, 4.290498537581631e155):
+        assert code == 0
+
+
+# -- override fuzz of the other scenarios ---------------------------------------
+
+_TOL = st.one_of(st.floats(1e-12, 1.0), st.floats())
+_Q = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.just("bump"), "amplitude": _AMPLITUDES},
+        optional={"theta0": st.floats(-10, 10), "t0": st.floats(-1, 2), "width": st.floats(-1, 2)},
+    ),
+    st.fixed_dictionaries({"kind": st.just("constant"), "value": _AMPLITUDES}),
+    st.just({"kind": "zero"}),
+)
+_DATA = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.just("mode")},
+        optional={"k": st.integers(-40, 40), "phase": st.floats(), "offset": st.floats()},
+    ),
+    st.fixed_dictionaries({"kind": st.just("random"), "seed": st.integers(-2, 2**70)}),
+)
+# always set, and valid (the transport fuzz tries bad sizes): the defaults are twice as fine
+_GRID = {"N": st.sampled_from([8, 10, 12, 14, 16]), "M": st.integers(8, 16)}
+_COLLAR = {
+    "geometry": st.sampled_from(sorted(_RESONANT)),
+    # no tiny eps: its depth grid is up to 1e6 nodes long (a tiny-eps test has its own)
+    "eps": st.one_of(st.floats(0.02, 0.7), st.sampled_from([-0.5, 0.0, 0.3, 0.75, 2.0])),
+}
+_PAIR_KEYS = {**_COLLAR, "q1": _Q, "q2": _Q}
+_DATA_KEYS = {**_PAIR_KEYS, "boundary_data": _DATA, "boundary_data2": _DATA, "tol": _TOL}
+# scenario -> (the keys the fuzz always sets, the keys it may set), each with its strategy
+_FUZZED = {
+    "dn-compute": (_GRID, {**_COLLAR, "q1": _Q, "sym_tol": _TOL}),
+    "riccati-check": (_GRID, {**_COLLAR, "q1": _Q, "tol": _TOL}),
+    "evolve-check": (_GRID, {**_COLLAR, "q1": _Q, "boundary_data": _DATA, "tol": _TOL}),
+    "kernel-check": (_GRID, _DATA_KEYS),
+    "layer-strip": (_GRID, _DATA_KEYS),
+    "oducp-probe": (_GRID, {**_PAIR_KEYS, "ambient_dim": st.integers(-1, 6)}),
+    "conformal-check": (_GRID, {
+        **_COLLAR,
+        "dim": st.integers(0, 3),
+        "gamma": st.one_of(
+            st.fixed_dictionaries({"kind": st.just("exp"), "rate": st.floats(-20, 20)}),
+            st.fixed_dictionaries(
+                {"kind": st.just("poly"), "coeffs": st.lists(st.floats(-5, 5), max_size=4)}
+            ),
+        ),
+        "n_ambient": st.integers(-2, 6),
+        "modes_max": st.integers(-1, 6),
+        "tol": _TOL,
+    }),
+    "global-march": (_GRID, {**_PAIR_KEYS, "tol": _TOL, "max_windows": st.integers(0, 4)}),
+    "convergence-study": (
+        {"levels": st.lists(st.tuples(*_GRID.values()).map(list), min_size=2, max_size=3)},
+        {**_COLLAR, "q1": _Q, "quantity": st.sampled_from(sorted(cli._MEASURES))},
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", _FUZZED)
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(data=st.data())
+def test_scenario_overrides_exit_cleanly(tmp_path_factory, scenario, data):
+    # no traceback, and no NaN or infinity in anything written, whatever the overrides
+    always, maybe = _FUZZED[scenario]
+    overrides = data.draw(st.fixed_dictionaries(always, optional=maybe))
+    out = tmp_path_factory.mktemp("fuzz") / "out"
+    argv = [scenario, "--out", str(out)]
+    for key, value in overrides.items():
+        argv += ["--override", f"{key}={json.dumps(value)}"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with np.errstate(over="ignore", invalid="ignore"):  # huge amplitudes overflow
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        json.loads((out / "summary.json").read_text(), parse_constant=_refuse_constant)
+    for path in out.glob("*.csv") if out.is_dir() else ():
+        assert not {"nan", "inf"} & set(path.read_text().replace(",", "\n").split()), path

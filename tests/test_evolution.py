@@ -119,6 +119,18 @@ def test_implicit_step_failure_reports():
     assert exc.value.iterations == 500
 
 
+def test_cg_stops_at_a_direction_of_non_positive_curvature():
+    # an indefinite operator: the first direction has p.Ap = 1, the second -72
+    A = np.diag([2.0, -1.0])
+    with pytest.raises(StepFailureError, match=r"not positive definite \(x\): p.Ap = -72$") as exc:
+        evolution._cg(lambda X: A @ X, np.ones((2, 1)), np.zeros((2, 1)), context=" (x)")
+    assert exc.value.iterations == 1
+    A[1, 1] = np.nan  # NaN fails the same test at once instead of running to the last iteration
+    with pytest.raises(StepFailureError, match=r"p.Ap = nan$") as exc:
+        evolution._cg(lambda X: A @ X, np.ones((2, 1)), np.zeros((2, 1)))
+    assert exc.value.iterations == 0
+
+
 # -- the recycled stepper against a reference that recomputes everything ------
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evosq.dnmap import compute_dn_family
+from evosq.dnmap import DNFamily, compute_dn_family
 from evosq.errors import GeometryError
 from evosq.evolution import evolved_rank_one
 from evosq.exhaustion import smooth_min
@@ -24,7 +24,17 @@ def test_null_test_exact(annulus_families):
     res = null_test(fam1, fam1)
     assert res["passed"]
     assert res["max_abs"] == 0.0
-    assert res["scale"] > 0
+    assert res["scale"] == pytest.approx(np.linalg.norm(fam1.lams[0]), rel=1e-15)
+
+
+def test_null_test_scale_does_not_overflow(annulus_families):
+    # a map near 1e156 has a finite norm, though its unscaled sum of squares overflows
+    fam1, _ = annulus_families
+    big = DNFamily(fam1.geometry, fam1.potential, fam1.lams * 1e155, fam1.q)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.sum(big.lams[0] ** 2))
+    res = null_test(big, big)
+    assert res["passed"] and res["scale"] == pytest.approx(1e155 * null_test(fam1, fam1)["scale"])
 
 
 def test_resolvable_shells_scaling():
