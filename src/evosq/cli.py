@@ -39,7 +39,7 @@ from .dnmap import (
     solve_interior,
 )
 from .errors import ConfigError, EvosqError, GeometryError
-from .evolution import PairOperator, evolve_trace, evolved_rank_one
+from .evolution import PairOperator, _norm, evolve_trace, evolved_rank_one
 from .exhaustion import collar_map_samples, exhaustion_order, load_mesh
 from .geometry import PROFILE_PARAMS, build_warped_geometry, make_profile
 from .potentials import make_potential
@@ -99,13 +99,15 @@ _MINIMA = {"ambient_dim": 2, "modes_max": 0, "samples_per_cell": 4, "max_windows
 
 
 def _number(key, value, kind):
-    """``kind(value)`` for a config entry; a bool, non-finite or fractional int is a ConfigError."""
+    """``kind(value)`` for a config entry; a bool, a non-finite or fractional number, or an
+    int that no 64-bit integer holds, is a ConfigError."""
     try:
         out = kind(value)
-        ok = not isinstance(value, bool) and np.isfinite(out) and float(out) == float(value)
     except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
+        out = None
+    if kind is int and out is not None and not -(2**63) <= out < 2**64:
+        raise ConfigError(f"config entry {key!r} needs an int in [-2**63, 2**64), got {value!r}")
+    if isinstance(value, bool) or out is None or not (np.isfinite(out) and float(out) == float(value)):
         raise ConfigError(f"config entry {key!r} needs a finite {kind.__name__}, got {value!r}")
     return out
 
@@ -237,7 +239,7 @@ def _riccati_error(fam):
     """Relative gap at depth 0 between the Riccati flow from the collar map and the family."""
     g = fam.geometry
     road = riccati_integrate(g, fam.potential, fam.lams[g.M])
-    return float(np.linalg.norm(road[0] - fam.lams[0]) / max(np.linalg.norm(fam.lams[0]), 1e-30))
+    return float(_norm(road[0] - fam.lams[0]) / max(_norm(fam.lams[0]), 1e-30))
 
 
 def _evolve_error(cfg):
@@ -555,7 +557,10 @@ def main(argv=None):
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot make output directory {args.out}: {exc}") from None
-        results, passed = runner(typed, args.out)
+        # numpy's floating-point warnings stay off stderr: a run that overflows
+        # ends in its own check, and a non-finite value is never written (exit 3)
+        with np.errstate(all="ignore"):
+            results, passed = runner(typed, args.out)
         text = evsq_io.dump_json(
             {"scenario": args.scenario, "config": cfg, "results": results, "passed": bool(passed)}
         )

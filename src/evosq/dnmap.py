@@ -22,15 +22,20 @@ over its deep stretch, the nodes below the last row where the potential
 varies in theta, where every block is circulant; it materializes the kept
 ones as dense circulants and sweeps densely above. A dense pivot is
 symmetric, and positive definite in the coercive case: it is inverted by
-Schur halving down to Cholesky-certified leaves of at most 32 rows, so the
-sweep runs on matrix products. Only a pivot whose leaf Cholesky fails, an
-indefinite one beyond the first Dirichlet eigenvalue, is an LU solve; a
-1 x 1 mode block is a division.
+Schur halving down to leaves of at most 32 rows, each inverted by one
+Cholesky factorization of the bordered leaf ``[[A, I], [I, 2^512 I]]``,
+whose lower-left factor block ``X = L^-T`` gives ``A^-1 = X X^T``; so the
+sweep runs on matrix products, and a pivot that is one leaf comes out
+exactly symmetric. Only a pivot whose leaf Cholesky fails, an indefinite
+one beyond the first Dirichlet eigenvalue, is an LU solve; a 1 x 1 mode
+block is a division. The sweep assembles each pivot, and the extraction
+each map, in place in buffers it owns.
 """
 
 import numpy as np
 
 from .errors import DNComputationError, GeometryError, RiccatiEscapeError
+from .evolution import _norm
 from .geometry import conformal_potential, fourier_matrix, sobolev_apply
 from .potentials import make_potential
 from .rng import SplitMix64
@@ -38,6 +43,7 @@ from .rng import SplitMix64
 _ESCAPE_FACTOR = 50.0
 _SINGULAR_FACTOR = 1e6
 _LEAF = 32  # largest pivot block _spd_inverse inverts directly
+_BORDER = 2.0**512  # border of a leaf's Cholesky factorization; its root 2^256 is exact
 
 
 def _weights(geometry, sigma=None):
@@ -53,35 +59,50 @@ def _weights(geometry, sigma=None):
     return half * s[:-1] * s[1:], geometry.rs**geometry.dim * sigma
 
 
-def _spd_inverse(A, out):
+def _diagonal(blocks):
+    """Writable view of the diagonals of ``(..., n, n)`` blocks."""
+    return np.einsum("...ii->...i", blocks)
+
+
+def _spd_inverse(A, out, borders):
     """Write the inverse of a symmetric positive definite ``A`` into ``out``.
 
     ``A = [[A11, B], [B^T, D]]`` is inverted through ``A11^-1`` and the
     inverse of its Schur complement ``D - B^T A11^-1 B``, halving down to
-    leaves of at most ``_LEAF`` rows; every leaf is certified by a Cholesky
-    factorization and inverted by ``np.linalg.inv``, and above the leaves the
-    work is matrix products. A leaf that is not positive definite raises
-    ``LinAlgError``. Without pivoting this is backward stable for positive
-    definite ``A`` (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., ch. 10 and 13).
+    leaves of at most ``_LEAF`` rows, and above the leaves the work is
+    matrix products. A leaf ``A`` is copied into the bordered matrix
+    ``[[A, I], [I, _BORDER I]]`` (one per leaf size in the dict ``borders``,
+    built on first use and kept by the caller), whose Cholesky factor is
+    ``[[L, 0], [L^-T, M]]`` with ``M M^T = _BORDER I - A^-1``: so one
+    factorization certifies the leaf and gives ``A^-1 = L^-T L^-1`` as one
+    product, which is exactly symmetric. Only lower triangles are read. A
+    leaf that is not positive definite, or whose smallest eigenvalue is
+    below ``1 / _BORDER``, raises ``LinAlgError``. Without pivoting this is
+    backward stable for positive definite ``A`` (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 10 and 13).
     """
     n = A.shape[0]
     if n <= _LEAF:
-        np.linalg.cholesky(A)
-        out[...] = np.linalg.inv(A)
-        return out
+        bordered = borders.get(n)
+        if bordered is None:
+            bordered = borders[n] = np.zeros((2 * n, 2 * n))
+            bordered[n:, :n] = np.eye(n)
+            bordered[n:, n:] = _BORDER * np.eye(n)
+        bordered[:n, :n] = A
+        X = np.linalg.cholesky(bordered)[n:, :n]
+        return np.matmul(X, X.T, out=out)
     k = n // 2
     B = A[:k, k:]
-    inv_a = _spd_inverse(A[:k, :k], out[:k, :k])
+    inv_a = _spd_inverse(A[:k, :k], out[:k, :k], borders)
     X = inv_a @ B
-    Y = X @ _spd_inverse(A[k:, k:] - B.T @ X, out[k:, k:])
+    Y = X @ _spd_inverse(A[k:, k:] - B.T @ X, out[k:, k:], borders)
     inv_a += Y @ X.T
     np.negative(Y, out=out[:k, k:])
     out[k:, :k] = out[:k, k:].T
     return out
 
 
-def _dense_inverse(neg, ap, eye, out):
+def _dense_inverse(neg, ap, out, borders):
     """``ap neg^-1`` written into ``out``, for the negated dense pivot ``neg = -P`` of a sweep row.
 
     :func:`_spd_inverse` inverts it; a pivot that is not positive definite
@@ -89,9 +110,9 @@ def _dense_inverse(neg, ap, eye, out):
     which raises ``LinAlgError`` when it is singular.
     """
     try:
-        _spd_inverse(neg, out)
+        _spd_inverse(neg, out, borders)
     except np.linalg.LinAlgError:
-        out[...] = np.linalg.solve(neg, ap * eye)
+        out[...] = np.linalg.solve(neg, ap * np.eye(len(neg)))
     else:
         out *= ap
     return out
@@ -101,8 +122,10 @@ def _eliminate(geometry, lap, q, w, cap, top=1, bottom=None, circulant=False):
     """Backward elimination ``S_j = -(B_j + c_j S_{j+1})^-1 a_j`` over pivot blocks.
 
     ``lap`` is the unit-radius slice Laplacian as ``(..., n, n)`` blocks,
-    ``q(j)`` the potential block at node ``j``, ``w`` the :func:`_weights`
-    pair and ``cap`` the block at node ``bottom`` (default the last node).
+    ``q(j)`` the potential at node ``j``, added on the block diagonals (the
+    ``n`` node values for a dense block, one value for a batch of modes),
+    ``w`` the :func:`_weights` pair and ``cap`` the block at node ``bottom``
+    (default the last node).
     Row ``j`` is ``w_{j+1/2} (u_{j+1} - u_j) / h+ - w_{j-1/2} (u_j - u_{j-1}) / h-
     - hbar w_j (L_j + Q_j) u_j = 0`` divided by ``hbar w_j``, ``hbar = (h- + h+) / 2``.
     The sweep runs from node ``bottom - 1`` up to ``top``. It returns one
@@ -112,8 +135,9 @@ def _eliminate(geometry, lap, q, w, cap, top=1, bottom=None, circulant=False):
     ``-P_j = (a_j + c_j) I + L_j + Q_j - c_j S_{j+1}`` is assembled in place;
     it is symmetric, and positive definite in the coercive case, so
     :func:`_dense_inverse` inverts it by Cholesky-certified Schur halving and
-    writes each kept block straight into its row. Only a dense pivot whose
-    leaf Cholesky fails is an LU solve; a batch of 1 x 1 mode blocks is a
+    writes each kept block straight into its row, and each block below the
+    collar into one of two spare blocks, taken in turn. Only a dense pivot
+    whose leaf Cholesky fails is an LU solve; a batch of 1 x 1 mode blocks is a
     division, where a zero pivot gives an infinite block. A singular
     pivot or a block norm above ``_SINGULAR_FACTOR * sqrt(n)`` is a
     resonance. With ``circulant`` the batch of N 1 x 1 blocks is the spectrum
@@ -124,11 +148,14 @@ def _eliminate(geometry, lap, q, w, cap, top=1, bottom=None, circulant=False):
     ts, kept = geometry.ts, geometry.M + 1
     (half, node), dt = w, np.diff(ts)
     bottom = ts.size - 1 if bottom is None else bottom
-    eye = np.eye(lap.shape[-1])
     guard = _SINGULAR_FACTOR * np.sqrt(lap.shape[0] if circulant else lap.shape[-1])
     S = np.empty((kept + 1,) + cap.shape)
     dense = lap.ndim == 2
-    neg = np.empty_like(cap)  # the dense pivot, assembled in place
+    if dense:
+        # the pivot and two spare blocks for the rows below the collar, taken in
+        # turn: a row is never S_{j+1}, so it holds c_j S_{j+1} until it is inverted into
+        neg, *spare = np.empty((3,) + cap.shape)
+        pivot_diagonal, borders = _diagonal(neg), {}
     block = cap
     if bottom <= kept:
         S[bottom] = cap
@@ -137,11 +164,12 @@ def _eliminate(geometry, lap, q, w, cap, top=1, bottom=None, circulant=False):
         ap, cp = half[j - 1] / (dt[j - 1] * scale), half[j] / (dt[j] * scale)
         try:
             if dense:
-                np.multiply(ap + cp, eye, out=neg)
-                neg += lap / geometry.rs[j] ** 2
-                neg += q(j)
-                neg -= cp * block
-                block = _dense_inverse(neg, ap, eye, S[j] if j <= kept else np.empty_like(neg))
+                out = S[j] if j <= kept else spare[j % 2]
+                np.divide(lap, geometry.rs[j] ** 2, out=neg)
+                pivot_diagonal += ap + cp
+                pivot_diagonal += q(j)
+                neg -= np.multiply(cp, block, out=out)
+                block = _dense_inverse(neg, ap, out, borders)
             else:
                 with np.errstate(divide="ignore"):
                     block = ap / ((ap + cp) + lap / geometry.rs[j] ** 2 + q(j) - cp * block)
@@ -161,11 +189,21 @@ def _eliminate(geometry, lap, q, w, cap, top=1, bottom=None, circulant=False):
     return S, block
 
 
-def _extract_dn(geometry, S, lap, q, w, j):
-    """Map at node ``j``: the half-cell flux of the chain's row ``j + 1``."""
+def _extract_dn(geometry, S, lap, q, w, j, out, work):
+    """Map at node ``j``, the half-cell flux of the chain's row ``j + 1``, written into ``out``.
+
+    ``out`` may be row ``j`` of ``S`` itself, which the flux does not read;
+    ``work`` is one more block. ``q`` is as in :func:`_eliminate`.
+    """
     h = geometry.ts[j + 1] - geometry.ts[j]
-    flux = (w[0][j] / w[1][j] / h) * (np.eye(lap.shape[-1]) - S[j + 1])
-    return flux + 0.5 * h * (lap / geometry.rs[j] ** 2 + q(j))
+    np.negative(S[j + 1], out=out)
+    _diagonal(out)[...] += 1.0
+    out *= w[0][j] / w[1][j] / h
+    np.divide(lap, geometry.rs[j] ** 2, out=work)
+    _diagonal(work)[...] += q(j)
+    work *= 0.5 * h
+    out += work
+    return out
 
 
 def propagation_chain(geometry, potential):
@@ -193,7 +231,7 @@ def propagation_chain(geometry, potential):
         circulant=True,
     )
     S, _ = _eliminate(
-        geometry, geometry.d2_unit(), lambda j: np.diag(Q[j]), w,
+        geometry, geometry.d2_unit(), Q.__getitem__, w,
         fourier_matrix(top_symbol[:, 0, 0]), bottom=top,
     )
     for j in range(top + 1, geometry.M + 2):
@@ -229,8 +267,9 @@ def compute_dn_family(geometry, potential=None, keep_chain=False):
     q = potential.on_grid(geometry.theta, geometry.collar_ts)
     lap, w = geometry.d2_unit(), _weights(geometry)
     lams = np.empty((geometry.M + 1, geometry.N, geometry.N)) if keep_chain else S[: geometry.M + 1]
+    work = np.empty((geometry.N, geometry.N))
     for j in range(geometry.M + 1):
-        lams[j] = _extract_dn(geometry, S, lap, lambda i: np.diag(q[i]), w, j)
+        _extract_dn(geometry, S, lap, q.__getitem__, w, j, lams[j], work)
     return DNFamily(geometry, potential, lams, q, chain=S if keep_chain else None)
 
 
@@ -272,8 +311,10 @@ def _mode_maps(geometry, ksq, q, w, depths):
     ratio = geometry.rs[-1] / geometry.rs[-2]
     cap = ratio ** np.sqrt(lap) if geometry.cap == "center" else np.zeros_like(lap)
     S, _ = _eliminate(geometry, lap, q, w, cap)
-    lams = [_extract_dn(geometry, S, lap, q, w, j)[:, 0, 0] for j in depths]
-    return np.array(lams).reshape((len(lams),) + np.shape(ksq))
+    lams, work = np.empty((len(depths),) + cap.shape), np.empty_like(cap)
+    for i, j in enumerate(depths):
+        _extract_dn(geometry, S, lap, q, w, j, lams[i], work)
+    return lams.reshape((len(depths),) + np.shape(ksq))
 
 
 def dn_mode_symbol(geometry, potential, ksq, depths=None):
@@ -323,9 +364,10 @@ def riccati_integrate(geometry, potential, lam_eps):
         pred = lam - h * k1
         k2 = riccati_rhs(geometry, q[j - 1], pred, ts[j - 1])
         lam = lam - 0.5 * h * (k1 + k2)
-        if np.linalg.norm(lam) > escape:
+        norm = _norm(lam)
+        if norm > escape:
             raise RiccatiEscapeError(
-                f"map norm {np.linalg.norm(lam):.3g} escaped at depth {ts[j - 1]:.6g}",
+                f"map norm {norm:.3g} escaped at depth {ts[j - 1]:.6g}",
                 depth=float(ts[j - 1]),
             )
         out[j - 1] = lam
@@ -344,8 +386,8 @@ def riccati_residual(family):
     for j in range(1, g.M):
         dldt = (family.lams[j + 1] - family.lams[j - 1]) / (ts[j + 1] - ts[j - 1])
         rhs = riccati_rhs(g, family.q[j], family.lams[j], ts[j])
-        denom = max(np.linalg.norm(rhs), 1e-30)
-        worst = max(worst, np.linalg.norm(dldt - rhs) / denom)
+        denom = max(_norm(rhs), 1e-30)
+        worst = max(worst, _norm(dldt - rhs) / denom)
     return worst
 
 

@@ -81,6 +81,11 @@ def _dot(X, Y):
     return float(np.einsum("ij,ij->", X, Y))
 
 
+def _norm(X):
+    """Frobenius norm through :func:`_dot`."""
+    return np.sqrt(_dot(X, X))
+
+
 def _cg(apply_op, B, x, tol=_CG_TOL, maxiter=_CG_MAXITER, context=""):
     """Conjugate gradients for ``apply_op(x) = B`` from the start ``x``, updated in place.
 

@@ -35,7 +35,7 @@ from .dnmap import solve_interior
 from .errors import GeometryError
 from .evolution import (
     PairOperator,
-    _dot,
+    _norm,
     evolve_tensor_backward,
     evolve_tensor_forward,
     shared_geometry,
@@ -89,10 +89,6 @@ def boundary_time_derivative(geometry, phi):
     if np.linalg.norm(phi[0]) > 1e-13 * max(np.linalg.norm(phi[1]), 1.0):
         raise GeometryError("boundary derivative assumes a pinned boundary slice")
     return (4.0 * phi[1] - phi[2]) / (2.0 * h)
-
-
-def _norm(X):
-    return np.sqrt(_dot(X, X))
 
 
 def dn_recovery_check(family1, family2):

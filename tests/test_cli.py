@@ -140,10 +140,14 @@ def test_dn_compute_pass_and_artifacts(tmp_path):
 
 
 def test_dn_compute_symmetry_gate_is_live(tmp_path):
-    # the maps are symmetric to round-off, not by construction: the gate can fail
-    code, _, summary = _run(tmp_path, "dn-compute", sub="a")
+    # a pivot of one leaf inverts to an exactly symmetric block, so N = 32 reads
+    # 0.0; at N = 96 the Schur halving leaves the maps symmetric to round-off
+    # (about 7e-18), not by construction, and the gate can fail
+    code, _, summary = _run(tmp_path, "dn-compute", "--override", "N=96", sub="a")
     assert code == 0 and 0.0 < summary["results"]["symmetry_defect"] <= 1e-14
-    code, _, summary = _run(tmp_path, "dn-compute", "--override", "sym_tol=1e-18", sub="b")
+    code, _, summary = _run(
+        tmp_path, "dn-compute", "--override", "N=96", "--override", "sym_tol=1e-18", sub="b"
+    )
     assert code == 1 and summary["passed"] is False
 
 
@@ -644,6 +648,33 @@ def test_conformal_check_runs_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_an_int_beyond_64_bits_names_the_range(tmp_path, capsys):
+    seed = 1180591620717411303424  # 2**70
+    code, _, summary = _run(
+        tmp_path, "evolve-check", "--override", f'boundary_data={{"kind":"random","seed":{seed}}}'
+    )
+    assert code == 2 and summary is None
+    assert capsys.readouterr().err == (
+        f"config error: config entry 'seed' needs an int in [-2**63, 2**64), got {seed}\n"
+    )
+
+
+def test_an_overflowing_run_explains_itself_in_one_line(tmp_path):
+    # the maps overflow in the transport; numpy's warnings must not reach stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "evosq.cli", "bvp-headline", "--out", str(tmp_path / "out"),
+         "--override", "N=16", "--override", "M=16",
+         "--override", 'q1={"kind":"bump","amplitude":1e160}'],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("numerical failure: ")
 
 
 def test_global_march_reaches_cap(tmp_path):

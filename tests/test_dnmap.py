@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evosq.dnmap import (
     _LEAF,
@@ -119,7 +121,7 @@ def test_chain_matches_whole_grid_dense_elimination(profile):
         top = max(int(np.searchsorted(g.ts, t_end, side="right")), 1)
         potential = make_potential(spec)
         Q = potential.on_grid(g.theta, g.ts)
-        dense, _ = _eliminate(g, g.d2_unit(), lambda j: np.diag(Q[j]), _weights(g), cap)
+        dense, _ = _eliminate(g, g.d2_unit(), Q.__getitem__, _weights(g), cap)
         chain = propagation_chain(g, potential)
         assert chain.shape == (g.M + 2, g.N, g.N)
         for S, D in zip(chain[1:], dense[1:]):
@@ -161,7 +163,7 @@ def test_spd_inverse_matches_inv(n):
     A = G @ G.T + 0.1 * n * np.eye(n)
     ref = np.linalg.inv(A)
     out = np.empty_like(A)
-    assert _spd_inverse(A, out) is out
+    assert _spd_inverse(A, out, {}) is out
     assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -175,7 +177,81 @@ def test_spd_inverse_refuses_an_indefinite_schur_complement():
     assert np.linalg.eigvalsh(A).min() < 0
     np.linalg.cholesky(A[:_LEAF, :_LEAF])
     with pytest.raises(np.linalg.LinAlgError):
-        _spd_inverse(A, np.empty_like(A))
+        _spd_inverse(A, np.empty_like(A), {})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 130),
+    log_kappa=st.floats(0.0, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=33, log_kappa=8.0, seed=0)  # halves 16 / 17
+@example(n=130, log_kappa=8.0, seed=1)  # halves 65 / 65, then 32 / 33
+@example(n=1, log_kappa=0.0, seed=2)
+def test_spd_inverse_is_accurate_to_its_condition_number(n, log_kappa, seed):
+    rng = np.random.default_rng(seed)
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eig = 10.0 ** rng.uniform(0.0, log_kappa, n)
+    eig[[0, -1]] = 1.0, 10.0**log_kappa
+    eig *= 10.0 ** rng.uniform(-3.0, 3.0)  # the bound must not depend on the scale
+    A = (V * eig) @ V.T
+    kappa = eig.max() / eig.min()
+    ref = np.linalg.inv(A)
+    out = _spd_inverse(A, np.empty_like(A), {})
+    assert np.linalg.norm(out - ref) <= 30 * n * kappa * np.finfo(float).eps * np.linalg.norm(ref)
+
+
+def test_an_indefinite_leaf_is_refused():
+    A = np.diag(np.linspace(1.0, 2.0, _LEAF))
+    A[-1, -1] = -1e-3
+    with pytest.raises(np.linalg.LinAlgError):
+        _spd_inverse(A, np.empty_like(A), {})
+
+
+def test_a_pivot_below_the_leaf_border_takes_the_lu_fallback(monkeypatch):
+    # positive definite and well conditioned, but every eigenvalue is below
+    # 1 / _BORDER: the bordered leaf Cholesky fails and LU inverts it
+    from evosq import dnmap
+
+    n = 2 * _LEAF
+    G = np.random.default_rng(5).standard_normal((n, n))
+    neg = 1e-160 * (G @ G.T + n * np.eye(n))
+    assert 0.0 < np.linalg.eigvalsh(neg).max() < 1.0 / dnmap._BORDER
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a) or solve(a, b))
+    out = dnmap._dense_inverse(neg, 3.0, np.empty_like(neg), {})
+    assert len(solves) == 1
+    ref = 3.0 * np.linalg.inv(neg)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))  # a 2-norm would overflow
+
+
+@pytest.mark.parametrize("N", [16, 40])
+def test_in_place_rows_and_maps_are_the_formulas_bit_for_bit(N):
+    # the sweep and the extraction write in place; out of place, in the same
+    # floating-point order, they are the formulas of the _eliminate and
+    # compute_dn_family docstrings. A ripple makes every row dense, so the
+    # rows below the collar pass through the spare blocks
+    g = build_warped_geometry(make_profile("disk"), N=N, M=16, eps=0.3)
+    Q = 1.5 + 1e-3 * np.cos(g.theta)[None, :] * np.ones((g.ts.size, 1))
+    potential = SampledPotential(g.theta, g.ts, Q.T)
+    (half, node), dt, eye, lap = _weights(g), np.diff(g.ts), np.eye(N), g.d2_unit()
+    cap = fourier_matrix((g.rs[-1] / g.rs[-2]) ** np.abs(g.wavenumbers()))
+    rows, block = {}, cap
+    for j in range(g.ts.size - 2, 0, -1):
+        scale = 0.5 * (dt[j - 1] + dt[j]) * node[j]
+        ap, cp = half[j - 1] / (dt[j - 1] * scale), half[j] / (dt[j] * scale)
+        neg = (ap + cp) * eye + lap / g.rs[j] ** 2 + np.diag(Q[j]) - cp * block
+        block = rows[j] = ap * _spd_inverse(neg, np.empty_like(neg), {})
+    S, _ = _eliminate(g, lap, Q.__getitem__, _weights(g), cap)
+    assert all(np.array_equal(S[j], rows[j]) for j in range(1, g.M + 2))
+    assert np.array_equal(propagation_chain(g, potential)[1:], S[1:])
+    fam = compute_dn_family(g, potential)
+    for j in range(g.M + 1):
+        h = g.ts[j + 1] - g.ts[j]
+        flux = (half[j] / node[j] / h) * (eye - rows[j + 1])
+        assert np.array_equal(fam.lams[j], flux + 0.5 * h * (lap / g.rs[j] ** 2 + np.diag(Q[j])))
 
 
 def test_chain_allocates_only_the_collar_blocks():
