@@ -14,11 +14,12 @@ the closed new triangle), and is injective. :func:`collar_map_samples`
 drives a deterministic sample cloud through every replayed step and
 reports coverage and collision diagnostics.
 
-Only the growth order is a Python loop (a heap over canonical edge keys).
-The mesh checks, the OFF parser and the order replay are whole-array
-passes that report the first violation in scan order, and the sample cloud
-is pushed through blocks of growth steps sized to a fixed number of
-sample pairs.
+Only the growth order is a Python loop: a heap of integer keys over the
+side tables a mesh keeps as arrays (each triangle side's canonical edge
+key and the triangle across it). The mesh checks, the OFF parser and the
+order replay are whole-array passes that report the first violation in
+scan order, and the sample cloud is pushed through blocks of growth steps
+sized to a fixed number of sample pairs.
 """
 
 import heapq
@@ -61,7 +62,11 @@ class SurfaceMesh:
 
     Construction validates edge-manifoldness (at most two triangles per
     edge) and orientation consistency (interior edges traversed in opposite
-    directions by their two triangles).
+    directions by their two triangles). It keeps the side tables as
+    ``(F, 3)`` int arrays, side ``s`` of triangle ``(a, b, c)`` running
+    from its ``s``-th vertex to the next: ``side_keys`` holds the canonical
+    key ``lo * V + hi`` of that edge, and ``across`` the other triangle
+    on it, or -1 on the boundary.
     """
 
     def __init__(self, vertices, triangles):
@@ -111,16 +116,15 @@ class SurfaceMesh:
                 )
             raise MeshError(f"inconsistent orientation: edge ({u[p]}, {v[p]}) traversed twice")
 
-        first = np.flatnonzero(starts)
-        paired = np.diff(first, append=len(key)) == 2
-        ends = zip(lo[by_key[first]].tolist(), hi[by_key[first]].tolist())
-        tri_of = by_key // 3
-        f0 = tri_of[first].tolist()
-        f1 = tri_of[np.where(paired, first + 1, first)].tolist()
-        self.edge_triangles = {
-            e: [a, b] if two else [a] for e, a, b, two in zip(ends, f0, f1, paired.tolist())
-        }
-        single = by_key[first[~paired]]
+        # with no third use left, the two uses of an interior edge sit at
+        # sorted positions second - 1 and second; every other edge is used once
+        a, b = by_key[second - 1], by_key[second]
+        across = np.full(len(keys), -1)
+        across[a], across[b] = b // 3, a // 3
+        self.side_keys, self.across = keys.reshape(-1, 3), across.reshape(-1, 3)
+        alone = starts.copy()
+        alone[second - 1] = False
+        single = by_key[alone]
         self.boundary_edges = list(zip(lo[single].tolist(), hi[single].tolist()))
         self.boundary_vertices = np.unique(np.concatenate([lo[single], hi[single]])).tolist()
 
@@ -173,11 +177,18 @@ def exhaustion_order(mesh):
     The collar seeds every triangle incident to a boundary vertex in
     ascending index order; each growth step absorbs the candidate across
     the lowest canonical edge key it shares with an absorbed triangle.
-    The order is its own record: :func:`verify_order` rederives each
-    growth step's donor and edge from the mesh. Raises on closed surfaces
-    (no collar to start from) and on meshes whose triangles cannot all be
-    reached through shared edges.
+    Each candidate ``g`` across the side ``(lo, hi)`` of an absorbed
+    triangle, read from the mesh's side tables, enters a heap as the one
+    integer ``(lo * V + hi) * F + g``, which orders as the tuple
+    ``((lo, hi), g)`` does, since ``hi < V`` and ``g < F``. The order is
+    its own record: :func:`verify_order` rederives each growth step's
+    donor and edge from the mesh. Raises on a mesh without triangles, on
+    closed surfaces (no collar to start from) and on meshes whose
+    triangles cannot all be reached through shared edges.
     """
+    n = mesh.n_triangles
+    if n == 0:
+        raise MeshError("mesh has no triangles")
     if mesh.is_closed():
         raise MeshError("closed surface: exhaustion needs a boundary collar")
     on_boundary = np.zeros(len(mesh.vertices), dtype=bool)
@@ -185,33 +196,31 @@ def exhaustion_order(mesh):
     in_collar = on_boundary[mesh.triangles].any(axis=1)
     collar = np.flatnonzero(in_collar).tolist()
     order = list(collar)
-    done = in_collar.tolist()
-
-    tris = mesh.triangles.tolist()  # plain ints: cheap heap comparisons
-    edge_triangles = mesh.edge_triangles
+    # plain ints: cheap heap comparisons; the boundary's -1 across a side
+    # reads the trailing sentinel, which counts as absorbed
+    done = in_collar.tolist() + [True]
+    keys, across = mesh.side_keys.ravel().tolist(), mesh.across.ravel().tolist()
     heap = []
 
     def push_frontier(f):
-        a, b, c = tris[f]
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            for g in edge_triangles[key]:
-                if not done[g]:
-                    heapq.heappush(heap, (key, g))
+        for s in (3 * f, 3 * f + 1, 3 * f + 2):
+            g = across[s]
+            if not done[g]:
+                heapq.heappush(heap, keys[s] * n + g)
 
     for f in collar:
         push_frontier(f)
 
     while heap:
-        _, g = heapq.heappop(heap)
+        g = heapq.heappop(heap) % n
         if done[g]:
             continue
         done[g] = True
         order.append(g)
         push_frontier(g)
 
-    if len(order) != mesh.n_triangles:
-        missing = [f for f, absorbed in enumerate(done) if not absorbed]
+    if len(order) != n:
+        missing = [f for f, absorbed in enumerate(done[:n]) if not absorbed]
         raise MeshError(
             f"unreachable simplices: {len(missing)} triangles cannot be reached "
             f"from the boundary collar (first few: {missing[:8]})"
@@ -222,8 +231,8 @@ def exhaustion_order(mesh):
 def verify_order(mesh, order):
     """Independent replay of an exhaustion order; its growth steps.
 
-    Rebuilds adjacency from the triangles alone (not from the mesh's edge
-    table) and checks that the order is a permutation of all triangles. A
+    Rebuilds adjacency from the triangles alone (not from the mesh's side
+    tables) and checks that the order is a permutation of all triangles. A
     triangle with a boundary vertex is a collar step; every other triangle
     is a growth step and must share an edge with a triangle earlier in the
     order. All steps are tested at once; :class:`MeshError` names the

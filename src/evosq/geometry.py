@@ -109,21 +109,25 @@ def make_profile(name, **params):
 def fd_weights(x, x0, m):
     """Weights of derivative order ``m`` at ``x0`` on nodes ``x``.
 
-    Classic recursion; exact for polynomials up to degree ``len(x) - 1``.
+    Fornberg's recursion (Math. Comp. 51, 1988); exact for polynomials up
+    to degree ``n - 1`` on ``n`` nodes. It runs once over stacked stencils:
+    ``x`` is ``(..., n)`` and ``x0`` broadcasts against ``x[..., 0]``, and
+    the weights come back as ``(..., n)``. Each stencil's weights take the
+    same floating-point steps as a scalar run of the recursion would.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
-    c = np.zeros((n, m + 1))
+    n = x.shape[-1]
+    c = np.zeros((n, m + 1) + x.shape[:-1])  # c[node, order] is one value per stencil
     c[0, 0] = 1.0
     c1 = 1.0
-    c4 = x[0] - x0
+    c4 = x[..., 0] - x0
     for i in range(1, n):
         mn = min(i, m)
         c2 = 1.0
         c5 = c4
-        c4 = x[i] - x0
+        c4 = x[..., i] - x0
         for j in range(i):
-            c3 = x[i] - x[j]
+            c3 = x[..., i] - x[..., j]
             c2 *= c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
@@ -133,27 +137,25 @@ def fd_weights(x, x0, m):
                 c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
-    return c[:, m]
+    return np.moveaxis(c[:, m], 0, -1)
 
 
 def derivative_matrix(ts, order):
     """Dense differentiation matrix on the node set ``ts``.
 
-    Interior rows use the 3-point stencil; end rows widen to keep second
-    order (3 points for first derivatives, 4 for second).
+    Interior rows use the 3-point stencil, all in one :func:`fd_weights`
+    call; end rows widen to keep second order (3 points for first
+    derivatives, 4 for second).
     """
     ts = np.asarray(ts, dtype=float)
     K = ts.size
     npts = 3 if order == 1 else 4
     D = np.zeros((K, K))
-    for j in range(K):
-        if 0 < j < K - 1:
-            idx = [j - 1, j, j + 1]
-        elif j == 0:
-            idx = list(range(min(npts, K)))
-        else:
-            idx = list(range(max(0, K - npts), K))
-        D[j, idx] = fd_weights(ts[idx], ts[j], order)
+    rows = np.arange(1, K - 1)[:, None]
+    idx = rows + np.arange(-1, 2)
+    D[rows, idx] = fd_weights(ts[idx], ts[1:-1], order)
+    for j, ends in ((0, np.arange(min(npts, K))), (K - 1, np.arange(max(0, K - npts), K))):
+        D[j, ends] = fd_weights(ts[ends], ts[j], order)
     return D
 
 

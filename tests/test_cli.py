@@ -619,6 +619,16 @@ def test_exhaustion_malformed_off_exits_three(tmp_path, capsys, text):
     assert err.startswith("numerical failure:") and "malformed OFF data" in err
 
 
+def test_exhaustion_of_an_off_file_without_faces_exits_three(tmp_path, capsys):
+    # this was reported as a closed surface
+    p = tmp_path / "empty.off"
+    p.write_text("OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n")
+    code, _, summary = _run(tmp_path, "exhaustion", "--override", f"mesh={p}")
+    err = capsys.readouterr().err
+    assert code == 3 and summary is None
+    assert err.startswith("numerical failure:") and "mesh has no triangles" in err
+
+
 def test_tiny_eps_depth_grid_is_a_config_error(tmp_path, capsys):
     code, _, summary = _run(tmp_path, "dn-compute", *SMALL, "--override", "eps=1e-9")
     err = capsys.readouterr().err
@@ -910,6 +920,16 @@ _FUZZED = {
         {"levels": st.lists(st.tuples(*_GRID.values()).map(list), min_size=2, max_size=3)},
         {**_COLLAR, "q1": _Q, "quantity": st.sampled_from(sorted(cli._MEASURES))},
     ),
+    # no grid; a mesh of at most 12 x 12 cells, or the default 50 x 100. One int is the
+    # sphere's subdivision count, which quadruples its triangles, so it stays at 6 or below
+    "exhaustion": ({}, {
+        "mesh_kind": st.sampled_from(["annulus", "disk", "strip", "sphere", "cube"]),
+        "mesh_params": st.one_of(
+            st.lists(st.integers(-2, 6), max_size=1),
+            st.lists(st.integers(-2, 12), min_size=2, max_size=3),
+        ),
+        "samples_per_cell": st.integers(-1, 6),
+    }),
 }
 
 
@@ -917,9 +937,28 @@ _FUZZED = {
 @settings(derandomize=True, database=None, deadline=None, max_examples=10)
 @given(data=st.data())
 def test_scenario_overrides_exit_cleanly(tmp_path_factory, scenario, data):
-    # no traceback, and no NaN or infinity in anything written, whatever the overrides
     always, maybe = _FUZZED[scenario]
     overrides = data.draw(st.fixed_dictionaries(always, optional=maybe))
+    _exits_cleanly(tmp_path_factory, scenario, overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides, code",
+    [
+        ({"mesh_kind": "sphere", "mesh_params": [1]}, 3),
+        ({"mesh_params": [4, 2]}, 2),
+        ({"mesh_kind": "cube"}, 2),
+    ],
+    ids=["closed", "two-sectors", "unknown-kind"],
+)
+def test_exhaustion_override_examples_exit_as_documented(tmp_path_factory, overrides, code):
+    # explicit examples for the fuzz above, which draws through st.data() and so takes none
+    assert _exits_cleanly(tmp_path_factory, "exhaustion", overrides) == code
+
+
+def _exits_cleanly(tmp_path_factory, scenario, overrides):
+    """Run ``scenario`` with ``overrides``; its exit code, once the run left no
+    traceback and no NaN or infinity in anything it wrote."""
     out = tmp_path_factory.mktemp("fuzz") / "out"
     argv = [scenario, "--out", str(out)]
     for key, value in overrides.items():
@@ -934,3 +973,4 @@ def test_scenario_overrides_exit_cleanly(tmp_path_factory, scenario, data):
         json.loads((out / "summary.json").read_text(), parse_constant=_refuse_constant)
     for path in out.glob("*.csv") if out.is_dir() else ():
         assert not {"nan", "inf"} & set(path.read_text().replace(",", "\n").split()), path
+    return code

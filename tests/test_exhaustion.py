@@ -1,8 +1,9 @@
+import heapq
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evosq.errors import FormatError, MeshError
@@ -147,7 +148,17 @@ def test_mesh_checks_match_a_scan_order_loop(triangles):
         assert str(err.value) == expected
     else:
         m = SurfaceMesh(_SOUP_BASE.vertices, triangles)
-        assert (m.edge_triangles, m.boundary_edges, m.boundary_vertices) == expected
+        assert (_edge_triangles(m), m.boundary_edges, m.boundary_vertices) == expected
+
+
+def _edge_triangles(mesh):
+    """Each edge's triangles in scan order, read from the side tables."""
+    V, edges = len(mesh.vertices), {}
+    for f, (keys, across) in enumerate(zip(mesh.side_keys.tolist(), mesh.across.tolist())):
+        for key, g in zip(keys, across):
+            # the first triangle to reach an edge comes first, the one across it second
+            edges.setdefault(divmod(key, V), [f] + [g] * (g >= 0))
+    return edges
 
 
 def test_off_round_trip(tmp_path):
@@ -264,6 +275,89 @@ def test_exhaustion_reports_unreachable_component():
     )
     with pytest.raises(MeshError, match="unreachable simplices"):
         exhaustion_order(m)
+
+
+def test_exhaustion_refuses_a_mesh_without_triangles():
+    # no triangle has a boundary edge either; this was reported as a closed surface
+    with pytest.raises(MeshError, match="mesh has no triangles"):
+        exhaustion_order(SurfaceMesh(np.eye(3), np.zeros((0, 3), dtype=int)))
+
+
+def _ordered_by_an_edge_dict(triangles):
+    """Reference: the growth order from a dict of each edge's triangles and a
+    heap of ``((lo, hi), triangle)`` tuples, or the message it raises."""
+    edge_triangles, boundary, boundary_vertices = _scan_order_mesh_check(triangles)
+    if not boundary:
+        return "closed surface: exhaustion needs a boundary collar"
+    seeds = set(boundary_vertices)
+    done = [bool(seeds & set(t)) for t in triangles]
+    order = [f for f, seeded in enumerate(done) if seeded]
+    heap = []
+
+    def push_frontier(f):
+        a, b, c = triangles[f]
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (u, v) if u < v else (v, u)
+            for g in edge_triangles[key]:
+                if not done[g]:
+                    heapq.heappush(heap, (key, g))
+
+    for f in order:
+        push_frontier(f)
+    while heap:
+        _, g = heapq.heappop(heap)
+        if not done[g]:
+            done[g] = True
+            order.append(g)
+            push_frontier(g)
+    if len(order) != len(triangles):
+        missing = [f for f, absorbed in enumerate(done) if not absorbed]
+        return (
+            f"unreachable simplices: {len(missing)} triangles cannot be reached "
+            f"from the boundary collar (first few: {missing[:8]})"
+        )
+    return order
+
+
+_TETRAHEDRON = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
+
+
+@st.composite
+def _relabelled_meshes(draw):
+    """Jittered annulus, disk and strip meshes, a closed sphere, or a strip
+    beside a closed tetrahedron, with vertices and triangles renumbered; or
+    a triangle soup that passes the mesh checks."""
+    kind = draw(st.sampled_from(["annulus", "disk", "strip", "sphere", "unreachable", "soup"]))
+    if kind == "soup":
+        triangles = draw(_triangle_soups())
+        assume(not isinstance(_scan_order_mesh_check(triangles), str))
+        return SurfaceMesh(_SOUP_BASE.vertices, triangles)
+    if kind == "sphere":
+        base = sphere_mesh(draw(st.integers(0, 2)))
+    else:
+        maker = {"annulus": annulus_mesh, "disk": disk_mesh}.get(kind, strip_mesh)
+        low = 1 if maker is strip_mesh else 3
+        base = maker(draw(st.integers(1, 5)), draw(st.integers(low, 9)))
+    vertices, triangles = base.vertices, base.triangles
+    if kind == "unreachable":
+        triangles = np.vstack([triangles, np.array(_TETRAHEDRON) + len(vertices)])
+        vertices = np.vstack([vertices, np.eye(4, 3) + 3.0])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jitter = rng.uniform(-1e-3, 1e-3, vertices.shape)
+    label = rng.permutation(len(vertices))
+    return SurfaceMesh(vertices[np.argsort(label)] + jitter, label[rng.permutation(triangles)])
+
+
+@_EXAMPLES
+@given(_relabelled_meshes())
+def test_exhaustion_orders_as_an_edge_dict_and_tuple_heap_do(mesh):
+    expected = _ordered_by_an_edge_dict(mesh.triangles.tolist())
+    if isinstance(expected, str):
+        with pytest.raises(MeshError) as err:
+            exhaustion_order(mesh)
+        assert str(err.value) == expected
+    else:
+        assert exhaustion_order(mesh) == expected
 
 
 def test_verify_rejects_non_permutation():

@@ -110,6 +110,58 @@ def test_fd_weights_polynomial_exactness():
             assert abs(w @ x**deg - exact) < 1e-12
 
 
+def _fd_weights_of_one_stencil(x, x0, m):
+    """Reference: Fornberg's recursion for one stencil, on Python floats."""
+    n = len(x)
+    c = [[0.0] * (m + 1) for _ in range(n)]
+    c[0][0] = 1.0
+    c1 = 1.0
+    c4 = x[0] - x0
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - x0
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i][k] = c1 * (k * c[i - 1][k - 1] - c5 * c[i - 1][k]) / c2
+                c[i][0] = -c1 * c5 * c[i - 1][0] / c2
+            for k in range(mn, 0, -1):
+                c[j][k] = (c4 * c[j][k] - k * c[j][k - 1]) / c3
+            c[j][0] = c4 * c[j][0] / c3
+        c1 = c2
+    return [row[m] for row in c]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_stacked_fd_weights_are_the_one_stencil_recursion_bit_for_bit(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    x = np.sort(rng.uniform(-1.0, 2.0, (50, n)), axis=1)
+    x0 = np.where(rng.random(50) < 0.5, x[:, n // 2], rng.uniform(-1.0, 2.0, 50))
+    expected = [_fd_weights_of_one_stencil(xs.tolist(), float(x0s), m) for xs, x0s in zip(x, x0)]
+    assert np.array_equal(fd_weights(x, x0, m), np.array(expected))
+    assert np.array_equal(fd_weights(x[7], x0[7], m), np.array(expected[7]))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 9, 40])
+@pytest.mark.parametrize("order", [1, 2])
+def test_derivative_matrix_rows_are_their_stencils_weights(K, order):
+    ts = np.sort(np.random.default_rng(K).uniform(0.0, 1.0, K))
+    expected = np.zeros((K, K))
+    for j in range(K):
+        if 0 < j < K - 1:
+            idx = [j - 1, j, j + 1]
+        else:  # the end rows widen to 3 points for first derivatives, 4 for second
+            w = min(order + 2, K)
+            idx = list(range(w)) if j == 0 else list(range(K - w, K))
+        expected[j, idx] = _fd_weights_of_one_stencil(ts[idx].tolist(), float(ts[j]), order)
+    assert np.array_equal(derivative_matrix(ts, order), expected)
+
+
 def test_derivative_matrix_on_smooth_function():
     ts = np.linspace(0.0, 1.0, 201)
     f = np.exp(ts)
@@ -226,6 +278,16 @@ def test_conformal_potential_closed_form():
     qs = pot.on_slice(g.theta, 0.15)
     assert np.max(np.abs(qs - 0.25)) < 1e-6
     assert np.max(np.abs(corr + 0.5)) < 1e-6
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["circle", "torus"])
+def test_conformal_potential_takes_nodes_within_round_off_only(dim):
+    g = build_warped_geometry(make_profile("flat-cylinder", T=0.9), N=8, M=16, eps=0.3, dim=dim)
+    pot, _ = conformal_potential(g, lambda t: np.exp(2.0 * t), 3)
+    t = g.ts[5]
+    assert np.array_equal(pot.on_slice(g.theta + 1e-12, t), pot.on_slice(g.theta, t))
+    with pytest.raises(GeometryError, match="theta nodes"):
+        pot.on_slice(g.theta + 1e-6, t)
 
 
 def test_conformal_validation():
