@@ -39,7 +39,7 @@ from .dnmap import (
     solve_interior,
 )
 from .errors import ConfigError, EvosqError, GeometryError
-from .evolution import PairOperator, _norm, evolve_trace, evolved_rank_one
+from .evolution import PairOperator, RankOneField, _norm, evolve_trace
 from .exhaustion import collar_map_samples, exhaustion_order, load_mesh
 from .geometry import PROFILE_PARAMS, build_warped_geometry, make_profile
 from .potentials import make_potential
@@ -292,7 +292,8 @@ def _run_evolve(cfg, out):
 
 def _run_kernel(cfg, out):
     g, fam1, fam2 = _pair(cfg)
-    W = evolved_rank_one(fam1, fam2, *_pair_data(cfg, g))
+    f1, f2 = _pair_data(cfg, g)
+    W = RankOneField(evolve_trace(fam1, f1), evolve_trace(fam2, f2))
     tol = cfg["tol"]
     res = kernel_residual(PairOperator(fam1, fam2), W)
     passed = (
@@ -315,8 +316,8 @@ def _run_headline(cfg, out):
 
 
 def _run_layer_strip(cfg, out):
-    g, fam1, fam2 = _pair(cfg)
-    check = layer_strip_check(fam1, fam2, *_pair_data(cfg, g))
+    g = _build_geometry(cfg)
+    check = layer_strip_check(g, cfg["q1"], cfg["q2"], *_pair_data(cfg, g))
     results = {k: check[k] for k in ("lhs", "rhs", "volume_term", "deep_term", "rel_gap")}
     results["tol"] = cfg["tol"]
     return results, check["rel_gap"] <= cfg["tol"]
@@ -382,13 +383,15 @@ def _run_conformal(cfg, out):
 _MESH_SOURCES = {
     "mesh": {"mesh": None}, "mesh_kind": {"mesh_kind": "annulus", "mesh_params": [50, 100]},
 }
-# mesh kind -> (maker, least value of each parameter); under 3 sectors a ring makes no surface
+# mesh kind -> (maker, least value of each parameter, its triangle count); under 3 sectors a
+# ring makes no surface, and past 16 subdivisions a sphere is far above any bound
 _MESH_MAKERS = {
-    "annulus": (meshes.annulus_mesh, (1, 3)),
-    "disk": (meshes.disk_mesh, (1, 3)),
-    "strip": (meshes.strip_mesh, (1, 1)),
-    "sphere": (meshes.sphere_mesh, (1,)),
+    "annulus": (meshes.annulus_mesh, (1, 3), lambda rings, sectors: 2 * rings * sectors),
+    "disk": (meshes.disk_mesh, (1, 3), lambda rings, sectors: (2 * rings - 1) * sectors),
+    "strip": (meshes.strip_mesh, (1, 1), lambda nx, ny: 2 * nx * ny),
+    "sphere": (meshes.sphere_mesh, (1,), lambda k: 8 * 4 ** min(k, 16)),
 }
+_MAX_TRIANGLES = 2**18  # generated-mesh bound; the sphere of 7 subdivisions has 131 072
 
 
 def _run_exhaustion(cfg, out):
@@ -401,7 +404,7 @@ def _run_exhaustion(cfg, out):
         kind, params = source["mesh_kind"], source["mesh_params"]
         if not isinstance(kind, str) or kind not in _MESH_MAKERS:
             raise ConfigError(f"unknown mesh kind {kind!r}")
-        maker, minima = _MESH_MAKERS[kind]
+        maker, minima, triangles = _MESH_MAKERS[kind]
         if not isinstance(params, list) or len(params) != len(minima):
             raise ConfigError(
                 f"mesh_params for mesh_kind {kind!r} needs {len(minima)} ints, got {params!r}"
@@ -410,6 +413,11 @@ def _run_exhaustion(cfg, out):
         if any(p < low for p, low in zip(params, minima)):
             raise ConfigError(
                 f"mesh_params for mesh_kind {kind!r} needs ints >= {list(minima)}, got {params!r}"
+            )
+        if triangles(*params) > _MAX_TRIANGLES:
+            raise ConfigError(
+                f"problem too large: mesh_kind {kind!r} with mesh_params {params} makes more "
+                f"than {_MAX_TRIANGLES} triangles"
             )
         mesh = maker(*params)
     t0 = time.perf_counter()

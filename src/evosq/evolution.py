@@ -15,9 +15,11 @@ their potentials.
 
 Every field is a plain array indexed by collar node first: a trace is
 ``(M+1, N)`` and a kernel field ``(M+1, N, N)``, row ``j`` at depth
-``geometry.collar_ts[j]``. A transport asked for ``rows`` returns only the
-nodes ``0..rows-1``: the forward sweep stops there, the backward sweep runs
-the whole collar but keeps no deeper slice than the one it steps from.
+``geometry.collar_ts[j]``; a :class:`RankOneField` stands in for the kernel
+field of two traces where slices are only read. A transport asked for
+``rows`` returns only the nodes ``0..rows-1``: the forward sweep stops
+there, the backward sweep runs the whole collar but keeps no deeper slice
+than the one it steps from.
 
 All steppers are trapezoidal (second order); both transports are one
 stepper run down or up the collar. Its implicit half-step is a symmetric
@@ -46,19 +48,17 @@ _CG_TOL = 1e-10
 _CG_MAXITER = 500
 
 
-def shared_geometry(family1, family2):
-    """The one geometry a family pair lives on: the same object or the same ``hash()``."""
-    g1, g2 = family1.geometry, family2.geometry
-    if g2 is not g1 and g2.hash() != g1.hash():
-        raise GeometryError(f"a family pair needs one geometry, got {g1.hash()} and {g2.hash()}")
-    return g1
-
-
 class PairOperator:
-    """Slice-indexed generator ``W -> Lam1(t) W + W Lam2(t)^T`` of two families on one geometry."""
+    """Slice-indexed generator ``W -> Lam1(t) W + W Lam2(t)^T`` of two families on one geometry.
+
+    The families' geometries must be the same object or have the same ``hash()``.
+    """
 
     def __init__(self, family1, family2):
-        self.geometry = shared_geometry(family1, family2)
+        g1, g2 = family1.geometry, family2.geometry
+        if g2 is not g1 and g2.hash() != g1.hash():
+            raise GeometryError(f"a family pair needs one geometry, got {g1.hash()} and {g2.hash()}")
+        self.geometry = g1
         self.family1 = family1
         self.family2 = family2
 
@@ -225,6 +225,22 @@ def evolve_tensor_backward(pair_op, W_eps, source=None, rows=None):
     """
     nodes = range(pair_op.geometry.M, -1, -1)
     return _transport(pair_op, W_eps, nodes, pair_op.volume_rate, source, "backward", rows)
+
+
+class RankOneField:
+    """The kernel field ``W[k] = outer(u1[k], u2[k])`` of two traces, formed one slice per lookup.
+
+    It has the ``(M+1, N, N)`` shape of the array :func:`evolved_rank_one`
+    returns, and each slice equals that array's bit for bit, while it holds
+    only the two ``(M+1, N)`` traces.
+    """
+
+    def __init__(self, u1, u2):
+        self.u1, self.u2 = u1, u2
+        self.shape = (len(u1), u1.shape[1], u2.shape[1])
+
+    def __getitem__(self, k):
+        return np.multiply.outer(self.u1[k], self.u2[k])
 
 
 def evolved_rank_one(family1, family2, f1, f2):

@@ -162,8 +162,8 @@ def load_mesh(path):
     if polygons.size:
         arity = faces[polygons[0], 0]
         raise FormatError(f"{path}: only triangle faces supported, found {arity}-gon")
-    # an empty vertex block stays 1-D, which SurfaceMesh refuses
-    return SurfaceMesh(verts.reshape(nv, 3) if nv else verts, faces[:, 1:])
+    # an empty vertex block is (0, 3): a file without vertices is a mesh without triangles
+    return SurfaceMesh(verts.reshape(nv, 3), faces[:, 1:])
 
 
 # ---------------------------------------------------------------------------

@@ -31,14 +31,13 @@ With matching potentials every sweep is identically zero (the null test in
 
 import numpy as np
 
-from .dnmap import solve_interior
+from .dnmap import compute_dn_family, solve_interior
 from .errors import GeometryError
 from .evolution import (
     PairOperator,
     _norm,
     evolve_tensor_backward,
     evolve_tensor_forward,
-    shared_geometry,
 )
 
 
@@ -121,37 +120,42 @@ def dn_recovery_check(family1, family2):
     }
 
 
-def layer_strip_check(family1, family2, f1, f2):
+def _strip_side(geometry, potential, f):
+    """``(Lam(0), Lam(eps), q, u)`` of one potential, ``u`` the extension of ``f``; its family
+    and the fresh chain of its interior solve are dropped on return."""
+    family = compute_dn_family(geometry, potential)
+    u = solve_interior(family, f)
+    return family.lams[0].copy(), family.lams[geometry.M].copy(), family.q, u
+
+
+def layer_strip_check(geometry, q1, q2, f1, f2):
     """Strip decomposition of the boundary pairing (independent quadrature).
 
     ``<(Lam1(0) - Lam2(0)) f1, f2>`` must equal the collar volume integral
     of ``(Q1 - Q2) u1 u2`` plus the same pairing at the collar depth with
     the extended traces. Both sides are computed from scratch: the left
-    from the families, the right from interior solves and the trapezoid
-    rule; a family's kept ``chain`` spares its interior solve an elimination.
-    Returns both sides and the relative gap.
+    from the families of ``q1`` and ``q2`` on ``geometry``, the right from
+    interior solves and the trapezoid rule. One family is held at a time:
+    each is built, extends its data on a fresh chain and is dropped, keeping
+    its two end maps, its collar potential and its trace, so the check peaks
+    at two chain-sized arrays. Returns both sides and the relative gap.
     """
-    g = shared_geometry(family1, family2)
+    g = geometry
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)
+    lam1_0, lam1_eps, q1, u1 = _strip_side(g, q1, f1)
+    lam2_0, lam2_eps, q2, u2 = _strip_side(g, q2, f2)
 
-    u1 = solve_interior(family1, f1)
-    u2 = solve_interior(family2, f2)
-
-    lhs = g.node_weight(0.0) * float(np.dot((family1.lams[0] - family2.lams[0]) @ f1, f2))
+    lhs = g.node_weight(0.0) * float(np.dot((lam1_0 - lam2_0) @ f1, f2))
 
     ts = g.collar_ts
     slab_vals = np.empty(g.M + 1)
     for j in range(g.M + 1):
-        slab_vals[j] = g.node_weight(float(ts[j])) * float(
-            np.sum((family1.q[j] - family2.q[j]) * u1[j] * u2[j])
-        )
+        slab_vals[j] = g.node_weight(float(ts[j])) * float(np.sum((q1[j] - q2[j]) * u1[j] * u2[j]))
     volume = float(np.trapezoid(slab_vals, ts))
 
     w_eps = g.node_weight(float(ts[-1]))
-    deep = w_eps * float(
-        np.dot((family1.lams[g.M] - family2.lams[g.M]) @ u1[g.M], u2[g.M])
-    )
+    deep = w_eps * float(np.dot((lam1_eps - lam2_eps) @ u1[g.M], u2[g.M]))
     rhs = volume + deep
     denom = max(abs(lhs), abs(rhs), 1e-30)
     return {

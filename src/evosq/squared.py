@@ -27,9 +27,11 @@ Depth derivatives are stencils applied along the first axis
 per-slice kernel shares; no depth matrix is formed. The kernel walks down
 the collar holding a few slices: :func:`kernel_residual` applies all three
 variants in one pass and keeps only norms, :func:`apply_variant` fills one
-field. End rows of ``D`` are first order, so residuals of the factorized
-form are meaningful only away from the collar ends; :func:`kernel_residual`
-skips a two-node margin on each side.
+field. The field ``W`` need only have ``shape`` and slice indexing, so a
+:class:`~evosq.evolution.RankOneField` is walked without being
+materialized. End rows of ``D`` are first order, so residuals of the
+factorized form are meaningful only away from the collar ends;
+:func:`kernel_residual` skips a two-node margin on each side.
 
 A residual is a small part of its scale (1e-4 at N=32, M=64; 1e-5 at
 N=128, M=256) and holds ``W''``, whose stencil divides by h^2, so round-off
@@ -90,11 +92,26 @@ def second_derivative(u, ts):
     return np.array([_d2(u, k, len(u) - 1, h) for k in range(len(u))], dtype=float)
 
 
+class _Window(dict):
+    """Slices of a field by node, each read from ``field`` on its first lookup."""
+
+    def __init__(self, field):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, k):
+        self[k] = self.field[k]
+        return self[k]
+
+
 def _applied_slices(pair_op, W, variants, rows):
     """Walk ``rows`` down the collar, yielding ``(A_j W_j, {variant: applied slice j})``.
 
-    ``W`` is read in place; ``factorized`` keeps ``A_k W_k`` and ``Y_k = V_k (D W + A W)_k``
-    for ``k = j-1 .. j+1`` only (``A_j W_j`` is None without it).
+    Each slice ``W[k]`` is read once, into a window of the few nodes around ``j``
+    that the stencils reach (views of an array, one outer product each of a
+    :class:`~evosq.evolution.RankOneField`); ``factorized`` keeps ``A_k W_k``
+    and ``Y_k = V_k (D W + A W)_k`` for ``k = j-1 .. j+1`` only (``A_j W_j``
+    is None without it).
     """
     g = pair_op.geometry
     ts = g.collar_ts
@@ -103,7 +120,7 @@ def _applied_slices(pair_op, W, variants, rows):
     h, last = _uniform_step(ts), ts.size - 1
     f1, f2, eye = pair_op.family1, pair_op.family2, np.eye(g.N)
     V, mu_dot = np.exp(2.0 * g.mu(ts)), g.mu_dot(ts)
-    AW, Y = {}, {}
+    W, AW, Y = _Window(W), {}, {}
     expanded = [v for v in variants if v != "factorized"]
     for j in rows:
         applied = {}
@@ -130,11 +147,16 @@ def _applied_slices(pair_op, W, variants, rows):
             B1 = f1.lams[j] - half * mu * eye
             B2 = f2.lams[j] - half * mu * eye
             applied[variant] = base + (cross * (B1 @ W[j] @ B2.T) - half * mu * mu * W[j])
+        W.pop(j - 3, None)  # rows after j read no node before j - 2
         yield AW.get(j), applied
 
 
 def apply_variant(pair_op, W, variant="factorized"):
-    """Apply one squared-operator variant to a ``(M+1, N, N)`` kernel field on the collar."""
+    """Apply one squared-operator variant to a kernel field on the collar.
+
+    ``W`` is any field of ``shape`` ``(M+1, N, N)`` whose ``W[k]`` is slice
+    ``k``: an array or a :class:`~evosq.evolution.RankOneField`. Returns an array.
+    """
     if variant not in VARIANTS:
         raise GeometryError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     out = np.empty(W.shape)
@@ -150,7 +172,8 @@ def kernel_residual(pair_op, W):
     The defect on slice ``j`` is the Frobenius norm of the applied variant,
     normalized by one scale, the largest first-order term ``|A_j W_j|`` over
     the same interior range (so the numbers are comparable across variants
-    and resolutions). Returns ``{variant: max over the interior}``.
+    and resolutions). ``W`` is a field as in :func:`apply_variant`, each
+    slice read once. Returns ``{variant: max over the interior}``.
     """
     interior = range(_MARGIN, pair_op.geometry.M + 1 - _MARGIN)
     worst = {}  # the largest norm so far, one scalar per variant and for the scale

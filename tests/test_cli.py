@@ -479,6 +479,27 @@ def test_layer_strip_scenario(tmp_path):
     assert summary["results"]["rel_gap"] <= summary["results"]["tol"]
 
 
+@pytest.mark.parametrize("scenario", ["kernel-check", "layer-strip"])
+@pytest.mark.parametrize("geometry", ["annulus", "disk", "flat-cylinder"])
+def test_pairing_checks_hold_two_chain_arrays_at_most(scenario, geometry):
+    # each family is an (M+2, N, N) chain; the elimination's own working set read 30-36
+    # slices more, and a third field-sized array (the materialized rank-one field, or a
+    # second family beside the first's interior solve) 90-97 more
+    import tracemalloc
+
+    N, M = 32, 64
+    runner, defaults = _SCENARIOS[scenario]
+    cfg = cli._typed(scenario, defaults, {"geometry": geometry, "N": N, "M": M})
+    runner(cfg, None)  # first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        runner(cfg, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * (M + 2) + 48) * N * N * 8
+
+
 @pytest.mark.parametrize("value", ["null", "{}"])
 def test_empty_second_boundary_data_takes_its_own_default(tmp_path, value):
     # null and {} stand for boundary_data2's default, not for boundary_data's
@@ -523,11 +544,57 @@ def test_exhaustion_scenario(tmp_path):
 
 def test_exhaustion_without_keys_orders_the_default_annulus(tmp_path, monkeypatch):
     calls = []
-    maker, minima = cli._MESH_MAKERS["annulus"]
-    small = (lambda *p: calls.append(p) or maker(6, 24), minima)
+    maker, minima, triangles = cli._MESH_MAKERS["annulus"]
+    small = (lambda *p: calls.append(p) or maker(6, 24), minima, triangles)
     monkeypatch.setitem(cli._MESH_MAKERS, "annulus", small)
     code, _, summary = _run(tmp_path, "exhaustion")
     assert code == 0 and calls == [(50, 100)]
+
+
+@pytest.mark.parametrize(
+    "kind, params", [("annulus", [3, 5]), ("disk", [1, 4]), ("disk", [3, 5]), ("strip", [2, 7]),
+                     ("sphere", [1]), ("sphere", [3])],
+)
+def test_mesh_triangle_counts_are_the_makers(kind, params):
+    maker, _, triangles = cli._MESH_MAKERS[kind]
+    assert triangles(*params) == maker(*params).n_triangles
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("annulus", [512, 257]), ("disk", [257, 512]), ("strip", [257, 512]), ("sphere", [8]),
+     ("sphere", [2**63])],
+)
+def test_exhaustion_refuses_a_mesh_above_the_bound_before_building_it(
+    tmp_path, capsys, monkeypatch, kind, params
+):
+    # the sphere of 8 subdivisions took 2.0 s and 312 MB to build, only to exit 3 as closed
+    _, minima, triangles = cli._MESH_MAKERS[kind]
+    built = []
+    monkeypatch.setitem(cli._MESH_MAKERS, kind, (lambda *p: built.append(p), minima, triangles))
+    overrides = ["--override", f"mesh_kind={kind}", "--override", f"mesh_params={params}"]
+    code, _, summary = _run(tmp_path, "exhaustion", *overrides)
+    assert code == 2 and summary is None and built == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: problem too large: mesh_kind '{kind}'")
+    assert f"more than {cli._MAX_TRIANGLES} triangles" in err
+
+
+def test_exhaustion_builds_a_mesh_at_the_bound(monkeypatch):
+    # 2 * 512 * 256 = 2**18 triangles: the bound itself is allowed
+    _, minima, triangles = cli._MESH_MAKERS["strip"]
+    assert triangles(512, 256) == cli._MAX_TRIANGLES
+    built = []
+
+    def tiny(*params):
+        built.append(params)
+        return strip_mesh(2, 2)
+
+    monkeypatch.setitem(cli._MESH_MAKERS, "strip", (tiny, minima, triangles))
+    results, _ = cli._run_exhaustion(
+        cli._typed("exhaustion", _SCENARIOS["exhaustion"][1],
+                   {"mesh_kind": "strip", "mesh_params": [512, 256]}), None)
+    assert built == [(512, 256)] and results["triangles"] == 8
 
 
 def test_exhaustion_rejects_closed_mesh(tmp_path):
@@ -617,6 +684,16 @@ def test_exhaustion_malformed_off_exits_three(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert code == 3 and summary is None
     assert err.startswith("numerical failure:") and "malformed OFF data" in err
+
+
+def test_exhaustion_of_an_off_file_without_vertices_exits_three(tmp_path, capsys):
+    # this was reported as a vertex-shape error
+    p = tmp_path / "empty.off"
+    p.write_text("OFF\n0 0 0\n")
+    code, _, summary = _run(tmp_path, "exhaustion", "--override", f"mesh={p}")
+    err = capsys.readouterr().err
+    assert code == 3 and summary is None
+    assert err.startswith("numerical failure:") and "mesh has no triangles" in err
 
 
 def test_exhaustion_of_an_off_file_without_faces_exits_three(tmp_path, capsys):
@@ -921,11 +998,11 @@ _FUZZED = {
         {**_COLLAR, "q1": _Q, "quantity": st.sampled_from(sorted(cli._MEASURES))},
     ),
     # no grid; a mesh of at most 12 x 12 cells, or the default 50 x 100. One int is the
-    # sphere's subdivision count, which quadruples its triangles, so it stays at 6 or below
+    # sphere's subdivision count: past 7, its triangles are refused before the build
     "exhaustion": ({}, {
         "mesh_kind": st.sampled_from(["annulus", "disk", "strip", "sphere", "cube"]),
         "mesh_params": st.one_of(
-            st.lists(st.integers(-2, 6), max_size=1),
+            st.lists(st.integers(-2, 12), max_size=1),
             st.lists(st.integers(-2, 12), min_size=2, max_size=3),
         ),
         "samples_per_cell": st.integers(-1, 6),
@@ -948,8 +1025,9 @@ def test_scenario_overrides_exit_cleanly(tmp_path_factory, scenario, data):
         ({"mesh_kind": "sphere", "mesh_params": [1]}, 3),
         ({"mesh_params": [4, 2]}, 2),
         ({"mesh_kind": "cube"}, 2),
+        ({"mesh_kind": "sphere", "mesh_params": [12]}, 2),
     ],
-    ids=["closed", "two-sectors", "unknown-kind"],
+    ids=["closed", "two-sectors", "unknown-kind", "too-large"],
 )
 def test_exhaustion_override_examples_exit_as_documented(tmp_path_factory, overrides, code):
     # explicit examples for the fuzz above, which draws through st.data() and so takes none

@@ -355,7 +355,7 @@ def test_maps_are_psd_for_a_nonnegative_potential(profile):
 def test_layer_strip_identity_is_exact(bump_pair):
     g = bump_pair[0].geometry
     f1, f2 = np.cos(g.theta) + 0.3, np.cos(2.0 * g.theta) + 0.1
-    assert layer_strip_check(*bump_pair, f1, f2)["rel_gap"] <= 1e-10
+    assert layer_strip_check(g, Q1_SPEC, Q2_SPEC, f1, f2)["rel_gap"] <= 1e-10
 
 
 def test_maps_follow_the_moebius_recursion(bump_pair):

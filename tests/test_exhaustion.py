@@ -177,6 +177,19 @@ def test_off_accepts_comments(tmp_path):
     assert m.n_triangles == 1
 
 
+def test_off_without_vertices_is_a_mesh_without_triangles(tmp_path):
+    # the empty vertex block was kept 1-D and refused as a vertex-shape error
+    p = tmp_path / "empty.off"
+    p.write_text("OFF\n0 0 0\n")
+    m = load_mesh(p)
+    assert m.vertices.shape == (0, 3) and m.n_triangles == 0
+    with pytest.raises(MeshError, match="mesh has no triangles"):
+        exhaustion_order(m)
+    p.write_text("OFF\n0 1 0\n3 0 1 2\n")  # a face needs vertices to index
+    with pytest.raises(MeshError, match="index out of range"):
+        load_mesh(p)
+
+
 def test_off_parse_errors(tmp_path):
     p = tmp_path / "bad.off"
     p.write_text("PLY\n3 1 0\n")

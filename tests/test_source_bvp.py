@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from evosq.dnmap import compute_dn_family
+from evosq.dnmap import compute_dn_family, solve_interior
 from evosq.errors import GeometryError
 from evosq import source_bvp
 from evosq.evolution import PairOperator, evolve_tensor_backward
@@ -243,24 +243,64 @@ def test_backward_sweep_is_linear_in_its_data(annulus_families):
 # -- strip decomposition ---------------------------------------------------------
 
 
-def test_layer_strip_identity(annulus_families):
-    fam1, fam2 = annulus_families
-    g = fam1.geometry
+def test_layer_strip_identity(annulus_geometry):
+    g = annulus_geometry
     f1 = np.cos(g.theta) + 0.2
     f2 = np.sin(2 * g.theta) - 0.1
-    res = layer_strip_check(fam1, fam2, f1, f2)
+    res = layer_strip_check(g, Q1_SPEC, Q2_SPEC, f1, f2)
     assert res["rel_gap"] < 1e-3
     assert abs(res["lhs"] - res["volume_term"] - res["deep_term"]) <= abs(
         res["lhs"] - res["rhs"]
     ) + 1e-15
 
 
-def test_layer_strip_geometry_mismatch(annulus_families):
-    fam1, _ = annulus_families
-    g2 = build_warped_geometry(make_profile("annulus", rho=0.25), N=16, M=16, eps=0.3)
-    other = compute_dn_family(g2, Q2_SPEC)
-    with pytest.raises(GeometryError, match="one geometry"):
-        layer_strip_check(fam1, other, np.ones(32), np.ones(32))
+def _two_family_layer_strip(family1, family2, f1, f2):
+    """The check as it ran on two families held at once, kept as a bit-for-bit reference."""
+    g = family1.geometry
+    f1 = np.asarray(f1, dtype=float)
+    f2 = np.asarray(f2, dtype=float)
+    u1 = solve_interior(family1, f1)
+    u2 = solve_interior(family2, f2)
+    lhs = g.node_weight(0.0) * float(np.dot((family1.lams[0] - family2.lams[0]) @ f1, f2))
+    ts = g.collar_ts
+    slab_vals = np.empty(g.M + 1)
+    for j in range(g.M + 1):
+        slab_vals[j] = g.node_weight(float(ts[j])) * float(
+            np.sum((family1.q[j] - family2.q[j]) * u1[j] * u2[j])
+        )
+    volume = float(np.trapezoid(slab_vals, ts))
+    w_eps = g.node_weight(float(ts[-1]))
+    deep = w_eps * float(
+        np.dot((family1.lams[g.M] - family2.lams[g.M]) @ u1[g.M], u2[g.M])
+    )
+    rhs = volume + deep
+    denom = max(abs(lhs), abs(rhs), 1e-30)
+    return {
+        "lhs": lhs,
+        "rhs": rhs,
+        "volume_term": volume,
+        "deep_term": deep,
+        "rel_gap": abs(lhs - rhs) / denom,
+    }
+
+
+_STRIP_PROFILES = {"annulus": {"rho": 0.25}, "disk": {}, "flat-cylinder": {"T": 0.9}}
+
+
+@pytest.mark.parametrize("geometry", sorted(_STRIP_PROFILES))
+@pytest.mark.parametrize(
+    "q1, q2",
+    [(Q1_SPEC, Q2_SPEC), ({"kind": "constant", "value": 1.5}, {"kind": "zero"}),
+     (Q2_SPEC, {"kind": "constant", "value": -0.5}), (Q1_SPEC, Q1_SPEC)],
+    ids=["bumps", "constants", "bump-constant", "matched"],
+)
+def test_layer_strip_one_family_at_a_time_equals_two_held_at_once(geometry, q1, q2):
+    g = build_warped_geometry(
+        make_profile(geometry, **_STRIP_PROFILES[geometry]), N=16, M=32, eps=0.3
+    )
+    f1, f2 = np.cos(g.theta) + 0.3, np.sin(2.0 * g.theta) - 0.1
+    want = _two_family_layer_strip(compute_dn_family(g, q1), compute_dn_family(g, q2), f1, f2)
+    assert layer_strip_check(g, q1, q2, f1, f2) == want
 
 
 @pytest.mark.parametrize("other", ["flat-cylinder", "disk"])
@@ -269,8 +309,7 @@ def test_family_pair_on_two_geometries_is_rejected(other):
     g1 = build_warped_geometry(make_profile("annulus", rho=0.25), N=16, M=16, eps=0.3)
     g2 = build_warped_geometry(make_profile(other), N=16, M=16, eps=0.3)
     fam1, fam2 = compute_dn_family(g1, Q1_SPEC), compute_dn_family(g2, Q1_SPEC)
-    f = np.ones(16)
-    for check in (PairOperator, dn_recovery_check, lambda a, b: layer_strip_check(a, b, f, f)):
+    for check in (PairOperator, dn_recovery_check):
         with pytest.raises(GeometryError, match="one geometry"):
             check(fam1, fam2)
 

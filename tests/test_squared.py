@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from evosq.dnmap import compute_dn_family, dn_mode_symbol
 from evosq.errors import GeometryError
-from evosq.evolution import PairOperator, evolved_rank_one
+from evosq.evolution import PairOperator, RankOneField, evolve_trace, evolved_rank_one
 from evosq.geometry import build_warped_geometry, make_profile
 from evosq.squared import (
     VARIANTS,
@@ -219,6 +219,17 @@ def test_residual_frees_each_variant_before_the_next():
         assert _peak_slices(lambda: kernel_residual(op, field), field) <= _FEW_SLICES
 
 
+def test_residual_of_a_rank_one_field_forms_a_window_of_slices():
+    # the walk forms each outer product once and keeps at most six (nodes j-3 .. j+2)
+    for M in (64, 256):
+        op, field = _residual_setup(M)
+        g = op.geometry
+        u1 = evolve_trace(op.family1, np.cos(g.theta))
+        u2 = evolve_trace(op.family2, np.sin(2 * g.theta) + 0.4)
+        streamed = RankOneField(u1, u2)
+        assert _peak_slices(lambda: kernel_residual(op, streamed), field) <= _FEW_SLICES + 6
+
+
 # -- the whole-field assembly the per-slice walk replaced, kept as a bit-for-bit reference
 
 
@@ -336,3 +347,24 @@ _bumps = st.fixed_dictionaries({
 def test_walk_equals_the_whole_field_assembly_on_random_fields(geometry, N, M, q1, q2, seed):
     op = _pair(geometry, N, M, q1, q2)
     _assert_bit_for_bit(op, np.random.default_rng(seed).standard_normal((M + 1, N, N)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    geometry=st.sampled_from(sorted(_GEOMETRIES)),
+    N=st.sampled_from([8, 12]),
+    M=st.sampled_from([8, 9, 16]),
+    q1=_bumps,
+    q2=_bumps,
+    data=st.lists(st.floats(-2.0, 2.0), min_size=24, max_size=24),
+)
+def test_a_rank_one_field_walks_as_its_materialized_array(geometry, N, M, q1, q2, data):
+    op = _pair(geometry, N, M, q1, q2)
+    f1, f2 = np.asarray(data[:N]), np.asarray(data[12 : 12 + N])
+    array = evolved_rank_one(op.family1, op.family2, f1, f2)
+    field = RankOneField(evolve_trace(op.family1, f1), evolve_trace(op.family2, f2))
+    assert field.shape == array.shape
+    assert all(np.array_equal(field[k], array[k]) for k in range(M + 1))
+    for variant in VARIANTS:
+        assert np.array_equal(apply_variant(op, field, variant), apply_variant(op, array, variant))
+    assert kernel_residual(op, field) == kernel_residual(op, array)
