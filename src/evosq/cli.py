@@ -26,12 +26,14 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import io as evsq_io
 from . import meshes
 from .dnmap import (
+    DNFamily,
     compute_dn_family,
     conformal_identity_check,
     riccati_integrate,
@@ -158,9 +160,8 @@ def _profile(cfg):
     return make_profile(name, **_selected(cfg, "geometry", name, PROFILE_PARAMS))
 
 
-def _build_geometry(cfg, profile=None):
-    profile = _profile(cfg) if profile is None else profile
-    return build_warped_geometry(profile, N=cfg["N"], M=cfg["M"], eps=cfg["eps"])
+def _build_geometry(cfg):
+    return build_warped_geometry(_profile(cfg), N=cfg["N"], M=cfg["M"], eps=cfg["eps"])
 
 
 def _pair(cfg):
@@ -440,26 +441,32 @@ def _run_march(cfg, out):
     q1, q2 = make_potential(cfg["q1"]), make_potential(cfg["q2"])
 
     # a window needs two collar steps eps / M between its collar and the cap
-    if (profile.T - eps) * M <= 2.0 * eps:
+    starts, depth = [], 0.0
+    while len(starts) < cfg["max_windows"] and (profile.T - depth - eps) * M > 2.0 * eps:
+        starts.append(depth)
+        depth += eps
+    W = len(starts)
+    if W == 0:
         raise ConfigError(
             f"global-march has no window: eps={eps} with M={M} leaves no room before cap T={profile.T}"
         )
+    # one collar over every window; window i reads rows i*M .. i*M + M of each family
+    g = build_warped_geometry(profile, N=cfg["N"], M=W * M, eps=W * eps)
+    fams = [compute_dn_family(g, q) for q in (q1, q2)]
     windows = []
-    depth = 0.0
-    while len(windows) < cfg["max_windows"] and (profile.T - depth - eps) * M > 2.0 * eps:
-        g = _build_geometry(cfg, profile.shifted(depth) if depth else profile)
-        fam1 = compute_dn_family(g, q1.shifted(depth) if depth else q1)
-        fam2 = compute_dn_family(g, q2.shifted(depth) if depth else q2)
+    for i, start in enumerate(starts):
+        view = replace(g, M=M, eps=eps, ts=g.ts[i * M :], rs=g.rs[i * M :])
+        rows = slice(i * M, i * M + M + 1)
+        fam1, fam2 = (DNFamily(view, f.potential, f.lams[rows], f.q[rows]) for f in fams)
         check = dn_recovery_check(fam1, fam2)
         nul = null_test(fam1, fam1)
         ok = check["rel_error"] <= cfg["tol"] and check["sign"] == 1 and nul["passed"]
         windows.append({
-            "start": depth, "end": depth + eps, "rel_error": check["rel_error"],
+            "start": start, "end": start + eps, "rel_error": check["rel_error"],
             "sign": check["sign"], "null_ok": bool(nul["passed"]), "passed": bool(ok),
         })
         if not ok:  # the march stops at the first failing window
             break
-        depth += eps
 
     last = max((w["end"] for w in windows if w["passed"]), default=0.0)
     results = {
@@ -468,7 +475,7 @@ def _run_march(cfg, out):
         "cap_depth": profile.T,
         "cap_reached": bool(profile.T - last <= eps + 1e-12),
     }
-    return results, bool(windows) and windows[-1]["passed"]
+    return results, windows[-1]["passed"]
 
 
 # convergence quantity -> its error at one (N, M) level

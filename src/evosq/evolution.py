@@ -37,7 +37,8 @@ blocks, a transport is then bit-identical under any BLAS thread count. Pin
 no bound finer than CG's noise in ``rel_error``: a 1e-15-tolerance rerun
 moves the headline by 2e-9 to 9e-9 relative at N=32, M=64 (5e-8 to 1.7e-7
 at M=128) on the annulus, disk and flat cylinder, and a global-march window
-(N=32, M=64) by up to 1.4e-7, where ``rel_error`` is only 1e-3 to 6e-3.
+(N=32, M=64, a row range of one family per potential) by up to 1.4e-7,
+where ``rel_error`` is only 1e-3 to 6e-3.
 """
 
 import numpy as np

@@ -18,7 +18,7 @@ induced boundary map is ``f -> -du/dt`` at the slice, positive semi-definite.
 """
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,13 +36,13 @@ MAX_DEPTH_NODES = 10**6  # full-grid node bound; the disk at M=512 has about 1 7
 
 @dataclass(frozen=True)
 class Profile:
-    """Linear warping function ``r(t) = 1 + slope * (t + shift)`` on ``[0, T]``.
+    """Linear warping function ``r(t) = 1 + slope * t`` on ``[0, T]``.
 
-    ``name`` is ``disk``, ``annulus``, ``flat-cylinder``, or ``custom-shift``
-    for a profile re-based at depth ``shift``; ``T`` is the cap depth; ``cap``
-    is ``dirichlet`` (value pinned to zero at ``T``) or ``center`` (per-mode
-    decay condition one cell before ``T``); ``params`` are the construction
-    parameters the descriptor records.
+    ``name`` is ``disk``, ``annulus`` or ``flat-cylinder``; ``T`` is the cap
+    depth; ``cap`` is ``dirichlet`` (value pinned to zero at ``T``) or
+    ``center`` (per-mode decay condition one cell before ``T``); ``params``
+    are the construction parameters the descriptor records. A march window
+    is a row range of one geometry's grid, not a profile of its own.
     """
 
     name: str
@@ -50,23 +50,15 @@ class Profile:
     cap: str
     slope: float
     params: tuple = ()
-    shift: float = 0.0
 
     def r(self, t):
-        return 1.0 + self.slope * (np.asarray(t, dtype=float) + self.shift)
+        return 1.0 + self.slope * np.asarray(t, dtype=float)
 
     def rp(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.slope)
 
     def descriptor(self):
         return (self.name,) + self.params
-
-    def shifted(self, dt):
-        """Profile re-based at depth ``dt`` (Fermi window re-basing)."""
-        if dt < 0 or dt >= self.T:
-            raise GeometryError(f"shift {dt} outside [0, T)")
-        params = self.descriptor() + ("shift", round(float(dt), 12))
-        return replace(self, name="custom-shift", T=self.T - dt, params=params, shift=self.shift + dt)
 
 
 # profile name -> each parameter it takes, with its default

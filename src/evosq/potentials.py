@@ -2,9 +2,7 @@
 
 A potential is a bounded function ``Q(theta, t)`` evaluated on boundary
 nodes at a given depth. All implementations are vectorized over theta; the
-analytic ones also support re-basing in depth via :meth:`Potential.shifted`,
-which the window marching driver uses. The rest of the package samples a
-potential only through :meth:`Potential.on_grid`.
+rest of the package samples a potential only through :meth:`Potential.on_grid`.
 """
 
 import hashlib
@@ -23,9 +21,6 @@ class Potential:
         """Values on a depth grid: row ``j`` is :meth:`on_slice` at ``ts[j]``."""
         return np.array([self.on_slice(theta, t) for t in ts], dtype=float)
 
-    def shifted(self, dt):
-        raise NotImplementedError
-
     def descriptor(self):
         raise NotImplementedError
 
@@ -33,9 +28,6 @@ class Potential:
 class ZeroPotential(Potential):
     def on_slice(self, theta, t):
         return np.zeros_like(np.asarray(theta, dtype=float))
-
-    def shifted(self, dt):
-        return self
 
     def descriptor(self):
         return ("zero",)
@@ -47,9 +39,6 @@ class ConstantPotential(Potential):
 
     def on_slice(self, theta, t):
         return np.full_like(np.asarray(theta, dtype=float), self.value)
-
-    def shifted(self, dt):
-        return self
 
     def descriptor(self):
         return ("constant", round(self.value, 14))
@@ -89,9 +78,6 @@ class BumpPotential(Potential):
         out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
         return out
 
-    def shifted(self, dt):
-        return BumpPotential(self.amplitude, self.theta0, self.t0 - dt, self.width)
-
     def descriptor(self):
         return (
             "bump",
@@ -108,7 +94,7 @@ class SampledPotential(Potential):
     :meth:`on_slice` returns the stored column at a depth that is one of the
     ``t_grid`` nodes; any other depth is a :class:`GeometryError`. The theta
     grid must match the geometry nodes exactly (spectral consistency). The
-    table is built on one geometry's depth grid and is not re-based.
+    table is built on one geometry's depth grid.
     """
 
     def __init__(self, theta_grid, t_grid, values):

@@ -103,7 +103,7 @@ def dn_recovery_check(family1, family2):
     g = family1.geometry
     stages = solve_source_bvp(family1, family2, rows=4)
     K0 = boundary_time_derivative(g, stages["phi"])
-    recovered = K0 * g.node_weight(0.0)
+    recovered = K0 * g.node_weight(float(g.collar_ts[0]))
     target = family1.lams[0] - family2.lams[0]
     scale = max(_norm(target), 1e-30)
     err_plus = _norm(recovered - target) / scale

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,14 @@ from hypothesis import strategies as st
 
 from evosq import cli
 from evosq.cli import _SCENARIOS, SCENARIOS, main
+from evosq.dnmap import compute_dn_family
 from evosq.evolution import PairOperator
-from evosq.geometry import PROFILE_PARAMS
+from evosq.geometry import PROFILE_PARAMS, Profile, build_warped_geometry
 from evosq.io import read_matrix
 from evosq.meshes import save_off, strip_mesh
+from evosq.potentials import BumpPotential, make_potential
+from evosq.probes import null_test
+from evosq.source_bvp import dn_recovery_check
 
 SMALL = ["--override", "N=16", "--override", "M=16"]
 
@@ -794,17 +799,129 @@ def test_a_problem_too_large_for_the_host_exits_2_and_leaves_no_directory(tmp_pa
     assert "config error: problem too large for this host: Unable to allocate" in capsys.readouterr().err
 
 
-def test_global_march_computes_one_chain_per_family(tmp_path, monkeypatch):
-    # two windows on the default annulus with two families each; the null
-    # test pairs the q1 family with itself instead of eliminating it again
+@pytest.mark.parametrize("geometry, windows", [("annulus", 2), ("disk", 3), ("flat-cylinder", 3)])
+def test_global_march_computes_one_chain_per_family(tmp_path, monkeypatch, geometry, windows):
+    # every window reads a row range of one family per potential; the null
+    # test pairs the q1 window with itself instead of eliminating it again
     from evosq import dnmap
 
     calls = []
     chain = dnmap.propagation_chain
     monkeypatch.setattr(dnmap, "propagation_chain", lambda *a: calls.append(a) or chain(*a))
-    code, _, summary = _run(tmp_path, "global-march")
-    assert code == 0 and len(summary["results"]["windows"]) == 2
-    assert len(calls) == 4
+    code, _, summary = _run(tmp_path, "global-march", "--override", f"geometry={geometry}")
+    assert code == 0 and len(summary["results"]["windows"]) == windows
+    assert len(calls) == 2
+
+
+# -- the march as it ran re-based, kept as a reference for the row-range windows
+
+
+@dataclass(frozen=True)
+class _ShiftedProfile:
+    """``base`` re-based at depth ``shift``: ``r(t) = 1 + slope * (t + shift)`` on ``[0, T - shift]``."""
+
+    base: Profile
+    shift: float
+
+    @property
+    def T(self):
+        return self.base.T - self.shift
+
+    @property
+    def cap(self):
+        return self.base.cap
+
+    def r(self, t):
+        return 1.0 + self.base.slope * (np.asarray(t, dtype=float) + self.shift)
+
+    def rp(self, t):
+        return self.base.rp(t)
+
+    def descriptor(self):
+        return self.base.descriptor() + ("shift", round(self.shift, 12))
+
+
+def _shifted_potential(q, depth):
+    if isinstance(q, BumpPotential):
+        return BumpPotential(q.amplitude, q.theta0, q.t0 - depth, q.width)
+    return q  # zero and constant potentials do not depend on depth
+
+
+def _rebased_march(cfg):
+    """Windows and their map pairs from a fresh geometry and two fresh families per window."""
+    profile = cli._profile(cfg)
+    eps, M = cfg["eps"], cfg["M"]
+    q1, q2 = make_potential(cfg["q1"]), make_potential(cfg["q2"])
+    windows, maps, depth = [], [], 0.0
+    while len(windows) < cfg["max_windows"] and (profile.T - depth - eps) * M > 2.0 * eps:
+        g = build_warped_geometry(_ShiftedProfile(profile, depth), N=cfg["N"], M=M, eps=eps)
+        fam1, fam2 = (compute_dn_family(g, _shifted_potential(q, depth)) for q in (q1, q2))
+        check = dn_recovery_check(fam1, fam2)
+        nul = null_test(fam1, fam1)
+        ok = check["rel_error"] <= cfg["tol"] and check["sign"] == 1 and nul["passed"]
+        windows.append({
+            "start": depth, "end": depth + eps, "rel_error": check["rel_error"],
+            "sign": check["sign"], "null_ok": bool(nul["passed"]), "passed": bool(ok),
+        })
+        maps.append((fam1.lams, fam2.lams))
+        if not ok:
+            break
+        depth += eps
+    return windows, maps
+
+
+def _row_range_march(cfg, monkeypatch):
+    """The CLI march's windows, and the map pair each window's recovery check read."""
+    maps, check = [], cli.dn_recovery_check
+
+    def recording(fam1, fam2):
+        maps.append((fam1.lams, fam2.lams))
+        return check(fam1, fam2)
+
+    monkeypatch.setattr(cli, "dn_recovery_check", recording)
+    results, _ = cli._run_march(cfg, None)
+    return results["windows"], maps
+
+
+_MARCH_PAIRS = {
+    "constants": {"q1": {"kind": "constant", "value": 1.5}, "q2": {"kind": "zero"}},
+    "bumps": {"q1": cli._DEFAULT_Q1, "q2": cli._DEFAULT_Q2},
+}
+
+
+def _march_cfg(geometry, pair, **keys):
+    defaults = _SCENARIOS["global-march"][1]
+    return {**{k: v for k, v in defaults.items() if v is not None}, "geometry": geometry,
+            **_MARCH_PAIRS[pair], **keys}
+
+
+@pytest.mark.parametrize("pair", sorted(_MARCH_PAIRS))
+@pytest.mark.parametrize("geometry", ["annulus", "disk", "flat-cylinder"])
+def test_row_range_march_matches_the_rebased_march(geometry, pair, monkeypatch):
+    # the annulus's windows share their tail grids with the re-based ones, so
+    # only CG noise moves rel_error; on the disk and the flat cylinder each
+    # window above the last had its own deep tail step, which moves its maps
+    # by up to 1.6e-5 and its rel_error by up to 7.3e-7 relative
+    cfg = _march_cfg(geometry, pair)
+    want, _ = _rebased_march(cfg)
+    got, _ = _row_range_march(cfg, monkeypatch)
+    assert len(got) == len(want) >= 2
+    for i, (w, v) in enumerate(zip(want, got)):
+        assert {k: w[k] for k in w if k != "rel_error"} == {k: v[k] for k in v if k != "rel_error"}
+        bound = 1e-8 if geometry == "annulus" or i == len(want) - 1 else 5e-6
+        assert abs(v["rel_error"] - w["rel_error"]) <= bound * w["rel_error"]
+
+
+@pytest.mark.parametrize("pair", sorted(_MARCH_PAIRS))
+def test_row_range_march_where_every_tail_coincides(pair, monkeypatch):
+    # cap T = 4 eps: every re-based window's tail is the rest of the one grid
+    cfg = _march_cfg("flat-cylinder", pair, T=1.2)
+    want, want_maps = _rebased_march(cfg)
+    got, got_maps = _row_range_march(cfg, monkeypatch)
+    assert [w["passed"] for w in want] == [v["passed"] for v in got] == [True] * 3
+    for w, v in zip(want_maps, got_maps):
+        for lw, lv in zip(w, v):
+            assert np.abs(lv - lw).max() <= 1e-12 * np.abs(lw).max()
 
 
 def test_null_test_computes_one_chain(tmp_path, monkeypatch):

@@ -65,18 +65,6 @@ def test_invalid_profiles(kwargs):
         make_profile(name, **kwargs)
 
 
-def test_profile_shift():
-    p = make_profile("annulus", rho=0.25)
-    q = p.shifted(0.2)
-    assert np.isclose(q.T, p.T - 0.2)
-    assert np.isclose(q.r(0.1), p.r(0.3))
-    assert q.descriptor() != p.descriptor()
-    with pytest.raises(GeometryError):
-        p.shifted(0.75)
-    with pytest.raises(GeometryError):
-        p.shifted(-0.1)
-
-
 def test_profiles_are_bitwise_linear_warps():
     ts = np.linspace(0.0, 0.7, 29)
     for p, r, rp in (
@@ -87,9 +75,6 @@ def test_profiles_are_bitwise_linear_warps():
         assert np.array_equal(p.r(ts), np.broadcast_to(r, ts.shape))
         assert np.array_equal(p.rp(ts), np.full_like(ts, rp))
         assert not any(callable(getattr(p, f.name)) for f in fields(p))  # plain data
-    p = make_profile("annulus", rho=0.25)
-    for d in (0.1, 0.3, 0.55):
-        assert np.array_equal(p.shifted(d).r(ts), 1.0 - (ts + d))
 
 
 # -- finite difference weights ----------------------------------------------

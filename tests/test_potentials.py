@@ -17,7 +17,6 @@ def test_zero_and_constant():
     assert np.all(ZeroPotential().on_slice(THETA, 0.2) == 0.0)
     c = ConstantPotential(2.5)
     assert np.all(c.on_slice(THETA, 0.7) == 2.5)
-    assert c.shifted(0.3) is c
 
 
 def test_bump_support_and_peak():
@@ -37,12 +36,6 @@ def test_bump_wraps_around_circle():
     # node just below 2*pi is circularly close to theta0
     v = b.on_slice(np.array([2 * np.pi - 0.05]), 0.0)
     assert v[0] > 0.5
-
-
-def test_bump_shift_moves_depth():
-    b = BumpPotential(amplitude=1.0, theta0=0.0, t0=0.5, width=0.2)
-    s = b.shifted(0.3)
-    assert np.allclose(s.on_slice(THETA, 0.2), b.on_slice(THETA, 0.5))
 
 
 def test_bump_width_validation():
