@@ -11,16 +11,20 @@ evolved rank-one field. This module realizes that operator three ways:
 
 ``expanded-double``
     The algebraically expanded form, assembled from geometry data alone:
-    ``-W'' - m W' + L W + W L + Q1 W + W Q2 + 2 B1 W B2`` with
-    ``Bi = Lam_i - mu'/2``. Identical to ``factorized`` in the continuum;
-    the two assemblies are independent checks of each other.
+    ``base + 2 B1 W B2 - (mu'^2/2) W`` with ``Bi = Lam_i - mu'/2`` and
+    ``base = -W'' - 2 mu' W' + L W + W L + Q1 W + W Q2``. Identical to
+    ``factorized`` in the continuum; the two assemblies check each other.
 
 ``expanded-single``
-    Same expansion but with the single cross product
-    ``(Lam1 - mu') W (Lam2 - mu')`` in place of the doubled one. It differs
-    from the true square by exactly ``Lam1 W Lam2`` and must *not*
-    annihilate evolved fields; keeping it separate guards against the
-    doubling being silently dropped.
+    ``base + (Lam1 - mu') W (Lam2 - mu') - mu'^2 W``, a single cross product
+    in place of the doubled one. It differs from the true square by exactly
+    ``Lam1 W Lam2`` and must *not* annihilate evolved fields, which guards
+    against the doubling being silently dropped.
+
+The shifts cancel: with the generator apply ``A W = Lam1 W + W Lam2^T`` and
+the one cross product ``C = Lam1 W Lam2^T``, the two are ``base - mu' A W + 2 C``
+and ``base - mu' A W + C``. A slice takes 8 GEMMs for all three variants, two
+each for ``A_j W_j``, ``A_j Y_j``, ``L W + W L^T`` and ``C_j``.
 
 Depth derivatives are stencils applied along the first axis
 (:func:`sbp_derivative`, :func:`second_derivative`) from row formulas the
@@ -41,13 +45,14 @@ and 3.1e-9 relative at N=32, M=64 and by up to 2.9e-8 and 1.4e-7 at
 N=128, M=256 (five draws each). A round-off change upstream of ``W`` moves
 them that far, and a round-off change of the maps further: a change of the
 maps by up to 2.1e-14 relative moved these residuals by up to 3.8e-8
-relative at N=32, M=64 (expanded-double, disk). The one-pass residuals equal
-bit for bit those of whole applied fields, so these figures stand.
+relative at N=32, M=64 (expanded-double, disk). Those figures predate the one
+cross product ``C``, which moved expanded-double by at most 2.7e-11 relative.
 """
 
 import numpy as np
 
 from .errors import GeometryError
+from .evolution import _norm
 
 VARIANTS = ("factorized", "expanded-double", "expanded-single")
 _MARGIN = 2  # collar nodes skipped at each end: the end rows of D are first order
@@ -104,51 +109,43 @@ class _Window(dict):
         return self[k]
 
 
-def _applied_slices(pair_op, W, variants, rows):
+def _applied_slices(pair_op, W, rows):
     """Walk ``rows`` down the collar, yielding ``(A_j W_j, {variant: applied slice j})``.
 
     Each slice ``W[k]`` is read once, into a window of the few nodes around ``j``
     that the stencils reach (views of an array, one outer product each of a
-    :class:`~evosq.evolution.RankOneField`); ``factorized`` keeps ``A_k W_k``
-    and ``Y_k = V_k (D W + A W)_k`` for ``k = j-1 .. j+1`` only (``A_j W_j``
-    is None without it).
+    :class:`~evosq.evolution.RankOneField`); the walk keeps ``A_k W_k`` and
+    ``Y_k = V_k (D W + A W)_k`` for ``k = j-1 .. j+1`` only.
     """
     g = pair_op.geometry
     ts = g.collar_ts
     if W.shape[0] != ts.size:
         raise GeometryError("field does not live on the collar grid")
     h, last = _uniform_step(ts), ts.size - 1
-    f1, f2, eye = pair_op.family1, pair_op.family2, np.eye(g.N)
+    f1, f2 = pair_op.family1, pair_op.family2
     V, mu_dot = np.exp(2.0 * g.mu(ts)), g.mu_dot(ts)
     W, AW, Y = _Window(W), {}, {}
-    expanded = [v for v in variants if v != "factorized"]
     for j in rows:
-        applied = {}
-        if "factorized" in variants:
-            # (D* + A)(D + A) W with D* = -V^-1 D V, V = exp(2 mu) the slice volume factor
-            for k in range(max(j - 1, 0), min(j + 2, last + 1)):
-                if k not in Y:
-                    AW[k] = pair_op.apply(k, W[k])
-                    Y[k] = (_d1(W, k, last, h) + AW[k]) * V[k]
-            applied["factorized"] = (pair_op.apply(j, Y[j]) - _d1(Y, j, last, h)) / V[j]
-            Y.pop(j - 1, None), AW.pop(j - 1, None)
-        if expanded:
-            # -W'' - 2 mu' W', then the per-node terms
-            mu = float(mu_dot[j])
-            base = _d1(W, j, last, h)
-            base *= -2.0 * mu
-            base -= _d2(W, j, last, h)
-            L = g.laplacian_matrix(float(ts[j]))
-            base += L @ W[j] + W[j] @ L.T
-            base += f1.q[j][:, None] * W[j] + W[j] * f2.q[j][None, :]
-        for variant in expanded:
-            # Bi = Lam_i - half mu': doubled with half = 1/2, single with the full shift
-            half, cross = (0.5, 2.0) if variant == "expanded-double" else (1.0, 1.0)
-            B1 = f1.lams[j] - half * mu * eye
-            B2 = f2.lams[j] - half * mu * eye
-            applied[variant] = base + (cross * (B1 @ W[j] @ B2.T) - half * mu * mu * W[j])
+        # factorized: (D* + A)(D + A) W with D* = -V^-1 D V, V = exp(2 mu) the slice volume factor
+        for k in range(max(j - 1, 0), min(j + 2, last + 1)):
+            if k not in Y:
+                AW[k] = pair_op.apply(k, W[k])
+                Y[k] = (_d1(W, k, last, h) + AW[k]) * V[k]
+        factorized = (pair_op.apply(j, Y[j]) - _d1(Y, j, last, h)) / V[j]
+        Y.pop(j - 1, None), AW.pop(j - 1, None)
+        # expanded: -W'' - 2 mu' W' + the per-node terms - mu' A W + the cross product
+        mu = float(mu_dot[j])
+        base = _d1(W, j, last, h)
+        base *= -2.0 * mu
+        base -= _d2(W, j, last, h)
+        L = g.laplacian_matrix(float(ts[j]))
+        base += L @ W[j] + W[j] @ L.T
+        base += f1.q[j][:, None] * W[j] + W[j] * f2.q[j][None, :]
+        base -= mu * AW[j]
+        cross = f1.lams[j] @ W[j] @ f2.lams[j].T
         W.pop(j - 3, None)  # rows after j read no node before j - 2
-        yield AW.get(j), applied
+        yield AW[j], {"factorized": factorized, "expanded-double": base + 2.0 * cross,
+                      "expanded-single": base + cross}
 
 
 def apply_variant(pair_op, W, variant="factorized"):
@@ -161,7 +158,7 @@ def apply_variant(pair_op, W, variant="factorized"):
         raise GeometryError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     out = np.empty(W.shape)
     rows = range(pair_op.geometry.M + 1)
-    for j, (_, applied) in zip(rows, _applied_slices(pair_op, W, (variant,), rows)):
+    for j, (_, applied) in zip(rows, _applied_slices(pair_op, W, rows)):
         out[j] = applied[variant]
     return out
 
@@ -173,13 +170,14 @@ def kernel_residual(pair_op, W):
     normalized by one scale, the largest first-order term ``|A_j W_j|`` over
     the same interior range (so the numbers are comparable across variants
     and resolutions). ``W`` is a field as in :func:`apply_variant`, each
-    slice read once. Returns ``{variant: max over the interior}``.
+    slice read once. Norms are ``einsum`` sums (:func:`evolution._norm`), so
+    no BLAS thread count changes them. Returns ``{variant: max over the interior}``.
     """
     interior = range(_MARGIN, pair_op.geometry.M + 1 - _MARGIN)
     worst = {}  # the largest norm so far, one scalar per variant and for the scale
-    for AW, applied in _applied_slices(pair_op, W, VARIANTS, interior):
+    for AW, applied in _applied_slices(pair_op, W, interior):
         for variant, Z in (("scale", AW), *applied.items()):
-            norm = np.linalg.norm(Z)
+            norm = _norm(Z)
             worst[variant] = max(worst.get(variant, norm), norm)
     # rounding is monotone: max(|Z_j|) / scale is max(|Z_j| / scale)
     scale = max(float(worst["scale"]), 1e-30)

@@ -18,7 +18,7 @@ from evosq.dnmap import compute_dn_family
 from evosq.evolution import PairOperator
 from evosq.geometry import PROFILE_PARAMS, Profile, build_warped_geometry
 from evosq.io import read_matrix
-from evosq.meshes import save_off, strip_mesh
+from evosq.meshes import save_off, sphere_mesh, strip_mesh
 from evosq.potentials import BumpPotential, make_potential
 from evosq.probes import null_test
 from evosq.source_bvp import dn_recovery_check
@@ -557,8 +557,7 @@ def test_exhaustion_without_keys_orders_the_default_annulus(tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize(
-    "kind, params", [("annulus", [3, 5]), ("disk", [1, 4]), ("disk", [3, 5]), ("strip", [2, 7]),
-                     ("sphere", [1]), ("sphere", [3])],
+    "kind, params", [("annulus", [3, 5]), ("disk", [1, 4]), ("disk", [3, 5]), ("strip", [2, 7])],
 )
 def test_mesh_triangle_counts_are_the_makers(kind, params):
     maker, _, triangles = cli._MESH_MAKERS[kind]
@@ -573,16 +572,20 @@ def test_mesh_triangle_counts_are_the_makers(kind, params):
 def test_exhaustion_refuses_a_mesh_above_the_bound_before_building_it(
     tmp_path, capsys, monkeypatch, kind, params
 ):
-    # the sphere of 8 subdivisions took 2.0 s and 312 MB to build, only to exit 3 as closed
-    _, minima, triangles = cli._MESH_MAKERS[kind]
     built = []
-    monkeypatch.setitem(cli._MESH_MAKERS, kind, (lambda *p: built.append(p), minima, triangles))
+    if kind == "sphere":
+        # closed at any size, so it could only exit 3: refused as no mesh kind, never built
+        monkeypatch.setattr(cli.meshes, "sphere_mesh", lambda *p: built.append(p))
+        refusal = "unknown mesh kind 'sphere'"
+    else:
+        _, minima, triangles = cli._MESH_MAKERS[kind]
+        monkeypatch.setitem(cli._MESH_MAKERS, kind, (lambda *p: built.append(p), minima, triangles))
+        refusal = (f"problem too large: mesh_kind '{kind}' with mesh_params {params} makes more "
+                   f"than {cli._MAX_TRIANGLES} triangles")
     overrides = ["--override", f"mesh_kind={kind}", "--override", f"mesh_params={params}"]
     code, _, summary = _run(tmp_path, "exhaustion", *overrides)
     assert code == 2 and summary is None and built == []
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: problem too large: mesh_kind '{kind}'")
-    assert f"more than {cli._MAX_TRIANGLES} triangles" in err
+    assert capsys.readouterr().err.startswith(f"config error: {refusal}")
 
 
 def test_exhaustion_builds_a_mesh_at_the_bound(monkeypatch):
@@ -603,9 +606,8 @@ def test_exhaustion_builds_a_mesh_at_the_bound(monkeypatch):
 
 
 def test_exhaustion_rejects_closed_mesh(tmp_path):
-    code, out, summary = _run(
-        tmp_path, "exhaustion", "--override", "mesh_kind=sphere", "--override", "mesh_params=[1]"
-    )
+    save_off(tmp_path / "sphere.off", sphere_mesh(1))
+    code, out, summary = _run(tmp_path, "exhaustion", "--override", f"mesh={tmp_path / 'sphere.off'}")
     assert code == 3
 
 
@@ -1114,8 +1116,8 @@ _FUZZED = {
         {"levels": st.lists(st.tuples(*_GRID.values()).map(list), min_size=2, max_size=3)},
         {**_COLLAR, "q1": _Q, "quantity": st.sampled_from(sorted(cli._MEASURES))},
     ),
-    # no grid; a mesh of at most 12 x 12 cells, or the default 50 x 100. One int is the
-    # sphere's subdivision count: past 7, its triangles are refused before the build
+    # no grid; a mesh of at most 12 x 12 cells, or the default 50 x 100. A sphere, closed at
+    # any size, is no mesh kind: like a cube it exits 2
     "exhaustion": ({}, {
         "mesh_kind": st.sampled_from(["annulus", "disk", "strip", "sphere", "cube"]),
         "mesh_params": st.one_of(
@@ -1139,7 +1141,7 @@ def test_scenario_overrides_exit_cleanly(tmp_path_factory, scenario, data):
 @pytest.mark.parametrize(
     "overrides, code",
     [
-        ({"mesh_kind": "sphere", "mesh_params": [1]}, 3),
+        ({"mesh_kind": "sphere", "mesh_params": [1]}, 2),
         ({"mesh_params": [4, 2]}, 2),
         ({"mesh_kind": "cube"}, 2),
         ({"mesh_kind": "sphere", "mesh_params": [12]}, 2),
@@ -1147,7 +1149,8 @@ def test_scenario_overrides_exit_cleanly(tmp_path_factory, scenario, data):
     ids=["closed", "two-sectors", "unknown-kind", "too-large"],
 )
 def test_exhaustion_override_examples_exit_as_documented(tmp_path_factory, overrides, code):
-    # explicit examples for the fuzz above, which draws through st.data() and so takes none
+    # explicit examples for the fuzz above, which draws through st.data() and so takes none;
+    # a generated sphere is closed at any size, so it is refused as a kind, small or too large
     assert _exits_cleanly(tmp_path_factory, "exhaustion", overrides) == code
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from evosq.dnmap import compute_dn_family, dn_mode_symbol
 from evosq.errors import GeometryError
-from evosq.evolution import PairOperator, RankOneField, evolve_trace, evolved_rank_one
+from evosq.evolution import PairOperator, RankOneField, _norm, evolve_trace, evolved_rank_one
 from evosq.geometry import build_warped_geometry, make_profile
 from evosq.squared import (
     VARIANTS,
@@ -201,7 +202,7 @@ def _peak_slices(run, field):
 
 
 # the walk holds a window of W, Y and A W slices plus one slice's temporaries
-# (measured: 19 slices for the residual, 12 beside the output field for one variant)
+# (measured: 16 slices for the residual, 16 beside the output field for any variant)
 _FEW_SLICES = 24
 
 
@@ -267,31 +268,39 @@ def _reference_apply(pair_op, W, variant):
         for j in range(ts.size):
             Z[j] = (pair_op.apply(j, Y[j]) - Z[j]) / V[j]
         return Z
+    Z = _reference_base(pair_op, W)
+    f1, f2 = pair_op.family1, pair_op.family2
+    for j, mu in enumerate(g.mu_dot(ts)):
+        # the shifts of Bi = Lam_i - s cancel: one cross product, less mu' A W
+        Z[j] -= float(mu) * pair_op.apply(j, W[j])
+        cross = f1.lams[j] @ W[j] @ f2.lams[j].T
+        Z[j] += 2.0 * cross if variant == "expanded-double" else cross
+    return Z
+
+
+def _reference_base(pair_op, W):
+    """The expanded variants' depth and per-node terms, ``-W'' - 2 mu' W' + L W + W L + Q1 W + W Q2``."""
+    g = pair_op.geometry
+    ts = g.collar_ts
+    h = float(ts[1] - ts[0])
     mu_dot = g.mu_dot(ts)
     Z = _reference_d1(W, h)
     Z *= -2.0 * mu_dot[:, None, None]
     Z -= _reference_d2(W, h)
     f1, f2 = pair_op.family1, pair_op.family2
-    eye = np.eye(g.N)
-    half, cross = (0.5, 2.0) if variant == "expanded-double" else (1.0, 1.0)
     for j in range(ts.size):
-        mu = float(mu_dot[j])
         L = g.laplacian_matrix(float(ts[j]))
-        Zj = Z[j]
-        Zj += L @ W[j] + W[j] @ L.T
-        Zj += f1.q[j][:, None] * W[j] + W[j] * f2.q[j][None, :]
-        B1 = f1.lams[j] - half * mu * eye
-        B2 = f2.lams[j] - half * mu * eye
-        Zj += cross * (B1 @ W[j] @ B2.T) - half * mu * mu * W[j]
+        Z[j] += L @ W[j] + W[j] @ L.T
+        Z[j] += f1.q[j][:, None] * W[j] + W[j] * f2.q[j][None, :]
     return Z
 
 
 def _reference_residual(pair_op, W):
     interior = range(2, pair_op.geometry.M - 1)
-    scale = max(max(float(np.linalg.norm(pair_op.apply(j, W[j]))) for j in interior), 1e-30)
+    scale = max(max(float(_norm(pair_op.apply(j, W[j]))) for j in interior), 1e-30)
 
     def worst(applied):
-        return max(float(np.linalg.norm(applied[j]) / scale) for j in interior)
+        return max(float(_norm(applied[j]) / scale) for j in interior)
 
     return {variant: worst(_reference_apply(pair_op, W, variant)) for variant in VARIANTS}
 
@@ -324,6 +333,47 @@ def test_walk_equals_the_whole_field_assembly_bit_for_bit(geometry):
     evolved = evolved_rank_one(op.family1, op.family2, np.cos(g.theta) + 0.3, np.sin(2 * g.theta))
     _assert_bit_for_bit(op, evolved)
     _assert_bit_for_bit(op, np.random.default_rng(1).standard_normal(evolved.shape))
+
+
+def _shifted_products_apply(pair_op, W, variant):
+    """The expanded variants as first assembled: ``base + c B1 W B2^T - s mu'^2 W``, ``Bi = Lam_i - s mu'``."""
+    g = pair_op.geometry
+    eye = np.eye(g.N)
+    half, cross = (0.5, 2.0) if variant == "expanded-double" else (1.0, 1.0)
+    Z = _reference_base(pair_op, W)
+    for j, mu in enumerate(g.mu_dot(g.collar_ts)):
+        B1 = pair_op.family1.lams[j] - half * mu * eye
+        B2 = pair_op.family2.lams[j] - half * mu * eye
+        Z[j] += cross * (B1 @ W[j] @ B2.T) - half * mu * mu * W[j]
+    return Z
+
+
+def _skewed(family, rng):
+    # the expansion is algebra: it must hold for maps that are not symmetric too
+    lams = family.lams + 0.1 * np.max(np.abs(family.lams)) * rng.standard_normal(family.lams.shape)
+    return SimpleNamespace(geometry=family.geometry, lams=lams, q=family.q)
+
+
+@pytest.mark.parametrize("field", ["evolved", "random", "random-skewed-maps"])
+@pytest.mark.parametrize("geometry", sorted(_GEOMETRIES))
+def test_one_cross_product_equals_the_shifted_products_to_round_off(geometry, field):
+    op = _pair(geometry, 32, 64, Q1_SPEC, Q2_SPEC)
+    g, rng = op.geometry, np.random.default_rng(5)
+    if field == "evolved":
+        W = evolved_rank_one(op.family1, op.family2, np.cos(g.theta) + 0.3, np.sin(2 * g.theta))
+    else:
+        W = rng.standard_normal((g.M + 1, g.N, g.N))
+    if field == "random-skewed-maps":
+        op = PairOperator(_skewed(op.family1, rng), _skewed(op.family2, rng))
+    base = _reference_base(op, W)
+    for variant in ("expanded-double", "expanded-single"):
+        got, want = apply_variant(op, W, variant), _shifted_products_apply(op, W, variant)
+        for j, mu in enumerate(g.mu_dot(g.collar_ts)):
+            # the slice's scale: the size of every term the two assemblies sum
+            cross = op.family1.lams[j] @ W[j] @ op.family2.lams[j].T
+            scale = (_norm(base[j]) + _norm(cross) + abs(mu) * _norm(op.apply(j, W[j]))
+                     + mu * mu * _norm(W[j]))
+            assert _norm(got[j] - want[j]) <= 1e-12 * scale, (variant, j)
 
 
 _bumps = st.fixed_dictionaries({
