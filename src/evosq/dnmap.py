@@ -341,8 +341,13 @@ def dn_mode_symbol(geometry, potential, ksq, depths=None):
 
 def riccati_rhs(geometry, q, lam, t):
     """Depth derivative of the slice map: ``L' = L^2 - L_t - Q - mu' L``, ``Q = diag(q)`` at ``t``."""
+    rhs = lam @ lam
     Lt = geometry.laplacian_matrix(t)
-    return lam @ lam - Lt - np.diag(q) - float(geometry.mu_dot(t)) * lam
+    rhs -= Lt
+    diagonal = np.einsum("ii->i", rhs)  # a writable view
+    diagonal -= q
+    rhs -= np.multiply(lam, float(geometry.mu_dot(t)), out=Lt)  # Lt's buffer, reused
+    return rhs
 
 
 def riccati_integrate(geometry, potential, lam_eps):

@@ -16,7 +16,10 @@ their potentials.
 Every field is a plain array indexed by collar node first: a trace is
 ``(M+1, N)`` and a kernel field ``(M+1, N, N)``, row ``j`` at depth
 ``geometry.collar_ts[j]``; a :class:`RankOneField` stands in for the kernel
-field of two traces where slices are only read. A transport asked for
+field of two traces where slices are only read. Its slices are factored
+(:class:`LowRank`), so ``M @ S``, ``S @ M``, sums and scalings cost
+matrix-vector products, and a slice materializes bit for bit as the
+array's. A transport asked for
 ``rows`` returns only the nodes ``0..rows-1``: the forward sweep stops
 there, the backward sweep runs the whole collar but keeps no deeper slice
 than the one it steps from.
@@ -228,12 +231,62 @@ def evolve_tensor_backward(pair_op, W_eps, source=None, rows=None):
     return _transport(pair_op, W_eps, nodes, pair_op.volume_rate, source, "backward", rows)
 
 
+class LowRank:
+    """The ``(N, N)`` slice ``U @ V.T`` of two ``(N, r)`` factors, kept factored under a slice walk's algebra.
+
+    ``M @ S`` is ``(M U, V)`` and ``S @ M`` is ``(U, M^T V)``; ``+`` and ``-``
+    join factors; ``*`` and ``/`` take a scalar, and ``*`` also an ``(N, 1)``
+    column (scaling rows) or a ``(1, N)`` row (scaling columns). Any other
+    operand raises ``TypeError``, and so does any ufunc, so nothing is made
+    dense by accident; ``np.asarray`` materializes the slice.
+    """
+
+    __array_ufunc__ = None  # ndarray operators defer to this type; ufuncs raise
+    ndim = 2  # np.ndim reads this instead of materializing the slice
+
+    def __init__(self, U, V):
+        self.U, self.V = U, V
+        self.shape = (U.shape[0], V.shape[0])
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.U @ self.V.T, dtype=dtype)
+
+    def __matmul__(self, M):
+        return LowRank(self.U, M.T @ self.V) if isinstance(M, np.ndarray) else NotImplemented
+
+    def __rmatmul__(self, M):
+        return LowRank(M @ self.U, self.V) if isinstance(M, np.ndarray) else NotImplemented
+
+    def __add__(self, S):
+        if not isinstance(S, LowRank):
+            return NotImplemented
+        return LowRank(np.concatenate((self.U, S.U), axis=1), np.concatenate((self.V, S.V), axis=1))
+
+    def __sub__(self, S):
+        return self + LowRank(-S.U, S.V) if isinstance(S, LowRank) else NotImplemented
+
+    def __mul__(self, c):
+        if np.ndim(c) == 0:
+            return LowRank(self.U * c, self.V)
+        if isinstance(c, np.ndarray) and c.shape == (self.shape[0], 1):
+            return LowRank(c * self.U, self.V)
+        if isinstance(c, np.ndarray) and c.shape == (1, self.shape[1]):
+            return LowRank(self.U, c.T * self.V)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        return LowRank(self.U / c, self.V) if np.ndim(c) == 0 else NotImplemented
+
+
 class RankOneField:
-    """The kernel field ``W[k] = outer(u1[k], u2[k])`` of two traces, formed one slice per lookup.
+    """The kernel field ``W[k] = outer(u1[k], u2[k])`` of two traces, one factored slice per lookup.
 
     It has the ``(M+1, N, N)`` shape of the array :func:`evolved_rank_one`
-    returns, and each slice equals that array's bit for bit, while it holds
-    only the two ``(M+1, N)`` traces.
+    returns, while it holds only the two ``(M+1, N)`` traces. Slice ``k`` is
+    the :class:`LowRank` ``(u1[k], u2[k])``, so a walk over slices runs on
+    factors; ``np.asarray(W[k])`` equals that array's slice bit for bit.
     """
 
     def __init__(self, u1, u2):
@@ -241,7 +294,7 @@ class RankOneField:
         self.shape = (len(u1), u1.shape[1], u2.shape[1])
 
     def __getitem__(self, k):
-        return np.multiply.outer(self.u1[k], self.u2[k])
+        return LowRank(self.u1[k][:, None], self.u2[k][:, None])
 
 
 def evolved_rank_one(family1, family2, f1, f2):

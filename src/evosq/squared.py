@@ -23,8 +23,12 @@ evolved rank-one field. This module realizes that operator three ways:
 
 The shifts cancel: with the generator apply ``A W = Lam1 W + W Lam2^T`` and
 the one cross product ``C = Lam1 W Lam2^T``, the two are ``base - mu' A W + 2 C``
-and ``base - mu' A W + C``. A slice takes 8 GEMMs for all three variants, two
-each for ``A_j W_j``, ``A_j Y_j``, ``L W + W L^T`` and ``C_j``.
+and ``base - mu' A W + C``. An array slice takes 8 GEMMs for all three
+variants, two each for ``A_j W_j``, ``A_j Y_j``, ``L W + W L^T`` and ``C_j``.
+A :class:`~evosq.evolution.RankOneField` slice is a
+:class:`~evosq.evolution.LowRank` pair of factors, and the same walk runs on
+them: matrix-vector products, plus one ``N x r x N`` product for each
+variant it materializes (``r`` at most 16).
 
 Depth derivatives are stencils applied along the first axis
 (:func:`sbp_derivative`, :func:`second_derivative`) from row formulas the
@@ -47,6 +51,10 @@ them that far, and a round-off change of the maps further: a change of the
 maps by up to 2.1e-14 relative moved these residuals by up to 3.8e-8
 relative at N=32, M=64 (expanded-double, disk). Those figures predate the one
 cross product ``C``, which moved expanded-double by at most 2.7e-11 relative.
+The factored walk of a rank-one field sums the same terms in another order:
+kernel-check's residuals moved by up to 8.2e-9 relative at N=32, M=64 and
+3.4e-7 at N=128, M=256 (annulus, disk and flat cylinder), the order of the
+draws above.
 """
 
 import numpy as np
@@ -170,14 +178,15 @@ def kernel_residual(pair_op, W):
     normalized by one scale, the largest first-order term ``|A_j W_j|`` over
     the same interior range (so the numbers are comparable across variants
     and resolutions). ``W`` is a field as in :func:`apply_variant`, each
-    slice read once. Norms are ``einsum`` sums (:func:`evolution._norm`), so
+    slice read once; ``np.asarray`` materializes each factored applied
+    slice for its norm and leaves an array as it is. Norms are ``einsum`` sums (:func:`evolution._norm`), so
     no BLAS thread count changes them. Returns ``{variant: max over the interior}``.
     """
     interior = range(_MARGIN, pair_op.geometry.M + 1 - _MARGIN)
     worst = {}  # the largest norm so far, one scalar per variant and for the scale
     for AW, applied in _applied_slices(pair_op, W, interior):
         for variant, Z in (("scale", AW), *applied.items()):
-            norm = _norm(Z)
+            norm = _norm(np.asarray(Z))
             worst[variant] = max(worst.get(variant, norm), norm)
     # rounding is monotone: max(|Z_j|) / scale is max(|Z_j| / scale)
     scale = max(float(worst["scale"]), 1e-30)
