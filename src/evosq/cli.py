@@ -41,7 +41,7 @@ from .dnmap import (
     solve_interior,
 )
 from .errors import ConfigError, EvosqError, GeometryError
-from .evolution import PairOperator, RankOneField, _norm, evolve_trace
+from .evolution import LowRank, PairOperator, _norm, evolve_trace
 from .exhaustion import collar_map_samples, exhaustion_order, load_mesh
 from .geometry import PROFILE_PARAMS, build_warped_geometry, make_profile
 from .potentials import make_potential
@@ -294,7 +294,8 @@ def _run_evolve(cfg, out):
 def _run_kernel(cfg, out):
     g, fam1, fam2 = _pair(cfg)
     f1, f2 = _pair_data(cfg, g)
-    W = RankOneField(evolve_trace(fam1, f1), evolve_trace(fam2, f2))
+    u1, u2 = evolve_trace(fam1, f1), evolve_trace(fam2, f2)
+    W = LowRank(u1[..., None], u2[..., None])
     tol = cfg["tol"]
     res = kernel_residual(PairOperator(fam1, fam2), W)
     passed = (

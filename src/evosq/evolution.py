@@ -15,12 +15,11 @@ their potentials.
 
 Every field is a plain array indexed by collar node first: a trace is
 ``(M+1, N)`` and a kernel field ``(M+1, N, N)``, row ``j`` at depth
-``geometry.collar_ts[j]``; a :class:`RankOneField` stands in for the kernel
-field of two traces where slices are only read. Its slices are factored
-(:class:`LowRank`), so ``M @ S``, ``S @ M``, sums and scalings cost
-matrix-vector products, and a slice materializes bit for bit as the
-array's. A transport asked for
-``rows`` returns only the nodes ``0..rows-1``: the forward sweep stops
+``geometry.collar_ts[j]``. Where slices are only read, a :class:`LowRank`
+field stands in for the kernel field of two traces: its slices stay
+factored, so ``M @ S``, ``S @ M``, sums and scalings cost matrix-vector
+products. A transport asked for ``rows`` returns only the nodes
+``0..rows-1``: the forward sweep stops
 there, the backward sweep runs the whole collar but keeps no deeper slice
 than the one it steps from.
 
@@ -232,24 +231,33 @@ def evolve_tensor_backward(pair_op, W_eps, source=None, rows=None):
 
 
 class LowRank:
-    """The ``(N, N)`` slice ``U @ V.T`` of two ``(N, r)`` factors, kept factored under a slice walk's algebra.
+    """The field ``U @ V^T`` of factor stacks ``U`` ``(..., N, r)`` and ``V`` ``(..., N', r)``, kept factored.
 
-    ``M @ S`` is ``(M U, V)`` and ``S @ M`` is ``(U, M^T V)``; ``+`` and ``-``
-    join factors; ``*`` and ``/`` take a scalar, and ``*`` also an ``(N, 1)``
-    column (scaling rows) or a ``(1, N)`` row (scaling columns). Any other
-    operand raises ``TypeError``, and so does any ufunc, so nothing is made
-    dense by accident; ``np.asarray`` materializes the slice.
+    ``W[k]`` is the slice ``LowRank(U[k], V[k])``; so ``LowRank(u1[..., None],
+    u2[..., None])`` is the rank-one kernel field of two ``(M+1, N)`` traces,
+    of the shape of the array :func:`evolved_rank_one` returns. On an
+    ``(N, N')`` slice, ``M @ S`` is ``(M U, V)`` and ``S @ M`` is
+    ``(U, M^T V)``; ``+`` and ``-`` join factors; ``*`` and ``/`` take a
+    scalar, and ``*`` also an ``(N, 1)`` column (scaling rows) or a
+    ``(1, N')`` row (scaling columns). Any other operand raises
+    ``TypeError``, and so does any ufunc, so nothing is made dense by
+    accident; ``np.asarray`` materializes the field by a batched
+    ``U @ V^T``, one product per entry at rank one, so bit for bit as
+    :func:`evolved_rank_one`.
     """
 
     __array_ufunc__ = None  # ndarray operators defer to this type; ufuncs raise
-    ndim = 2  # np.ndim reads this instead of materializing the slice
 
     def __init__(self, U, V):
         self.U, self.V = U, V
-        self.shape = (U.shape[0], V.shape[0])
+        self.shape = U.shape[:-1] + (V.shape[-2],)
+        self.ndim = len(self.shape)  # np.ndim reads this instead of materializing the field
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.U @ self.V.T, dtype=dtype)
+        return np.asarray(self.U @ np.swapaxes(self.V, -1, -2), dtype=dtype)
+
+    def __getitem__(self, k):
+        return LowRank(self.U[k], self.V[k])
 
     def __matmul__(self, M):
         return LowRank(self.U, M.T @ self.V) if isinstance(M, np.ndarray) else NotImplemented
@@ -278,23 +286,6 @@ class LowRank:
 
     def __truediv__(self, c):
         return LowRank(self.U / c, self.V) if np.ndim(c) == 0 else NotImplemented
-
-
-class RankOneField:
-    """The kernel field ``W[k] = outer(u1[k], u2[k])`` of two traces, one factored slice per lookup.
-
-    It has the ``(M+1, N, N)`` shape of the array :func:`evolved_rank_one`
-    returns, while it holds only the two ``(M+1, N)`` traces. Slice ``k`` is
-    the :class:`LowRank` ``(u1[k], u2[k])``, so a walk over slices runs on
-    factors; ``np.asarray(W[k])`` equals that array's slice bit for bit.
-    """
-
-    def __init__(self, u1, u2):
-        self.u1, self.u2 = u1, u2
-        self.shape = (len(u1), u1.shape[1], u2.shape[1])
-
-    def __getitem__(self, k):
-        return LowRank(self.u1[k][:, None], self.u2[k][:, None])
 
 
 def evolved_rank_one(family1, family2, f1, f2):

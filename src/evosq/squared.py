@@ -25,10 +25,10 @@ The shifts cancel: with the generator apply ``A W = Lam1 W + W Lam2^T`` and
 the one cross product ``C = Lam1 W Lam2^T``, the two are ``base - mu' A W + 2 C``
 and ``base - mu' A W + C``. An array slice takes 8 GEMMs for all three
 variants, two each for ``A_j W_j``, ``A_j Y_j``, ``L W + W L^T`` and ``C_j``.
-A :class:`~evosq.evolution.RankOneField` slice is a
-:class:`~evosq.evolution.LowRank` pair of factors, and the same walk runs on
-them: matrix-vector products, plus one ``N x r x N`` product for each
-variant it materializes (``r`` at most 16).
+The same walk runs on the factor pairs of a
+:class:`~evosq.evolution.LowRank` field's slices: matrix-vector products,
+plus one ``N x r x N`` product for each variant it materializes (``r`` at
+most 16).
 
 Depth derivatives are stencils applied along the first axis
 (:func:`sbp_derivative`, :func:`second_derivative`) from row formulas the
@@ -36,8 +36,8 @@ per-slice kernel shares; no depth matrix is formed. The kernel walks down
 the collar holding a few slices: :func:`kernel_residual` applies all three
 variants in one pass and keeps only norms, :func:`apply_variant` fills one
 field. The field ``W`` need only have ``shape`` and slice indexing, so a
-:class:`~evosq.evolution.RankOneField` is walked without being
-materialized. End rows of ``D`` are first order, so residuals of the
+``LowRank`` field is walked without being materialized. End rows of ``D``
+are first order, so residuals of the
 factorized form are meaningful only away from the collar ends;
 :func:`kernel_residual` skips a two-node margin on each side.
 
@@ -74,7 +74,7 @@ def _uniform_step(ts):
 
 
 def _d1(u, k, last, h):
-    """Row ``k`` of ``D u``; ``u[i]`` is row ``i`` of ``last + 1`` (a whole array or a window)."""
+    """Row ``k`` of ``D u``; ``u[i]`` is row ``i`` of ``last + 1`` (a field or a dict of rows)."""
     if 0 < k < last:
         return (u[k + 1] - u[k - 1]) * (0.5 / h)
     return (u[1] - u[0]) / h if k == 0 else (u[last] - u[last - 1]) / h
@@ -105,25 +105,13 @@ def second_derivative(u, ts):
     return np.array([_d2(u, k, len(u) - 1, h) for k in range(len(u))], dtype=float)
 
 
-class _Window(dict):
-    """Slices of a field by node, each read from ``field`` on its first lookup."""
-
-    def __init__(self, field):
-        super().__init__()
-        self.field = field
-
-    def __missing__(self, k):
-        self[k] = self.field[k]
-        return self[k]
-
-
 def _applied_slices(pair_op, W, rows):
     """Walk ``rows`` down the collar, yielding ``(A_j W_j, {variant: applied slice j})``.
 
-    Each slice ``W[k]`` is read once, into a window of the few nodes around ``j``
-    that the stencils reach (views of an array, one outer product each of a
-    :class:`~evosq.evolution.RankOneField`); the walk keeps ``A_k W_k`` and
-    ``Y_k = V_k (D W + A W)_k`` for ``k = j-1 .. j+1`` only.
+    A slice ``W[k]`` is a view of an array or a factor pair of a
+    :class:`~evosq.evolution.LowRank` field, read where a stencil needs it;
+    the walk keeps ``A_k W_k`` and ``Y_k = V_k (D W + A W)_k`` for
+    ``k = j-1 .. j+1`` only.
     """
     g = pair_op.geometry
     ts = g.collar_ts
@@ -132,7 +120,7 @@ def _applied_slices(pair_op, W, rows):
     h, last = _uniform_step(ts), ts.size - 1
     f1, f2 = pair_op.family1, pair_op.family2
     V, mu_dot = np.exp(2.0 * g.mu(ts)), g.mu_dot(ts)
-    W, AW, Y = _Window(W), {}, {}
+    AW, Y = {}, {}
     for j in rows:
         # factorized: (D* + A)(D + A) W with D* = -V^-1 D V, V = exp(2 mu) the slice volume factor
         for k in range(max(j - 1, 0), min(j + 2, last + 1)):
@@ -151,7 +139,6 @@ def _applied_slices(pair_op, W, rows):
         base += f1.q[j][:, None] * W[j] + W[j] * f2.q[j][None, :]
         base -= mu * AW[j]
         cross = f1.lams[j] @ W[j] @ f2.lams[j].T
-        W.pop(j - 3, None)  # rows after j read no node before j - 2
         yield AW[j], {"factorized": factorized, "expanded-double": base + 2.0 * cross,
                       "expanded-single": base + cross}
 
@@ -160,7 +147,7 @@ def apply_variant(pair_op, W, variant="factorized"):
     """Apply one squared-operator variant to a kernel field on the collar.
 
     ``W`` is any field of ``shape`` ``(M+1, N, N)`` whose ``W[k]`` is slice
-    ``k``: an array or a :class:`~evosq.evolution.RankOneField`. Returns an array.
+    ``k``: an array or a :class:`~evosq.evolution.LowRank` field. Returns an array.
     """
     if variant not in VARIANTS:
         raise GeometryError(f"unknown variant {variant!r}; expected one of {VARIANTS}")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from evosq.dnmap import compute_dn_family, dn_mode_symbol
 from evosq.errors import GeometryError
-from evosq.evolution import LowRank, PairOperator, RankOneField, _norm, evolve_trace, evolved_rank_one
+from evosq.evolution import LowRank, PairOperator, _norm, evolve_trace, evolved_rank_one
 from evosq.geometry import build_warped_geometry, make_profile
 from evosq.squared import (
     VARIANTS,
@@ -232,7 +232,7 @@ def test_residual_of_a_rank_one_field_forms_a_window_of_slices():
         g = op.geometry
         u1 = evolve_trace(op.family1, np.cos(g.theta))
         u2 = evolve_trace(op.family2, np.sin(2 * g.theta) + 0.4)
-        streamed = RankOneField(u1, u2)
+        streamed = LowRank(u1[..., None], u2[..., None])
         assert _peak_slices(lambda: kernel_residual(op, streamed), field) <= _RANK_ONE_SLICES
 
 
@@ -428,7 +428,8 @@ def test_a_rank_one_field_walks_as_its_materialized_array(geometry, N, M, q1, q2
     op = _pair(geometry, N, M, q1, q2)
     f1, f2 = np.asarray(data[:N]), np.asarray(data[12 : 12 + N])
     array = evolved_rank_one(op.family1, op.family2, f1, f2)
-    field = RankOneField(evolve_trace(op.family1, f1), evolve_trace(op.family2, f2))
+    u1, u2 = evolve_trace(op.family1, f1), evolve_trace(op.family2, f2)
+    field = LowRank(u1[..., None], u2[..., None])
     assert field.shape == array.shape
     assert all(np.array_equal(np.asarray(field[k]), array[k]) for k in range(M + 1))
     # the factored walk sums the same terms in another order: each applied slice agrees to
