@@ -34,6 +34,7 @@ from . import io as evsq_io
 from . import meshes
 from .dnmap import (
     DNFamily,
+    _norm,
     compute_dn_family,
     conformal_identity_check,
     riccati_integrate,
@@ -41,7 +42,7 @@ from .dnmap import (
     solve_interior,
 )
 from .errors import ConfigError, EvosqError, GeometryError
-from .evolution import LowRank, PairOperator, _norm, evolve_trace
+from .evolution import LowRank, PairOperator, evolve_trace
 from .exhaustion import collar_map_samples, exhaustion_order, load_mesh
 from .geometry import PROFILE_PARAMS, build_warped_geometry, make_profile
 from .potentials import make_potential
@@ -261,9 +262,7 @@ def _headline_error(cfg):
 def _run_dn_compute(cfg, out):
     g = _build_geometry(cfg)
     fam = compute_dn_family(g, cfg["q1"])
-    defect = max(
-        float(np.linalg.norm(L - L.T) / max(np.linalg.norm(L), 1e-30)) for L in fam.lams
-    )
+    defect = max(float(_norm(L - L.T) / max(_norm(L), 1e-30)) for L in fam.lams)
     eig0 = np.linalg.eigvalsh(fam.lams[0])
     for tag, j in (("boundary", 0), ("collar", g.M)):
         _write_evsq(

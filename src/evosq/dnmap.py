@@ -35,7 +35,6 @@ each map, in place in buffers it owns.
 import numpy as np
 
 from .errors import DNComputationError, GeometryError, RiccatiEscapeError
-from .evolution import _norm
 from .geometry import conformal_potential, fourier_matrix, sobolev_apply
 from .potentials import make_potential
 from .rng import SplitMix64
@@ -105,9 +104,9 @@ def _spd_inverse(A, out, borders):
 def _dense_inverse(neg, ap, out, borders):
     """``ap neg^-1`` written into ``out``, for the negated dense pivot ``neg = -P`` of a sweep row.
 
-    :func:`_spd_inverse` inverts it; a pivot that is not positive definite
-    (indefinite, beyond the first Dirichlet eigenvalue) takes an LU solve,
-    which raises ``LinAlgError`` when it is singular.
+    :func:`_spd_inverse` inverts it (or a trace step's ``I + (h/2) Lam``); a
+    matrix that is not positive definite (a pivot beyond the first Dirichlet
+    eigenvalue) takes an LU solve, which raises ``LinAlgError`` if singular.
     """
     try:
         _spd_inverse(neg, out, borders)
@@ -116,6 +115,16 @@ def _dense_inverse(neg, ap, out, borders):
     else:
         out *= ap
     return out
+
+
+def _dot(X, Y):
+    """Frobenius inner product by numpy's own loop, not a BLAS dot: no thread count changes it."""
+    return float(np.einsum("ij,ij->", X, Y))
+
+
+def _norm(X):
+    """Frobenius norm through :func:`_dot`."""
+    return np.sqrt(_dot(X, X))
 
 
 def _eliminate(geometry, lap, q, w, cap, top=1, bottom=None, circulant=False):

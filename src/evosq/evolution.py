@@ -19,9 +19,8 @@ Every field is a plain array indexed by collar node first: a trace is
 field stands in for the kernel field of two traces: its slices stay
 factored, so ``M @ S``, ``S @ M``, sums and scalings cost matrix-vector
 products. A transport asked for ``rows`` returns only the nodes
-``0..rows-1``: the forward sweep stops
-there, the backward sweep runs the whole collar but keeps no deeper slice
-than the one it steps from.
+``0..rows-1``: the forward sweep stops there, the backward sweep runs the
+whole collar but keeps no deeper slice than the one it steps from.
 
 All steppers are trapezoidal (second order); both transports are one
 stepper run down or up the collar. Its implicit half-step is a symmetric
@@ -45,6 +44,7 @@ where ``rel_error`` is only 1e-3 to 6e-3.
 
 import numpy as np
 
+from .dnmap import _dense_inverse, _diagonal, _dot, _norm
 from .errors import GeometryError, StepFailureError
 
 _CG_TOL = 1e-10
@@ -79,17 +79,7 @@ class PairOperator:
 # ---------------------------------------------------------------------------
 
 
-def _dot(X, Y):
-    """Frobenius inner product by numpy's own loop, not a BLAS dot: no thread count changes it."""
-    return float(np.einsum("ij,ij->", X, Y))
-
-
-def _norm(X):
-    """Frobenius norm through :func:`_dot`."""
-    return np.sqrt(_dot(X, X))
-
-
-def _cg(apply_op, B, x, tol=_CG_TOL, maxiter=_CG_MAXITER, context=""):
+def _cg(apply_op, B, x, context=""):
     """Conjugate gradients for ``apply_op(x) = B`` from the start ``x``, updated in place.
 
     Returns ``(x, r)`` with ``r`` CG's own residual ``B - apply_op(x)``;
@@ -104,8 +94,8 @@ def _cg(apply_op, B, x, tol=_CG_TOL, maxiter=_CG_MAXITER, context=""):
     r = B - apply_op(x)
     p = r.copy()
     rr = _dot(r, r)
-    for it in range(maxiter):
-        if np.sqrt(rr) <= tol * b_norm:
+    for it in range(_CG_MAXITER):
+        if np.sqrt(rr) <= _CG_TOL * b_norm:
             return x, r
         Ap = apply_op(p)
         pAp = _dot(p, Ap)
@@ -122,11 +112,11 @@ def _cg(apply_op, B, x, tol=_CG_TOL, maxiter=_CG_MAXITER, context=""):
         p *= rr_new / rr
         p += r
         rr = rr_new
-    if np.sqrt(rr) <= tol * b_norm:
+    if np.sqrt(rr) <= _CG_TOL * b_norm:
         return x, r
     raise StepFailureError(
         f"implicit step failed to converge{context}: residual {np.sqrt(rr) / b_norm:.3g}",
-        iterations=maxiter,
+        iterations=_CG_MAXITER,
     )
 
 
@@ -136,17 +126,24 @@ def _cg(apply_op, B, x, tol=_CG_TOL, maxiter=_CG_MAXITER, context=""):
 
 
 def evolve_trace(family, f):
-    """Trapezoidal solve of ``u' = -Lam(t) u`` down the collar from ``u(0) = f``."""
+    """Trapezoidal solve of ``u' = -Lam(t) u`` down the collar from ``u(0) = f``.
+
+    A step is ``u_{j+1} = (I + (h/2) Lam_{j+1})^-1 (u_j - (h/2) Lam_j u_j)``,
+    its inverse the certified SPD inverse of :func:`dnmap._dense_inverse`
+    (an LU solve where that fails), so no BLAS thread count changes it.
+    """
     g = family.geometry
     ts = g.collar_ts
-    N = g.N
-    eye = np.eye(N)
-    u = np.empty((g.M + 1, N))
+    u = np.empty((g.M + 1, g.N))
     u[0] = np.asarray(f, dtype=float)
+    step, inverse = np.empty((2, g.N, g.N))
+    borders = {}
     for j in range(g.M):
-        h = ts[j + 1] - ts[j]
-        rhs = (eye - 0.5 * h * family.lams[j]) @ u[j]
-        u[j + 1] = np.linalg.solve(eye + 0.5 * h * family.lams[j + 1], rhs)
+        half = 0.5 * (ts[j + 1] - ts[j])
+        rhs = u[j] - half * (family.lams[j] @ u[j])
+        np.multiply(family.lams[j + 1], half, out=step)
+        _diagonal(step)[...] += 1.0
+        np.matmul(_dense_inverse(step, 1.0, inverse, borders), rhs, out=u[j + 1])
     return u
 
 
@@ -231,19 +228,14 @@ def evolve_tensor_backward(pair_op, W_eps, source=None, rows=None):
 
 
 class LowRank:
-    """The field ``U @ V^T`` of factor stacks ``U`` ``(..., N, r)`` and ``V`` ``(..., N', r)``, kept factored.
+    """The field ``U @ V^T`` of ``(..., N, r)`` factor stacks; ``W[k]`` is the slice ``LowRank(U[k], V[k])``.
 
-    ``W[k]`` is the slice ``LowRank(U[k], V[k])``; so ``LowRank(u1[..., None],
-    u2[..., None])`` is the rank-one kernel field of two ``(M+1, N)`` traces,
-    of the shape of the array :func:`evolved_rank_one` returns. On an
-    ``(N, N')`` slice, ``M @ S`` is ``(M U, V)`` and ``S @ M`` is
-    ``(U, M^T V)``; ``+`` and ``-`` join factors; ``*`` and ``/`` take a
-    scalar, and ``*`` also an ``(N, 1)`` column (scaling rows) or a
-    ``(1, N')`` row (scaling columns). Any other operand raises
-    ``TypeError``, and so does any ufunc, so nothing is made dense by
-    accident; ``np.asarray`` materializes the field by a batched
-    ``U @ V^T``, one product per entry at rank one, so bit for bit as
-    :func:`evolved_rank_one`.
+    On a slice, ``M @ S`` is ``(M U, V)`` and ``S @ M`` is ``(U, M^T V)``; ``+`` and ``-``
+    join factors; ``*`` and ``/`` take a scalar, and ``*`` also an ``(N, 1)`` column
+    (scaling rows) or a ``(1, N)`` row (scaling columns). Any other operand raises
+    ``TypeError``, and so does any ufunc, so nothing is made dense by accident.
+    ``np.asarray`` materializes the field by a batched ``U @ V^T``: at rank one, one
+    product per entry, bit for bit as :func:`evolved_rank_one`.
     """
 
     __array_ufunc__ = None  # ndarray operators defer to this type; ufuncs raise

@@ -31,14 +31,9 @@ With matching potentials every sweep is identically zero (the null test in
 
 import numpy as np
 
-from .dnmap import compute_dn_family, solve_interior
+from .dnmap import _norm, compute_dn_family, solve_interior
 from .errors import GeometryError
-from .evolution import (
-    PairOperator,
-    _norm,
-    evolve_tensor_backward,
-    evolve_tensor_forward,
-)
+from .evolution import PairOperator, evolve_tensor_backward, evolve_tensor_forward
 
 
 def difference_kernel(family1, family2, j):
@@ -85,7 +80,7 @@ def boundary_time_derivative(geometry, phi):
     second order on the uniform collar step.
     """
     h = float(geometry.collar_ts[1] - geometry.collar_ts[0])
-    if np.linalg.norm(phi[0]) > 1e-13 * max(np.linalg.norm(phi[1]), 1.0):
+    if _norm(phi[0]) > 1e-13 * max(_norm(phi[1]), 1.0):
         raise GeometryError("boundary derivative assumes a pinned boundary slice")
     return (4.0 * phi[1] - phi[2]) / (2.0 * h)
 

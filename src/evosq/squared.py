@@ -37,9 +37,8 @@ the collar holding a few slices: :func:`kernel_residual` applies all three
 variants in one pass and keeps only norms, :func:`apply_variant` fills one
 field. The field ``W`` need only have ``shape`` and slice indexing, so a
 ``LowRank`` field is walked without being materialized. End rows of ``D``
-are first order, so residuals of the
-factorized form are meaningful only away from the collar ends;
-:func:`kernel_residual` skips a two-node margin on each side.
+are first order, so factorized residuals are meaningful only away from the
+collar ends; :func:`kernel_residual` skips a two-node margin on each side.
 
 A residual is a small part of its scale (1e-4 at N=32, M=64; 1e-5 at
 N=128, M=256) and holds ``W''``, whose stencil divides by h^2, so round-off
@@ -51,16 +50,17 @@ them that far, and a round-off change of the maps further: a change of the
 maps by up to 2.1e-14 relative moved these residuals by up to 3.8e-8
 relative at N=32, M=64 (expanded-double, disk). Those figures predate the one
 cross product ``C``, which moved expanded-double by at most 2.7e-11 relative.
-The factored walk of a rank-one field sums the same terms in another order:
-kernel-check's residuals moved by up to 8.2e-9 relative at N=32, M=64 and
-3.4e-7 at N=128, M=256 (annulus, disk and flat cylinder), the order of the
-draws above.
+On the annulus, disk and flat cylinder, kernel-check's residuals moved by up
+to 8.2e-9 relative at N=32, M=64 and 3.4e-7 at N=128, M=256 when the walk
+went to factors (the same terms in another order), and by up to 5.1e-8 and
+2.9e-6 when the trace step went to the certified inverse (traces within
+1.1e-14 of the LU steps').
 """
 
 import numpy as np
 
+from .dnmap import _norm
 from .errors import GeometryError
-from .evolution import _norm
 
 VARIANTS = ("factorized", "expanded-double", "expanded-single")
 _MARGIN = 2  # collar nodes skipped at each end: the end rows of D are first order
@@ -166,7 +166,7 @@ def kernel_residual(pair_op, W):
     the same interior range (so the numbers are comparable across variants
     and resolutions). ``W`` is a field as in :func:`apply_variant`, each
     slice read once; ``np.asarray`` materializes each factored applied
-    slice for its norm and leaves an array as it is. Norms are ``einsum`` sums (:func:`evolution._norm`), so
+    slice for its norm and leaves an array as it is. Norms are ``einsum`` sums (:func:`dnmap._norm`), so
     no BLAS thread count changes them. Returns ``{variant: max over the interior}``.
     """
     interior = range(_MARGIN, pair_op.geometry.M + 1 - _MARGIN)

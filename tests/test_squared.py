@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evosq.dnmap import compute_dn_family, dn_mode_symbol
+from evosq.dnmap import _norm, compute_dn_family, dn_mode_symbol
 from evosq.errors import GeometryError
-from evosq.evolution import LowRank, PairOperator, _norm, evolve_trace, evolved_rank_one
+from evosq.evolution import LowRank, PairOperator, evolve_trace, evolved_rank_one
 from evosq.geometry import build_warped_geometry, make_profile
 from evosq.squared import (
     VARIANTS,
@@ -201,7 +201,7 @@ def _peak_slices(run, field):
     return (peak - base) / field[0].nbytes
 
 
-# the walk holds a window of W, Y and A W slices plus one slice's temporaries
+# the walk holds the Y and A W slices around its node plus one slice's temporaries
 # (measured: 16 slices for the residual, 16 beside the output field for any variant)
 _FEW_SLICES = 24
 
@@ -221,7 +221,7 @@ def test_residual_frees_each_variant_before_the_next():
 
 
 # the factored walk materializes one variant at a time, beside the slice Laplacian and the
-# factors of the window's terms: measured 9.1 slices at M=64 and 9.5 at M=256. At N=32 the
+# factors of the terms around its node: measured 8.9 slices at M=64 and 9.3 at M=256. At N=32 the
 # factors weigh (ranks reach 16 of 32 columns); at N=128 the same walk peaks at 3.3 slices.
 _RANK_ONE_SLICES = 12
 
@@ -430,7 +430,8 @@ def test_a_rank_one_field_walks_as_its_materialized_array(geometry, N, M, q1, q2
     array = evolved_rank_one(op.family1, op.family2, f1, f2)
     u1, u2 = evolve_trace(op.family1, f1), evolve_trace(op.family2, f2)
     field = LowRank(u1[..., None], u2[..., None])
-    assert field.shape == array.shape
+    assert field.shape == array.shape and np.ndim(field) == array.ndim == 3
+    assert np.array_equal(np.asarray(field), array)
     assert all(np.array_equal(np.asarray(field[k]), array[k]) for k in range(M + 1))
     # the factored walk sums the same terms in another order: each applied slice agrees to
     # round-off of the terms' size (measured: under 3e-16 of it on the three geometries at
