@@ -37,6 +37,7 @@ from .dnmap import (
     _norm,
     compute_dn_family,
     conformal_identity_check,
+    lambda_min,
     riccati_integrate,
     riccati_residual,
     solve_interior,
@@ -263,7 +264,6 @@ def _run_dn_compute(cfg, out):
     g = _build_geometry(cfg)
     fam = compute_dn_family(g, cfg["q1"])
     defect = max(float(_norm(L - L.T) / max(_norm(L), 1e-30)) for L in fam.lams)
-    eig0 = np.linalg.eigvalsh(fam.lams[0])
     for tag, j in (("boundary", 0), ("collar", g.M)):
         _write_evsq(
             out, f"lam_{tag}.evsq", fam.lams[j], "slice-map", float(g.collar_ts[j]), g, "dn-compute"
@@ -272,8 +272,8 @@ def _run_dn_compute(cfg, out):
         "geometry_hash": g.hash(),
         "depths": int(g.M + 1),
         "symmetry_defect": defect,
-        "eig_min": float(eig0.min()),
-        "eig_max": float(eig0.max()),
+        "eig_min": lambda_min(fam.lams[0]),
+        "eig_max": -lambda_min(-fam.lams[0]),
     }
     return results, defect <= cfg["sym_tol"]
 

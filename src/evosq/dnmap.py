@@ -35,9 +35,8 @@ each map, in place in buffers it owns.
 import numpy as np
 
 from .errors import DNComputationError, GeometryError, RiccatiEscapeError
-from .geometry import conformal_potential, fourier_matrix, sobolev_apply
+from .geometry import conformal_potential, fourier_matrix
 from .potentials import make_potential
-from .rng import SplitMix64
 
 _ESCAPE_FACTOR = 50.0
 _SINGULAR_FACTOR = 1e6
@@ -115,6 +114,36 @@ def _dense_inverse(neg, ap, out, borders):
     else:
         out *= ap
     return out
+
+
+def lambda_min(A):
+    """Smallest eigenvalue of a symmetric ``A``, bracketed by inertia to ``n eps max|A|``.
+
+    ``A - sigma I`` is positive definite exactly when :func:`_spd_inverse`
+    succeeds on it (Sylvester's law of inertia, and Haynsworth's inertia
+    additivity over its Schur halvings). Bisection from the Gershgorin interval
+    stops at Cholesky's backward error ``n eps max|A|`` (Higham, ch. 10) and
+    returns the largest ``sigma`` that passed, or the interval's lower end; no
+    thread count changes it. A non-finite ``A`` raises :class:`DNComputationError`.
+    """
+    A = np.asarray(A, dtype=float)
+    scale = np.max(np.abs(A))
+    if not np.isfinite(scale):
+        raise DNComputationError("lambda_min of a non-finite matrix")
+    center = np.diagonal(A)
+    radius = np.sum(np.abs(A), axis=1) - np.abs(center)
+    lo, hi = float(np.min(center - radius)), float(np.max(center + radius))
+    shifted, out, borders = np.empty_like(A), np.empty_like(A), {}
+    while hi - lo > len(A) * np.finfo(float).eps * scale:
+        sigma = 0.5 * (lo + hi)
+        np.copyto(shifted, A)
+        _diagonal(shifted)[...] -= sigma
+        try:
+            _spd_inverse(shifted, out, borders)
+            lo = sigma
+        except np.linalg.LinAlgError:
+            hi = sigma
+    return lo
 
 
 def _dot(X, Y):
@@ -392,16 +421,21 @@ def riccati_residual(family):
     """Max relative defect of the family in the map equation.
 
     Centered differences in depth at interior collar nodes against the
-    quadratic right-hand side; second order in the collar step.
+    quadratic right-hand side, relative to ``|L^2| + |L_t + Q|``, the two terms
+    that nearly cancel where the map is near its static balance (the flat
+    cylinder); second order in the collar step.
     """
     g = family.geometry
     ts = g.collar_ts
     worst = 0.0
     for j in range(1, g.M):
+        lam = family.lams[j]
         dldt = (family.lams[j + 1] - family.lams[j - 1]) / (ts[j + 1] - ts[j - 1])
-        rhs = riccati_rhs(g, family.q[j], family.lams[j], ts[j])
-        denom = max(_norm(rhs), 1e-30)
-        worst = max(worst, _norm(dldt - rhs) / denom)
+        rhs = riccati_rhs(g, family.q[j], lam, ts[j])
+        static = g.laplacian_matrix(ts[j])
+        _diagonal(static)[...] += family.q[j]
+        square = rhs + static + float(g.mu_dot(ts[j])) * lam  # L^2 without a second product
+        worst = max(worst, _norm(dldt - rhs) / max(_norm(square) + _norm(static), 1e-30))
     return worst
 
 
@@ -411,36 +445,25 @@ def riccati_residual(family):
 
 
 def coercivity_probe(family):
-    """Fit lower bounds ``<Af, f>_s >= C1 |f|_{s+1/2}^2 - C2 |f|_s^2`` for s = -1, -1/2, 0.
+    """Exact ``C1`` of ``<A f, f>_s >= C1 |f|_{s+1/2}^2 - C2 |f|_s^2`` over all f, s = -1, -1/2, 0.
 
-    Probes are 24 seeded random boundary vectors plus pure modes. The fit is
-    least squares followed by clipping ``C2 >= 0`` and tightening ``C1`` to
-    the worst probe, so the reported pair is an actual lower bound over the
-    probe set. Failure flag: ``C1 <= 0`` for any ``s``.
+    ``A`` is the boundary map, ``<u, f>_s = f^T J_s u`` and ``|f|_s^2 = <f, f>_s``
+    with ``J_s = (1 + L_0)^s``, the Fourier multiplier of symbol
+    ``(1 + k^2 / r(0)^2)^s`` (the node weight scales both sides and drops out).
+    With ``C2 = 1`` the largest such ``C1`` is :func:`lambda_min` of
+    ``J_{s+1/2}^{-1/2} (sym(J_s A) + J_s) J_{s+1/2}^{-1/2}``. Failure flag:
+    ``C1 <= 0`` for any ``s``.
     """
     g = family.geometry
     lam0 = family.lams[0]
-    w0 = g.node_weight(0.0)
-    rng = SplitMix64(7)
-    probes = [np.asarray(rng.normals(g.N)) for _ in range(24)]
-    for k in (0, 1, 2, g.N // 4, g.N // 2 - 1):
-        v = np.cos(k * g.theta) + (np.sin(k * g.theta) if k else 0.0)
-        probes.append(v / np.linalg.norm(v))
-
+    ksq = (g.wavenumbers() / float(g.profile.r(0.0))) ** 2
     results = {}
     for s in (-1.0, -0.5, 0.0):
-        a = np.empty(len(probes))
-        b = np.empty(len(probes))
-        cc = np.empty(len(probes))
-        for i, f in enumerate(probes):
-            a[i] = w0 * np.dot(sobolev_apply(g, s, lam0 @ f), f)
-            b[i] = w0 * np.dot(sobolev_apply(g, s + 0.5, f), f)
-            cc[i] = w0 * np.dot(sobolev_apply(g, s, f), f)
-        A = np.column_stack([b, -cc])
-        coef, *_ = np.linalg.lstsq(A, a, rcond=None)
-        c2 = max(float(coef[1]), 0.0)
-        c1 = float(np.min((a + c2 * cc) / b))
-        results[s] = {"C1": c1, "C2": c2, "coercive": c1 > 0.0}
+        J = fourier_matrix((1.0 + ksq) ** s)
+        R = fourier_matrix((1.0 + ksq) ** (-0.5 * (s + 0.5)))
+        C = R @ J @ (lam0 + np.eye(g.N)) @ R  # its symmetric part is the matrix above
+        c1 = lambda_min(0.5 * (C + C.T))
+        results[s] = {"C1": c1, "C2": 1.0, "coercive": c1 > 0.0}
     return results
 
 

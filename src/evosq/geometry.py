@@ -297,24 +297,6 @@ def build_warped_geometry(profile, N, M, eps, dim=1):
 
 
 # ---------------------------------------------------------------------------
-# Sobolev scale on the boundary
-# ---------------------------------------------------------------------------
-
-
-def sobolev_apply(geometry, s, u):
-    """Apply ``(1 + L_0)^s`` to a boundary function (shape ``(N,)``).
-
-    The reference operator is the slice operator at ``t = 0`` (symbol
-    ``k^2 / r(0)^2``).
-    """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1:
-        raise GeometryError(f"sobolev_apply expects rank 1, got {u.ndim}")
-    mult = (1.0 + (geometry.wavenumbers() / float(geometry.profile.r(0.0))) ** 2) ** s
-    return np.real(np.fft.ifft(mult * np.fft.fft(u)))
-
-
-# ---------------------------------------------------------------------------
 # conformal reduction
 # ---------------------------------------------------------------------------
 

@@ -13,6 +13,7 @@ from evosq.dnmap import (
     conductivity_mode_dn,
     conformal_identity_check,
     dn_mode_symbol,
+    lambda_min,
     propagation_chain,
     riccati_integrate,
     riccati_residual,
@@ -207,6 +208,40 @@ def test_an_indefinite_leaf_is_refused():
     A[-1, -1] = -1e-3
     with pytest.raises(np.linalg.LinAlgError):
         _spd_inverse(A, np.empty_like(A), {})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 80),
+    kind=st.sampled_from(["indefinite", "negative", "graded"]),
+    log_scale=st.floats(-60.0, 60.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=_LEAF, kind="indefinite", log_scale=0.0, seed=0)
+@example(n=_LEAF + 1, kind="negative", log_scale=40.0, seed=1)  # one Schur halving
+@example(n=80, kind="graded", log_scale=-40.0, seed=2)
+def test_lambda_min_brackets_the_smallest_eigenvalue(n, kind, log_scale, seed):
+    # the bisection stops at width n eps max|A|; the bracket it leaves, widened by
+    # that width on each side for the two backward errors, holds eigvalsh's value
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    A = G + G.T
+    if kind == "negative":
+        A = -(G @ G.T) - 1e-2 * np.eye(n)
+    elif kind == "graded":  # entries spread over eight decades
+        d = 10.0 ** rng.uniform(-4.0, 4.0, n)
+        A = d[:, None] * A * d[None, :]
+    A *= 10.0**log_scale
+    width = n * np.finfo(float).eps * np.abs(A).max()
+    low = lambda_min(A)
+    assert low - width <= np.linalg.eigvalsh(A)[0] <= low + 2 * width
+
+
+def test_lambda_min_refuses_a_non_finite_matrix():
+    A = np.eye(4)
+    A[1, 2] = A[2, 1] = np.nan
+    with pytest.raises(DNComputationError, match="non-finite"):
+        lambda_min(A)
 
 
 def test_a_pivot_below_the_leaf_border_takes_the_lu_fallback(monkeypatch):
@@ -535,6 +570,24 @@ def test_riccati_residual_second_order():
     assert rate > 1.8
 
 
+@pytest.mark.parametrize("profile", ["annulus", "flat-cylinder"])
+def test_riccati_residual_is_relative_to_the_cancelling_terms(profile):
+    # the defect over |L^2| + |L_t + Q|, out of place; over |rhs| alone the flat
+    # cylinder, where L^2 nearly balances L_t + Q, read 0.435 at this size
+    g = build_warped_geometry(make_profile(profile), N=32, M=64, eps=0.3)
+    fam = compute_dn_family(g, Q1_SPEC)
+    ts, worst = g.collar_ts, 0.0
+    for j in range(1, g.M):
+        lam = fam.lams[j]
+        static = g.laplacian_matrix(ts[j]) + np.diag(fam.q[j])
+        rhs = lam @ lam - static - g.mu_dot(ts[j]) * lam
+        dldt = (fam.lams[j + 1] - fam.lams[j - 1]) / (ts[j + 1] - ts[j - 1])
+        scale = np.linalg.norm(lam @ lam) + np.linalg.norm(static)
+        worst = max(worst, np.linalg.norm(dldt - rhs) / scale)
+    assert riccati_residual(fam) == pytest.approx(worst, rel=1e-9)
+    assert worst < 1e-3
+
+
 def test_riccati_escape(annulus_geometry):
     fam = compute_dn_family(annulus_geometry)
     bad = fam.lams[annulus_geometry.M] + 1e3 * np.eye(annulus_geometry.N)
@@ -547,12 +600,39 @@ def test_riccati_escape(annulus_geometry):
 
 
 def test_coercivity_probe_zero_potential(annulus_geometry):
-    fam = compute_dn_family(annulus_geometry)
-    res = coercivity_probe(fam)
+    # a theta-independent potential makes the map circulant, diagonal with the
+    # J multipliers in Fourier: C1 = min_k (lam_k + 1) / sqrt(1 + k^2 / r0^2) for every s
+    g = annulus_geometry
+    res = coercivity_probe(compute_dn_family(g))
+    k = g.wavenumbers()
+    exact = np.min((dn_mode_symbol(g, 0.0, k**2, depths=0) + 1.0) / np.sqrt(1.0 + k**2))
     for s in (-1.0, -0.5, 0.0):
-        assert res[s]["coercive"]
-        assert res[s]["C1"] > 0.0
-        assert res[s]["C2"] >= 0.0
+        assert res[s]["coercive"] and res[s]["C2"] == 1.0
+        assert abs(res[s]["C1"] - exact) <= 1e-11 * exact
+
+
+def test_coercivity_probe_is_attained_and_bounds_every_f(annulus_families):
+    # C1 is the least ratio (<A f, f>_s + |f|_s^2) / |f|_{s+1/2}^2 over all f: the
+    # extremal eigenvector attains it, and random f stay above it
+    fam = annulus_families[0]
+    g, lam0 = fam.geometry, fam.lams[0]
+    multiplier = 1.0 + g.wavenumbers() ** 2
+    res = coercivity_probe(fam)
+    rng = np.random.default_rng(3)
+    for s in (-1.0, -0.5, 0.0):
+        J, J_half = fourier_matrix(multiplier**s), fourier_matrix(multiplier ** (s + 0.5))
+        R = fourier_matrix(multiplier ** (-0.5 * (s + 0.5)))
+        form = 0.5 * (J @ lam0 + (J @ lam0).T) + J
+
+        def ratio(f):
+            return (f @ form @ f) / (f @ J_half @ f)
+
+        C = R @ form @ R
+        _, vecs = np.linalg.eigh(0.5 * (C + C.T))
+        c1 = res[s]["C1"]
+        assert abs(ratio(R @ vecs[:, 0]) - c1) <= 1e-12 * c1
+        for f in rng.standard_normal((50, g.N)):
+            assert ratio(f) >= c1 * (1.0 - 1e-12)
 
 
 # -- conformal consistency -------------------------------------------------------

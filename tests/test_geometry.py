@@ -11,7 +11,6 @@ from evosq.geometry import (
     fd_weights,
     fourier_matrix,
     make_profile,
-    sobolev_apply,
 )
 
 
@@ -226,7 +225,7 @@ def test_torus_has_no_dense_slice_operator():
         g.d2_unit()
 
 
-# -- slice operator and Sobolev scale ---------------------------------------
+# -- slice operator ----------------------------------------------------------
 
 
 def test_slice_operator_diagonalizes_modes(annulus_geometry):
@@ -236,20 +235,6 @@ def test_slice_operator_diagonalizes_modes(annulus_geometry):
         u = np.cos(k * g.theta)
         assert np.allclose(L @ u, k**2 * u, atol=1e-9)
     assert np.allclose(L, L.T)
-
-
-def test_sobolev_multiplier_on_pure_mode(annulus_geometry):
-    g = annulus_geometry
-    for k, s in ((2, 0.5), (5, -1.0)):
-        u = np.sin(k * g.theta)
-        v = sobolev_apply(g, s, u)
-        assert np.allclose(v, (1.0 + k**2) ** s * u, atol=1e-10)
-
-
-def test_sobolev_rank_check(annulus_geometry):
-    for shape in ((2, 2), (2, 2, 2)):
-        with pytest.raises(GeometryError, match="rank"):
-            sobolev_apply(annulus_geometry, 0.5, np.zeros(shape))
 
 
 # -- conformal reduction ----------------------------------------------------
