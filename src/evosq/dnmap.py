@@ -166,64 +166,71 @@ def _eliminate(geometry, lap, q, w, cap, top=1, bottom=None, circulant=False):
     (default the last node).
     Row ``j`` is ``w_{j+1/2} (u_{j+1} - u_j) / h+ - w_{j-1/2} (u_j - u_{j-1}) / h-
     - hbar w_j (L_j + Q_j) u_j = 0`` divided by ``hbar w_j``, ``hbar = (h- + h+) / 2``.
+    Every row's ``a_j``, ``c_j`` come from one pass over the grid's vectors, as Python
+    floats; ``r_j^2`` is squared per node, as an array square may differ in the last bit.
     The sweep runs from node ``bottom - 1`` up to ``top``. It returns one
-    ``(M + 2, ..., n, n)`` array holding the blocks of rows up to M + 1 (other
-    rows unset; one array, so that a dropped chain goes back to the operating
-    system whole) and the block at ``top``. A dense negated pivot
-    ``-P_j = (a_j + c_j) I + L_j + Q_j - c_j S_{j+1}`` is assembled in place;
-    it is symmetric, and positive definite in the coercive case, so
-    :func:`_dense_inverse` inverts it by Cholesky-certified Schur halving and
-    writes each kept block straight into its row, and each block below the
-    collar into one of two spare blocks, taken in turn. Only a dense pivot
-    whose leaf Cholesky fails is an LU solve; a batch of 1 x 1 mode blocks is a
-    division, where a zero pivot gives an infinite block. A singular
-    pivot or a block norm above ``_SINGULAR_FACTOR * sqrt(n)`` is a
-    resonance. With ``circulant`` the batch of N 1 x 1 blocks is the spectrum
-    of one circulant N x N block and is guarded as that block would be: a
-    zero mode pivot is a singular pivot and the norm is the Frobenius one,
-    the root of the summed squared symbols, against ``_SINGULAR_FACTOR * sqrt(N)``.
+    ``(M + 2, ..., n, n)`` array holding the blocks of rows up to M + 1 (other rows unset;
+    one array, so that a dropped chain goes back to the operating system whole) and the
+    block at ``top``. A dense negated pivot ``-P_j = (a_j + c_j) I + L_j + Q_j - c_j S_{j+1}``
+    is assembled in place; it is symmetric, and positive definite in the coercive case, so
+    :func:`_dense_inverse` inverts it by Cholesky-certified Schur halving and writes each
+    kept block straight into its row, and each block below the collar into one of two spare
+    blocks, taken in turn. Only a dense pivot whose leaf Cholesky fails is an LU solve; a
+    batch of 1 x 1 mode blocks is a division, where a zero pivot gives an infinite block. A
+    singular pivot or a block norm above ``_SINGULAR_FACTOR * sqrt(n)`` is a resonance. A
+    batch of modes is guarded by its largest norm, the root of its largest squared symbol,
+    and a resonance names the first mode above the guard. With ``circulant`` the batch of N
+    1 x 1 blocks is the spectrum of one circulant N x N block and is guarded as that block
+    would be: a zero mode pivot is a singular pivot and the norm is the Frobenius one, the
+    root of the summed squared symbols, against ``_SINGULAR_FACTOR * sqrt(N)``.
     """
-    ts, kept = geometry.ts, geometry.M + 1
+    ts, rs, kept = geometry.ts, geometry.rs, geometry.M + 1
     (half, node), dt = w, np.diff(ts)
     bottom = ts.size - 1 if bottom is None else bottom
     guard = _SINGULAR_FACTOR * np.sqrt(lap.shape[0] if circulant else lap.shape[-1])
+    scale = 0.5 * (dt[:-1] + dt[1:]) * node[1:-1]  # row j at index j - 1
+    aps, cps = (half[:-1] / (dt[:-1] * scale)).tolist(), (half[1:] / (dt[1:] * scale)).tolist()
     S = np.empty((kept + 1,) + cap.shape)
-    dense = lap.ndim == 2
-    if dense:
+    block = cap
+    if bottom <= kept:
+        S[bottom] = cap
+
+    def resonance(t, norm, mode=""):
+        why = "" if mode else f": propagation norm {norm:.3g}"
+        return DNComputationError(f"Dirichlet eigenvalue collision{mode} near depth {t:.6g}{why}")
+
+    rows = range(bottom - 1, top - 1, -1)
+    if lap.ndim == 2:
         # the pivot and two spare blocks for the rows below the collar, taken in
         # turn: a row is never S_{j+1}, so it holds c_j S_{j+1} until it is inverted into
         neg, *spare = np.empty((3,) + cap.shape)
         pivot_diagonal, borders = _diagonal(neg), {}
-    block = cap
-    if bottom <= kept:
-        S[bottom] = cap
-    for j in range(bottom - 1, top - 1, -1):
-        scale = 0.5 * (dt[j - 1] + dt[j]) * node[j]
-        ap, cp = half[j - 1] / (dt[j - 1] * scale), half[j] / (dt[j] * scale)
-        try:
-            if dense:
-                out = S[j] if j <= kept else spare[j % 2]
-                np.divide(lap, geometry.rs[j] ** 2, out=neg)
-                pivot_diagonal += ap + cp
-                pivot_diagonal += q(j)
-                neg -= np.multiply(cp, block, out=out)
+        for j in rows:
+            ap, cp = aps[j - 1], cps[j - 1]
+            out = S[j] if j <= kept else spare[j % 2]
+            np.divide(lap, rs[j] ** 2, out=neg)
+            pivot_diagonal += ap + cp
+            pivot_diagonal += q(j)
+            neg -= np.multiply(cp, block, out=out)
+            try:
                 block = _dense_inverse(neg, ap, out, borders)
-            else:
-                with np.errstate(divide="ignore"):
-                    block = ap / ((ap + cp) + lap / geometry.rs[j] ** 2 + q(j) - cp * block)
-                if j <= kept:
-                    S[j] = block
-            sq = np.einsum("...ij,...ij->...", block, block)
-        except np.linalg.LinAlgError:
-            sq = np.inf
-        norm = np.sqrt(np.sum(sq) if circulant else sq)
-        bad = norm > guard
-        if np.any(bad):
-            mode = f" (mode ksq={float(lap[bad][0, 0, 0])})" if norm.ndim else ""
-            why = "" if mode else f": propagation norm {norm:.3g}"
-            raise DNComputationError(
-                f"Dirichlet eigenvalue collision{mode} near depth {ts[j]:.6g}{why}"
-            )
+                norm = np.sqrt(np.einsum("...ij,...ij->...", block, block))
+            except np.linalg.LinAlgError:
+                norm = np.inf
+            if norm > guard:
+                raise resonance(ts[j], norm)
+        return S, block
+    with np.errstate(divide="ignore"):
+        for j in rows:
+            ap, cp = aps[j - 1], cps[j - 1]
+            block = ap / ((ap + cp) + lap / rs[j] ** 2 + q(j) - cp * block)
+            if j <= kept:
+                S[j] = block
+            sq = block * block
+            norm = np.sqrt(np.sum(sq) if circulant else sq.max())
+            if norm > guard:
+                mode = lap.flat[np.argmax(np.sqrt(sq) > guard)]  # the first mode above the guard
+                raise resonance(ts[j], norm, "" if circulant else f" (mode ksq={float(mode)})")
     return S, block
 
 

@@ -14,9 +14,10 @@ the closed new triangle), and is injective. :func:`collar_map_samples`
 drives a deterministic sample cloud through every replayed step and
 reports coverage and collision diagnostics.
 
-Only the growth order is a Python loop: a heap of integer keys over the
-side tables a mesh keeps as arrays (each triangle side's canonical edge
-key and the triangle across it). The mesh checks, the OFF parser and the
+Only the growth order is a Python loop, and one loop: a heap of integer
+entries built once, before it, from the side tables a mesh keeps as
+arrays (each triangle side's canonical edge key and the triangle across
+it), one entry a side. The mesh checks, the OFF parser and the
 order replay are whole-array passes that report the first violation in
 scan order, and the sample cloud is pushed through blocks of growth steps
 sized to a fixed number of sample pairs.
@@ -194,30 +195,32 @@ def exhaustion_order(mesh):
     on_boundary = np.zeros(len(mesh.vertices), dtype=bool)
     on_boundary[mesh.boundary_vertices] = True
     in_collar = on_boundary[mesh.triangles].any(axis=1)
-    collar = np.flatnonzero(in_collar).tolist()
-    order = list(collar)
+    order = np.flatnonzero(in_collar).tolist()
     # plain ints: cheap heap comparisons; the boundary's -1 across a side
     # reads the trailing sentinel, which counts as absorbed
-    done = in_collar.tolist() + [True]
-    keys, across = mesh.side_keys.ravel().tolist(), mesh.across.ravel().tolist()
-    heap = []
-
-    def push_frontier(f):
-        for s in (3 * f, 3 * f + 1, 3 * f + 2):
-            g = across[s]
-            if not done[g]:
-                heapq.heappush(heap, keys[s] * n + g)
-
-    for f in collar:
-        push_frontier(f)
-
-    while heap:
-        g = heapq.heappop(heap) % n
-        if done[g]:
-            continue
-        done[g] = True
-        order.append(g)
-        push_frontier(g)
+    done, across = in_collar.tolist() + [True], mesh.across.ravel().tolist()
+    # one entry a side, exact where int64 would wrap; flat lists hold no objects the GC tracks
+    keys = mesh.side_keys if len(mesh.vertices) ** 2 * n < 2**63 else mesh.side_keys.astype(object)
+    entries = (keys * n + mesh.across).ravel().tolist()
+    heap, last, heappush, heappop = [], order[-1], heapq.heappush, heapq.heappop
+    # the order grows while it is read: after the last triangle's candidates enter the
+    # heap, the least entry not yet absorbed is the next growth step
+    for f in order:
+        s = 3 * f
+        if not done[across[s]]:
+            heappush(heap, entries[s])
+        if not done[across[s + 1]]:
+            heappush(heap, entries[s + 1])
+        if not done[across[s + 2]]:
+            heappush(heap, entries[s + 2])
+        if f == last:
+            while heap:
+                g = heappop(heap) % n
+                if not done[g]:
+                    done[g] = True
+                    order.append(g)
+                    last = g
+                    break
 
     if len(order) != n:
         missing = [f for f, absorbed in enumerate(done[:n]) if not absorbed]

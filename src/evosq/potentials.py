@@ -92,9 +92,9 @@ class SampledPotential(Potential):
     """Potential tabulated on a (theta, t) product grid: a table of node values.
 
     :meth:`on_slice` returns the stored column at a depth that is one of the
-    ``t_grid`` nodes; any other depth is a :class:`GeometryError`. The theta
-    grid must match the geometry nodes exactly (spectral consistency). The
-    table is built on one geometry's depth grid.
+    ``t_grid`` nodes (a dict lookup, or a search within 1e-12); any other depth is
+    a :class:`GeometryError`. The theta grid must match the geometry nodes exactly
+    (spectral consistency). The table is built on one geometry's depth grid.
     """
 
     def __init__(self, theta_grid, t_grid, values):
@@ -106,6 +106,7 @@ class SampledPotential(Potential):
         self._digest = hashlib.sha256(
             self.theta_grid.tobytes() + self.t_grid.tobytes() + self.values.tobytes()
         ).hexdigest()[:12]
+        self._columns = {t: j for j, t in enumerate(self.t_grid.tolist())}
 
     def on_slice(self, theta, t):
         theta = np.asarray(theta, dtype=float)
@@ -115,6 +116,8 @@ class SampledPotential(Potential):
         ):
             raise GeometryError("sampled potential: theta nodes do not match the geometry")
         tt = float(t)
+        if tt in self._columns:
+            return self.values[:, self._columns[tt]].copy()
         lo, hi = self.t_grid[0], self.t_grid[-1]
         if tt < lo - 1e-12 or tt > hi + 1e-12:
             raise GeometryError(f"sampled potential: depth {tt} outside [{lo}, {hi}]")

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from evosq.dnmap import (
     _LEAF,
     _eliminate,
+    _extract_dn,
+    _mode_q_values,
     _spd_inverse,
     _weights,
     coercivity_probe,
@@ -287,6 +289,100 @@ def test_in_place_rows_and_maps_are_the_formulas_bit_for_bit(N):
         h = g.ts[j + 1] - g.ts[j]
         flux = (half[j] / node[j] / h) * (eye - rows[j + 1])
         assert np.array_equal(fam.lams[j], flux + 0.5 * h * (lap / g.rs[j] ** 2 + np.diag(Q[j])))
+
+
+def _mode_sweep_formula(g, lap, q, w, cap, top=1, circulant=False):
+    """The per-mode sweep row by row: numpy-scalar coefficients, one errstate a row, einsum guard.
+
+    Returns the rows by node and the block at ``top``, or raises as the sweep does.
+    """
+    (half, node), dt = w, np.diff(g.ts)
+    guard = 1e6 * np.sqrt(lap.shape[0] if circulant else lap.shape[-1])
+    block = cap
+    rows = {g.ts.size - 1: cap}
+    for j in range(g.ts.size - 2, top - 1, -1):
+        scale = 0.5 * (dt[j - 1] + dt[j]) * node[j]
+        ap, cp = half[j - 1] / (dt[j - 1] * scale), half[j] / (dt[j] * scale)
+        with np.errstate(divide="ignore"):
+            block = rows[j] = ap / ((ap + cp) + lap / g.rs[j] ** 2 + q(j) - cp * block)
+        sq = np.einsum("...ij,...ij->...", block, block)
+        norm = np.sqrt(np.sum(sq) if circulant else sq)
+        bad = norm > guard
+        if np.any(bad):
+            mode = f" (mode ksq={float(lap[bad][0, 0, 0])})" if norm.ndim else ""
+            why = "" if mode else f": propagation norm {norm:.3g}"
+            raise DNComputationError(
+                f"Dirichlet eigenvalue collision{mode} near depth {g.ts[j]:.6g}{why}"
+            )
+    return rows, block
+
+
+def _mode_maps_formula(g, ksq, q, w, depths):
+    lap = np.asarray(ksq, dtype=float).reshape(-1, 1, 1)
+    ratio = g.rs[-1] / g.rs[-2]
+    cap = ratio ** np.sqrt(lap) if g.cap == "center" else np.zeros_like(lap)
+    rows, _ = _mode_sweep_formula(g, lap, q, w, cap)
+    S = np.empty((g.M + 2,) + cap.shape)
+    for j in range(1, g.M + 2):
+        S[j] = rows[j]
+    lams, work = np.empty((len(depths),) + cap.shape), np.empty_like(cap)
+    for i, j in enumerate(depths):
+        _extract_dn(g, S, lap, q, w, j, lams[i], work)
+    return lams[..., 0, 0]
+
+
+@pytest.mark.parametrize("profile", ["annulus", "disk", "flat-cylinder"])
+def test_mode_sweep_is_the_row_formula_bit_for_bit(profile):
+    # _eliminate's per-mode rows take their coefficients from whole-grid vectors and
+    # guard by the largest squared symbol: the chain's circulant deep run below a bump
+    # and the mode symbols equal the row-by-row formula exactly
+    g = build_warped_geometry(make_profile(profile), N=32, M=64, eps=0.3)
+    k, w = g.wavenumbers(), _weights(g)
+    bump = make_potential({"kind": "bump", "amplitude": 2.0, "theta0": 0.5, "t0": 0.05, "width": 0.15})
+    Q = bump.on_grid(g.theta, g.ts)
+    top = int(np.flatnonzero(np.any(Q[:-1] != Q[:-1, :1], axis=1))[-1]) + 1
+    assert 1 < top < g.M
+    lap = (k**2)[:, None, None]
+    ratio = g.rs[-1] / g.rs[-2]
+    cap = (ratio ** np.abs(k) if g.cap == "center" else np.zeros_like(k))[:, None, None]
+    rows, top_block = _mode_sweep_formula(g, lap, lambda j: Q[j, 0], w, cap, top, circulant=True)
+    S, block = _eliminate(g, lap, lambda j: Q[j, 0], w, cap, top=top, circulant=True)
+    assert np.array_equal(block, top_block)
+    assert all(np.array_equal(S[j], rows[j]) for j in range(top, g.M + 2))
+    chain = propagation_chain(g, bump)
+    assert all(np.array_equal(chain[j], fourier_matrix(rows[j][:, 0, 0])) for j in range(top + 1, g.M + 2))
+    for potential in (0.0, 1.5):
+        q = _mode_q_values(g, make_potential(potential)).__getitem__
+        ksq = np.arange(g.N // 2 + 1) ** 2.0
+        expected = _mode_maps_formula(g, ksq, q, w, range(g.M + 1))
+        assert np.array_equal(dn_mode_symbol(g, potential, ksq), expected)
+
+
+def test_torus_conductivity_sweep_is_the_row_formula_bit_for_bit():
+    # conformal-check's conductivity sweep on the flat torus at N=16, M=128, modes_max=16
+    g = build_warped_geometry(make_profile("flat-cylinder"), N=16, M=128, eps=0.3, dim=2)
+    kmax = 16
+    ksq = np.array(
+        [a * a + b * b for a in range(kmax + 1) for b in range(a, kmax + 1) if a * a + b * b <= kmax**2],
+        dtype=float,
+    )
+    sigma = np.exp(0.7 * g.ts) ** 0.5
+    w = _weights(g, sigma)
+    expected = float(sigma[0]) * _mode_maps_formula(g, ksq, lambda j: 0.0, w, [0])[0]
+    assert ksq.size == 114
+    assert np.array_equal(conductivity_mode_dn(g, lambda t: np.exp(0.7 * t), 3, ksq), expected)
+
+
+@pytest.mark.parametrize("ksq", [0.0, np.array([4.0, 0.0, 1.0])])
+def test_mode_resonance_is_the_row_formula_message(ksq):
+    # the largest squared symbol against the guard names the same depth and the same first mode
+    g, q_res = _resonant_setup()
+    lap = np.reshape(ksq, (-1, 1, 1))
+    with pytest.raises(DNComputationError) as expected:
+        _mode_sweep_formula(g, lap, lambda j: q_res, _weights(g), np.zeros_like(lap))
+    with pytest.raises(DNComputationError) as raised:
+        dn_mode_symbol(g, q_res, ksq)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_chain_allocates_only_the_collar_blocks():
@@ -609,6 +705,20 @@ def test_coercivity_probe_zero_potential(annulus_geometry):
     for s in (-1.0, -0.5, 0.0):
         assert res[s]["coercive"] and res[s]["C2"] == 1.0
         assert abs(res[s]["C1"] - exact) <= 1e-11 * exact
+
+
+def test_coercivity_probe_flags_a_negative_constant_potential(annulus_geometry):
+    # the negative control of criterion 12: Q = -8 pulls the k = 0 symbol below -1, so the
+    # same closed form is attained at k = 0, C1 = lam_0 + 1 < 0 at every s
+    g = annulus_geometry
+    res = coercivity_probe(compute_dn_family(g, -8.0))
+    k = g.wavenumbers()
+    lam = dn_mode_symbol(g, -8.0, k**2, depths=0)
+    exact = np.min((lam + 1.0) / np.sqrt(1.0 + k**2))
+    assert exact == lam[k == 0][0] + 1.0 and -1.61 < exact < -1.60
+    for s in (-1.0, -0.5, 0.0):
+        assert not res[s]["coercive"] and res[s]["C2"] == 1.0
+        assert abs(res[s]["C1"] - exact) <= 1e-11 * abs(exact)
 
 
 def test_coercivity_probe_is_attained_and_bounds_every_f(annulus_families):

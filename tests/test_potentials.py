@@ -51,6 +51,22 @@ def test_sampled_exact_node_lookup():
     assert np.array_equal(p.on_slice(THETA, ts[4]), vals[:, 4])
 
 
+def test_sampled_node_within_the_tolerance_reads_the_same_column():
+    # an exact node is looked up; a depth 1e-13 off reads the same column, 1e-6 off is refused
+    ts = np.linspace(0.0, 1.0, 11)
+    vals = np.cos(THETA)[:, None] * np.exp(ts)[None, :]
+    p = SampledPotential(THETA, ts, vals)
+    exact = p.on_slice(THETA, ts[4])
+    assert np.array_equal(exact, vals[:, 4])
+    exact[:] = 0.0  # a copy, not a view of the table
+    assert ts[4] + 1e-13 != ts[4]
+    assert np.array_equal(p.on_slice(THETA, ts[4] + 1e-13), vals[:, 4])
+    with pytest.raises(GeometryError, match="not a grid node"):
+        p.on_slice(THETA, ts[4] + 1e-6)
+    with pytest.raises(GeometryError, match="theta nodes"):
+        p.on_slice(THETA + 0.01, ts[4])
+
+
 def test_sampled_between_nodes_is_an_error():
     ts = np.linspace(0.0, 1.0, 41)
     p = SampledPotential(THETA, ts, np.zeros((16, 41)))
