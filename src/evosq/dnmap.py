@@ -367,16 +367,13 @@ def dn_mode_symbol(geometry, potential, ksq, depths=None):
 
     ``ksq`` is the squared wavenumber (sum over torus axes), or an array of
     them. The potential must be independent of the boundary variables.
-    Returns the eigenvalue at every collar node, or at the requested node
-    indices; an array ``ksq`` adds a trailing mode axis.
+    Returns the eigenvalue at every collar node, or at the node indices in
+    the list ``depths``, one row each; an array ``ksq`` adds a trailing mode axis.
     """
     potential = make_potential(potential)
     q = _mode_q_values(geometry, potential).__getitem__
-    idx = range(geometry.M + 1) if depths is None else np.atleast_1d(depths)
-    out = _mode_maps(geometry, ksq, q, _weights(geometry), idx)
-    if depths is None or np.ndim(depths):
-        return out
-    return out[0] if np.ndim(ksq) else float(out[0])
+    idx = range(geometry.M + 1) if depths is None else depths
+    return _mode_maps(geometry, ksq, q, _weights(geometry), idx)
 
 
 # ---------------------------------------------------------------------------

@@ -285,9 +285,3 @@ def evolved_rank_one(family1, family2, f1, f2):
     u1 = evolve_trace(family1, f1)
     u2 = evolve_trace(family2, f2)
     return np.einsum("ji,jk->jik", u1, u2)
-
-
-def kron_generator(lam1, lam2):
-    """Dense Kronecker form of the pair generator (small-N checks only)."""
-    n = lam1.shape[0]
-    return np.kron(lam1, np.eye(n)) + np.kron(np.eye(n), lam2)

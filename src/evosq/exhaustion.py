@@ -16,11 +16,11 @@ reports coverage and collision diagnostics.
 
 Only the growth order is a Python loop, and one loop: a heap of integer
 entries built once, before it, from the side tables a mesh keeps as
-arrays (each triangle side's canonical edge key and the triangle across
-it), one entry a side. The mesh checks, the OFF parser and the
-order replay are whole-array passes that report the first violation in
-scan order, and the sample cloud is pushed through blocks of growth steps
-sized to a fixed number of sample pairs.
+arrays (each triangle side's edge rank in canonical key order and the
+triangle across it), one entry a side. The mesh checks, the OFF parser
+and the order replay are whole-array passes that report the first
+violation in scan order, and the sample cloud is pushed through blocks
+of growth steps sized to a fixed number of sample pairs.
 """
 
 import heapq
@@ -65,9 +65,10 @@ class SurfaceMesh:
     edge) and orientation consistency (interior edges traversed in opposite
     directions by their two triangles). It keeps the side tables as
     ``(F, 3)`` int arrays, side ``s`` of triangle ``(a, b, c)`` running
-    from its ``s``-th vertex to the next: ``side_keys`` holds the canonical
-    key ``lo * V + hi`` of that edge, and ``across`` the other triangle
-    on it, or -1 on the boundary.
+    from its ``s``-th vertex to the next: ``side_keys`` holds the rank of
+    that edge among the mesh's edges in canonical key order (``lo * V + hi``,
+    ranks ``0, 1, ...``), and ``across`` the other triangle on it, or -1 on
+    the boundary.
     """
 
     def __init__(self, vertices, triangles):
@@ -122,6 +123,10 @@ class SurfaceMesh:
         a, b = by_key[second - 1], by_key[second]
         across = np.full(len(keys), -1)
         across[a], across[b] = b // 3, a // 3
+        # each side's edge rank in key order, written over the sorted and the scan-order keys
+        np.cumsum(starts, out=key)
+        key -= 1
+        keys[by_key] = key
         self.side_keys, self.across = keys.reshape(-1, 3), across.reshape(-1, 3)
         alone = starts.copy()
         alone[second - 1] = False
@@ -180,8 +185,9 @@ def exhaustion_order(mesh):
     the lowest canonical edge key it shares with an absorbed triangle.
     Each candidate ``g`` across the side ``(lo, hi)`` of an absorbed
     triangle, read from the mesh's side tables, enters a heap as the one
-    integer ``(lo * V + hi) * F + g``, which orders as the tuple
-    ``((lo, hi), g)`` does, since ``hi < V`` and ``g < F``. The order is
+    integer ``r * F + g``, ``r`` the edge's rank in canonical key order,
+    which orders as the tuple ``((lo, hi), g)`` does, since ``g < F``; with
+    fewer than ``3 F`` edges it stays below ``3 F^2``. The order is
     its own record: :func:`verify_order` rederives each growth step's
     donor and edge from the mesh. Raises on a mesh without triangles, on
     closed surfaces (no collar to start from) and on meshes whose
@@ -199,9 +205,8 @@ def exhaustion_order(mesh):
     # plain ints: cheap heap comparisons; the boundary's -1 across a side
     # reads the trailing sentinel, which counts as absorbed
     done, across = in_collar.tolist() + [True], mesh.across.ravel().tolist()
-    # one entry a side, exact where int64 would wrap; flat lists hold no objects the GC tracks
-    keys = mesh.side_keys if len(mesh.vertices) ** 2 * n < 2**63 else mesh.side_keys.astype(object)
-    entries = (keys * n + mesh.across).ravel().tolist()
+    # one entry a side; flat lists hold no objects the GC tracks
+    entries = (mesh.side_keys * n + mesh.across).ravel().tolist()
     heap, last, heappush, heappop = [], order[-1], heapq.heappush, heapq.heappop
     # the order grows while it is read: after the last triangle's candidates enter the
     # heap, the least entry not yet absorbed is the next growth step

@@ -1,8 +1,7 @@
 """Generators for triangulated test surfaces and OFF serialization.
 
 Small parametric families used by the exhaustion scenario, the demos, and
-the test suite: planar strips, disks, annuli (all with boundary), and a
-subdivided octahedral sphere (closed, for precondition checks). All
+the test suite: planar strips, disks and annuli, all with boundary. All
 generators emit consistently oriented triangles.
 """
 
@@ -30,6 +29,26 @@ def strip_mesh(nx, ny, width=1.0, height=1.0):
     return SurfaceMesh(np.array(verts), np.array(tris))
 
 
+def _ring_bands(first, n_bands, n_sectors):
+    """Two triangles a sector between consecutive rings of ``n_sectors`` vertices.
+
+    Ring ``i`` holds vertices ``first + i * n_sectors`` onwards, in sector
+    order; the bands join rings ``0..n_bands``, inner ring first.
+    """
+
+    def vid(i, j):
+        return first + i * n_sectors + (j % n_sectors)
+
+    tris = []
+    for i in range(n_bands):
+        for j in range(n_sectors):
+            v00, v01 = vid(i, j), vid(i, j + 1)
+            v10, v11 = vid(i + 1, j), vid(i + 1, j + 1)
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return tris
+
+
 def annulus_mesh(n_rings, n_sectors, inner=0.5, outer=1.0):
     """Planar annulus, ``2 * n_rings * n_sectors`` triangles, two boundary loops."""
     radii = np.linspace(inner, outer, n_rings + 1)
@@ -37,18 +56,7 @@ def annulus_mesh(n_rings, n_sectors, inner=0.5, outer=1.0):
     verts = [
         (r * np.cos(a), r * np.sin(a), 0.0) for r in radii for a in angles
     ]
-
-    def vid(i, j):
-        return i * n_sectors + (j % n_sectors)
-
-    tris = []
-    for i in range(n_rings):
-        for j in range(n_sectors):
-            v00, v01 = vid(i, j), vid(i, j + 1)
-            v10, v11 = vid(i + 1, j), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return SurfaceMesh(np.array(verts), np.array(tris))
+    return SurfaceMesh(np.array(verts), np.array(_ring_bands(0, n_rings, n_sectors)))
 
 
 def disk_mesh(n_rings, n_sectors):
@@ -60,46 +68,8 @@ def disk_mesh(n_rings, n_sectors):
             a = 2.0 * np.pi * j / n_sectors
             verts.append((r * np.cos(a), r * np.sin(a), 0.0))
 
-    def vid(i, j):
-        return 1 + (i - 1) * n_sectors + (j % n_sectors)
-
-    tris = [(0, vid(1, j), vid(1, j + 1)) for j in range(n_sectors)]
-    for i in range(1, n_rings):
-        for j in range(n_sectors):
-            v00, v01 = vid(i, j), vid(i, j + 1)
-            v10, v11 = vid(i + 1, j), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return SurfaceMesh(np.array(verts), np.array(tris))
-
-
-def sphere_mesh(subdivisions=2):
-    """Closed subdivided octahedron (no boundary; exhaustion must refuse it)."""
-    verts = [
-        (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
-    ]
-    faces = [
-        (0, 2, 4), (2, 1, 4), (1, 3, 4), (3, 0, 4),
-        (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5),
-    ]
-    verts = [np.asarray(v, dtype=float) for v in verts]
-    for _ in range(subdivisions):
-        cache = {}
-
-        def midpoint(a, b):
-            key = (min(a, b), max(a, b))
-            if key not in cache:
-                m = verts[a] + verts[b]
-                verts.append(m / np.linalg.norm(m))
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-        faces = new_faces
-    return SurfaceMesh(np.array(verts), np.array(faces))
+    tris = [(0, 1 + j, 1 + (j + 1) % n_sectors) for j in range(n_sectors)]
+    return SurfaceMesh(np.array(verts), np.array(tris + _ring_bands(1, n_rings - 1, n_sectors)))
 
 
 def save_off(path, mesh):

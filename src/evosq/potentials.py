@@ -92,9 +92,9 @@ class SampledPotential(Potential):
     """Potential tabulated on a (theta, t) product grid: a table of node values.
 
     :meth:`on_slice` returns the stored column at a depth that is one of the
-    ``t_grid`` nodes (a dict lookup, or a search within 1e-12); any other depth is
-    a :class:`GeometryError`. The theta grid must match the geometry nodes exactly
-    (spectral consistency). The table is built on one geometry's depth grid.
+    ``t_grid`` nodes (a dict lookup); any other depth is a :class:`GeometryError`.
+    The theta grid must match the geometry nodes exactly (spectral consistency).
+    The table is built on one geometry's depth grid, the one its reader samples.
     """
 
     def __init__(self, theta_grid, t_grid, values):
@@ -115,17 +115,10 @@ class SampledPotential(Potential):
             np.array_equal(theta, self.theta_grid) or np.allclose(theta, self.theta_grid)
         ):
             raise GeometryError("sampled potential: theta nodes do not match the geometry")
-        tt = float(t)
-        if tt in self._columns:
-            return self.values[:, self._columns[tt]].copy()
-        lo, hi = self.t_grid[0], self.t_grid[-1]
-        if tt < lo - 1e-12 or tt > hi + 1e-12:
-            raise GeometryError(f"sampled potential: depth {tt} outside [{lo}, {hi}]")
-        j = np.searchsorted(self.t_grid, tt)
-        for cand in (j - 1, j, j + 1):
-            if 0 <= cand < self.t_grid.size and abs(self.t_grid[cand] - tt) < 1e-12:
-                return self.values[:, cand].copy()
-        raise GeometryError(f"sampled potential: depth {tt} is not a grid node")
+        j = self._columns.get(float(t))
+        if j is None:
+            raise GeometryError(f"sampled potential: depth {float(t)} is not a grid node")
+        return self.values[:, j].copy()
 
     def descriptor(self):
         return ("sampled", self._digest)

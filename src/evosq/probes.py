@@ -87,8 +87,8 @@ def shell_decomposition(geometry, kernel, p=2.0):
     }
 
 
-def offdiagonal_flag(geometry, kernel, threshold=OFFDIAG_THRESHOLD):
-    """Flag kernels with mass at distance >= pi/8 above ``threshold * total``."""
+def offdiagonal_flag(geometry, kernel):
+    """Flag kernels with mass at distance >= pi/8 above ``OFFDIAG_THRESHOLD * total``."""
     prof = shell_decomposition(geometry, kernel)
     far = sum(
         m for (lo, _), m in zip(prof["edges"], prof["masses"]) if lo >= FAR_DISTANCE - 1e-12
@@ -97,17 +97,17 @@ def offdiagonal_flag(geometry, kernel, threshold=OFFDIAG_THRESHOLD):
     return {
         "far_mass": float(far),
         "total": prof["total"],
-        "flag": far > threshold * scale,
+        "flag": far > OFFDIAG_THRESHOLD * scale,
         "profile": prof,
     }
 
 
-def gradient_blowup_probe(geometry, W, ambient_dim=3, slice_index=2):
+def gradient_blowup_probe(geometry, W, ambient_dim=3):
     """Shell profile of ``|grad phi|^p`` near the diagonal of a field on ``geometry.collar_ts``.
 
     ``W`` holds the field's first collar rows (all ``M+1``, or the rows a
-    solve kept); ``slice_index`` must have a row on each side of it.
-    Gradients are spectral in each boundary variable and centered in depth.
+    solve kept, at least 4); the probe reads slice 2 and a row on each side
+    of it. Gradients are spectral in each boundary variable and centered in depth.
     The slope of the finest three shells (log2 of successive mass ratios)
     estimates the blow-up order toward the diagonal. The integrand power is
     the critical exponent ``p = n / (n - 1)`` (3/2 in ambient dimension 3).
@@ -118,8 +118,8 @@ def gradient_blowup_probe(geometry, W, ambient_dim=3, slice_index=2):
             f"gradient probe needs at least 4 shells, N={geometry.N} resolves {n_shells}"
         )
     p = ambient_dim / (ambient_dim - 1.0)
-    j = slice_index
-    if not 1 <= j <= W.shape[0] - 2:
+    j = 2
+    if W.shape[0] < 4:
         raise GeometryError(f"gradient probe needs an interior collar slice of {W.shape[0]} rows")
     k = geometry.wavenumbers()
     dx = np.real(np.fft.ifft(1j * k[:, None] * np.fft.fft(W[j], axis=0), axis=0))

@@ -30,10 +30,9 @@ The same walk runs on the factor pairs of a
 plus one ``N x r x N`` product for each variant it materializes (``r`` at
 most 16).
 
-Depth derivatives are stencils applied along the first axis
-(:func:`sbp_derivative`, :func:`second_derivative`) from row formulas the
-per-slice kernel shares; no depth matrix is formed. The kernel walks down
-the collar holding a few slices: :func:`kernel_residual` applies all three
+Depth derivatives are row stencils along the first axis (:func:`_d1`,
+:func:`_d2`); no depth matrix is formed. The kernel walks down the collar
+holding a few slices: :func:`kernel_residual` applies all three
 variants in one pass and keeps only norms, :func:`apply_variant` fills one
 field. The field ``W`` need only have ``shape`` and slice indexing, so a
 ``LowRank`` field is walked without being materialized. End rows of ``D``
@@ -48,13 +47,7 @@ and 3.1e-9 relative at N=32, M=64 and by up to 2.9e-8 and 1.4e-7 at
 N=128, M=256 (five draws each). A round-off change upstream of ``W`` moves
 them that far, and a round-off change of the maps further: a change of the
 maps by up to 2.1e-14 relative moved these residuals by up to 3.8e-8
-relative at N=32, M=64 (expanded-double, disk). Those figures predate the one
-cross product ``C``, which moved expanded-double by at most 2.7e-11 relative.
-On the annulus, disk and flat cylinder, kernel-check's residuals moved by up
-to 8.2e-9 relative at N=32, M=64 and 3.4e-7 at N=128, M=256 when the walk
-went to factors (the same terms in another order), and by up to 5.1e-8 and
-2.9e-6 when the trace step went to the certified inverse (traces within
-1.1e-14 of the LU steps').
+relative at N=32, M=64 (expanded-double, disk).
 """
 
 import numpy as np
@@ -74,35 +67,26 @@ def _uniform_step(ts):
 
 
 def _d1(u, k, last, h):
-    """Row ``k`` of ``D u``; ``u[i]`` is row ``i`` of ``last + 1`` (a field or a dict of rows)."""
+    """Row ``k`` of ``D u``; ``u[i]`` is row ``i`` of ``last + 1`` (a field or a dict of rows).
+
+    ``D`` is the SBP(2,1) first derivative: centered inside, one-sided first
+    order at both ends, so ``Omega D + D^T Omega = diag(-1, 0, ..., 0, 1)``
+    for the trapezoid norm ``Omega``.
+    """
     if 0 < k < last:
         return (u[k + 1] - u[k - 1]) * (0.5 / h)
     return (u[1] - u[0]) / h if k == 0 else (u[last] - u[last - 1]) / h
 
 
 def _d2(u, k, last, h):
-    """Row ``k`` of the second-derivative stencil, rows indexed as in :func:`_d1`."""
+    """Row ``k`` of the centered second derivative, 4-point one-sided at the ends (all O(h^2)).
+
+    Rows are indexed as in :func:`_d1`.
+    """
     if 0 < k < last:
         return (u[k + 1] + u[k - 1] - u[k] - u[k]) / (h * h)
     s = 1 if k == 0 else -1
     return (2.0 * u[k] - 5.0 * u[k + s] + 4.0 * u[k + 2 * s] - u[k + 3 * s]) / (h * h)
-
-
-def sbp_derivative(u, ts):
-    """SBP(2,1) first derivative of ``u`` along its first (depth) axis.
-
-    Centered inside, one-sided first order at both ends: the matrix ``D``
-    with ``Omega D + D^T Omega = diag(-1, 0, ..., 0, 1)`` for the trapezoid
-    norm ``Omega``. Returns one new array.
-    """
-    h = _uniform_step(ts)
-    return np.array([_d1(u, k, len(u) - 1, h) for k in range(len(u))], dtype=float)
-
-
-def second_derivative(u, ts):
-    """Centered second derivative along the first axis; 4-point one-sided end rows (all O(h^2))."""
-    h = _uniform_step(ts)
-    return np.array([_d2(u, k, len(u) - 1, h) for k in range(len(u))], dtype=float)
 
 
 def _applied_slices(pair_op, W, rows):
@@ -178,17 +162,3 @@ def kernel_residual(pair_op, W):
     # rounding is monotone: max(|Z_j|) / scale is max(|Z_j| / scale)
     scale = max(float(worst["scale"]), 1e-30)
     return {variant: float(worst[variant] / scale) for variant in VARIANTS}
-
-
-def scalar_factorized_apply(ts, lam1, lam2, m, p):
-    """Per-mode mirror of the factorized operator on a scalar depth profile.
-
-    ``(-d/dt - m + lam1 + lam2)(d/dt + lam1 + lam2) p`` with the same SBP
-    derivative; used to cross-check the structured apply one mode pair at a
-    time. All arguments are sampled on the collar nodes.
-    """
-    lam = np.asarray(lam1, dtype=float) + np.asarray(lam2, dtype=float)
-    mu_int = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(ts) * (m[1:] + m[:-1]))])
-    V = np.exp(mu_int)
-    y = sbp_derivative(p, ts) + lam * p
-    return -sbp_derivative(V * y, ts) / V + lam * y

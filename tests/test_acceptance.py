@@ -18,12 +18,7 @@ from evosq.dnmap import (
     riccati_integrate,
     solve_interior,
 )
-from evosq.evolution import (
-    PairOperator,
-    evolve_trace,
-    evolved_rank_one,
-    kron_generator,
-)
+from evosq.evolution import PairOperator, evolve_trace, evolved_rank_one
 from evosq.exhaustion import (
     collar_map_samples,
     exhaustion_order,
@@ -40,6 +35,7 @@ from evosq.source_bvp import (
 )
 from evosq.squared import apply_variant, kernel_residual
 from tests.conftest import Q1_SPEC, Q2_SPEC
+from tests.oracles import kron_generator
 
 
 def _report(num, label, ok, detail):

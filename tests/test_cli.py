@@ -18,10 +18,11 @@ from evosq.dnmap import compute_dn_family
 from evosq.evolution import PairOperator
 from evosq.geometry import PROFILE_PARAMS, Profile, build_warped_geometry
 from evosq.io import read_matrix
-from evosq.meshes import save_off, sphere_mesh, strip_mesh
+from evosq.meshes import save_off, strip_mesh
 from evosq.potentials import BumpPotential, make_potential
 from evosq.probes import null_test
 from evosq.source_bvp import dn_recovery_check
+from tests.oracles import sphere_mesh
 
 SMALL = ["--override", "N=16", "--override", "M=16"]
 
@@ -575,7 +576,7 @@ def test_exhaustion_refuses_a_mesh_above_the_bound_before_building_it(
     built = []
     if kind == "sphere":
         # closed at any size, so it could only exit 3: refused as no mesh kind, never built
-        monkeypatch.setattr(cli.meshes, "sphere_mesh", lambda *p: built.append(p))
+        assert "sphere" not in cli._MESH_MAKERS
         refusal = "unknown mesh kind 'sphere'"
     else:
         _, minima, triangles = cli._MESH_MAKERS[kind]

@@ -622,6 +622,22 @@ def test_singular_mode_pivot_names_its_mode():
         compute_dn_family(g, b - 4.0)
 
 
+def test_mode_resonance_names_the_first_mode_above_the_guard(monkeypatch):
+    # two finite modes pass the guard on row 1, the later one nearer the collision and
+    # larger: the message names the first of them, not the largest
+    from evosq import dnmap
+
+    g, q_res = _resonant_setup()
+    ksq = np.array([3.0, 0.0, 1.5e-7])
+    with pytest.raises(DNComputationError, match=r"\(mode ksq=0\.0\) near depth 0\.0125$"):
+        dn_mode_symbol(g, q_res - 1e-7, ksq)
+    monkeypatch.setattr(dnmap, "_SINGULAR_FACTOR", np.inf)
+    lap = ksq.reshape(-1, 1, 1)
+    S, _ = _eliminate(g, lap, lambda j: q_res - 1e-7, _weights(g), np.zeros_like(lap))
+    _, first, later = np.abs(S[1]).ravel()
+    assert g.ts[1] == 0.0125 and np.abs(S[2:]).max() < 1e6 < first < later < np.inf
+
+
 def test_past_the_first_dirichlet_eigenvalue_only_indefinite_pivots_take_lu(monkeypatch):
     # beyond the k = 0 collision a few dense pivots are indefinite: their leaf
     # Cholesky fails and only those rows are LU solves; the maps still match
@@ -701,7 +717,7 @@ def test_coercivity_probe_zero_potential(annulus_geometry):
     g = annulus_geometry
     res = coercivity_probe(compute_dn_family(g))
     k = g.wavenumbers()
-    exact = np.min((dn_mode_symbol(g, 0.0, k**2, depths=0) + 1.0) / np.sqrt(1.0 + k**2))
+    exact = np.min((dn_mode_symbol(g, 0.0, k**2, depths=[0])[0] + 1.0) / np.sqrt(1.0 + k**2))
     for s in (-1.0, -0.5, 0.0):
         assert res[s]["coercive"] and res[s]["C2"] == 1.0
         assert abs(res[s]["C1"] - exact) <= 1e-11 * exact
@@ -713,7 +729,7 @@ def test_coercivity_probe_flags_a_negative_constant_potential(annulus_geometry):
     g = annulus_geometry
     res = coercivity_probe(compute_dn_family(g, -8.0))
     k = g.wavenumbers()
-    lam = dn_mode_symbol(g, -8.0, k**2, depths=0)
+    lam = dn_mode_symbol(g, -8.0, k**2, depths=[0])[0]
     exact = np.min((lam + 1.0) / np.sqrt(1.0 + k**2))
     assert exact == lam[k == 0][0] + 1.0 and -1.61 < exact < -1.60
     for s in (-1.0, -0.5, 0.0):
@@ -778,15 +794,14 @@ def test_mode_paths_take_an_array_of_modes():
         assert cond[i] == conductivity_mode_dn(g, gamma, 3, k)
 
 
-def test_mode_symbol_takes_a_scalar_depth():
+def test_mode_symbol_reads_the_listed_depths():
+    # one row a listed node, the rows of the whole sweep
     g = build_warped_geometry(make_profile("flat-cylinder", T=0.8), N=8, M=32, eps=0.3)
-    for depth in (0, g.M, np.int64(3)):
-        val = dn_mode_symbol(g, 1.5, 4.0, depths=depth)
-        assert type(val) is float
-        assert val == dn_mode_symbol(g, 1.5, 4.0, depths=[depth])[0]
-    ksq = np.array([1.0, 4.0])
-    at_zero = dn_mode_symbol(g, 1.5, ksq, depths=0)
-    assert np.array_equal(at_zero, dn_mode_symbol(g, 1.5, ksq, depths=[0])[0])
+    depths = [0, g.M, np.int64(3)]
+    for ksq in (4.0, np.array([1.0, 4.0])):
+        rows = dn_mode_symbol(g, 1.5, ksq, depths=depths)
+        assert rows.shape == (3,) + np.shape(ksq)
+        assert np.array_equal(rows, dn_mode_symbol(g, 1.5, ksq)[depths])
 
 
 def test_conformal_identity_flat_cylinder():

@@ -12,12 +12,12 @@ from evosq.evolution import (
     evolve_tensor_forward,
     evolve_trace,
     evolved_rank_one,
-    kron_generator,
 )
 from evosq.geometry import build_warped_geometry, make_profile
 from evosq.potentials import ZeroPotential
 from evosq.source_bvp import diagonal_source
 from tests.conftest import Q1_SPEC, Q2_SPEC
+from tests.oracles import kron_generator
 
 
 _GEOMETRIES = [("annulus", {"rho": 0.25}), ("disk", {}), ("flat-cylinder", {"T": 0.9})]

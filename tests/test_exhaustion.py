@@ -18,8 +18,9 @@ from evosq.exhaustion import (
     smooth_min,
     verify_order,
 )
-from evosq.meshes import annulus_mesh, disk_mesh, save_off, sphere_mesh, strip_mesh
+from evosq.meshes import annulus_mesh, disk_mesh, save_off, strip_mesh
 from evosq.rng import SplitMix64
+from tests.oracles import sphere_mesh
 
 # reproducible example sets, no example database written beside the tests
 _EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -153,12 +154,27 @@ def test_mesh_checks_match_a_scan_order_loop(triangles):
 
 def _edge_triangles(mesh):
     """Each edge's triangles in scan order, read from the side tables."""
-    V, edges = len(mesh.vertices), {}
-    for f, (keys, across) in enumerate(zip(mesh.side_keys.tolist(), mesh.across.tolist())):
-        for key, g in zip(keys, across):
-            # the first triangle to reach an edge comes first, the one across it second
-            edges.setdefault(divmod(key, V), [f] + [g] * (g >= 0))
+    edges = {}
+    for f, (tri, across) in enumerate(zip(mesh.triangles.tolist(), mesh.across.tolist())):
+        for s, g in enumerate(across):
+            # side s runs from vertex s to the next; the first triangle to reach an
+            # edge comes first, the one across it second
+            a, b = tri[s], tri[(s + 1) % 3]
+            edges.setdefault((min(a, b), max(a, b)), [f] + [g] * (g >= 0))
     return edges
+
+
+@pytest.mark.parametrize(
+    "mesh", [strip_mesh(3, 2), annulus_mesh(3, 7), disk_mesh(4, 12), sphere_mesh(1)],
+    ids=["strip", "annulus", "disk", "sphere"],
+)
+def test_side_keys_are_dense_canonical_ranks(mesh):
+    # side s of each triangle gets its edge's rank among the distinct keys lo * V + hi
+    T, V = mesh.triangles, len(mesh.vertices)
+    u, v = T, np.roll(T, -1, axis=1)
+    keys = (np.minimum(u, v) * V + np.maximum(u, v)).ravel()
+    ranks = np.unique(keys, return_inverse=True)[1].reshape(T.shape)
+    assert np.array_equal(mesh.side_keys, ranks)
 
 
 def test_off_round_trip(tmp_path):

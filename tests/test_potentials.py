@@ -51,18 +51,19 @@ def test_sampled_exact_node_lookup():
     assert np.array_equal(p.on_slice(THETA, ts[4]), vals[:, 4])
 
 
-def test_sampled_node_within_the_tolerance_reads_the_same_column():
-    # an exact node is looked up; a depth 1e-13 off reads the same column, 1e-6 off is refused
+def test_sampled_depth_off_a_node_is_refused():
+    # an exact node is looked up; a depth 1e-13 or 1e-6 off is refused
     ts = np.linspace(0.0, 1.0, 11)
     vals = np.cos(THETA)[:, None] * np.exp(ts)[None, :]
     p = SampledPotential(THETA, ts, vals)
     exact = p.on_slice(THETA, ts[4])
     assert np.array_equal(exact, vals[:, 4])
     exact[:] = 0.0  # a copy, not a view of the table
+    assert np.array_equal(p.on_slice(THETA, ts[4]), vals[:, 4])
     assert ts[4] + 1e-13 != ts[4]
-    assert np.array_equal(p.on_slice(THETA, ts[4] + 1e-13), vals[:, 4])
-    with pytest.raises(GeometryError, match="not a grid node"):
-        p.on_slice(THETA, ts[4] + 1e-6)
+    for off in (1e-13, 1e-6):
+        with pytest.raises(GeometryError, match="not a grid node"):
+            p.on_slice(THETA, ts[4] + off)
     with pytest.raises(GeometryError, match="theta nodes"):
         p.on_slice(THETA + 0.01, ts[4])
 
@@ -86,7 +87,7 @@ def test_sampled_theta_mismatch():
 def test_sampled_depth_range():
     ts = np.linspace(0.0, 0.5, 11)
     p = SampledPotential(THETA, ts, np.zeros((16, 11)))
-    with pytest.raises(GeometryError, match="outside"):
+    with pytest.raises(GeometryError, match="not a grid node"):
         p.on_slice(THETA, 0.7)
 
 

@@ -10,15 +10,9 @@ from evosq.dnmap import _norm, compute_dn_family, dn_mode_symbol
 from evosq.errors import GeometryError
 from evosq.evolution import LowRank, PairOperator, evolve_trace, evolved_rank_one
 from evosq.geometry import build_warped_geometry, make_profile
-from evosq.squared import (
-    VARIANTS,
-    apply_variant,
-    kernel_residual,
-    sbp_derivative,
-    scalar_factorized_apply,
-    second_derivative,
-)
+from evosq.squared import VARIANTS, apply_variant, kernel_residual
 from tests.conftest import Q1_SPEC, Q2_SPEC
+from tests.oracles import sbp_derivative, scalar_factorized_apply, second_derivative
 
 
 def _trapezoid_norm(ts):
