@@ -16,11 +16,13 @@ and the map at node ``j`` is its Schur complement, the half-cell flux
 symmetric to round-off and exact in the discrete Green identities (layer
 stripping, the one-cell Moebius step). The sweep runs over pivot blocks: one
 dense N x N block per node, or per mode, a batch of 1 x 1 blocks, one per
-Fourier mode; both share the elimination and the extraction. The per-mode
-path serves theta-independent potentials, and the dense chain runs it too
-over its deep stretch, the nodes below the last row where the potential
-varies in theta, where every block is circulant; it materializes the kept
-ones as dense circulants and sweeps densely above. A dense pivot is
+Fourier mode; both share the elimination, the extraction and the cap. The
+per-mode path serves theta-independent potentials, and the dense chain runs
+it too over its deep stretch, the nodes below the last row where the
+potential varies in theta, where every block is circulant; it materializes
+the kept ones as dense circulants and sweeps densely above. One exact rule
+decides both: a row is theta-constant when every node equals node 0 bit for
+bit, and node 0 gives its value. A dense pivot is
 symmetric, and positive definite in the coercive case: it is inverted by
 Schur halving down to leaves of at most 32 rows, each inverted by one
 Cholesky factorization of the bordered leaf ``[[A, I], [I, 2^512 I]]``,
@@ -251,6 +253,12 @@ def _extract_dn(geometry, S, lap, q, w, j, out, work):
     return out
 
 
+def _cap_symbol(geometry, ksq):
+    """Cap block of each mode: the decay ``ratio^|k|`` across a capped cell, or 0 at a Dirichlet cap."""
+    ratio = geometry.rs[-1] / geometry.rs[-2]
+    return ratio ** np.sqrt(ksq) if geometry.cap == "center" else np.zeros_like(ksq)
+
+
 def propagation_chain(geometry, potential):
     """Backward elimination over the full grid, kept on the collar.
 
@@ -265,15 +273,12 @@ def propagation_chain(geometry, potential):
     """
     if geometry.dim != 1:
         raise GeometryError("dense propagation is circle-only; use dn_mode_symbol")
-    ts, k, w = geometry.ts, geometry.wavenumbers(), _weights(geometry)
-    ratio = geometry.rs[-1] / geometry.rs[-2]  # per-mode decay ratio^|k| across the capped cell
-    cap = ratio ** np.abs(k) if geometry.cap == "center" else np.zeros_like(k)
-    Q = potential.on_grid(geometry.theta, ts)
+    lap, w = (geometry.wavenumbers() ** 2)[:, None, None], _weights(geometry)
+    Q = potential.on_grid(geometry.theta, geometry.ts)
     rippled = np.flatnonzero(np.any(Q[:-1] != Q[:-1, :1], axis=1))
     top = int(rippled[-1]) + 1 if rippled.size else 1  # highest node of the theta-constant run
     symbols, top_symbol = _eliminate(
-        geometry, (k**2)[:, None, None], lambda j: Q[j, 0], w, cap[:, None, None], top=top,
-        circulant=True,
+        geometry, lap, lambda j: Q[j, 0], w, _cap_symbol(geometry, lap), top=top, circulant=True
     )
     S, _ = _eliminate(
         geometry, geometry.d2_unit(), Q.__getitem__, w,
@@ -341,20 +346,24 @@ def solve_interior(family, f):
 
 
 def _mode_q_values(geometry, potential):
+    """Node 0's value on each depth row, by :func:`propagation_chain`'s exact rule.
+
+    A row the sweep reads (all but the last node's) must hold one value:
+    a node that differs from node 0 in any bit is refused.
+    """
     Q = potential.on_grid(geometry.theta, geometry.ts)
-    if np.any(np.ptp(Q, axis=1) > 1e-11 * (1.0 + np.abs(Q).max(axis=1))):
+    if np.any(Q[:-1] != Q[:-1, :1]):
         raise GeometryError(
             "per-mode path needs theta-independent potentials "
             "(non-separable potential on this boundary)"
         )
-    return Q.mean(axis=1)
+    return Q[:, 0]
 
 
 def _mode_maps(geometry, ksq, q, w, depths):
     """Mode eigenvalues at node indices ``depths``, eliminated as 1 x 1 pivot blocks."""
     lap = np.asarray(ksq, dtype=float).reshape(-1, 1, 1)
-    ratio = geometry.rs[-1] / geometry.rs[-2]
-    cap = ratio ** np.sqrt(lap) if geometry.cap == "center" else np.zeros_like(lap)
+    cap = _cap_symbol(geometry, lap)
     S, _ = _eliminate(geometry, lap, q, w, cap)
     lams, work = np.empty((len(depths),) + cap.shape), np.empty_like(cap)
     for i, j in enumerate(depths):
@@ -366,7 +375,8 @@ def dn_mode_symbol(geometry, potential, ksq, depths=None):
     """Map eigenvalue of one Fourier mode at collar nodes.
 
     ``ksq`` is the squared wavenumber (sum over torus axes), or an array of
-    them. The potential must be independent of the boundary variables.
+    them. The potential must be theta-constant by the chain's exact rule on
+    every row the sweep reads (:func:`_mode_q_values`).
     Returns the eigenvalue at every collar node, or at the node indices in
     the list ``depths``, one row each; an array ``ksq`` adds a trailing mode axis.
     """
@@ -383,13 +393,7 @@ def dn_mode_symbol(geometry, potential, ksq, depths=None):
 
 def riccati_rhs(geometry, q, lam, t):
     """Depth derivative of the slice map: ``L' = L^2 - L_t - Q - mu' L``, ``Q = diag(q)`` at ``t``."""
-    rhs = lam @ lam
-    Lt = geometry.laplacian_matrix(t)
-    rhs -= Lt
-    diagonal = np.einsum("ii->i", rhs)  # a writable view
-    diagonal -= q
-    rhs -= np.multiply(lam, float(geometry.mu_dot(t)), out=Lt)  # Lt's buffer, reused
-    return rhs
+    return lam @ lam - geometry.laplacian_matrix(t) - np.diag(q) - float(geometry.mu_dot(t)) * lam
 
 
 def riccati_integrate(geometry, potential, lam_eps):

@@ -74,12 +74,10 @@ class SurfaceMesh:
     def __init__(self, vertices, triangles):
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=int)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] not in (2, 3):
-            raise MeshError("vertices must be an (V, 2) or (V, 3) array")
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
+            raise MeshError("vertices must be an (V, 3) array")
         if not np.all(np.isfinite(self.vertices)):
             raise MeshError("vertex coordinates must be finite")
-        if self.vertices.shape[1] == 2:
-            self.vertices = np.hstack([self.vertices, np.zeros((len(self.vertices), 1))])
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshError("triangles must be an (F, 3) array")
         V = len(self.vertices)

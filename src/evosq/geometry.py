@@ -184,10 +184,6 @@ class WarpedGeometry:
         return self.ts[: self.M + 1]
 
     @property
-    def T(self):
-        return self.profile.T
-
-    @property
     def cap(self):
         return self.profile.cap
 

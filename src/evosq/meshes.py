@@ -1,8 +1,9 @@
 """Generators for triangulated test surfaces and OFF serialization.
 
-Small parametric families used by the exhaustion scenario, the demos, and
-the test suite: planar strips, disks and annuli, all with boundary. All
-generators emit consistently oriented triangles.
+Small families used by the exhaustion scenario, the demos, and the test
+suite: the unit square strip, the unit disk and the annulus of radii 0.5
+and 1, all with boundary; only their resolution is a parameter. All
+generators emit consistently oriented triangles, with (V, 3) vertices.
 """
 
 import numpy as np
@@ -10,10 +11,10 @@ import numpy as np
 from .exhaustion import SurfaceMesh
 
 
-def strip_mesh(nx, ny, width=1.0, height=1.0):
-    """Rectangular strip, ``2 * nx * ny`` triangles."""
-    xs = np.linspace(0.0, width, nx + 1)
-    ys = np.linspace(0.0, height, ny + 1)
+def strip_mesh(nx, ny):
+    """Unit square strip, ``2 * nx * ny`` triangles."""
+    xs = np.linspace(0.0, 1.0, nx + 1)
+    ys = np.linspace(0.0, 1.0, ny + 1)
     verts = [(x, y, 0.0) for y in ys for x in xs]
 
     def vid(i, j):
@@ -49,9 +50,9 @@ def _ring_bands(first, n_bands, n_sectors):
     return tris
 
 
-def annulus_mesh(n_rings, n_sectors, inner=0.5, outer=1.0):
-    """Planar annulus, ``2 * n_rings * n_sectors`` triangles, two boundary loops."""
-    radii = np.linspace(inner, outer, n_rings + 1)
+def annulus_mesh(n_rings, n_sectors):
+    """Planar annulus of radii 0.5 and 1, ``2 * n_rings * n_sectors`` triangles, two boundary loops."""
+    radii = np.linspace(0.5, 1.0, n_rings + 1)
     angles = 2.0 * np.pi * np.arange(n_sectors) / n_sectors
     verts = [
         (r * np.cos(a), r * np.sin(a), 0.0) for r in radii for a in angles

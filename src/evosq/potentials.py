@@ -92,9 +92,9 @@ class SampledPotential(Potential):
     """Potential tabulated on a (theta, t) product grid: a table of node values.
 
     :meth:`on_slice` returns the stored column at a depth that is one of the
-    ``t_grid`` nodes (a dict lookup); any other depth is a :class:`GeometryError`.
-    The theta grid must match the geometry nodes exactly (spectral consistency).
-    The table is built on one geometry's depth grid, the one its reader samples.
+    ``t_grid`` nodes (a dict lookup), for the stored ``theta_grid`` nodes
+    themselves; any other depth or node set is a :class:`GeometryError`. The
+    table is built on one geometry's grids, the ones its reader samples.
     """
 
     def __init__(self, theta_grid, t_grid, values):
@@ -109,11 +109,7 @@ class SampledPotential(Potential):
         self._columns = {t: j for j, t in enumerate(self.t_grid.tolist())}
 
     def on_slice(self, theta, t):
-        theta = np.asarray(theta, dtype=float)
-        # the geometry passes its own nodes, so the exact test nearly always settles it
-        if theta.shape != self.theta_grid.shape or not (
-            np.array_equal(theta, self.theta_grid) or np.allclose(theta, self.theta_grid)
-        ):
+        if not np.array_equal(theta, self.theta_grid):
             raise GeometryError("sampled potential: theta nodes do not match the geometry")
         j = self._columns.get(float(t))
         if j is None:

@@ -132,14 +132,7 @@ def gradient_blowup_probe(geometry, W, ambient_dim=3):
     finest = masses[-3:]
     with np.errstate(divide="ignore"):
         ratios = np.log2(np.maximum(finest[:-1], 1e-300) / np.maximum(finest[1:], 1e-300))
-    return {
-        "p": float(p),
-        "p_critical": float(p),
-        "shell_masses": masses,
-        "slope": float(np.mean(ratios)),
-        "profile": prof,
-        "slice_index": j,
-    }
+    return {"p": float(p), "shell_masses": masses, "slope": float(np.mean(ratios)), "profile": prof}
 
 
 def zeta_pairing(geometry, kernel):

@@ -28,9 +28,6 @@ class SplitMix64:
         """Uniform double in [0, 1) built from the top 53 bits."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
-    def floats(self, n):
-        return [self.next_float() for _ in range(n)]
-
     def normals(self, n):
         """Standard normals via Box-Muller on the deterministic stream."""
         out = []

@@ -98,7 +98,8 @@ def test_dense_and_mode_paths_agree_on_every_cap(profile):
     g = build_warped_geometry(make_profile(profile), N=16, M=32, eps=0.3)
     F = np.fft.fft(np.eye(g.N), axis=0)
     ksq = g.wavenumbers() ** 2
-    for q in 4.0 * np.asarray(SplitMix64(11).floats(2)) - 1.0:
+    rng = SplitMix64(11)
+    for q in 4.0 * np.array([rng.next_float(), rng.next_float()]) - 1.0:
         lams = compute_dn_family(g, q).lams
         for j in (0, g.M):
             dense = np.real(np.diag(F @ lams[j] @ np.conj(F.T))) / g.N
@@ -443,9 +444,40 @@ def test_family_q_is_the_potential_on_collar_nodes(annulus_families):
 
 
 def test_mode_path_rejects_angular_potentials(annulus_geometry):
+    g = annulus_geometry
     bump = {"kind": "bump", "amplitude": 1.0, "theta0": 0.0, "t0": 0.1, "width": 0.3}
     with pytest.raises(GeometryError, match="theta-independent"):
-        dn_mode_symbol(annulus_geometry, bump, 1.0)
+        dn_mode_symbol(g, bump, 1.0)
+    # the chain's exact rule, not a tolerance: a 1e-13 cos ripple is not theta-constant
+    rippled = SampledPotential(g.theta, g.ts, 1.5 + 1e-13 * np.cos(g.theta)[:, None] * np.ones(g.ts.size))
+    with pytest.raises(GeometryError, match="theta-independent"):
+        _mode_q_values(g, rippled)
+
+
+@pytest.mark.parametrize("profile", ["annulus", "disk", "flat-cylinder"])
+def test_mode_batch_is_the_chains_deep_run_bit_for_bit(profile, monkeypatch):
+    # for a constant the chain's deep run is the whole grid: dn_mode_symbol's batch of
+    # the same modes must read the same row values and cap and eliminate the same rows
+    # (at N = 64 the mean of a row of 0.1s is not 0.1)
+    from evosq import dnmap
+
+    g = build_warped_geometry(make_profile(profile), N=64, M=32, eps=0.3)
+    runs, eliminate = [], dnmap._eliminate
+
+    def spy(geometry, lap, q, w, cap, **kw):
+        S, block = eliminate(geometry, lap, q, w, cap, **kw)
+        runs.append(([q(j) for j in range(geometry.ts.size - 1)], cap, S))
+        return S, block
+
+    monkeypatch.setattr(dnmap, "_eliminate", spy)
+    for q in (0.1, -0.7):
+        runs.clear()
+        propagation_chain(g, make_potential(q))
+        dn_mode_symbol(g, q, g.wavenumbers() ** 2, depths=[0])
+        deep, _, mode = runs
+        assert deep[0] == mode[0] and np.array_equal(deep[1], mode[1])
+        assert deep[2].shape == mode[2].shape == (g.M + 2, g.N, 1, 1)
+        assert np.array_equal(deep[2][1:], mode[2][1:])
 
 
 def test_dense_path_is_circle_only():

@@ -80,6 +80,9 @@ def test_mesh_validation_errors():
     tri = np.array([[0, 1, 2]])
     with pytest.raises(MeshError, match="vertices"):
         SurfaceMesh(np.zeros((3,)), tri)
+    # (V, 2) coordinates are not padded: every generator and load_mesh give (V, 3)
+    with pytest.raises(MeshError, match=r"^vertices must be an \(V, 3\) array$"):
+        SurfaceMesh(np.zeros((3, 2)), tri)
     with pytest.raises(MeshError, match="out of range"):
         SurfaceMesh(np.zeros((2, 3)), tri)
     # the messages print plain ints, not numpy scalar reprs

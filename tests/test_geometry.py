@@ -162,14 +162,14 @@ def test_collar_grid_nodes(annulus_geometry):
     g = annulus_geometry
     assert np.allclose(g.collar_ts, np.linspace(0.0, 0.3, g.M + 1))
     # tail continues to the cap with a near-matching step
-    assert np.isclose(g.ts[-1], g.T)
+    assert np.isclose(g.ts[-1], g.profile.T)
     assert np.all(np.diff(g.ts) > 0)
 
 
 def test_center_cap_stops_short():
     g = build_warped_geometry("disk", N=16, M=16, eps=0.3)
     assert g.cap == "center"
-    assert g.ts[-1] < g.T
+    assert g.ts[-1] < g.profile.T
     assert g.rs[-2] > g.rs[-1] > 0
 
 
@@ -251,13 +251,14 @@ def test_conformal_potential_closed_form():
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["circle", "torus"])
-def test_conformal_potential_takes_nodes_within_round_off_only(dim):
+def test_conformal_potential_takes_its_exact_nodes_only(dim):
     g = build_warped_geometry(make_profile("flat-cylinder", T=0.9), N=8, M=16, eps=0.3, dim=dim)
     pot, _ = conformal_potential(g, lambda t: np.exp(2.0 * t), 3)
     t = g.ts[5]
-    assert np.array_equal(pot.on_slice(g.theta + 1e-12, t), pot.on_slice(g.theta, t))
-    with pytest.raises(GeometryError, match="theta nodes"):
-        pot.on_slice(g.theta + 1e-6, t)
+    assert np.array_equal(pot.on_slice(g.theta, t), pot.values[:, 5])
+    for off in (1e-12, 1e-6):
+        with pytest.raises(GeometryError, match="theta nodes"):
+            pot.on_slice(g.theta + off, t)
 
 
 def test_conformal_validation():

@@ -1,10 +1,12 @@
 """The library surface: every public name in ``src/evosq`` has a caller outside the tests.
 
-A module-level public ``def`` or ``class`` must be referenced from
-``src/``, ``demos/`` or ``bench/*.py``: by a name, an attribute, an import
-alias, or (in ``bench/``, whose tracer wraps functions by name) a string.
-Reference implementations that only the tests need live in
-``tests/oracles.py``.
+A module-level public ``def`` or ``class``, and a public method or property
+of such a class, must be referenced from ``src/``, ``demos/`` or
+``bench/*.py``: by a name, an attribute, an import alias, or (in ``bench/``,
+whose tracer wraps functions by name) a string. Reference implementations
+that only the tests need live in ``tests/oracles.py``. The match is by name
+alone, so a member named like a numpy attribute (a ``.T`` property, say)
+is invisible to it: any transpose counts as its caller.
 """
 
 import ast
@@ -20,6 +22,9 @@ def _public_definitions():
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 yield f"{path.stem}.{node.name}", node.name
+                for member in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{member.name}", member.name
 
 
 def _references(paths, strings=False):
