@@ -392,6 +392,7 @@ _MESH_MAKERS = {
     "strip": (meshes.strip_mesh, (1, 1), lambda nx, ny: 2 * nx * ny),
 }
 _MAX_TRIANGLES = 2**18  # generated-mesh bound
+_MAX_SAMPLE_PAIRS = 2**32  # push-through sampling bound, about half a minute at 8 ns a pair
 
 
 def _run_exhaustion(cfg, out):
@@ -420,10 +421,17 @@ def _run_exhaustion(cfg, out):
                 f"than {_MAX_TRIANGLES} triangles"
             )
         mesh = maker(*params)
+    m = cfg["samples_per_cell"]
+    lattice = (m + 1) * (m + 2) // 2
+    if mesh.n_triangles * lattice * (lattice - 1) // 2 > _MAX_SAMPLE_PAIRS:
+        raise ConfigError(
+            f"problem too large: samples_per_cell {m} on {mesh.n_triangles} triangles "
+            f"measures more than {_MAX_SAMPLE_PAIRS} sample pairs"
+        )
     t0 = time.perf_counter()
     order = exhaustion_order(mesh)
     elapsed = time.perf_counter() - t0
-    stats = collar_map_samples(mesh, order, samples_per_cell=cfg["samples_per_cell"])
+    stats = collar_map_samples(mesh, order, samples_per_cell=m)
     results = {
         "triangles": mesh.n_triangles,
         "order_seconds": elapsed,

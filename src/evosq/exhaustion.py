@@ -20,7 +20,8 @@ arrays (each triangle side's edge rank in canonical key order and the
 triangle across it), one entry a side. The mesh checks, the OFF parser
 and the order replay are whole-array passes that report the first
 violation in scan order, and the sample cloud is pushed through blocks
-of growth steps sized to a fixed number of sample pairs.
+of growth steps sized to a fixed number of sample images, whose pairs
+are measured one lattice offset at a time.
 """
 
 import heapq
@@ -30,11 +31,11 @@ import numpy as np
 
 from .errors import FormatError, MeshError
 
-# Sample pairs measured per block by :func:`collar_map_samples`: 128 growth
-# steps of the 105 pairs at samples_per_cell=4. Its (3, steps, pairs)
-# temporaries stay near 300 kB whatever the mesh size and lattice density,
-# unless one step alone has more pairs (a block holds one step at least).
-_BLOCK_PAIRS = 128 * 105
+# Sample images built per block by :func:`collar_map_samples`: 1024 growth
+# steps of the 15 samples at samples_per_cell=4. A block holds 369 kB of
+# images and about twice that in temporaries at any density, unless one
+# step alone has more samples (a block holds one step at least).
+_BLOCK_IMAGES = 1024 * 15
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +353,9 @@ def push_through(bary):
 
 def _triangle_lattice(m):
     """Strictly interior barycentric lattice with (m+1)(m+2)/2 points."""
-    pts = []
-    for i in range(m + 1):
-        for j in range(m + 1 - i):
-            k = m - i - j
-            pts.append(((i + 1.0 / 3.0), (j + 1.0 / 3.0), (k + 1.0 / 3.0)))
-    return [(a / (m + 1.0), b / (m + 1.0), c / (m + 1.0)) for a, b, c in pts]
+    n = m + 1.0
+    return [((i + 1 / 3) / n, (j + 1 / 3) / n, (m - i - j + 1 / 3) / n)
+            for i in range(m + 1) for j in range(m + 1 - i)]
 
 
 def collar_map_samples(mesh, order, samples_per_cell=4):
@@ -370,12 +368,14 @@ def collar_map_samples(mesh, order, samples_per_cell=4):
     it is computed once: every pushed point must stay inside the closed
     simplex, and at least one must land strictly inside the new triangle
     (coverage). Checked per step: no two distinct samples collide (world
-    distance below 1e-9 flags a pair). The images of as many steps as hold
-    ``_BLOCK_PAIRS`` sample pairs are built and measured together, with
-    each step's arithmetic unchanged, so the result does not depend on the
-    block. Returns summary statistics; raises :class:`MeshError` on an order the
-    replay refuses, coverage failure or containment violation, and reports
-    collisions as a count.
+    distance below 1e-9 flags a pair). The images of as many steps as make
+    ``_BLOCK_IMAGES`` samples are built together, pressed samples first, as
+    a ``(3, samples, steps)`` array with each step's arithmetic unchanged;
+    lattice offset ``i`` measures the pairs ``(j, j + i)`` of every step at
+    once, so no pair table is gathered and the result does not depend on
+    the block. Returns summary statistics; raises :class:`MeshError` on an
+    order the replay refuses, coverage failure or containment violation,
+    and reports collisions as a count.
     """
     if samples_per_cell < 4:
         raise MeshError("push-through sampling needs samples_per_cell >= 4 for coverage")
@@ -386,39 +386,37 @@ def collar_map_samples(mesh, order, samples_per_cell=4):
     for b, (_, out) in zip(lattice, pushed):
         if min(out) < -1e-12 or abs(sum(out) - 1.0) > 1e-9:
             raise MeshError(f"push-through left the simplex at lattice point {b}: {out}")
-    into_new = np.array([region == "new" for region, _ in pushed])
-    B = np.array([out for _, out in pushed])
-    new_count = int(into_new.sum())
+    new_count = sum(region == "new" for region, _ in pushed)
     n_growth = len(tri)
     if n_growth and new_count == 0:
         raise MeshError(f"no sample pushed into triangle {tri[0]}; coverage failed")
-    # opposite vertex: the first vertex of the new triangle (and of the
-    # donor) that is not on the shared edge
-    corners = mesh.triangles[np.stack([tri, donor])]
-    off_edge = (corners != e0[:, None]) & (corners != e1[:, None])
-    first_off = off_edge.argmax(axis=-1)[..., None]
-    opp_new, opp_donor = np.take_along_axis(corners, first_off, axis=-1)[..., 0]
-    opp = np.where(into_new, opp_new[:, None], opp_donor[:, None])
+    # pressed samples first, stably: rows [:new_count] take the new triangle's opposite vertex
+    pushed.sort(key=lambda p: p[0] != "new")
+    b0, b1, b2 = np.array([out for _, out in pushed]).T[:, :, None]
+    # both triangles hold the shared edge, so their third vertex is the rest of their sum
+    opp_new, opp_donor = mesh.triangles[np.stack([tri, donor])].sum(axis=-1) - e0 - e1
     Pt = np.ascontiguousarray(mesh.vertices.T)
-    iu, ju = np.triu_indices(len(lattice), k=1)
-    min_pair = np.inf
-    collisions = 0
-    steps = max(1, _BLOCK_PAIRS // len(iu))
+    min_pair, collisions = np.inf, 0
+    steps = max(1, _BLOCK_IMAGES // len(lattice))
     for lo in range(0, n_growth, steps):
         block = slice(lo, lo + steps)
-        # (xyz, steps, samples) images with each step's arithmetic; the
-        # squared distances add x, y, z left to right, as a sum over xyz does
-        pts = (
-            B[:, 0] * Pt[:, e0[block], None]
-            + B[:, 1] * Pt[:, e1[block], None]
-            + B[:, 2] * Pt[:, opp[block]]
-        )
-        d = pts[:, :, iu]
-        d -= pts[:, :, ju]
-        d *= d
-        dist = np.sqrt(d[0] + d[1] + d[2])
-        min_pair = min(min_pair, float(dist.min()))
-        collisions += int(np.count_nonzero(dist < 1e-9))
+        # (xyz, samples, steps) images with each step's arithmetic
+        pts = b0 * Pt[:, None, e0[block]] + b1 * Pt[:, None, e1[block]]
+        pts[:, :new_count] += b2[:new_count] * Pt[:, None, opp_new[block]]
+        pts[:, new_count:] += b2[new_count:] * Pt[:, None, opp_donor[block]]
+        # each unordered pair once; a pair the reordering flips negates d, and
+        # the squared distances add x, y, z left to right. sqrt is monotone
+        # and correctly rounded, so the root of the least square is the least
+        # distance, and only an offset with a collision counts its distances
+        for i in range(1, len(lattice)):
+            d = pts[:, :-i] - pts[:, i:]
+            d *= d
+            d2 = d[0] + d[1]
+            d2 += d[2]
+            low = np.sqrt(d2.min())
+            min_pair = min(min_pair, float(low))
+            if low < 1e-9:
+                collisions += int(np.count_nonzero(np.sqrt(d2) < 1e-9))
     return {
         "growth_steps": n_growth,
         "samples_per_step": len(lattice),

@@ -18,7 +18,8 @@ from evosq.dnmap import compute_dn_family
 from evosq.evolution import PairOperator
 from evosq.geometry import PROFILE_PARAMS, Profile, build_warped_geometry
 from evosq.io import read_matrix
-from evosq.meshes import save_off, strip_mesh
+from evosq.exhaustion import SurfaceMesh
+from evosq.meshes import disk_mesh, save_off, strip_mesh
 from evosq.potentials import BumpPotential, make_potential
 from evosq.probes import null_test
 from evosq.source_bvp import dn_recovery_check
@@ -604,6 +605,27 @@ def test_exhaustion_builds_a_mesh_at_the_bound(monkeypatch):
         cli._typed("exhaustion", _SCENARIOS["exhaustion"][1],
                    {"mesh_kind": "strip", "mesh_params": [512, 256]}), None)
     assert built == [(512, 256)] and results["triangles"] == 8
+
+
+def test_exhaustion_refuses_a_sampling_density_above_the_pair_bound(tmp_path, capsys, monkeypatch):
+    # 10000 triangles of the default annulus at 100000 samples a cell: refused before ordering
+    monkeypatch.setattr(cli, "exhaustion_order", lambda mesh: pytest.fail("ordered"))
+    code, out, summary = _run(tmp_path, "exhaustion", "--override", "samples_per_cell=100000")
+    assert code == 2 and summary is None and not out.exists()
+    assert capsys.readouterr().err.startswith(
+        "config error: problem too large: samples_per_cell 100000 on 10000 triangles measures "
+        f"more than {cli._MAX_SAMPLE_PAIRS} sample pairs"
+    )
+
+
+def test_exhaustion_of_a_collapsed_mesh_fails_with_every_pair_collided(tmp_path):
+    # all vertices within 1e-12 of the origin: the 105 pairs of each of 36 growth steps collide
+    base = disk_mesh(3, 12)
+    save_off(tmp_path / "collapsed.off", SurfaceMesh(base.vertices * 1e-12, base.triangles))
+    code, _, summary = _run(tmp_path, "exhaustion", "--override", f"mesh={tmp_path / 'collapsed.off'}")
+    assert code == 1
+    assert summary["results"]["growth_steps"] == 36
+    assert summary["results"]["collisions"] == 105 * 36
 
 
 def test_exhaustion_rejects_closed_mesh(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from evosq.errors import FormatError, MeshError
 from evosq.exhaustion import (
-    _BLOCK_PAIRS,
+    _BLOCK_IMAGES,
     SurfaceMesh,
     _triangle_lattice,
     collar_map_samples,
@@ -573,14 +573,35 @@ def _pushed_step_by_step(m, order, samples_per_cell):
     return min_pair, collisions, min_new
 
 
-def test_collar_map_sampling_matches_a_per_step_push():
-    m = _jittered_disk(3, 12, seed=0, amplitude=0.02)
-    order = exhaustion_order(m)
-    min_pair, collisions, min_new = _pushed_step_by_step(m, order, 4)
-    res = collar_map_samples(m, order, samples_per_cell=4)
+def _matches_a_per_step_push(m, order, samples_per_cell):
+    """``collar_map_samples`` with its statistics checked bit for bit against
+    :func:`_pushed_step_by_step`."""
+    res = collar_map_samples(m, order, samples_per_cell=samples_per_cell)
+    min_pair, collisions, min_new = _pushed_step_by_step(m, order, samples_per_cell)
     assert res["min_pair_distance"] == min_pair
     assert res["collisions"] == collisions
     assert res["min_new_samples"] == min_new
+    return res
+
+
+def test_collar_map_sampling_matches_a_per_step_push():
+    m = _jittered_disk(3, 12, seed=0, amplitude=0.02)
+    _matches_a_per_step_push(m, exhaustion_order(m), 4)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-8])
+def test_collar_map_sampling_counts_the_collisions_of_a_shrunken_mesh(scale):
+    # at 1e-12 every pair of every growth step collides; at 1e-8 some do, and the
+    # least distance (3.5e-10) lies between the collision threshold and a tenth of it
+    base = disk_mesh(3, 12)
+    m = SurfaceMesh(base.vertices * scale, base.triangles)
+    res = _matches_a_per_step_push(m, exhaustion_order(m), 4)
+    assert res["growth_steps"] == 36
+    if scale == 1e-12:
+        assert res["collisions"] == 105 * res["growth_steps"]
+    else:
+        assert 0 < res["collisions"] < 105 * res["growth_steps"]
+        assert 1e-10 < res["min_pair_distance"] < 1e-9
 
 
 def test_collar_map_sampling_validates_density():
@@ -591,27 +612,21 @@ def test_collar_map_sampling_validates_density():
 
 @pytest.mark.parametrize(
     "rings, sectors, samples_per_cell, growth_steps",
-    [(12, 24, 4, 504), (12, 24, 6, 504), (3, 12, 20, 36)],
+    [(24, 48, 4, 2160), (24, 48, 6, 2160), (6, 16, 20, 144)],
 )
 def test_collar_map_sampling_across_blocks_matches_a_per_step_push(
     rings, sectors, samples_per_cell, growth_steps
 ):
-    # full blocks and a partial one; at density 20 a block is one step
+    # two full blocks at least and a partial one: 1024, 548 and 66 steps a block
     m = _jittered_disk(rings, sectors, seed=1, amplitude=0.01)
-    order = exhaustion_order(m)
-    min_pair, collisions, min_new = _pushed_step_by_step(m, order, samples_per_cell)
-    res = collar_map_samples(m, order, samples_per_cell=samples_per_cell)
-    lattice = res["samples_per_step"]
-    steps = max(1, _BLOCK_PAIRS // (lattice * (lattice - 1) // 2))
-    assert res["growth_steps"] == growth_steps > steps
-    assert growth_steps % steps or steps == 1
-    assert res["min_pair_distance"] == min_pair
-    assert res["collisions"] == collisions
-    assert res["min_new_samples"] == min_new
+    res = _matches_a_per_step_push(m, exhaustion_order(m), samples_per_cell)
+    steps = _BLOCK_IMAGES // res["samples_per_step"]
+    assert res["growth_steps"] == growth_steps >= 2 * steps
+    assert growth_steps % steps
 
 
 def test_collar_map_sampling_memory_does_not_grow_with_density():
-    # a block holds a fixed number of sample pairs, not a fixed number of steps
+    # a block holds a fixed number of sample images, not a fixed number of steps
     m = _jittered_disk(3, 12, seed=1, amplitude=0.01)
     order = exhaustion_order(m)
     tracemalloc.start()
