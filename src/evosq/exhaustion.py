@@ -21,11 +21,15 @@ triangle across it), one entry a side. The mesh checks, the OFF parser
 and the order replay are whole-array passes that report the first
 violation in scan order, and the sample cloud is pushed through blocks
 of growth steps sized to a fixed number of sample images, whose pairs
-are measured one lattice offset at a time.
+are measured one lattice offset at a time. The OFF parser splits only the
+header and the vertex block into tokens and parses the face block in C;
+a file whose face block that parse cannot read exactly as ``int()`` does
+is split token by token, so its arrays and errors are the same.
 """
 
 import heapq
 import re
+import warnings
 
 import numpy as np
 
@@ -141,13 +145,42 @@ class SurfaceMesh:
         return not self.boundary_edges
 
 
+def _face_block(text, count):
+    """The first ``count`` integers of the face block ``text``, or None.
+
+    Parsed in C, and kept only where that parse reads every token as
+    ``int()`` does. So a text holding a sign is refused (numpy joins a sign
+    to digits across whitespace and reads a lone one as 0), as is one where
+    the parse stops early (a ValueError, or a DeprecationWarning on older
+    numpy) or a kept value reaches 2**62 (an overflow is clamped silently).
+    ``count=`` is never passed: past the last token it returns
+    uninitialized values.
+    """
+    if "-" in text or "+" in text:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(text, dtype=np.int64, sep=" ")[:count]
+        except (ValueError, DeprecationWarning):
+            return None
+    if len(values) < count or values.max(initial=0) >= 2**62:
+        return None
+    return values
+
+
 def load_mesh(path):
-    """Parse an OFF file (triangles only; comments and blank lines allowed)."""
+    """Parse an OFF file (triangles only; comments and blank lines allowed).
+
+    Each array and error is what ``float()`` and ``int()`` make of the
+    file's tokens, whether :func:`_face_block` reads the face block or not.
+    """
     try:
         with open(path) as fh:
-            tokens = re.sub("#.*", "", fh.read()).split()
+            text = re.sub("#.*", "", fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: unreadable mesh file ({exc})") from None
+    tokens = text.split(None, 3)
     if not tokens or tokens[0] != "OFF":
         raise FormatError(f"{path}: not an OFF file")
     try:
@@ -156,11 +189,19 @@ def load_mesh(path):
             raise ValueError(f"negative count in header: {nv} vertices, {nf} faces")
         vend = 4 + 3 * nv  # tokens[3] is the edge count, which is not read
         fend = vend + 4 * nf
-        if len(tokens) < fend:
-            raise ValueError(f"the header needs {fend} tokens, the file has {len(tokens)}")
-        # numpy parses each token as float() and int() do
+        # a file with more than vend tokens keeps its face block as one string;
+        # it has more than vend characters, so a huge count never reaches split()
+        tokens = text.split(None, vend) if vend < len(text) else []
+        faces = _face_block(tokens[vend], 4 * nf) if len(tokens) > vend else None
+        if faces is None:
+            tokens = text.split()
+            if len(tokens) < fend:
+                raise ValueError(f"the header needs {fend} tokens, the file has {len(tokens)}")
+        # numpy parses each token as float() and int() do; strtod would also take hex and nan(...)
         verts = np.array(tokens[4:vend], dtype=float)
-        faces = np.array(tokens[vend:fend], dtype=int).reshape(nf, 4)
+        if faces is None:
+            faces = np.array(tokens[vend:fend], dtype=int)
+        faces = faces.reshape(nf, 4)
     except (IndexError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed OFF data ({exc})") from None
     polygons = np.flatnonzero(faces[:, 0] != 3)

@@ -2,15 +2,18 @@
 
 Each is a small, literal form of something the library computes another
 way: a closed test surface, whole-array depth stencils, a per-mode mirror
-of the factorized squared operator, and the dense Kronecker pair
-generator. The stencil wrappers call the row formulas
-(:func:`evosq.squared._d1`, :func:`evosq.squared._d2`) that
+of the factorized squared operator, the dense Kronecker pair generator,
+and an OFF reader that splits every token. The stencil wrappers call the
+row formulas (:func:`evosq.squared._d1`, :func:`evosq.squared._d2`) that
 :func:`evosq.squared.kernel_residual` runs, so checking them checks the
 stencils the library uses.
 """
 
+import re
+
 import numpy as np
 
+from evosq.errors import FormatError
 from evosq.exhaustion import SurfaceMesh
 from evosq.squared import _d1, _d2, _uniform_step
 
@@ -79,3 +82,38 @@ def kron_generator(lam1, lam2):
     """Dense Kronecker form of the pair generator (small-N checks only)."""
     n = lam1.shape[0]
     return np.kron(lam1, np.eye(n)) + np.kron(np.eye(n), lam2)
+
+
+def load_mesh(path):
+    """Parse an OFF file (triangles only; comments and blank lines allowed).
+
+    The all-token reference for :func:`evosq.exhaustion.load_mesh`: every
+    token is a Python string, and numpy reads each as ``float()`` and
+    ``int()`` do.
+    """
+    try:
+        with open(path) as fh:
+            tokens = re.sub("#.*", "", fh.read()).split()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: unreadable mesh file ({exc})") from None
+    if not tokens or tokens[0] != "OFF":
+        raise FormatError(f"{path}: not an OFF file")
+    try:
+        nv, nf = int(tokens[1]), int(tokens[2])
+        if nv < 0 or nf < 0:
+            raise ValueError(f"negative count in header: {nv} vertices, {nf} faces")
+        vend = 4 + 3 * nv  # tokens[3] is the edge count, which is not read
+        fend = vend + 4 * nf
+        if len(tokens) < fend:
+            raise ValueError(f"the header needs {fend} tokens, the file has {len(tokens)}")
+        # numpy parses each token as float() and int() do
+        verts = np.array(tokens[4:vend], dtype=float)
+        faces = np.array(tokens[vend:fend], dtype=int).reshape(nf, 4)
+    except (IndexError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: malformed OFF data ({exc})") from None
+    polygons = np.flatnonzero(faces[:, 0] != 3)
+    if polygons.size:
+        arity = faces[polygons[0], 0]
+        raise FormatError(f"{path}: only triangle faces supported, found {arity}-gon")
+    # an empty vertex block is (0, 3): a file without vertices is a mesh without triangles
+    return SurfaceMesh(verts.reshape(nv, 3), faces[:, 1:])

@@ -508,6 +508,21 @@ def test_maps_are_symmetric_without_symmetrizing(bump_pair):
 
 
 @pytest.mark.parametrize("profile", sorted(_PROFILES))
+def test_rotating_or_reflecting_the_bump_permutes_every_map(profile):
+    # the slice Laplacian is circulant, so moving theta0 by one node rolls each
+    # map by one node in both indices, and theta0 -> -theta0 re-indexes k -> -k
+    # mod N; only the pivots' factorization order may differ (2e-14-3e-14 seen)
+    g = build_warped_geometry(_PROFILES[profile], N=32, M=64, eps=0.3)
+    base = compute_dn_family(g, Q1_SPEC).lams
+    turned = compute_dn_family(g, dict(Q1_SPEC, theta0=Q1_SPEC["theta0"] + 2 * np.pi / g.N)).lams
+    mirrored = compute_dn_family(g, dict(Q1_SPEC, theta0=-Q1_SPEC["theta0"])).lams
+    k = -np.arange(g.N) % g.N
+    for lam, expected in ((turned, np.roll(base, 1, axis=(1, 2))), (mirrored, base[:, k][:, :, k])):
+        gap = np.linalg.norm(lam - expected, axis=(1, 2)) / np.linalg.norm(expected, axis=(1, 2))
+        assert gap.max() <= 1e-11
+
+
+@pytest.mark.parametrize("profile", sorted(_PROFILES))
 def test_maps_are_psd_for_a_nonnegative_potential(profile):
     g = build_warped_geometry(_PROFILES[profile], N=32, M=64, eps=0.3)
     for lam in compute_dn_family(g, 1.0).lams:

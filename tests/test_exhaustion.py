@@ -20,6 +20,7 @@ from evosq.exhaustion import (
 )
 from evosq.meshes import annulus_mesh, disk_mesh, save_off, strip_mesh
 from evosq.rng import SplitMix64
+from tests.oracles import load_mesh as load_mesh_by_tokens
 from tests.oracles import sphere_mesh
 
 # reproducible example sets, no example database written beside the tests
@@ -225,10 +226,61 @@ def test_off_parse_errors(tmp_path):
         load_mesh(p)
 
 
+def _loaded(loader, path):
+    """The arrays a loader returns, or the type and text of what it raises."""
+    try:
+        m = loader(path)
+    except (FormatError, MeshError) as exc:
+        return type(exc).__name__, str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in (m.vertices, m.triangles)]
+
+
+_SQUARE = "OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n"
+# spellings int() and numpy's C parse read differently, or only one of them reads
+_SPELLINGS = ["{}", "+{}", "00{}", "0_{}", "{}.0", "0x{}", "{}e0", "-{}"]
+_INDICES = [
+    "٢", "-", "+", "- 2", "-0", str(2**62 - 1), str(2**62), str(-(2**62)), str(2**63 - 1),
+    str(2**63), str(-(2**63)), str(-(2**63) - 1), "9" * 20, "-" + "9" * 20,
+]
+_OFF_CASES = {
+    # a face index in the middle of the face block and as its last token
+    **{f"mid:{s.format(2)}": _SQUARE + f"3 0 1 {s.format(2)}\n3 0 2 3\n" for s in _SPELLINGS},
+    **{f"last:{s.format(3)}": _SQUARE + f"3 0 1 2\n3 0 2 {s.format(3)}" for s in _SPELLINGS},
+    **{f"mid:{i}": _SQUARE + f"3 0 1 {i}\n3 0 2 3\n" for i in _INDICES},
+    **{f"last:{i}": _SQUARE + f"3 0 1 2\n3 0 2 {i}\n" for i in _INDICES},
+    "numbers-after": _SQUARE + "3 0 1 2\n3 0 2 3 4 5\n",
+    "words-after": _SQUARE + "3 0 1 2\n3 0 2 3\nend of file\n",
+    "bad-tokens-after": _SQUARE + "3 0 1 2\n3 0 2 3 0_0 ٢ 2.0 - 99999999999999999999\n",
+    "split-lines-and-comments": _SQUARE + "3 0\n 1 # a comment\n2 3 # inside the face block\n0\n2 3",
+    "ascii-whitespace": _SQUARE + "3\t0\r1\x0b2\x0c3 0 2 3",
+    "unicode-whitespace": _SQUARE + "3 0\x1c1 2 3 0\xa02 3",  # only str.split() splits on it
+    "no-faces": "OFF\n4 0 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n",
+    "no-faces-and-junk": "OFF\n4 0 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2 x\n",
+    "face-count-past-the-file": "OFF\n4 3 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n3 0 2 3\n",
+    "vertex-count-past-the-file": "OFF\n40 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n3 0 2 3\n",
+    "short-face-block": _SQUARE + "3 0 1 2\n3 0 2",
+    "junk-in-the-face-block": _SQUARE + "3 0 1 2\n3 0 x 3\n",
+    "bad-vertex-and-face": "OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 x\n0 1 0\n3 0 1 2\n3 0 2 2.5\n",
+    "quad": "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n",
+    "hex-and-nan-payload-vertex": "OFF\n3 1 0\n0x1p0 nan(1) 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+}
+
+
+@pytest.mark.parametrize("text", _OFF_CASES.values(), ids=_OFF_CASES.keys())
+def test_off_loader_matches_the_all_token_parse(tmp_path, text):
+    # equal arrays and dtypes, or the same error type and text, whichever path
+    # the face block takes
+    p = tmp_path / "case.off"
+    p.write_text(text, encoding="utf-8")
+    assert _loaded(load_mesh, p) == _loaded(load_mesh_by_tokens, p)
+
+
 _FUZZ_OFF = "OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n3 0 2 3\n".split()
 _FUZZ_VALUES = [
     "nan", "inf", "-inf", "1e400", "abc", "3.5", "-1", "0", "3", "4", "#",
     "99999999999999999999", "-99999999999999999999", "1000000000000000000",
+    "+3", "002", "0_3", "٢", "2.0", "0x2", "-", "+", "-0", str(2**62), str(-(2**62)),
+    str(2**63), str(-(2**63)),
 ]
 
 
@@ -264,12 +316,10 @@ def _damaged_off(draw):
 @_EXAMPLES
 @given(_damaged_off())
 def test_off_loader_raises_only_format_or_mesh_errors(tmp_path_factory, text):
+    # and each outcome is the all-token parse's
     p = tmp_path_factory.getbasetemp() / "damaged.off"
-    p.write_text(text)
-    try:
-        load_mesh(p)
-    except (FormatError, MeshError):
-        pass
+    p.write_text(text, encoding="utf-8")
+    assert _loaded(load_mesh, p) == _loaded(load_mesh_by_tokens, p)
 
 
 # -- exhaustion order and verification --------------------------------------------
