@@ -23,7 +23,7 @@ def main():
 
     g = build_warped_geometry(make_profile("flat-cylinder", T=1.0), N=args.N, M=args.M, eps=0.3)
     family = compute_dn_family(g, {"kind": "constant", "value": args.q})
-    road = riccati_integrate(g, family.potential, family.lams[g.M])
+    road = riccati_integrate(family)
 
     print(f"flat cylinder, N={args.N}, M={args.M}, Q={args.q}")
     print(f"{'depth':>8} {'rel gap':>12}")

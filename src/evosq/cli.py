@@ -47,7 +47,7 @@ from .evolution import LowRank, PairOperator, evolve_trace
 from .exhaustion import collar_map_samples, exhaustion_order, load_mesh
 from .geometry import PROFILE_PARAMS, build_warped_geometry, make_profile
 from .potentials import make_potential
-from .probes import gradient_blowup_probe, null_test, offdiagonal_flag, zeta_pairing
+from .probes import P_CRITICAL, gradient_blowup_probe, null_test, offdiagonal_flag, zeta_pairing
 from .rng import SplitMix64
 from .source_bvp import dn_recovery_check, layer_strip_check
 from .squared import kernel_residual
@@ -99,7 +99,7 @@ def _apply_override(cfg, spec):
 
 
 # lower bounds of the numeric keys that have one
-_MINIMA = {"ambient_dim": 2, "modes_max": 0, "samples_per_cell": 4, "max_windows": 1}
+_MINIMA = {"modes_max": 0, "samples_per_cell": 4, "max_windows": 1}
 
 
 def _number(key, value, kind):
@@ -240,8 +240,7 @@ def _write_evsq(out, name, array, kind, t, g, scenario):
 
 def _riccati_error(fam):
     """Relative gap at depth 0 between the Riccati flow from the collar map and the family."""
-    g = fam.geometry
-    road = riccati_integrate(g, fam.potential, fam.lams[g.M])
+    road = riccati_integrate(fam)
     return float(_norm(road[0] - fam.lams[0]) / max(_norm(fam.lams[0]), 1e-30))
 
 
@@ -332,7 +331,6 @@ def _run_null(cfg, out):
 
 def _run_probe(cfg, out):
     g, fam1, fam2 = _pair(cfg)
-    ambient_dim = cfg["ambient_dim"]
     check = dn_recovery_check(fam1, fam2)
     kernel = check["recovered"] / g.node_weight(0.0)
     flag = offdiagonal_flag(g, kernel)
@@ -349,10 +347,10 @@ def _run_probe(cfg, out):
         "partition_defect": prof["partition_defect"],
         "headline_error": check["rel_error"],
         "zeta": zeta_pairing(g, kernel),
-        "p_critical": ambient_dim / (ambient_dim - 1.0),
+        "p_critical": P_CRITICAL,
     }
     if g.N >= 64:
-        grad = gradient_blowup_probe(g, check["stages"]["phi"], ambient_dim=ambient_dim)
+        grad = gradient_blowup_probe(g, check["stages"]["phi"])
         results["gradient_slope"] = grad["slope"]
     else:
         results["gradient_slope"] = None
@@ -530,7 +528,7 @@ _SCENARIOS = {
     "bvp-headline": (_run_headline, {**_PAIR, "tol": 5e-2}),
     "layer-strip": (_run_layer_strip, {**_PAIR, **_DATA, "tol": 1e-3}),
     "null-test": (_run_null, _ONE),
-    "oducp-probe": (_run_probe, {**_PAIR, "ambient_dim": 3}),
+    "oducp-probe": (_run_probe, _PAIR),
     "conformal-check": (
         _run_conformal,
         {**_GEOMETRY, "dim": 1, "gamma": _GAMMA, "n_ambient": 3, "modes_max": 8, "tol": 1e-3},

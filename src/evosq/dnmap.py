@@ -29,9 +29,10 @@ Cholesky factorization of the bordered leaf ``[[A, I], [I, 2^512 I]]``,
 whose lower-left factor block ``X = L^-T`` gives ``A^-1 = X X^T``; so the
 sweep runs on matrix products, and a pivot that is one leaf comes out
 exactly symmetric. Only a pivot whose leaf Cholesky fails, an indefinite
-one beyond the first Dirichlet eigenvalue, is an LU solve; a 1 x 1 mode
-block is a division. The sweep assembles each pivot, and the extraction
-each map, in place in buffers it owns.
+one beyond the first Dirichlet eigenvalue, is inverted by Gauss-Jordan
+elimination in numpy row operations; a 1 x 1 mode block is a division.
+The sweep assembles each pivot, and the extraction each map, in place in
+buffers it owns.
 """
 
 import numpy as np
@@ -102,19 +103,39 @@ def _spd_inverse(A, out, borders):
     return out
 
 
+def _gauss_jordan(A, out):
+    """Write the inverse of ``A`` into ``out`` by Gauss-Jordan elimination with partial pivoting.
+
+    Every step is a numpy row operation, with no BLAS or LAPACK call, so no
+    thread count changes a bit of it. An exact zero pivot raises ``LinAlgError``.
+    """
+    n = len(A)
+    work = np.concatenate((A, np.eye(n)), axis=1)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(work[k:, k])))
+        if work[p, k] == 0.0:
+            raise np.linalg.LinAlgError("singular matrix")
+        work[[k, p]] = work[[p, k]]
+        work[k] /= work[k, k]
+        column = work[:, k].copy()
+        column[k] = 0.0
+        work -= np.multiply.outer(column, work[k])
+    out[...] = work[:, n:]
+    return out
+
+
 def _dense_inverse(neg, ap, out, borders):
     """``ap neg^-1`` written into ``out``, for the negated dense pivot ``neg = -P`` of a sweep row.
 
     :func:`_spd_inverse` inverts it (or a trace step's ``I + (h/2) Lam``); a
     matrix that is not positive definite (a pivot beyond the first Dirichlet
-    eigenvalue) takes an LU solve, which raises ``LinAlgError`` if singular.
+    eigenvalue) takes :func:`_gauss_jordan`, which raises ``LinAlgError`` if singular.
     """
     try:
         _spd_inverse(neg, out, borders)
     except np.linalg.LinAlgError:
-        out[...] = np.linalg.solve(neg, ap * np.eye(len(neg)))
-    else:
-        out *= ap
+        _gauss_jordan(neg, out)
+    out *= ap
     return out
 
 
@@ -177,7 +198,7 @@ def _eliminate(geometry, lap, q, w, cap, top=1, bottom=None, circulant=False):
     is assembled in place; it is symmetric, and positive definite in the coercive case, so
     :func:`_dense_inverse` inverts it by Cholesky-certified Schur halving and writes each
     kept block straight into its row, and each block below the collar into one of two spare
-    blocks, taken in turn. Only a dense pivot whose leaf Cholesky fails is an LU solve; a
+    blocks, taken in turn. Only a dense pivot whose leaf Cholesky fails takes Gauss-Jordan; a
     batch of 1 x 1 mode blocks is a division, where a zero pivot gives an infinite block. A
     singular pivot or a block norm above ``_SINGULAR_FACTOR * sqrt(n)`` is a resonance. A
     batch of modes is guarded by its largest norm, the root of its largest squared symbol,
@@ -371,19 +392,16 @@ def _mode_maps(geometry, ksq, q, w, depths):
     return lams.reshape((len(depths),) + np.shape(ksq))
 
 
-def dn_mode_symbol(geometry, potential, ksq, depths=None):
-    """Map eigenvalue of one Fourier mode at collar nodes.
+def dn_mode_symbol(geometry, potential, ksq, depths):
+    """Map eigenvalue of one Fourier mode at the collar node indices ``depths``.
 
     ``ksq`` is the squared wavenumber (sum over torus axes), or an array of
     them. The potential must be theta-constant by the chain's exact rule on
     every row the sweep reads (:func:`_mode_q_values`).
-    Returns the eigenvalue at every collar node, or at the node indices in
-    the list ``depths``, one row each; an array ``ksq`` adds a trailing mode axis.
+    Returns one row per listed node; an array ``ksq`` adds a trailing mode axis.
     """
-    potential = make_potential(potential)
-    q = _mode_q_values(geometry, potential).__getitem__
-    idx = range(geometry.M + 1) if depths is None else depths
-    return _mode_maps(geometry, ksq, q, _weights(geometry), idx)
+    q = _mode_q_values(geometry, make_potential(potential)).__getitem__
+    return _mode_maps(geometry, ksq, q, _weights(geometry), depths)
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +414,18 @@ def riccati_rhs(geometry, q, lam, t):
     return lam @ lam - geometry.laplacian_matrix(t) - np.diag(q) - float(geometry.mu_dot(t)) * lam
 
 
-def riccati_integrate(geometry, potential, lam_eps):
-    """Integrate the map equation backward from the collar depth to 0.
+def riccati_integrate(family):
+    """Integrate the map equation backward from ``family``'s deepest map to depth 0.
 
-    Heun steps on the collar grid. Values whose norm passes the escape
-    threshold abort with :class:`RiccatiEscapeError` (the equation blows up
-    through interior Dirichlet eigenvalues; step size cannot fix that).
+    Heun steps on the collar grid, with the family's potential ``family.q``.
+    Values whose norm passes the escape threshold abort with
+    :class:`RiccatiEscapeError` (the equation blows up through interior
+    Dirichlet eigenvalues; step size cannot fix that).
     """
+    geometry, q = family.geometry, family.q
     ts = geometry.collar_ts
-    q = make_potential(potential).on_grid(geometry.theta, ts)
     escape = _ESCAPE_FACTOR * geometry.N
-    lam = np.array(lam_eps, dtype=float)
+    lam = family.lams[geometry.M]
     out = np.empty((geometry.M + 1, geometry.N, geometry.N))
     out[geometry.M] = lam
     for j in range(geometry.M, 0, -1):
@@ -445,34 +464,6 @@ def riccati_residual(family):
         square = rhs + static + float(g.mu_dot(ts[j])) * lam  # L^2 without a second product
         worst = max(worst, _norm(dldt - rhs) / max(_norm(square) + _norm(static), 1e-30))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# coercivity
-# ---------------------------------------------------------------------------
-
-
-def coercivity_probe(family):
-    """Exact ``C1`` of ``<A f, f>_s >= C1 |f|_{s+1/2}^2 - C2 |f|_s^2`` over all f, s = -1, -1/2, 0.
-
-    ``A`` is the boundary map, ``<u, f>_s = f^T J_s u`` and ``|f|_s^2 = <f, f>_s``
-    with ``J_s = (1 + L_0)^s``, the Fourier multiplier of symbol
-    ``(1 + k^2 / r(0)^2)^s`` (the node weight scales both sides and drops out).
-    With ``C2 = 1`` the largest such ``C1`` is :func:`lambda_min` of
-    ``J_{s+1/2}^{-1/2} (sym(J_s A) + J_s) J_{s+1/2}^{-1/2}``. Failure flag:
-    ``C1 <= 0`` for any ``s``.
-    """
-    g = family.geometry
-    lam0 = family.lams[0]
-    ksq = (g.wavenumbers() / float(g.profile.r(0.0))) ** 2
-    results = {}
-    for s in (-1.0, -0.5, 0.0):
-        J = fourier_matrix((1.0 + ksq) ** s)
-        R = fourier_matrix((1.0 + ksq) ** (-0.5 * (s + 0.5)))
-        C = R @ J @ (lam0 + np.eye(g.N)) @ R  # its symmetric part is the matrix above
-        c1 = lambda_min(0.5 * (C + C.T))
-        results[s] = {"C1": c1, "C2": 1.0, "coercive": c1 > 0.0}
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def evolve_trace(family, f):
 
     A step is ``u_{j+1} = (I + (h/2) Lam_{j+1})^-1 (u_j - (h/2) Lam_j u_j)``,
     its inverse the certified SPD inverse of :func:`dnmap._dense_inverse`
-    (an LU solve where that fails), so no BLAS thread count changes it.
+    (Gauss-Jordan elimination where that fails), so no BLAS thread count changes it.
     """
     g = family.geometry
     ts = g.collar_ts

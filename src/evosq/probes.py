@@ -13,7 +13,7 @@ quantify that imprint:
   bounded away from the diagonal;
 * :func:`gradient_blowup_probe` estimates how the kernel gradient grows
   toward the diagonal, against the critical integrability exponent
-  ``p = n / (n - 1)`` of the ambient dimension;
+  ``p = n / (n - 1)`` of the ambient dimension ``n = AMBIENT_DIM``;
 * :func:`zeta_pairing` is a heuristic oscillatory pairing score with a
   slowly varying frequency cutoff (diagnostic only, nothing gates on it).
 """
@@ -26,6 +26,8 @@ from .source_bvp import solve_source_bvp
 
 OFFDIAG_THRESHOLD = 1e-6
 FAR_DISTANCE = np.pi / 8
+AMBIENT_DIM = 3  # the n of the critical exponent n / (n - 1): a label that no geometry reads
+P_CRITICAL = AMBIENT_DIM / (AMBIENT_DIM - 1.0)
 
 
 def null_test(family1, family2):
@@ -102,7 +104,7 @@ def offdiagonal_flag(geometry, kernel):
     }
 
 
-def gradient_blowup_probe(geometry, W, ambient_dim=3):
+def gradient_blowup_probe(geometry, W):
     """Shell profile of ``|grad phi|^p`` near the diagonal of a field on ``geometry.collar_ts``.
 
     ``W`` holds the field's first collar rows (all ``M+1``, or the rows a
@@ -110,14 +112,13 @@ def gradient_blowup_probe(geometry, W, ambient_dim=3):
     of it. Gradients are spectral in each boundary variable and centered in depth.
     The slope of the finest three shells (log2 of successive mass ratios)
     estimates the blow-up order toward the diagonal. The integrand power is
-    the critical exponent ``p = n / (n - 1)`` (3/2 in ambient dimension 3).
+    the critical exponent :data:`P_CRITICAL`.
     """
     n_shells = resolvable_shells(geometry.N)
     if n_shells < 4:
         raise GeometryError(
             f"gradient probe needs at least 4 shells, N={geometry.N} resolves {n_shells}"
         )
-    p = ambient_dim / (ambient_dim - 1.0)
     j = 2
     if W.shape[0] < 4:
         raise GeometryError(f"gradient probe needs an interior collar slice of {W.shape[0]} rows")
@@ -127,12 +128,12 @@ def gradient_blowup_probe(geometry, W, ambient_dim=3):
     ts = geometry.collar_ts
     dt = (W[j + 1] - W[j - 1]) / (float(ts[j + 1]) - float(ts[j - 1]))
     grad = np.sqrt(dx**2 + dy**2 + dt**2)
-    prof = shell_decomposition(geometry, grad, p=p)
+    prof = shell_decomposition(geometry, grad, p=P_CRITICAL)
     masses = prof["masses"]
     finest = masses[-3:]
     with np.errstate(divide="ignore"):
         ratios = np.log2(np.maximum(finest[:-1], 1e-300) / np.maximum(finest[1:], 1e-300))
-    return {"p": float(p), "shell_masses": masses, "slope": float(np.mean(ratios)), "profile": prof}
+    return {"p": P_CRITICAL, "shell_masses": masses, "slope": float(np.mean(ratios)), "profile": prof}
 
 
 def zeta_pairing(geometry, kernel):

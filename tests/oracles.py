@@ -3,7 +3,8 @@
 Each is a small, literal form of something the library computes another
 way: a closed test surface, whole-array depth stencils, a per-mode mirror
 of the factorized squared operator, the dense Kronecker pair generator,
-and an OFF reader that splits every token. The stencil wrappers call the
+an OFF reader that splits every token, and the coercivity constants of a
+boundary map (acceptance criterion 12). The stencil wrappers call the
 row formulas (:func:`evosq.squared._d1`, :func:`evosq.squared._d2`) that
 :func:`evosq.squared.kernel_residual` runs, so checking them checks the
 stencils the library uses.
@@ -13,8 +14,10 @@ import re
 
 import numpy as np
 
+from evosq.dnmap import lambda_min
 from evosq.errors import FormatError
 from evosq.exhaustion import SurfaceMesh
+from evosq.geometry import fourier_matrix
 from evosq.squared import _d1, _d2, _uniform_step
 
 
@@ -117,3 +120,26 @@ def load_mesh(path):
         raise FormatError(f"{path}: only triangle faces supported, found {arity}-gon")
     # an empty vertex block is (0, 3): a file without vertices is a mesh without triangles
     return SurfaceMesh(verts.reshape(nv, 3), faces[:, 1:])
+
+
+def coercivity_probe(family):
+    """Exact ``C1`` of ``<A f, f>_s >= C1 |f|_{s+1/2}^2 - C2 |f|_s^2`` over all f, s = -1, -1/2, 0.
+
+    ``A`` is the boundary map, ``<u, f>_s = f^T J_s u`` and ``|f|_s^2 = <f, f>_s``
+    with ``J_s = (1 + L_0)^s``, the Fourier multiplier of symbol
+    ``(1 + k^2 / r(0)^2)^s`` (the node weight scales both sides and drops out).
+    With ``C2 = 1`` the largest such ``C1`` is :func:`lambda_min` of
+    ``J_{s+1/2}^{-1/2} (sym(J_s A) + J_s) J_{s+1/2}^{-1/2}``. Failure flag:
+    ``C1 <= 0`` for any ``s``.
+    """
+    g = family.geometry
+    lam0 = family.lams[0]
+    ksq = (g.wavenumbers() / float(g.profile.r(0.0))) ** 2
+    results = {}
+    for s in (-1.0, -0.5, 0.0):
+        J = fourier_matrix((1.0 + ksq) ** s)
+        R = fourier_matrix((1.0 + ksq) ** (-0.5 * (s + 0.5)))
+        C = R @ J @ (lam0 + np.eye(g.N)) @ R  # its symmetric part is the matrix above
+        c1 = lambda_min(0.5 * (C + C.T))
+        results[s] = {"C1": c1, "C2": 1.0, "coercive": c1 > 0.0}
+    return results

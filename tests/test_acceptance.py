@@ -12,7 +12,6 @@ import numpy as np
 
 from evosq.cli import main
 from evosq.dnmap import (
-    coercivity_probe,
     compute_dn_family,
     conformal_identity_check,
     riccati_integrate,
@@ -35,7 +34,7 @@ from evosq.source_bvp import (
 )
 from evosq.squared import apply_variant, kernel_residual
 from tests.conftest import Q1_SPEC, Q2_SPEC
-from tests.oracles import kron_generator
+from tests.oracles import coercivity_probe, kron_generator
 
 
 def _report(num, label, ok, detail):
@@ -91,7 +90,7 @@ def test_criterion_02_riccati_cross_validation():
 
     g = build_warped_geometry(prof, N=32, M=128, eps=0.3)
     fam = compute_dn_family(g, q)
-    road = riccati_integrate(g, fam.potential, fam.lams[g.M])
+    road = riccati_integrate(fam)
     cross = max(
         float(np.linalg.norm(road[j] - fam.lams[j]) / np.linalg.norm(fam.lams[j]))
         for j in range(g.M + 1)

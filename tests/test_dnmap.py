@@ -10,7 +10,6 @@ from evosq.dnmap import (
     _mode_q_values,
     _spd_inverse,
     _weights,
-    coercivity_probe,
     compute_dn_family,
     conductivity_mode_dn,
     conformal_identity_check,
@@ -31,6 +30,7 @@ from evosq.potentials import SampledPotential, make_potential
 from evosq.rng import SplitMix64
 from evosq.source_bvp import layer_strip_check
 from tests.conftest import Q1_SPEC, Q2_SPEC
+from tests.oracles import coercivity_probe
 
 
 def _mode_eigenvalue(geometry, lam, k):
@@ -68,7 +68,7 @@ def test_disk_eigenvalues():
 def test_flat_cylinder_mode_symbol_matches_coth():
     T, q = 0.8, 2.0
     g = build_warped_geometry(make_profile("flat-cylinder", T=T), N=16, M=64, eps=0.3)
-    vals = dn_mode_symbol(g, q, 4.0)  # k = 2
+    vals = dn_mode_symbol(g, q, 4.0, range(g.M + 1))  # k = 2
     kappa = np.sqrt(4.0 + q)
     exact = kappa / np.tanh(kappa * (T - g.collar_ts))
     assert np.max(np.abs(vals - exact) / exact) < 1e-3
@@ -135,14 +135,16 @@ def test_chain_matches_whole_grid_dense_elimination(profile):
             assert np.array_equal(S, np.roll(S, (1, 1), axis=(0, 1)))
 
 
-def _maps_with_lu_spy(monkeypatch, g, potential):
-    """The maps of ``potential`` and the number of dense pivots that took an LU solve."""
-    dense_solves = []
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: dense_solves.append(a.ndim == 2) or solve(a, b))
+def _maps_with_gauss_jordan_spy(monkeypatch, g, potential):
+    """The maps of ``potential`` and the number of dense pivots that took Gauss-Jordan."""
+    from evosq import dnmap
+
+    inverted = []
+    gauss_jordan = dnmap._gauss_jordan
+    monkeypatch.setattr(dnmap, "_gauss_jordan", lambda a, out: inverted.append(a) or gauss_jordan(a, out))
     lams = compute_dn_family(g, potential).lams
-    monkeypatch.setattr(np.linalg, "solve", solve)
-    return lams, sum(dense_solves)
+    monkeypatch.setattr(dnmap, "_gauss_jordan", gauss_jordan)
+    return lams, len(inverted)
 
 
 @pytest.mark.parametrize("profile", ["annulus", "disk", "flat-cylinder"])
@@ -153,8 +155,8 @@ def test_dense_sweep_matches_the_mode_symbols(profile, monkeypatch):
     ksq = g.wavenumbers() ** 2
     for q in (-0.7, 1.5):
         rippled = SampledPotential(g.theta, g.ts, q + 1e-12 * np.cos(g.theta)[:, None] * np.ones(g.ts.size))
-        lams, lu_rows = _maps_with_lu_spy(monkeypatch, g, rippled)
-        assert lu_rows == 0
+        lams, fallback_rows = _maps_with_gauss_jordan_spy(monkeypatch, g, rippled)
+        assert fallback_rows == 0
         for j in (0, g.M // 2, g.M):
             mode = np.sort(dn_mode_symbol(g, q, ksq, depths=[j])[0])
             assert np.max(np.abs(np.linalg.eigvalsh(lams[j]) - mode)) <= 1e-11 * np.abs(mode).max()
@@ -247,22 +249,35 @@ def test_lambda_min_refuses_a_non_finite_matrix():
         lambda_min(A)
 
 
-def test_a_pivot_below_the_leaf_border_takes_the_lu_fallback(monkeypatch):
+def test_a_pivot_below_the_leaf_border_takes_the_gauss_jordan_fallback(monkeypatch):
     # positive definite and well conditioned, but every eigenvalue is below
-    # 1 / _BORDER: the bordered leaf Cholesky fails and LU inverts it
+    # 1 / _BORDER: the bordered leaf Cholesky fails and Gauss-Jordan inverts it
     from evosq import dnmap
 
     n = 2 * _LEAF
     G = np.random.default_rng(5).standard_normal((n, n))
     neg = 1e-160 * (G @ G.T + n * np.eye(n))
     assert 0.0 < np.linalg.eigvalsh(neg).max() < 1.0 / dnmap._BORDER
-    solves = []
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a) or solve(a, b))
+    inverted = []
+    gauss_jordan = dnmap._gauss_jordan
+    monkeypatch.setattr(dnmap, "_gauss_jordan", lambda a, out: inverted.append(a) or gauss_jordan(a, out))
     out = dnmap._dense_inverse(neg, 3.0, np.empty_like(neg), {})
-    assert len(solves) == 1
+    assert len(inverted) == 1
     ref = 3.0 * np.linalg.inv(neg)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))  # a 2-norm would overflow
+
+
+def test_gauss_jordan_inverts_an_indefinite_matrix_and_refuses_a_singular_one():
+    # eigenvalues from -16 to 17, condition 4e2: measured 8e-15 from LAPACK's inverse
+    from evosq import dnmap
+
+    G = np.random.default_rng(9).standard_normal((40, 40))
+    A = G + G.T
+    ref = np.linalg.inv(A)
+    assert np.linalg.norm(dnmap._gauss_jordan(A, np.empty_like(A)) - ref) <= 1e-13 * np.linalg.norm(ref)
+    A[:, 7] = 0.0  # row operations keep the column exactly zero: a zero pivot
+    with pytest.raises(np.linalg.LinAlgError):
+        dnmap._gauss_jordan(A, np.empty_like(A))
 
 
 @pytest.mark.parametrize("N", [16, 40])
@@ -356,7 +371,7 @@ def test_mode_sweep_is_the_row_formula_bit_for_bit(profile):
         q = _mode_q_values(g, make_potential(potential)).__getitem__
         ksq = np.arange(g.N // 2 + 1) ** 2.0
         expected = _mode_maps_formula(g, ksq, q, w, range(g.M + 1))
-        assert np.array_equal(dn_mode_symbol(g, potential, ksq), expected)
+        assert np.array_equal(dn_mode_symbol(g, potential, ksq, range(g.M + 1)), expected)
 
 
 def test_torus_conductivity_sweep_is_the_row_formula_bit_for_bit():
@@ -382,7 +397,7 @@ def test_mode_resonance_is_the_row_formula_message(ksq):
     with pytest.raises(DNComputationError) as expected:
         _mode_sweep_formula(g, lap, lambda j: q_res, _weights(g), np.zeros_like(lap))
     with pytest.raises(DNComputationError) as raised:
-        dn_mode_symbol(g, q_res, ksq)
+        dn_mode_symbol(g, q_res, ksq, range(g.M + 1))
     assert str(raised.value) == str(expected.value)
 
 
@@ -447,7 +462,7 @@ def test_mode_path_rejects_angular_potentials(annulus_geometry):
     g = annulus_geometry
     bump = {"kind": "bump", "amplitude": 1.0, "theta0": 0.0, "t0": 0.1, "width": 0.3}
     with pytest.raises(GeometryError, match="theta-independent"):
-        dn_mode_symbol(g, bump, 1.0)
+        dn_mode_symbol(g, bump, 1.0, range(g.M + 1))
     # the chain's exact rule, not a tolerance: a 1e-13 cos ripple is not theta-constant
     rippled = SampledPotential(g.theta, g.ts, 1.5 + 1e-13 * np.cos(g.theta)[:, None] * np.ones(g.ts.size))
     with pytest.raises(GeometryError, match="theta-independent"):
@@ -629,9 +644,9 @@ def test_resonance_raises_dense_and_mode():
     with pytest.raises(DNComputationError, match="Dirichlet eigenvalue collision"):
         compute_dn_family(g, q_res)
     with pytest.raises(DNComputationError, match="Dirichlet eigenvalue collision"):
-        dn_mode_symbol(g, q_res, 0.0)
+        dn_mode_symbol(g, q_res, 0.0, range(g.M + 1))
     with pytest.raises(DNComputationError, match=r"mode ksq=0\.0\)"):
-        dn_mode_symbol(g, q_res, np.array([4.0, 0.0, 1.0]))
+        dn_mode_symbol(g, q_res, np.array([4.0, 0.0, 1.0]), range(g.M + 1))
 
 
 def test_resonance_raises_on_the_mode_run_and_the_dense_sweep(monkeypatch):
@@ -663,7 +678,7 @@ def test_singular_mode_pivot_names_its_mode():
     ts = g.ts
     b = -2.0 / ((ts[-2] - ts[-3]) * (ts[-1] - ts[-2]))
     with pytest.raises(DNComputationError, match=r"mode ksq=4\.0\)"):
-        dn_mode_symbol(g, b - 4.0, np.array([1.0, 4.0, 9.0]))
+        dn_mode_symbol(g, b - 4.0, np.array([1.0, 4.0, 9.0]), range(g.M + 1))
     # in the dense chain's per-mode run the zero mode pivot is a singular block
     with pytest.raises(DNComputationError, match=r"near depth [\d.]+: propagation norm inf$"):
         compute_dn_family(g, b - 4.0)
@@ -677,7 +692,7 @@ def test_mode_resonance_names_the_first_mode_above_the_guard(monkeypatch):
     g, q_res = _resonant_setup()
     ksq = np.array([3.0, 0.0, 1.5e-7])
     with pytest.raises(DNComputationError, match=r"\(mode ksq=0\.0\) near depth 0\.0125$"):
-        dn_mode_symbol(g, q_res - 1e-7, ksq)
+        dn_mode_symbol(g, q_res - 1e-7, ksq, range(g.M + 1))
     monkeypatch.setattr(dnmap, "_SINGULAR_FACTOR", np.inf)
     lap = ksq.reshape(-1, 1, 1)
     S, _ = _eliminate(g, lap, lambda j: q_res - 1e-7, _weights(g), np.zeros_like(lap))
@@ -685,16 +700,16 @@ def test_mode_resonance_names_the_first_mode_above_the_guard(monkeypatch):
     assert g.ts[1] == 0.0125 and np.abs(S[2:]).max() < 1e6 < first < later < np.inf
 
 
-def test_past_the_first_dirichlet_eigenvalue_only_indefinite_pivots_take_lu(monkeypatch):
+def test_past_the_first_dirichlet_eigenvalue_only_indefinite_pivots_take_gauss_jordan(monkeypatch):
     # beyond the k = 0 collision a few dense pivots are indefinite: their leaf
-    # Cholesky fails and only those rows are LU solves; the maps still match
-    # the mode symbols (an LU solve on every row also matches them to about
-    # 5e-11 only: the 1e-12 ripple, amplified near the collision, sets that)
+    # Cholesky fails and only those rows take Gauss-Jordan; the maps still match
+    # the mode symbols (Gauss-Jordan on every row also matches them to about
+    # 6e-11 only: the 1e-12 ripple, amplified near the collision, sets that)
     g, q_res = _resonant_setup(N=64)
     K = g.ts.size
     rippled = SampledPotential(g.theta, g.ts, 1.37 * q_res + 1e-12 * np.cos(g.theta)[:, None] * np.ones(K))
-    lams, lu_rows = _maps_with_lu_spy(monkeypatch, g, rippled)
-    assert 0 < lu_rows < (K - 2) // 4
+    lams, fallback_rows = _maps_with_gauss_jordan_spy(monkeypatch, g, rippled)
+    assert 0 < fallback_rows < (K - 2) // 4
     ksq = g.wavenumbers() ** 2
     for j in range(0, g.M + 1, 4):
         mode = np.sort(dn_mode_symbol(g, 1.37 * q_res, ksq, depths=[j])[0])
@@ -705,7 +720,7 @@ def test_off_resonance_passes():
     g, q_res = _resonant_setup()
     fam = compute_dn_family(g, q_res * 1.37)
     assert np.all(np.isfinite(fam.lams))
-    vals = dn_mode_symbol(g, q_res * 1.37, 0.0)
+    vals = dn_mode_symbol(g, q_res * 1.37, 0.0, range(g.M + 1))
     assert np.all(np.isfinite(vals))
 
 
@@ -714,7 +729,7 @@ def test_off_resonance_passes():
 
 def test_riccati_integration_recovers_family(annulus_geometry):
     fam = compute_dn_family(annulus_geometry, 1.0)
-    out = riccati_integrate(annulus_geometry, 1.0, fam.lams[annulus_geometry.M])
+    out = riccati_integrate(fam)
     err = np.linalg.norm(out[0] - fam.lams[0]) / np.linalg.norm(fam.lams[0])
     assert err < 1e-2
 
@@ -749,9 +764,9 @@ def test_riccati_residual_is_relative_to_the_cancelling_terms(profile):
 
 def test_riccati_escape(annulus_geometry):
     fam = compute_dn_family(annulus_geometry)
-    bad = fam.lams[annulus_geometry.M] + 1e3 * np.eye(annulus_geometry.N)
+    fam.lams[annulus_geometry.M] += 1e3 * np.eye(annulus_geometry.N)  # a bad deepest map
     with pytest.raises(RiccatiEscapeError) as exc:
-        riccati_integrate(annulus_geometry, None, bad)
+        riccati_integrate(fam)
     assert 0.0 <= exc.value.depth < annulus_geometry.eps
 
 
@@ -833,11 +848,11 @@ def test_mode_paths_take_an_array_of_modes():
     g = build_warped_geometry(make_profile("disk"), N=16, M=32, eps=0.3)
     ksq = np.array([0.0, 1.0, 4.0, 5.0, 9.0])
     gamma = lambda t: np.exp(2.0 * t)
-    sym = dn_mode_symbol(g, 1.5, ksq)
+    sym = dn_mode_symbol(g, 1.5, ksq, range(g.M + 1))
     cond = conductivity_mode_dn(g, gamma, 3, ksq)
     assert sym.shape == (g.M + 1, ksq.size) and cond.shape == ksq.shape
     for i, k in enumerate(ksq):
-        assert np.array_equal(sym[:, i], dn_mode_symbol(g, 1.5, k))
+        assert np.array_equal(sym[:, i], dn_mode_symbol(g, 1.5, k, range(g.M + 1)))
         assert cond[i] == conductivity_mode_dn(g, gamma, 3, k)
 
 
@@ -848,7 +863,7 @@ def test_mode_symbol_reads_the_listed_depths():
     for ksq in (4.0, np.array([1.0, 4.0])):
         rows = dn_mode_symbol(g, 1.5, ksq, depths=depths)
         assert rows.shape == (3,) + np.shape(ksq)
-        assert np.array_equal(rows, dn_mode_symbol(g, 1.5, ksq)[depths])
+        assert np.array_equal(rows, dn_mode_symbol(g, 1.5, ksq, range(g.M + 1))[depths])
 
 
 def test_conformal_identity_flat_cylinder():

@@ -65,7 +65,7 @@ def test_trace_steps_equal_the_lu_trapezoid_steps(geometry_name, kw):
     _assert_lu_trace(compute_dn_family(g, Q1_SPEC))
 
 
-def test_an_uncertified_trace_step_takes_the_lu_fallback():
+def test_an_uncertified_trace_step_takes_the_gauss_jordan_fallback():
     # every step matrix I + (h/2) Lam has eigenvalues in [-2, -1] and [1, 2], so no leaf
     # Cholesky certifies it (measured gap 3.8e-15)
     g = build_warped_geometry(make_profile("annulus", rho=0.25), N=32, M=64, eps=0.3)

@@ -318,6 +318,7 @@ def _damaged_off(draw):
 def test_off_loader_raises_only_format_or_mesh_errors(tmp_path_factory, text):
     # and each outcome is the all-token parse's
     p = tmp_path_factory.getbasetemp() / "damaged.off"
+    p.unlink(missing_ok=True)  # a new file: a truncating rewrite took about 50 ms an example on ext4
     p.write_text(text, encoding="utf-8")
     assert _loaded(load_mesh, p) == _loaded(load_mesh_by_tokens, p)
 

@@ -317,6 +317,34 @@ def test_family_pair_on_two_geometries_is_rejected(other):
 # -- plumbing ---------------------------------------------------------------------
 
 
+def _recovered(g, specs, move):
+    families = [compute_dn_family(g, dict(spec, theta0=move(spec["theta0"]))) for spec in specs]
+    return dn_recovery_check(*families)["recovered"]
+
+
+@pytest.mark.parametrize(
+    "name, kw", [("annulus", {"rho": 0.25}), ("disk", {}), ("flat-cylinder", {"T": 0.9})]
+)
+def test_rotating_or_reflecting_a_random_pair_permutes_the_recovered_kernel(name, kw):
+    # moving both theta0 by one node rolls the recovered kernel by one node in both
+    # indices, and theta0 -> -theta0 re-indexes it k -> -k mod N: the slice
+    # Laplacian is circulant, so only round-off moves (9e-14 to 5e-13 seen)
+    g = build_warped_geometry(make_profile(name, **kw), N=32, M=64, eps=0.3)
+    rng = np.random.default_rng(11)
+    k = -np.arange(g.N) % g.N
+    for _ in range(2):
+        specs = [
+            {"kind": "bump", "amplitude": rng.uniform(-3.0, 3.0), "theta0": rng.uniform(0.0, 2 * np.pi),
+             "t0": rng.uniform(0.0, 0.2), "width": rng.uniform(0.2, 0.5)}
+            for _ in range(2)
+        ]
+        base = _recovered(g, specs, lambda t: t)
+        turned = _recovered(g, specs, lambda t: t + 2 * np.pi / g.N)
+        mirrored = _recovered(g, specs, lambda t: -t)
+        for got, want in ((turned, np.roll(base, 1, axis=(0, 1))), (mirrored, base[k][:, k])):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
 def test_difference_kernel_symmetry(annulus_families):
     fam1, fam2 = annulus_families
     K = difference_kernel(fam1, fam2, 0)

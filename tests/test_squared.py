@@ -144,8 +144,8 @@ def test_scalar_mirror_matches_structured_apply():
     applied = apply_variant(op, field, "factorized")
 
     p = field[:, 0, 0] / (e1[0] * e2[0])
-    lam1 = dn_mode_symbol(g, 1.5, float(k * k))
-    lam2 = dn_mode_symbol(g, 0.5, float(l * l))
+    lam1 = dn_mode_symbol(g, 1.5, float(k * k), range(g.M + 1))
+    lam2 = dn_mode_symbol(g, 0.5, float(l * l), range(g.M + 1))
     m = np.zeros(g.M + 1)
     mirror = scalar_factorized_apply(g.collar_ts, lam1, lam2, m, p)
 

@@ -13,8 +13,6 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# the subject of acceptance criterion 12, which the tests run and no scenario does
-ALLOWED = {"coercivity_probe"}
 
 
 def _public_definitions():
@@ -46,7 +44,5 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     code = [*(ROOT / "src" / "evosq").glob("*.py"), *(ROOT / "demos").glob("*.py")]
     used = _references(code) | _references((ROOT / "bench").glob("*.py"), strings=True)
     defined = dict(_public_definitions())
-    unused = sorted(q for q, name in defined.items() if name not in used | ALLOWED)
+    unused = sorted(q for q, name in defined.items() if name not in used)
     assert not unused, f"no caller outside the tests: {', '.join(unused)}"
-    # the allowlist names a defined name that still has no caller
-    assert ALLOWED <= set(defined.values()) and not ALLOWED & used
