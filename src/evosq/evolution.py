@@ -44,7 +44,7 @@ where ``rel_error`` is only 1e-3 to 6e-3.
 
 import numpy as np
 
-from .dnmap import _dense_inverse, _diagonal, _dot, _norm
+from .dnmap import _dense_inverse, _diagonal, _dot
 from .errors import GeometryError, StepFailureError
 
 _CG_TOL = 1e-10

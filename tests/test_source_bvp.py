@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from evosq.cli import main
 from evosq.dnmap import compute_dn_family, solve_interior
 from evosq.errors import GeometryError
 from evosq import source_bvp
-from evosq.evolution import PairOperator, evolve_tensor_backward
+from evosq.evolution import PairOperator, evolve_tensor_backward, evolve_trace
 from evosq.geometry import build_warped_geometry, make_profile
+from evosq.rng import SplitMix64
 from evosq.source_bvp import (
     boundary_time_derivative,
     difference_kernel,
@@ -28,26 +30,38 @@ def _pair_mode_component(values, k):
 # -- headline recovery --------------------------------------------------------
 
 
-def test_recovery_error_decreases_with_stable_sign():
-    errs, signs = {}, {}
+def test_recovery_error_decreases_with_refinement():
+    errs = {}
     for M in (32, 64):
         g = build_warped_geometry(make_profile("annulus", rho=0.25), N=16, M=M, eps=0.3)
         fam1 = compute_dn_family(g, Q1_SPEC)
         fam2 = compute_dn_family(g, Q2_SPEC)
-        res = dn_recovery_check(fam1, fam2)
-        errs[M], signs[M] = res["rel_error"], res["sign"]
+        errs[M] = dn_recovery_check(fam1, fam2)["rel_error"]
     assert errs[64] < 5e-2
     assert errs[64] < errs[32]
-    assert signs[32] == signs[64] == 1
 
 
-def test_recovery_prefers_positive_orientation(annulus_families):
+def test_recovery_error_is_measured_in_the_paper_orientation(annulus_families):
     fam1, fam2 = annulus_families
     res = dn_recovery_check(fam1, fam2)
-    assert res["sign"] == 1
-    assert res["rel_error_plus"] < res["rel_error_minus"]
+    rec, target = res["recovered"], res["target"]
+    assert set(res) == {"rel_error", "recovered", "target", "stages"}
+    rel = np.linalg.norm(rec - target) / np.linalg.norm(target)
+    assert res["rel_error"] == pytest.approx(rel, rel=1e-12)
     assert res["rel_error"] < 5e-2
-    assert res["recovered"].shape == res["target"].shape
+    assert rec.shape == target.shape
+
+
+def test_a_sign_flipped_recovery_fails(annulus_families, monkeypatch, tmp_path, capsys):
+    # a boundary derivative of the wrong sign recovers -(Lam1 - Lam2): its error is
+    # about 2, and the headline fails on it
+    derivative = source_bvp.boundary_time_derivative
+    monkeypatch.setattr(
+        source_bvp, "boundary_time_derivative", lambda g, phi: -derivative(g, phi)
+    )
+    assert dn_recovery_check(*annulus_families)["rel_error"] > 1.0
+    assert main(["bvp-headline", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().out == "bvp-headline: FAIL\n"
 
 
 # -- per-mode oracle on the flat cylinder --------------------------------------
@@ -343,6 +357,49 @@ def test_rotating_or_reflecting_a_random_pair_permutes_the_recovered_kernel(name
         mirrored = _recovered(g, specs, lambda t: -t)
         for got, want in ((turned, np.roll(base, 1, axis=(0, 1))), (mirrored, base[k][:, k])):
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def _random_bumps(rng):
+    u = [rng.next_float() for _ in range(8)]
+    return [
+        {"kind": "bump", "amplitude": 6.0 * u[i] - 3.0, "theta0": 2 * np.pi * u[i + 1],
+         "t0": 0.2 * u[i + 2], "width": 0.2 + 0.3 * u[i + 3]}
+        for i in (0, 4)
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize(
+    "name, kw", [("annulus", {"rho": 0.25}), ("disk", {}), ("flat-cylinder", {"T": 0.9})]
+)
+def test_rotating_or_reflecting_random_data_permutes_traces_and_keeps_the_strip(name, kw, seed):
+    # a bump pair and normal boundary data, moved together by one node or reflected
+    # theta -> -theta: the traces of evolve_trace and solve_interior move alike
+    # (4.1e-14 relative seen over ten seeds, bound 1e-12), and layer-strip's two
+    # sides stay put on the scale w(0) |Lam1(0)| |f1| |f2| that bounds them
+    # (2.3e-15 seen for lhs, 1.8e-16 for rhs, bound 1e-13)
+    g = build_warped_geometry(make_profile(name, **kw), N=32, M=64, eps=0.3)
+    rng = SplitMix64(seed)
+    bumps = _random_bumps(rng)
+    f1, f2 = np.array(rng.normals(g.N)), np.array(rng.normals(g.N))
+    fam = compute_dn_family(g, bumps[0])
+    traces = [evolve_trace(fam, f1), solve_interior(fam, f1)]
+    strip = layer_strip_check(g, *bumps, f1, f2)
+    scale = g.node_weight(0.0) * np.linalg.norm(fam.lams[0])
+    scale *= np.linalg.norm(f1) * np.linalg.norm(f2)
+    k = -np.arange(g.N) % g.N
+    for move_theta, move_data in (
+        (lambda t: t + 2 * np.pi / g.N, lambda f: np.roll(f, 1, axis=-1)),
+        (lambda t: -t, lambda f: f[..., k]),
+    ):
+        moved = [dict(b, theta0=move_theta(b["theta0"])) for b in bumps]
+        fam_moved = compute_dn_family(g, moved[0])
+        got = [evolve_trace(fam_moved, move_data(f1)), solve_interior(fam_moved, move_data(f1))]
+        for trace, want in zip(got, map(move_data, traces)):
+            assert np.linalg.norm(trace - want) <= 1e-12 * np.linalg.norm(want)
+        strip_moved = layer_strip_check(g, *moved, move_data(f1), move_data(f2))
+        for side in ("lhs", "rhs"):
+            assert abs(strip_moved[side] - strip[side]) <= 1e-13 * scale
 
 
 def test_difference_kernel_symmetry(annulus_families):

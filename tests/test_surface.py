@@ -1,4 +1,5 @@
-"""The library surface: every public name in ``src/evosq`` has a caller outside the tests.
+"""The library surface: every public name in ``src/evosq`` has a caller outside the tests,
+and every imported name is read where it is imported.
 
 A module-level public ``def`` or ``class``, and a public method or property
 of such a class, must be referenced from ``src/``, ``demos/`` or
@@ -46,3 +47,26 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     defined = dict(_public_definitions())
     unused = sorted(q for q, name in defined.items() if name not in used)
     assert not unused, f"no caller outside the tests: {', '.join(unused)}"
+
+
+def _unread_imports(path):
+    """Names that ``path`` imports and never reads; a string in ``__all__`` counts as a read."""
+    tree = ast.parse(path.read_text())
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return sorted(imported - read)
+
+
+def test_every_imported_name_is_read():
+    paths = [*(ROOT / "src" / "evosq").glob("*.py"), *(ROOT / "demos").glob("*.py"),
+             *(ROOT / "tests").glob("*.py")]
+    unread = [f"{p.relative_to(ROOT)}: {name}" for p in sorted(paths) for name in _unread_imports(p)]
+    assert not unread, f"imported and never read: {', '.join(unread)}"
